@@ -31,6 +31,7 @@ from .fock import (
     wigner_exact,
 )
 from .measurement import (
+    ClickArrays,
     ClickRecord,
     DetectorPair,
     DualDetectorRecipe,
@@ -40,10 +41,12 @@ from .measurement import (
     derive_setting,
     dual_detector_schedule,
     homogeneous_efficiencies,
+    keyed_binomial,
     no_click_probability,
     sample_clicks,
+    schedule_arrays,
     schedule_probabilities,
-    simulate_schedule,
+    simulate,
     single_detector_schedule,
 )
 from .recover import RecoveredDensity, StateComparison, compare_states, dmn_kernel, integrate_rho

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +24,11 @@ from .config import (
     build_state,
     load_config,
 )
-from .em import EMConfig, run_em_batch
+from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
-from .measurement import simulate_schedule
+from .measurement import simulate
 from .recover import compare_states, integrate_rho
-from .wigner import WignerEstimate, wigner_from_values
+from .wigner import WignerEstimate, reconstruct_clicks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,85 +54,34 @@ def cmd_simulate(args) -> int:
     gammas = cfg.grid.flat_gammas()
     out = _out_dir(args)
     for rep in range(cfg.repetitions):
-        points = []
-        for i, gamma in enumerate(gammas):
-            schedule = recipe.build(gamma)
-            records = simulate_schedule(
-                rho,
-                schedule,
-                cfg.trunc,
-                n_runs=cfg.n_runs,
-                seed=(cfg.seed, rep),
-                point_index=i,
-                exact=cfg.exact_probabilities,
-            )
-            points.append(io_csv.PointRecords(i, complex(gamma), tuple(records)))
+        clicks = simulate(
+            rho, gammas, recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities
+        )
         name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
-        io_csv.write_click_csv(out / name, cfg, rep, points)
-        print(f"wrote {out / name} ({len(points)} points x {len(points[0].records)} settings)")
+        io_csv.write_click_csv(out / name, cfg, rep, clicks)
+        print(f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings)")
     return EXIT_OK
-
-
-def _reconstruct_one(cfg: RunConfig, points: list[io_csv.PointRecords], threads: int = 1):
-    """EM on every point of one click file -> (w values, final loglik, n failed)."""
-    m = len(points[0].records)
-    nu_bar = np.array([rec.setting.nu_bar for rec in points[0].records])
-    for p in points:
-        if len(p.records) != m:
-            raise DataError(f"point {p.point_index} has {len(p.records)} settings, expected {m}")
-        mismatch = max(
-            abs(rec.setting.nu_bar - nb) for rec, nb in zip(p.records, nu_bar)
-        )
-        if mismatch > 1e-12:
-            raise DataError(f"point {p.point_index} uses a different efficiency schedule")
-    freqs = np.array([[rec.freq for rec in p.records] for p in points])
-    noclick = np.array([[rec.n_noclick for rec in p.records] for p in points])
-    runs = np.array([[rec.n_runs for rec in p.records] for p in points], dtype=float)
-    ey = np.exp(np.array([[rec.setting.y for rec in p.records] for p in points]))
-    em_cfg = EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
-
-    def solve(sl: slice):
-        return run_em_batch(
-            freqs[sl], nu_bar, ey[sl], cfg.trunc.n_trunc, em_cfg,
-            noclick=noclick[sl], n_runs=runs[sl],
-        )
-
-    n_chunks = max(1, min(int(threads), len(points)))
-    bounds = np.linspace(0, len(points), n_chunks + 1, dtype=int)
-    slices = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    if len(slices) == 1:
-        results = [solve(slices[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(solve, slices))
-    values = np.vstack([r.values for r in results])
-    failed = np.concatenate([r.failed for r in results])
-    loglik = np.concatenate([r.final_loglik for r in results])
-    w = np.array(
-        [np.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)]
-    )
-    return w, loglik, int(failed.sum())
 
 
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
+    em_cfg = EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
     maps = []
     logliks = []
     n_failed = 0
     gammas_ref = None
     for path in args.records:
-        file_cfg, _, points = io_csv.read_click_csv(path)
+        file_cfg, _, clicks = io_csv.read_click_csv(path)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
-        gammas = np.array([p.gamma for p in points])
         if gammas_ref is None:
-            gammas_ref = gammas
-        elif not np.array_equal(gammas_ref, gammas):
+            gammas_ref = clicks.gammas
+        elif not np.array_equal(gammas_ref, clicks.gammas):
             raise DataError(f"{path}: point set differs between records files")
-        w, ll, bad = _reconstruct_one(cfg, points, threads=args.threads)
+        w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg, args.threads)
         maps.append(w)
         logliks.append(ll)
-        n_failed += bad
+        n_failed += int(failed.sum())
     expected = cfg.grid.flat_gammas()
     if gammas_ref.size != expected.size or np.max(np.abs(gammas_ref - expected)) > 1e-9:
         raise DataError("records do not cover the configured grid")

@@ -93,6 +93,8 @@ class RunConfig:
     ) -> "RunConfig":
         cfg = self
         if seed is not None:
+            if seed < 0:
+                raise ConfigError(f"seed must be non-negative, got {seed}")
             cfg = replace(cfg, seed=int(seed))
         if exact:
             cfg = replace(cfg, exact_probabilities=True)
@@ -237,8 +239,9 @@ def parse_config(text: str) -> RunConfig:
     for key in ("n_runs", "repetitions"):
         if run[key] < 1:
             raise ConfigError(f"[run] {key} must be positive")
-    if run["n_iterations"] < 0:
-        raise ConfigError("[run] n_iterations must be non-negative")
+    for key in ("n_iterations", "seed"):
+        if run[key] < 0:
+            raise ConfigError(f"[run] {key} must be non-negative")
     return RunConfig(
         state=state,
         detectors=det,

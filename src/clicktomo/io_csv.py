@@ -8,31 +8,23 @@ significant digits and round-trip bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, dump_config, parse_config
-from .errors import DataError
-from .measurement import ClickRecord, DetectorPair, derive_setting
+from .errors import ConfigError, DataError
+from .measurement import ClickArrays, DetectorPair, complex_array, derive_setting
 
 __all__ = [
     "CLICK_COLUMNS",
     "WIGNER_COLUMNS",
     "RHO_COLUMNS",
-    "DIAGONAL_COLUMNS",
-    "TRACE_COLUMNS",
-    "PointRecords",
     "write_click_csv",
     "read_click_csv",
     "write_wigner_csv",
     "read_wigner_csv",
     "write_rho_csv",
     "read_rho_csv",
-    "write_diagonal_csv",
-    "read_diagonal_csv",
-    "write_em_trace_csv",
-    "read_em_trace_csv",
     "write_metrics_json",
     "embedded_config",
 ]
@@ -53,8 +45,6 @@ CLICK_COLUMNS = (
 )
 WIGNER_COLUMNS = ("re_gamma", "im_gamma", "w_rec", "w_exact", "w_variance", "em_final_loglik")
 RHO_COLUMNS = ("m", "n", "re", "im")
-DIAGONAL_COLUMNS = ("n", "value")
-TRACE_COLUMNS = ("iteration", "log_likelihood")
 
 _CONFIG_BEGIN = "# config-begin"
 _CONFIG_END = "# config-end"
@@ -78,7 +68,10 @@ def _header_lines(config_text: str, extra: "dict | None" = None) -> list[str]:
 def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
     """-> (embedded config text, extras, column names, data rows)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        raw = fh.read().split("\n")
+        try:
+            raw = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     config_rows: list[str] = []
     extras: dict[str, str] = {}
     body: list[str] = []
@@ -110,93 +103,130 @@ def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
     return "\n".join(config_rows) + "\n", extras, columns, body[1:]
 
 
+def _parse_embedded(path, config_text: str) -> RunConfig:
+    """The file's own configuration; a broken header is a data error."""
+    try:
+        return parse_config(config_text)
+    except ConfigError as exc:
+        raise DataError(f"{path}: embedded config: {exc}") from exc
+
+
 def embedded_config(path) -> str:
     """Extract the configuration text embedded in an output file."""
     return _split_file(path)[0]
 
 
-@dataclass(frozen=True)
-class PointRecords:
-    """Click records belonging to one phase-space point."""
+def _texts(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every element; each distinct value is formatted once.
 
-    point_index: int
-    gamma: complex
-    records: tuple[ClickRecord, ...]
+    Floats are grouped by bit pattern, so -0.0 and 0.0 keep their own text.
+    """
+    flat = np.ascontiguousarray(values).ravel()
+    keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([_fmt(v) for v in flat[first].tolist()], dtype=object)[inverse].tolist()
 
 
-def write_click_csv(path, cfg: RunConfig, repetition: int, points: "list[PointRecords]") -> None:
+def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) -> None:
+    m = clicks.noclick.shape[1]
+    per_point = (np.arange(clicks.gammas.size), clicks.gammas.real, clicks.gammas.imag)
+    per_setting = (
+        clicks.alpha, clicks.beta.real, clicks.beta.imag, clicks.nu_c, clicks.nu_d,
+        clicks.nu_bar, clicks.y, clicks.n_runs, clicks.noclick,
+    )
+    columns = [[t for t in _texts(v) for _ in range(m)] for v in per_point]
+    columns += [_texts(v) for v in per_setting]
     lines = _header_lines(dump_config(cfg), {"repetition": repetition})
     lines.append(",".join(CLICK_COLUMNS))
-    for point in points:
-        for rec in point.records:
-            s = rec.setting
-            lines.append(
-                ",".join(
-                    (
-                        str(point.point_index),
-                        _fmt(point.gamma.real),
-                        _fmt(point.gamma.imag),
-                        _fmt(s.alpha),
-                        _fmt(s.beta.real),
-                        _fmt(s.beta.imag),
-                        _fmt(s.detectors.nu_c),
-                        _fmt(s.detectors.nu_d),
-                        _fmt(s.nu_bar),
-                        _fmt(s.y),
-                        str(rec.n_runs),
-                        _fmt(rec.n_noclick),
-                    )
-                )
-            )
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_row(path, row_number: int, line: str, n_cols: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != n_cols:
-        raise DataError(
-            f"{path}: row {row_number}: expected {n_cols} fields, found {len(parts)}"
-        )
-    return parts
-
-
-def read_click_csv(path) -> tuple[RunConfig, int, list[PointRecords]]:
-    """Read click records; settings are re-derived and checked bit-for-bit."""
-    config_text, extras, columns, body = _split_file(path)
-    if tuple(columns) != CLICK_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    cfg = parse_config(config_text)
-    repetition = int(extras.get("repetition", 0))
-    by_point: dict[int, PointRecords] = {}
-    for k, line in enumerate(body, start=1):
-        parts = _parse_row(path, k, line, len(CLICK_COLUMNS))
+def _read_table(path, columns: tuple[str, ...]) -> tuple[RunConfig, dict, np.ndarray]:
+    """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number."""
+    config_text, extras, found, body = _split_file(path)
+    if tuple(found) != columns:
+        raise DataError(f"{path}: unexpected columns {found}")
+    cfg = _parse_embedded(path, config_text)
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if data.shape == (len(body), len(columns)):
+            return cfg, extras, data
+    except ValueError:
+        pass
+    for k, line in enumerate(body, start=1):  # name the first bad row
+        if line.count(",") + 1 != len(columns):
+            raise DataError(f"{path}: row {k}: expected {len(columns)} fields, found {line.count(',') + 1}")
         try:
-            point_index = int(parts[0])
-            gamma = complex(float(parts[1]), float(parts[2]))
-            alpha = float(parts[3])
-            beta = complex(float(parts[4]), float(parts[5]))
-            pair = DetectorPair(float(parts[6]), float(parts[7]))
-            nu_bar, y = float(parts[8]), float(parts[9])
-            n_runs = int(parts[10])
-            n_noclick = float(parts[11])
+            np.loadtxt([line], delimiter=",", comments=None)
         except ValueError as exc:
             raise DataError(f"{path}: row {k}: {exc}") from exc
-        setting = derive_setting(alpha, beta, pair)
-        if setting.nu_bar != nu_bar or setting.y != y:
-            raise DataError(
-                f"{path}: row {k}: stored derived fields disagree with re-derivation"
-            )
-        rec = ClickRecord(setting=setting, n_runs=n_runs, n_noclick=n_noclick)
-        if point_index not in by_point:
-            by_point[point_index] = PointRecords(point_index, gamma, (rec,))
-        else:
-            prev = by_point[point_index]
-            if prev.gamma != gamma:
-                raise DataError(f"{path}: row {k}: point {point_index} mixes gamma values")
-            by_point[point_index] = PointRecords(point_index, gamma, prev.records + (rec,))
-    points = [by_point[i] for i in sorted(by_point)]
-    return cfg, repetition, points
+    raise DataError(f"{path}: rows do not form a table")
+
+
+def _reject(path, bad: np.ndarray, reason: str) -> None:
+    """DataError naming the first row flagged in ``bad`` (rows count from 1)."""
+    if np.any(bad):
+        raise DataError(f"{path}: row {int(np.argmax(bad)) + 1}: {reason}")
+
+
+def _integers(path, column: np.ndarray, name: str, least: int = 0) -> np.ndarray:
+    """The column as int64; a DataError names the first row that is not an integer >= least."""
+    bad = ~(column >= least) | (column > 2.0**53) | (column != np.trunc(column))
+    _reject(path, bad, f"{name} must be an integer >= {least}")
+    return column.astype(np.int64)
+
+
+def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
+    """Read click records grouped by point; settings are re-derived and checked bit-for-bit."""
+    cfg, extras, data = _read_table(path, CLICK_COLUMNS)
+    try:
+        repetition = int(extras.get("repetition", 0))
+    except ValueError as exc:
+        raise DataError(f"{path}: repetition: {exc}") from exc
+    _, re_g, im_g, alpha, re_b, im_b, nu_c, nu_d, nu_bar, y, _, noclick = data.T
+    index = _integers(path, data[:, 0], "point_index")
+    n_runs = _integers(path, data[:, 10], "n_runs", least=1)
+    _reject(path, ~((noclick >= 0.0) & (noclick <= n_runs)), "n_noclick outside [0, n_runs]")
+
+    triples = np.ascontiguousarray(data[:, [3, 6, 7]])
+    # one 24-byte key per row: settings are grouped bit for bit
+    _, first, inverse = np.unique(triples.view("V24").ravel(), return_index=True, return_inverse=True)
+    derived = np.empty(first.size)
+    for u, (k, (a, c, d)) in enumerate(zip(first.tolist(), triples[first].tolist())):
+        try:
+            derived[u] = derive_setting(a, 0j, DetectorPair(c, d)).nu_bar
+        except ValueError as exc:
+            raise DataError(f"{path}: row {k + 1}: {exc}") from exc
+    nb = derived[inverse]
+    with np.errstate(all="ignore"):
+        y_derived = -np.float_power(np.hypot(re_b, im_b), 2.0) * nu_c * nu_d / nb
+    _reject(path, (nb != nu_bar) | (y_derived != y), "stored derived fields disagree with re-derivation")
+
+    order = np.argsort(index, kind="stable")
+    points, counts = np.unique(index[order], return_counts=True)
+    m = int(counts[0])
+    if np.any(counts != m):
+        u = int(np.argmax(counts != m))
+        raise DataError(f"{path}: point {points[u]} has {counts[u]} settings, expected {m}")
+    rows = order.reshape(points.size, m)
+    mixed = np.zeros(data.shape[0], dtype=bool)
+    mixed[rows] = (re_g[rows] != re_g[rows[:, :1]]) | (im_g[rows] != im_g[rows[:, :1]])
+    _reject(path, mixed, "point mixes gamma values")
+    other = np.max(np.abs(nb[rows] - nb[rows[0]]), axis=1) > 1e-12
+    if np.any(other):
+        raise DataError(
+            f"{path}: point {points[np.argmax(other)]} uses a different efficiency schedule"
+        )
+    alpha, nu_c, nu_d, nb, y, noclick, n_runs = (
+        f[rows] for f in (alpha, nu_c, nu_d, nb, y, noclick, n_runs)
+    )
+    gammas = complex_array(re_g[rows[:, 0]], im_g[rows[:, 0]])
+    beta = complex_array(re_b[rows], im_b[rows])
+    return cfg, repetition, ClickArrays(gammas, alpha, beta, nu_c, nu_d, nb, y, noclick, n_runs)
 
 
 def write_wigner_csv(
@@ -226,17 +256,7 @@ def write_wigner_csv(
 
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
     """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / loglik)."""
-    config_text, _, columns, body = _split_file(path)
-    if tuple(columns) != WIGNER_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    cfg = parse_config(config_text)
-    data = np.empty((len(body), len(WIGNER_COLUMNS)))
-    for k, line in enumerate(body, start=1):
-        parts = _parse_row(path, k, line, len(WIGNER_COLUMNS))
-        try:
-            data[k - 1] = [float(v) for v in parts]
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k}: {exc}") from exc
+    cfg, _, data = _read_table(path, WIGNER_COLUMNS)
     gammas = data[:, 0] + 1j * data[:, 1]
     cols = {
         "w_rec": data[:, 2],
@@ -261,78 +281,11 @@ def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
 
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:
-    config_text, _, columns, body = _split_file(path)
-    if tuple(columns) != RHO_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    cfg = parse_config(config_text)
-    entries = []
-    for k, line in enumerate(body, start=1):
-        parts = _parse_row(path, k, line, len(RHO_COLUMNS))
-        try:
-            entries.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k}: {exc}") from exc
-    dim = max(max(m, n) for m, n, _, _ in entries) + 1
-    rho = np.zeros((dim, dim), dtype=complex)
-    for m, n, re, im in entries:
-        rho[m, n] = complex(re, im)
+    cfg, _, data = _read_table(path, RHO_COLUMNS)
+    m, n = _integers(path, data[:, 0], "m"), _integers(path, data[:, 1], "n")
+    rho = np.zeros((max(m.max(), n.max()) + 1,) * 2, dtype=complex)
+    rho[m, n] = complex_array(data[:, 2], data[:, 3])
     return cfg, rho
-
-
-def write_diagonal_csv(path, cfg: RunConfig, gamma: complex, values: np.ndarray) -> None:
-    """Reconstructed displaced-diagonal values for one phase-space point."""
-    lines = _header_lines(
-        dump_config(cfg), {"re_gamma": _fmt(gamma.real), "im_gamma": _fmt(gamma.imag)}
-    )
-    lines.append(",".join(DIAGONAL_COLUMNS))
-    for n, v in enumerate(np.asarray(values, dtype=float)):
-        lines.append(f"{n},{_fmt(v)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_diagonal_csv(path) -> tuple[RunConfig, complex, np.ndarray]:
-    config_text, extras, columns, body = _split_file(path)
-    if tuple(columns) != DIAGONAL_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    cfg = parse_config(config_text)
-    gamma = complex(float(extras.get("re_gamma", 0.0)), float(extras.get("im_gamma", 0.0)))
-    values = np.empty(len(body))
-    for k, line in enumerate(body, start=1):
-        parts = _parse_row(path, k, line, 2)
-        try:
-            idx, val = int(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k}: {exc}") from exc
-        if idx != k - 1:
-            raise DataError(f"{path}: row {k}: indices must be consecutive from 0")
-        values[idx] = val
-    return cfg, gamma, values
-
-
-def write_em_trace_csv(path, cfg: RunConfig, log_likelihood: np.ndarray) -> None:
-    """Per-iteration log-likelihood of one reconstruction."""
-    lines = _header_lines(dump_config(cfg))
-    lines.append(",".join(TRACE_COLUMNS))
-    for k, ll in enumerate(np.asarray(log_likelihood, dtype=float), start=1):
-        lines.append(f"{k},{_fmt(ll)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_em_trace_csv(path) -> tuple[RunConfig, np.ndarray]:
-    config_text, _, columns, body = _split_file(path)
-    if tuple(columns) != TRACE_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    cfg = parse_config(config_text)
-    values = np.empty(len(body))
-    for k, line in enumerate(body, start=1):
-        parts = _parse_row(path, k, line, 2)
-        try:
-            values[k - 1] = float(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k}: {exc}") from exc
-    return cfg, values
 
 
 def write_metrics_json(path, cfg: RunConfig, metrics: dict) -> None:

@@ -38,8 +38,11 @@ __all__ = [
     "homogeneous_efficiencies",
     "no_click_probability",
     "schedule_probabilities",
+    "ClickArrays",
+    "schedule_arrays",
+    "keyed_binomial",
     "sample_clicks",
-    "simulate_schedule",
+    "simulate",
 ]
 
 GAMMA_MATCH_TOL = 1e-12
@@ -123,7 +126,6 @@ class SettingSchedule:
 
     target_gamma: complex
     settings: tuple[Setting, ...]
-    recipe: SingleDetectorRecipe | DualDetectorRecipe | None = None
 
     def __post_init__(self) -> None:
         if not self.settings:
@@ -163,7 +165,6 @@ def single_detector_schedule(
     return SettingSchedule(
         target_gamma=complex(target_gamma),
         settings=settings,
-        recipe=SingleDetectorRecipe(alpha=a, efficiencies=effs),
     )
 
 
@@ -193,7 +194,6 @@ def dual_detector_schedule(
     return SettingSchedule(
         target_gamma=g,
         settings=tuple(settings),
-        recipe=DualDetectorRecipe(detectors=detectors, angles=angs),
     )
 
 
@@ -249,9 +249,155 @@ class ClickRecord:
         return self.n_noclick / self.n_runs
 
 
-def _rng_key(seed: "int | tuple[int, ...]", stream_id: int) -> tuple[int, ...]:
-    base = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
-    return base + (int(stream_id),)
+Recipe = SingleDetectorRecipe | DualDetectorRecipe
+
+
+@dataclass(frozen=True, eq=False)
+class ClickArrays:
+    """Click data of P points x M settings: ``gammas`` is (P,), every other field (P, M).
+
+    In exact mode ``noclick`` holds the expected counts ``p * n_runs``.
+    """
+
+    gammas: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    nu_c: np.ndarray
+    nu_d: np.ndarray
+    nu_bar: np.ndarray
+    y: np.ndarray
+    noclick: np.ndarray
+    n_runs: np.ndarray
+
+
+def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``re + 1j * im`` with the signs of zero parts kept, as ``complex(re, im)`` keeps them."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _cmul(re, im, k):
+    """CPython's ``complex * float``: the float enters as ``complex(k, 0.0)``."""
+    return re * k - im * 0.0, im * k + re * 0.0
+
+
+def _cdiv(re, im, k):
+    """CPython's ``complex / float``: its quotient algorithm with a zero imaginary part."""
+    ratio = 0.0 / k
+    denom = k + 0.0 * ratio
+    return (re + im * ratio) / denom, (im - re * ratio) / denom
+
+
+def schedule_arrays(recipe: Recipe, gammas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, nu_c, nu_d, nu_bar, y) of every point's schedule as (P, M) arrays.
+
+    Bit for bit what ``recipe.build(g).settings`` holds: nu_bar is derived once
+    per schedule entry, and the per-point fields repeat the float and complex
+    operations of the schedule builders and ``derive_setting`` in order.
+    """
+    g = np.asarray(gammas, dtype=complex).ravel()
+    settings = recipe.build(g[0]).settings
+    entries = [(s.alpha, s.detectors.nu_c, s.detectors.nu_d, s.nu_bar) for s in settings]
+    alpha, nu_c, nu_d, nu_bar = (np.broadcast_to(v, (g.size, len(entries))) for v in zip(*entries))
+    gr, gi = g.real[:, None], g.imag[:, None]
+    if isinstance(recipe, SingleDetectorRecipe):
+        # beta = -complex(target_gamma) / math.tan(alpha)
+        br, bi = _cdiv(-gr, -gi, np.array([math.tan(a) for a, _, _, _ in entries]))
+    else:
+        # beta = 2.0 * g * nb / ((nu_d - nu_c) * sin(2 alpha)), nb as dual_detector_schedule has it
+        nb = np.array([c * math.cos(a) ** 2 + d * math.sin(a) ** 2 for a, c, d, _ in entries])
+        den = np.array([(d - c) * math.sin(2.0 * a) for a, c, d, _ in entries])
+        br, bi = _cdiv(*_cmul(*_cmul(gr, gi, 2.0), nb), den)
+    cos, sin = np.array([(math.cos(a), math.sin(a)) for a, _, _, _ in entries]).T
+    re, im = _cdiv(*_cmul(*_cmul(*_cmul(br, bi, nu_d[0] - nu_c[0]), cos), sin), nu_bar[0])
+    stray = np.hypot(re - gr, im - gi).max(axis=1)
+    if np.any(stray > GAMMA_MATCH_TOL):
+        i = int(np.argmax(stray))
+        raise ValueError(f"derived gamma strays {stray[i]:.3e} from target {complex(g[i])}")
+    y = -np.float_power(np.hypot(br, bi), 2.0) * nu_c * nu_d / nu_bar
+    return alpha, complex_array(br, bi), nu_c, nu_d, nu_bar, y
+
+
+# numpy's SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx, pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_key(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
+    return (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
+
+
+def _seed_words(entropy: np.ndarray) -> list[list[int]]:
+    """Rows of uint32 entropy -> ``SeedSequence(row).generate_state(4, uint64)`` per row."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    rows, length = entropy.shape
+    pool = [hashmix(entropy[:, i] if i < length else np.zeros(rows, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    state = np.empty((rows, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64).tolist()
+
+
+def keyed_binomial(
+    n_runs: int, p: np.ndarray, seed: "int | tuple[int, ...]", stream_ids: np.ndarray
+) -> np.ndarray:
+    """Binomial(n_runs, p[k]) drawn from ``np.random.default_rng(seed + (stream_ids[k],))``.
+
+    Bit for bit the same draws, without one SeedSequence per key: every key
+    is hashed at once in uint32 arithmetic, each hash is turned into the
+    PCG64 (state, inc) pair the way ``pcg64_set_seed`` does, and one reused
+    generator draws from it.
+    """
+    key = _seed_key(seed)
+    if min(key) < 0:
+        raise ValueError("expected non-negative integer")
+    # little-endian 32-bit words of each int, as SeedSequence splits them
+    base = [(v >> shift) & _MASK32 for v in key for shift in range(0, max(v.bit_length(), 1), 32)]
+    streams = np.asarray(stream_ids, dtype=np.uint64).ravel()
+    p = np.asarray(p, dtype=float).ravel()
+    low, high = streams & np.uint64(_MASK32), streams >> np.uint64(32)
+    out = np.empty(streams.size, dtype=np.int64)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for wide in (False, True):  # a stream id of 2**32 or more is two words
+        group = np.flatnonzero((high > 0) == wide)
+        words = [np.tile(base, (group.size, 1)), low[group, None], high[group, None]]
+        entropy = np.hstack(words[: 3 if wide else 2]).astype(np.uint32)
+        for k, (s_hi, s_lo, i_hi, i_lo) in zip(group.tolist(), _seed_words(entropy)):
+            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+            state["state"] = {"state": ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+            bitgen.state = state
+            out[k] = gen.binomial(n_runs, p[k])
+    return out
 
 
 def sample_clicks(
@@ -269,27 +415,39 @@ def sample_clicks(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    rng = np.random.default_rng(_rng_key(seed, stream_id))
-    n_noclick = int(rng.binomial(int(n_runs), p))
+    n_noclick = int(keyed_binomial(int(n_runs), np.array([p]), seed, np.array([stream_id]))[0])
     return ClickRecord(setting=setting, n_runs=int(n_runs), n_noclick=n_noclick)
 
 
-def simulate_schedule(
+def simulate(
     rho: DensityMatrix,
-    schedule: SettingSchedule,
-    cfg: TruncationConfig,
+    gammas: np.ndarray,
+    recipe: Recipe,
+    trunc: TruncationConfig,
     n_runs: int,
-    seed: "int | tuple[int, ...]" = 0,
-    point_index: int = 0,
-    exact: bool = False,
-) -> list[ClickRecord]:
-    """Measure one schedule: exact probabilities, then (optionally) sampling."""
-    probs = schedule_probabilities(rho, schedule, cfg)
-    m = len(schedule)
-    records = []
-    for j, (setting, p) in enumerate(zip(schedule.settings, probs)):
-        if exact:
-            records.append(ClickRecord(setting=setting, n_runs=int(n_runs), n_noclick=float(p) * n_runs))
-        else:
-            records.append(sample_clicks(setting, float(p), n_runs, seed, point_index * m + j))
-    return records
+    seed: "int | tuple[int, ...]",
+    repetition: int,
+    exact: bool,
+    offset: int = 0,
+) -> ClickArrays:
+    """Measure every point's schedule: exact probabilities, then (optionally) sampling.
+
+    Point i draws from the streams keyed (seed, repetition, (offset + i) * M + j),
+    so ``offset`` (the global index of the first point) keeps a point's
+    counts the same however a grid is split.
+    """
+    g = np.asarray(gammas, dtype=complex).ravel()
+    alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(recipe, g)
+    powers = (1.0 - nu_bar[0])[:, None] ** np.arange(trunc.n_pad, dtype=float)[None, :]
+    series = np.empty(y.shape)
+    for i, gamma in enumerate(g):
+        series[i] = powers @ displaced_diagonal_padded(rho, gamma, trunc)
+    probs = np.clip(np.exp(y) * series, 0.0, 1.0)
+    if exact:
+        noclick = probs * n_runs
+    else:
+        m = np.uint64(y.shape[1])
+        streams = (offset + np.arange(g.size, dtype=np.uint64)[:, None]) * m + np.arange(m)
+        noclick = keyed_binomial(int(n_runs), probs, _seed_key(seed) + (int(repetition),), streams)
+        noclick = noclick.reshape(y.shape).astype(float)
+    return ClickArrays(g, alpha, beta, nu_c, nu_d, nu_bar, y, noclick, np.full(y.shape, int(n_runs)))

@@ -16,21 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_laguerre
 
-from .em import EMConfig, run_em, run_em_batch
-from .errors import DataError
+from .em import EMConfig, run_em_batch
+from .errors import DataError, DegenerateModelError
 from .fock import (
     DensityMatrix,
     DiagonalDistribution,
     TruncationConfig,
     displaced_diagonal_padded,
 )
-from .measurement import DualDetectorRecipe, SingleDetectorRecipe, simulate_schedule
+from .measurement import ClickArrays, Recipe, simulate
 
 __all__ = [
     "PhaseGrid",
     "WignerEstimate",
     "ErrorReport",
     "wigner_from_values",
+    "reconstruct_clicks",
     "reconstruct_point",
     "scan_grid",
     "delta_w",
@@ -45,8 +46,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-Recipe = SingleDetectorRecipe | DualDetectorRecipe
 
 W_BOUND_SLACK = 1e-6
 
@@ -136,51 +135,34 @@ def wigner_from_values(values: np.ndarray) -> float:
     return float(2.0 / math.pi * np.dot(signs, values))
 
 
-def _seed_base(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
-    return (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
+def reconstruct_clicks(
+    clicks: ClickArrays, n_trunc: int, em_cfg: EMConfig, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched EM on every point -> (W values, R tables, final loglik, failed).
 
-
-def _scan_arrays(
-    rho: DensityMatrix,
-    gammas: np.ndarray,
-    offset: int,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    n_runs: int,
-    seed: "int | tuple[int, ...]",
-    exact: bool,
-    repetition: int,
-) -> tuple[np.ndarray, ...]:
-    """Per-point schedules -> (freqs, nu_bar, ey, noclick, n_runs) matrices.
-
-    ``offset`` is the global index of the first point, so sampling streams
-    stay keyed by (seed, repetition, global_point * M + j) however the grid
-    is chunked.
+    Points are independent and run in ``threads`` concurrent chunks; failed points get W = NaN.
     """
-    schedules = [recipe.build(g) for g in gammas]
-    m = len(schedules[0])
-    nu_bar = np.array([s.nu_bar for s in schedules[0].settings])
-    x = 1.0 - nu_bar
-    powers = x[:, None] ** np.arange(trunc.n_pad, dtype=float)[None, :]
-    probs = np.empty((gammas.size, m))
-    ey = np.empty((gammas.size, m))
-    for i, sched in enumerate(schedules):
-        diag = displaced_diagonal_padded(rho, sched.target_gamma, trunc)
-        ey[i] = np.exp([s.y for s in sched.settings])
-        probs[i] = np.clip(ey[i] * (powers @ diag), 0.0, 1.0)
-    if exact:
-        freqs = probs
-        noclick = probs * n_runs
+    freqs = clicks.noclick / clicks.n_runs
+    ey = np.exp(clicks.y)
+
+    def solve(sl: slice):
+        return run_em_batch(
+            freqs[sl], clicks.nu_bar[0], ey[sl], n_trunc, em_cfg,
+            noclick=clicks.noclick[sl], n_runs=clicks.n_runs[sl],
+        )
+
+    n_chunks = max(1, min(int(threads), freqs.shape[0]))
+    bounds = np.linspace(0, freqs.shape[0], n_chunks + 1, dtype=int)
+    slices = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if len(slices) == 1:
+        results = [solve(slices[0])]
     else:
-        base = _seed_base(seed)
-        noclick = np.empty_like(probs)
-        for i in range(gammas.size):
-            for j in range(m):
-                rng = np.random.default_rng(base + (int(repetition), (offset + i) * m + j))
-                noclick[i, j] = rng.binomial(int(n_runs), probs[i, j])
-        freqs = noclick / n_runs
-    runs = np.full_like(probs, float(n_runs))
-    return freqs, nu_bar, ey, noclick, runs
+        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
+            results = list(pool.map(solve, slices))
+    values = np.vstack([r.values for r in results])
+    failed = np.concatenate([r.failed for r in results])
+    w = np.array([math.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)])
+    return w, values, np.concatenate([r.final_loglik for r in results]), failed
 
 
 def reconstruct_point(
@@ -196,41 +178,15 @@ def reconstruct_point(
     repetition: int = 0,
 ) -> tuple[DiagonalDistribution, float]:
     """Simulate one schedule at ``gamma`` and reconstruct (R, W(gamma))."""
-    schedule = recipe.build(complex(gamma))
-    base = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
-    records = simulate_schedule(
-        rho,
-        schedule,
-        trunc,
-        n_runs=n_runs,
-        seed=base + (int(repetition),),
-        point_index=point_index,
-        exact=exact,
+    clicks = simulate(
+        rho, [gamma], recipe, trunc, n_runs, seed, repetition, exact, offset=point_index
     )
-    dist, _ = run_em(records, em_cfg, trunc)
-    return dist, wigner_from_values(dist.values)
-
-
-def _scan_chunk(
-    rho: DensityMatrix,
-    gammas: np.ndarray,
-    offset: int,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    em_cfg: EMConfig,
-    n_runs: int,
-    seed: "int | tuple[int, ...]",
-    exact: bool,
-    repetition: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    freqs, nu_bar, ey, noclick, runs = _scan_arrays(
-        rho, gammas, offset, recipe, trunc, n_runs, seed, exact, repetition
-    )
-    out = run_em_batch(freqs, nu_bar, ey, trunc.n_trunc, em_cfg, noclick=noclick, n_runs=runs)
-    w = np.array(
-        [math.nan if bad else wigner_from_values(v) for v, bad in zip(out.values, out.failed)]
-    )
-    return w, out.values, out.final_loglik, out.failed
+    w, values, _, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)
+    if failed[0]:
+        raise DegenerateModelError(
+            "every forward probability fell below the floor; model and data are incompatible"
+        )
+    return DiagonalDistribution(gamma=complex(gamma), values=values[0], truncation_leak=0.0), w[0]
 
 
 def scan_grid(
@@ -253,36 +209,14 @@ def scan_grid(
     for a fixed seed.  A failed node is recorded and left NaN; the scan
     continues.
     """
-    gammas = grid.flat_gammas()
-    chunks: list[tuple[int, np.ndarray]] = []
-    n_chunks = max(1, min(int(threads), gammas.size))
-    bounds = np.linspace(0, gammas.size, n_chunks + 1, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            chunks.append((int(lo), gammas[lo:hi]))
-
-    def work(arg: tuple[int, np.ndarray]):
-        off, part = arg
-        return _scan_chunk(
-            rho, part, off, recipe, trunc, em_cfg, n_runs, seed, exact, repetition
-        )
-
-    if len(chunks) == 1:
-        results = [work(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(work, chunks))
-
-    w = np.concatenate([r[0] for r in results])
-    values = np.vstack([r[1] for r in results])
-    loglik = np.concatenate([r[2] for r in results])
-    failed = np.concatenate([r[3] for r in results])
+    clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, repetition, exact)
+    w, values, loglik, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg, threads)
     failures = tuple(
         (int(i), "forward probabilities collapsed below the floor")
         for i in np.flatnonzero(failed)
     )
     if failures:
-        log.warning("%d of %d grid points failed to reconstruct", len(failures), gammas.size)
+        log.warning("%d of %d grid points failed to reconstruct", len(failures), w.size)
     return WignerEstimate(
         grid=grid,
         w_values=w.reshape(grid.n_im, grid.n_re),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -70,9 +71,9 @@ def small_cfg(tmp_path):
 def test_simulate_writes_expected_rows(small_cfg, tmp_path):
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(small_cfg), "--out", str(out)]) == 0
-    _, _, points = io_csv.read_click_csv(out / "clicks.csv")
-    assert len(points) == 4
-    assert all(len(p.records) == 14 for p in points)
+    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    assert clicks.gammas.size == 4
+    assert clicks.noclick.shape == (4, 14)
 
 
 def test_simulate_is_deterministic(small_cfg, tmp_path):
@@ -98,8 +99,8 @@ def test_vacuum_point_all_noclick(tmp_path):
     cfg.write_text(VACUUM_POINT)
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    _, _, points = io_csv.read_click_csv(out / "clicks.csv")
-    assert all(rec.n_noclick == rec.n_runs for p in points for rec in p.records)
+    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    assert np.all(clicks.noclick == clicks.n_runs)
 
 
 def test_full_pipeline(small_cfg, tmp_path):
@@ -187,9 +188,9 @@ def test_reconstruct_variance_from_repetitions(small_cfg, tmp_path):
 def test_exact_flag_writes_expected_counts(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--exact", "--out", str(out)])
-    _, _, points = io_csv.read_click_csv(out / "clicks.csv")
-    fracs = [rec.n_noclick % 1.0 for p in points for rec in p.records]
-    assert any(f != 0.0 for f in fracs)
+    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    fracs = clicks.noclick % 1.0
+    assert np.any(fracs != 0.0)
 
 
 def test_config_error_exit_code(tmp_path):
@@ -331,3 +332,75 @@ def test_report_sweep_table_sorted(small_cfg, tmp_path):
     keys = [(r["n_iterations"], r["n_runs"]) for r in report["maps"]]
     assert keys == sorted(keys)
     assert all(np.isfinite(r["delta_w"]) for r in report["maps"])
+
+
+def test_negative_seed_override_exit_code(small_cfg, tmp_path, capsys):
+    assert main(["simulate", "--config", str(small_cfg), "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text(SMALL.replace("seed = 5", "seed = -1"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+# column -> replacement text in the last data row (point 3, setting 13)
+BAD_ROWS = {
+    "noclick_above_runs": {"n_noclick": "401"},
+    "noclick_negative": {"n_noclick": "-1"},
+    "runs_below_one": {"n_runs": "0", "n_noclick": "0"},
+    "fractional_point_index": {"point_index": "3.5"},
+    "fractional_runs": {"n_runs": "400.5"},
+    "nu_bar_vanishes": {"alpha": "0", "nu_c": "0"},
+}
+
+
+@pytest.mark.parametrize("edit", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_bad_click_row_is_a_data_error(small_cfg, tmp_path, capsys, edit):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    path = out / "clicks.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    for column, text in edit.items():
+        fields[io_csv.CLICK_COLUMNS.index(column)] = text
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
+    assert code == 3
+    assert "row 56" in capsys.readouterr().err
+
+
+DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_angles = 14")
+
+# sha256 of the outputs of the SMALL config, recorded before the click
+# pipeline worked on arrays; any change here changes every downstream file
+GOLDEN = {
+    "sampled": (SMALL, [], {
+        "clicks.csv": "d457d5b3a7fa8c7573882ff9221cab7ef9afc77a8c8c12837706f1b7a7f62e67",
+        "wigner.csv": "cff1d4cb73f1172309ab787dc3a1209db2b05414948c1e0fb60e2556c65bc98d",
+    }),
+    "exact": (SMALL, ["--exact"], {
+        "clicks.csv": "58282c617e525395fb7df0940a2f561223f0105d139beb4f96d36b3b3912901c",
+        "wigner.csv": "3deb816186a249e0f92f638989c30cf40192dfc876f35850cc7009c26a16f4f9",
+    }),
+    "dual": (DUAL, [], {
+        "clicks.csv": "8ef3d0cfe5e828532fea6d317c73092650468949d79149e30e644708cd9e6fa6",
+        "wigner.csv": "35aad34d07afb293894601691fc45a0a4aa8e195acceb557922f8a103c060f1b",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
+def test_outputs_match_golden_digests(tmp_path, case):
+    text, flags, digests = case
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "art"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    records = ["--records", str(out / "clicks.csv")]
+    assert main(["reconstruct", "--config", str(cfg), *records, "--out", str(out), *flags]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

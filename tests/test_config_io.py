@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clicktomo import TruncationConfig, coherent_state, density_from_pure, simulate_schedule
+from clicktomo import TruncationConfig, coherent_state, density_from_pure, simulate
 from clicktomo.config import (
     analytic_wigner_fn,
     build_recipe,
@@ -117,30 +122,23 @@ class TestBuilders:
 
 class TestClickCsv:
     def _records(self, cfg):
-        rho = build_state(cfg)
-        recipe = build_recipe(cfg)
-        points = []
-        for i, g in enumerate(cfg.grid.flat_gammas()):
-            recs = simulate_schedule(
-                rho, recipe.build(g), cfg.trunc, n_runs=cfg.n_runs, seed=(cfg.seed, 0), point_index=i
-            )
-            points.append(io_csv.PointRecords(i, complex(g), tuple(recs)))
-        return points
+        return simulate(
+            build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
+            cfg.n_runs, cfg.seed, 0, exact=False,
+        )
 
     def test_round_trip(self, tmp_path):
         cfg = parse_config(BASE)
-        points = self._records(cfg)
+        clicks = self._records(cfg)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, points)
-        cfg2, rep, points2 = io_csv.read_click_csv(path)
+        io_csv.write_click_csv(path, cfg, 0, clicks)
+        cfg2, rep, back = io_csv.read_click_csv(path)
         assert cfg2 == cfg and rep == 0
-        assert len(points2) == len(points)
-        for a, b in zip(points, points2):
-            assert a.gamma == b.gamma
-            for ra, rb in zip(a.records, b.records):
-                assert ra.n_noclick == rb.n_noclick
-                assert ra.setting.nu_bar == rb.setting.nu_bar
-                assert ra.setting.y == rb.setting.y
+        assert back.gammas.size == clicks.gammas.size
+        np.testing.assert_array_equal(back.gammas, clicks.gammas)
+        np.testing.assert_array_equal(back.noclick, clicks.noclick)
+        np.testing.assert_array_equal(back.nu_bar, clicks.nu_bar)
+        np.testing.assert_array_equal(back.y, clicks.y)
 
     def test_embedded_config_extraction(self, tmp_path):
         cfg = parse_config(BASE)
@@ -163,6 +161,45 @@ class TestClickCsv:
         path.write_text(",".join(io_csv.CLICK_COLUMNS) + "\n")
         with pytest.raises(DataError, match="config"):
             io_csv.read_click_csv(path)
+
+
+@pytest.fixture(scope="module")
+def click_bytes(tmp_path_factory):
+    text = BASE.replace("n_re = 4", "n_re = 2").replace("n_im = 4", "n_im = 1")
+    cfg = parse_config(text.replace("n_efficiencies = 30", "n_efficiencies = 3"))
+    clicks = simulate(
+        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
+        cfg.n_runs, cfg.seed, 0, exact=False,
+    )
+    path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
+    io_csv.write_click_csv(path, cfg, 0, clicks)
+    return path.read_bytes()
+
+
+# (position, bytes to insert, number of bytes to delete there)
+EDIT = st.tuples(
+    st.integers(min_value=0),
+    st.binary(max_size=4) | st.text("0123456789,.-+eE#=\n ", max_size=4).map(str.encode),
+    st.integers(0, 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=3), cut=st.none() | st.integers(min_value=0))
+def test_mutated_click_file_reads_or_raises_data_error(click_bytes, edits, cut):
+    data = bytearray(click_bytes)
+    for pos, insert, delete in edits:
+        pos %= len(data) + 1
+        data[pos : pos + delete] = insert
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clicks.csv"
+        path.write_bytes(bytes(data))
+        try:
+            io_csv.read_click_csv(path)
+        except DataError:
+            pass
 
 
 class TestWignerCsv:
@@ -190,23 +227,3 @@ class TestRhoCsv:
         cfg2, back = io_csv.read_rho_csv(path)
         assert cfg2 == cfg
         np.testing.assert_array_equal(back, mat)
-
-
-class TestDiagonalAndTraceCsv:
-    def test_diagonal_round_trip(self, tmp_path):
-        cfg = parse_config(BASE)
-        values = np.linspace(0.3, 0.0, 12)
-        path = tmp_path / "diag.csv"
-        io_csv.write_diagonal_csv(path, cfg, 0.5 - 0.25j, values)
-        cfg2, gamma, back = io_csv.read_diagonal_csv(path)
-        assert cfg2 == cfg and gamma == 0.5 - 0.25j
-        np.testing.assert_array_equal(back, values)
-
-    def test_trace_round_trip(self, tmp_path):
-        cfg = parse_config(BASE)
-        ll = np.array([-120.5, -119.0, -118.75])
-        path = tmp_path / "trace.csv"
-        io_csv.write_em_trace_csv(path, cfg, ll)
-        cfg2, back = io_csv.read_em_trace_csv(path)
-        assert cfg2 == cfg
-        np.testing.assert_array_equal(back, ll)

@@ -8,14 +8,18 @@ from clicktomo import (
     TruncationConfig,
     coherent_state,
     density_from_pure,
+    DualDetectorRecipe,
+    SingleDetectorRecipe,
     derive_setting,
     dual_detector_schedule,
     fock_state,
     homogeneous_efficiencies,
+    keyed_binomial,
     no_click_probability,
     sample_clicks,
+    schedule_arrays,
     schedule_probabilities,
-    simulate_schedule,
+    simulate,
     single_detector_schedule,
 )
 
@@ -227,18 +231,72 @@ class TestSampling:
 class TestSimulateSchedule:
     def test_exact_mode_stores_expected_counts(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
-        sched = single_detector_schedule(0.3, 0.15, homogeneous_efficiencies(12))
-        probs = schedule_probabilities(rho, sched, CFG)
-        records = simulate_schedule(rho, sched, CFG, n_runs=1000, exact=True)
-        for rec, p in zip(records, probs):
-            assert rec.freq == pytest.approx(p, abs=1e-16)
+        recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(12))
+        probs = schedule_probabilities(rho, recipe.build(0.3), CFG)
+        clicks = simulate(rho, [0.3], recipe, CFG, 1000, 0, 0, exact=True)
+        for freq, p in zip(clicks.noclick[0] / clicks.n_runs[0], probs):
+            assert freq == pytest.approx(p, abs=1e-16)
 
     def test_sampled_mode_uses_streams(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
-        sched = single_detector_schedule(0.3, 0.15, homogeneous_efficiencies(5))
+        recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(5))
+        sched = recipe.build(0.3)
         probs = schedule_probabilities(rho, sched, CFG)
-        records = simulate_schedule(rho, sched, CFG, n_runs=500, seed=9, point_index=3)
+        clicks = simulate(rho, [0.3], recipe, CFG, 500, 9, 0, exact=False, offset=3)
         m = len(sched)
-        for j, (rec, p) in enumerate(zip(records, probs)):
-            ref = sample_clicks(sched.settings[j], float(p), 500, 9, 3 * m + j)
-            assert rec.n_noclick == ref.n_noclick
+        for j, (n_noclick, p) in enumerate(zip(clicks.noclick[0], probs)):
+            ref = sample_clicks(sched.settings[j], float(p), 500, (9, 0), 3 * m + j)
+            assert n_noclick == ref.n_noclick
+
+    def test_offset_streams_match_default_rng(self):
+        # point i of a slice starting at global index `offset` draws from
+        # default_rng((seed, repetition, (offset + i) * M + j))
+        rho = density_from_pure(coherent_state(1.0, CFG))
+        recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(6))
+        gammas = np.array([0.3, -0.2 + 0.4j])
+        clicks = simulate(rho, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
+        for i, g in enumerate(gammas):
+            probs = schedule_probabilities(rho, recipe.build(g), CFG)
+            for j, p in enumerate(probs):
+                rng = np.random.default_rng((4, 2, (11 + i) * 6 + j))
+                assert clicks.noclick[i, j] == rng.binomial(700, p)
+
+
+class TestKeyedBinomial:
+    @pytest.mark.parametrize("seed", [0, 2**32 + 7, (3, 2**40, 5, 6)], ids=["zero", "wide", "five-words"])
+    def test_matches_default_rng_bit_for_bit(self, seed):
+        key = (seed,) if isinstance(seed, int) else seed
+        streams = np.array([0, 1, 17, 2**32 - 1, 2**32, 2**45 + 3], dtype=np.uint64)
+        p = np.array([0.0, 1.0, 0.37, 0.5, 0.999, 1e-3])
+        got = keyed_binomial(10_000, p, seed, streams)
+        ref = [np.random.default_rng(key + (int(s),)).binomial(10_000, q) for s, q in zip(streams, p)]
+        assert got.tolist() == ref
+
+
+class TestScheduleArrays:
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            SingleDetectorRecipe(0.15, homogeneous_efficiencies(7)),
+            DualDetectorRecipe(DetectorPair(0.3, 0.6), (0.2, 0.5, 0.9, 1.2)),
+        ],
+        ids=["single", "dual"],
+    )
+    def test_matches_derive_setting_bit_for_bit(self, recipe):
+        rng = np.random.default_rng(3)
+        signed_zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        gammas = np.array([*signed_zeros, -1.5, 2j, *(rng.normal(size=40) + 1j * rng.normal(size=40))])
+        alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(recipe, gammas)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+        for i, g in enumerate(gammas):
+            ss = recipe.build(g).settings
+            assert bits(alpha[i]) == bits([s.alpha for s in ss])
+            assert bits(beta[i].real) == bits([s.beta.real for s in ss])
+            assert bits(beta[i].imag) == bits([s.beta.imag for s in ss])
+            assert bits(nu_c[i]) == bits([s.detectors.nu_c for s in ss])
+            assert bits(nu_d[i]) == bits([s.detectors.nu_d for s in ss])
+            assert bits(nu_bar[i]) == bits([s.nu_bar for s in ss])
+            assert bits(y[i]) == bits([s.y for s in ss])
