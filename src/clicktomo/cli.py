@@ -74,6 +74,11 @@ def cmd_reconstruct(args) -> int:
         file_cfg, _, clicks = io_csv.read_click_csv(path)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
+        n_settings = clicks.noclick.shape[1]
+        if n_settings < cfg.trunc.n_trunc:
+            raise DataError(
+                f"{path}: {n_settings} settings per point, fewer than n_trunc = {cfg.trunc.n_trunc}"
+            )
         if gammas_ref is None:
             gammas_ref = clicks.gammas
         elif not np.array_equal(gammas_ref, clicks.gammas):
@@ -182,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run configuration file")
+    def common(p):
+        p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--threads", type=int, default=1, help="worker threads for grid scans")
         p.add_argument("--exact", action="store_true", help="exact-probability mode")
@@ -204,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.set_defaults(func=cmd_recover_rho)
 
     p_rep = sub.add_parser("report", help="summarize Wigner maps and recovery metrics")
-    common(p_rep, config_required=False)
+    p_rep.add_argument("--out", default=".", help="output directory")
     p_rep.add_argument("--wigner", nargs="+", required=True, help="Wigner CSV file(s)")
     p_rep.add_argument("--metrics", default=None, help="metrics JSON from recover-rho")
     p_rep.set_defaults(func=cmd_report)

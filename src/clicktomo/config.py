@@ -232,6 +232,14 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the EM needs at least as many detector settings per point as unknowns
+    count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
+    n_settings = getattr(det, count_key)
+    if n_settings < trunc.n_trunc:
+        raise ConfigError(
+            f"[detectors] {count_key} = {n_settings} is below n_trunc = {trunc.n_trunc}; "
+            "the EM needs at least n_trunc settings"
+        )
 
     run = values["run"]
     if run["normalization"] not in NORMALIZATIONS:

@@ -7,11 +7,11 @@ read-only, so values can be shared freely between workers.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericalError, TruncationLeakError
 
@@ -40,6 +40,40 @@ HERMITICITY_TOL = 1e-12
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# Cephes lgam: log sqrt(2 pi) and the Stirling-series coefficients for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorial(k: int) -> float:
+    """log k! computed as Cephes ``lgam(k + 1)``, the routine behind
+    ``scipy.special.gammaln``, so the two agree bit for bit."""
+    x = k + 1.0
+    if x < 13.0:
+        return math.log(float(math.factorial(k)))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = 0.0
+    for c in _STIRLING:
+        series = series * p + c
+    return q + series / x
+
+
+@functools.lru_cache(maxsize=None)
+def log_factorials(dim: int) -> np.ndarray:
+    """Read-only table of log k! for k < dim, built once per dimension."""
+    return _readonly(np.array([_log_factorial(k) for k in range(dim)], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -237,7 +271,7 @@ def _displacement_elements(gamma: complex, dim: int) -> np.ndarray:
     if g == 0:
         return np.eye(dim, dtype=np.complex128)
     idx = np.arange(dim)
-    logfac = gammaln(idx + 1.0)
+    logfac = log_factorials(dim)
     diff = idx[:, None] - idx[None, :]
     lower = diff >= 0
     dclip = np.where(lower, diff, 0)

@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, log_factorials
 from .wigner import PhaseGrid, WignerEstimate
 
 __all__ = [
@@ -51,12 +50,10 @@ def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
     total = np.zeros(g.shape, dtype=complex)
+    logfac = log_factorials(max(m, n) + 1)
     for l in range(min(m, n) + 1):
         log_coeff = (
-            0.5 * (gammaln(m + 1.0) + gammaln(n + 1.0))
-            - gammaln(l + 1.0)
-            - gammaln(m - l + 1.0)
-            - gammaln(n - l + 1.0)
+            0.5 * (logfac[m] + logfac[n]) - logfac[l] - logfac[m - l] - logfac[n - l]
         )
         total += math.exp(log_coeff) * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
     out = np.exp(-0.5 * np.abs(g) ** 2) * total

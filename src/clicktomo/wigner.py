@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .em import EMConfig, run_em_batch
 from .errors import DataError, DegenerateModelError
@@ -349,12 +348,27 @@ def squeezed_wigner(squeeze: float):
     return w
 
 
+def laguerre(n: int, x) -> np.ndarray:
+    """Laguerre polynomial L_n(x) for integer n, by the three-term ``d, p``
+    recurrence that ``scipy.special.eval_laguerre`` runs for integer n, so the
+    two agree bit for bit (including 0 for n < 0)."""
+    x = np.asarray(x, dtype=np.float64)
+    if n <= 0:
+        return np.full_like(x, 1.0 if n == 0 else 0.0)
+    d = -x
+    p = d + 1.0
+    for k in range(1, n):
+        d = -x / (k + 1.0) * p + (k / (k + 1.0)) * d
+        p = d + p
+    return p
+
+
 def fock_wigner(n: int):
     """Analytic Wigner of |n>: (2/pi) (-1)^n L_n(4|g|^2) exp(-2|g|^2)."""
 
     def w(gammas: np.ndarray) -> np.ndarray:
         g = np.asarray(gammas, dtype=complex)
         r2 = np.abs(g) ** 2
-        return 2.0 / math.pi * (-1.0) ** n * eval_laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
+        return 2.0 / math.pi * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
 
     return w

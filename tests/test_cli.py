@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,43 @@ def test_report_missing_file(tmp_path):
     assert main(["report", "--wigner", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 3
 
 
+def test_report_refuses_run_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--config", str(tmp_path / "none.ini"), "--seed", "3",
+              "--wigner", str(tmp_path / "none.csv"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_fewer_settings_than_n_trunc_in_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "few.ini"
+    cfg.write_text(SMALL.replace("n_efficiencies = 14", "n_efficiencies = 5"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "n_efficiencies = 5 is below n_trunc = 12" in capsys.readouterr().err
+
+
+def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, capsys):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    path = out / "clicks.csv"
+    lines = path.read_text().splitlines()
+    head = sum(1 for line in lines if line.startswith("#")) + 1
+    # keep the first 5 of the 14 settings at every point
+    kept = [line for k, line in enumerate(lines[head:]) if k % 14 < 5]
+    path.write_text("\n".join(lines[:head] + kept) + "\n")
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
+    assert code == 3
+    assert "5 settings per point, fewer than n_trunc = 12" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(io_csv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, clicktomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_report_identical_inputs_zero_delta(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--exact", "--out", str(out)])
@@ -374,21 +415,32 @@ def test_bad_click_row_is_a_data_error(small_cfg, tmp_path, capsys, edit):
 
 
 DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_angles = 14")
+FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1")
 
 # sha256 of the outputs of the SMALL config, recorded before the click
-# pipeline worked on arrays; any change here changes every downstream file
+# pipeline worked on arrays; any change here changes every downstream file.
+# rho.csv pins the quadrature kernel and the fock case pins the analytic
+# Laguerre column w_exact; both were recorded while scipy still computed them.
 GOLDEN = {
     "sampled": (SMALL, [], {
         "clicks.csv": "d457d5b3a7fa8c7573882ff9221cab7ef9afc77a8c8c12837706f1b7a7f62e67",
         "wigner.csv": "cff1d4cb73f1172309ab787dc3a1209db2b05414948c1e0fb60e2556c65bc98d",
+        "rho.csv": "e2123ebb05180fbbfc5811310045b8603257e735ed001866de24688857f7d60e",
     }),
     "exact": (SMALL, ["--exact"], {
         "clicks.csv": "58282c617e525395fb7df0940a2f561223f0105d139beb4f96d36b3b3912901c",
         "wigner.csv": "3deb816186a249e0f92f638989c30cf40192dfc876f35850cc7009c26a16f4f9",
+        "rho.csv": "7d65202837cc52dfddf09253be3375841190baf9baa9e079a8d5895ecb1fb14f",
     }),
     "dual": (DUAL, [], {
         "clicks.csv": "8ef3d0cfe5e828532fea6d317c73092650468949d79149e30e644708cd9e6fa6",
         "wigner.csv": "35aad34d07afb293894601691fc45a0a4aa8e195acceb557922f8a103c060f1b",
+        "rho.csv": "f564458a1f01949b892d60bcbae560eef94a0708e63e7eecbae97222657454e0",
+    }),
+    "fock": (FOCK, [], {
+        "clicks.csv": "21cc51d88de6bb03280ce08b5854bbded8077c6488f1ce5b44bdbf9406a7466c",
+        "wigner.csv": "f983a90df0cde1584ab658ccedee61494aacf940bbb7573ffad99773833dc352",
+        "rho.csv": "199fbb1371424ea5ce54a5ebb54ab16448a59621638606db2c58fa458861bafc",
     }),
 }
 
@@ -402,5 +454,7 @@ def test_outputs_match_golden_digests(tmp_path, case):
     assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
     records = ["--records", str(out / "clicks.csv")]
     assert main(["reconstruct", "--config", str(cfg), *records, "--out", str(out), *flags]) == 0
+    wigner = ["--wigner", str(out / "wigner.csv")]
+    assert main(["recover-rho", "--config", str(cfg), *wigner, "--out", str(out), *flags]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name

@@ -84,6 +84,12 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(BASE.replace("re_max = 2.5", "re_max = -2.0"))
 
+    def test_fewer_settings_than_n_trunc_rejected(self):
+        with pytest.raises(ConfigError, match="n_efficiencies = 11 is below n_trunc = 12"):
+            parse_config(BASE.replace("n_efficiencies = 30", "n_efficiencies = 11"))
+        with pytest.raises(ConfigError, match="n_angles = 11 is below n_trunc = 12"):
+            parse_config(BASE.replace("mode = single", "mode = dual\nn_angles = 11"))
+
     def test_overrides(self):
         cfg = parse_config(BASE).with_overrides(seed=9, exact=True)
         assert cfg.seed == 9 and cfg.exact_probabilities
@@ -166,7 +172,8 @@ class TestClickCsv:
 @pytest.fixture(scope="module")
 def click_bytes(tmp_path_factory):
     text = BASE.replace("n_re = 4", "n_re = 2").replace("n_im = 4", "n_im = 1")
-    cfg = parse_config(text.replace("n_efficiencies = 30", "n_efficiencies = 3"))
+    text = text.replace("n_efficiencies = 30", "n_efficiencies = 3").replace("n_trunc = 12", "n_trunc = 3")
+    cfg = parse_config(text)
     clicks = simulate(
         build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
         cfg.n_runs, cfg.seed, 0, exact=False,

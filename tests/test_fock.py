@@ -16,6 +16,7 @@ from clicktomo import (
     wigner_exact,
 )
 from clicktomo.errors import TruncationLeakError
+from clicktomo.fock import log_factorials
 
 from oracles import (
     coherent_amps_direct,
@@ -26,6 +27,19 @@ from oracles import (
 )
 
 CFG = TruncationConfig(12)
+
+
+class TestLogFactorials:
+    def test_matches_scipy_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        k = np.arange(100_001)
+        assert np.array_equal(log_factorials(k.size), gammaln(k + 1.0))
+
+    def test_cached_read_only(self):
+        table = log_factorials(44)
+        assert log_factorials(44) is table
+        assert not table.flags.writeable
 
 
 class TestTruncationConfig:

@@ -27,6 +27,7 @@ from clicktomo import (
     wigner_map_from_function,
 )
 from clicktomo.errors import DataError
+from clicktomo.wigner import laguerre
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
@@ -75,6 +76,15 @@ class TestAnalyticWigner:
         for g in (0.0, 0.5, 0.8j):
             numeric = wigner_exact(rho, g, TruncationConfig(30, 60))
             assert w(np.array([g]))[0] == pytest.approx(numeric, abs=1e-9)
+
+
+class TestLaguerre:
+    def test_matches_scipy_eval_laguerre_bit_for_bit(self):
+        from scipy.special import eval_laguerre
+
+        x = np.linspace(0.0, 200.0, 70_001)
+        for n in range(-1, 61):
+            assert np.array_equal(laguerre(n, x), eval_laguerre(n, x)), n
 
 
 class TestReconstructPoint:
