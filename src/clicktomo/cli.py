@@ -63,6 +63,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_schedule(path, file_cfg: RunConfig, clicks) -> None:
+    """Every point must hold the settings that the file's own header declares."""
+    try:
+        settings = build_recipe(file_cfg).build(0.0).settings
+    except (ConfigError, ValueError) as exc:
+        raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
+    declared = np.array([(s.alpha, s.detectors.nu_c, s.detectors.nu_d) for s in settings])
+    stored = np.stack([clicks.alpha, clicks.nu_c, clicks.nu_d], axis=-1)
+    if stored.shape[1:] != declared.shape or np.any(stored != declared):
+        raise DataError(
+            f"{path}: settings per point differ from the {len(settings)} its embedded config declares"
+        )
+
+
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
     em_cfg = EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
@@ -79,6 +93,7 @@ def cmd_reconstruct(args) -> int:
             raise DataError(
                 f"{path}: {n_settings} settings per point, fewer than n_trunc = {cfg.trunc.n_trunc}"
             )
+        _check_schedule(path, file_cfg, clicks)
         if gammas_ref is None:
             gammas_ref = clicks.gammas
         elif not np.array_equal(gammas_ref, clicks.gammas):
@@ -111,6 +126,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_recover_rho(args) -> int:
     cfg = _load(args)
     file_cfg, gammas, cols = io_csv.read_wigner_csv(args.wigner)
+    if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc or file_cfg.state != cfg.state:
+        raise DataError(f"{args.wigner}: n_trunc or [state] differs from the run config")
     grid = file_cfg.grid
     expected = grid.flat_gammas()
     if gammas.size != expected.size or np.max(np.abs(gammas - expected)) > 1e-9:

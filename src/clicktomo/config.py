@@ -334,12 +334,18 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def build_state(cfg: RunConfig) -> DensityMatrix:
+    """The configured state; one that does not fit the working dimension is a ConfigError."""
     spec = cfg.state
-    if spec.kind == "coherent":
-        return density_from_pure(coherent_state(spec.amplitude, cfg.trunc))
-    if spec.kind == "squeezed":
-        return density_from_pure(squeezed_vacuum(spec.squeeze, cfg.trunc))
-    return density_from_pure(fock_state(spec.n, cfg.trunc))
+    try:
+        if spec.kind == "coherent":
+            pure = coherent_state(spec.amplitude, cfg.trunc)
+        elif spec.kind == "squeezed":
+            pure = squeezed_vacuum(spec.squeeze, cfg.trunc)
+        else:
+            pure = fock_state(spec.n, cfg.trunc)
+    except ValueError as exc:
+        raise ConfigError(f"[state] kind = {spec.kind}: {exc}") from exc
+    return density_from_pure(pure)
 
 
 def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":

@@ -205,32 +205,59 @@ def run_em_batch(
             raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
         r = np.tile(init, (p_count, 1))
 
+    # The loop repeats the arithmetic of the plain one-array-per-step loop
+    # (tests/oracles.py) bit for bit, in preallocated buffers.  Whole-array
+    # guards skip only work that provably changes nothing: the per-row failure
+    # scans and the floor clamp run once a row has failed, or when some
+    # probability is under the floor or some sum is not positive (np.minimum
+    # propagates NaN, so a NaN trips the guards too).
+    # The GEMM operand layouts must stay as they are: OpenBLAS changes its
+    # accumulation order with the layout, which moves results in the last bits.
     failed = np.zeros(p_count, dtype=bool)
+    any_failed = False
     trace: list[np.ndarray] = []
     floor = cfg.floor_epsilon
+    renormalize = cfg.normalization == "renormalized"
+    all_live = bool(live.all())
+    sensitivity_rows = np.broadcast_to(sensitivity, (p_count, n_trunc)).copy()
+    a_t = a.T
+    p = np.empty((p_count, m))  # forward probabilities, then frequency ratios
+    gain = np.empty((p_count, n_trunc))
+    s = np.empty(p_count)
+    previous = None if cfg.early_stop_tol is None else np.empty_like(r)
     for _ in range(cfg.n_iterations):
-        p = ey * (r @ a.T)
-        newly_dead = ~failed & np.all(p < floor, axis=1)
-        if np.any(newly_dead):
-            failed |= newly_dead
-            r[newly_dead] = np.nan
-        ratio = freqs / np.maximum(p, floor)
-        gain = ratio @ weighted
-        np.divide(gain, sensitivity, out=gain, where=live)
-        gain[:, ~live] = 0.0
-        previous = r
-        r = r * gain
-        if cfg.normalization == "renormalized":
-            s = r.sum(axis=1, keepdims=True)
-            dead = ~failed & ~(s[:, 0] > 0.0)
-            if np.any(dead):
-                failed |= dead
-                r[dead] = np.nan
-                s[dead] = 1.0
-            r = r / s
+        np.matmul(r, a_t, out=p)
+        np.multiply(ey, p, out=p)
+        if any_failed or not np.minimum.reduce(p, axis=None, initial=np.inf) >= floor:
+            newly_dead = ~failed & np.all(p < floor, axis=1)
+            if np.any(newly_dead):
+                failed |= newly_dead
+                any_failed = True
+                r[newly_dead] = np.nan
+            np.maximum(p, floor, out=p)
+        np.divide(freqs, p, out=p)
+        np.matmul(p, weighted, out=gain)
+        if all_live:
+            np.divide(gain, sensitivity_rows, out=gain)
+        else:
+            np.divide(gain, sensitivity, out=gain, where=live)
+            gain[:, ~live] = 0.0
+        if previous is not None:
+            np.copyto(previous, r)
+        np.multiply(r, gain, out=r)
+        if renormalize:
+            np.add.reduce(r, axis=1, out=s)
+            if any_failed or not np.minimum.reduce(s, initial=np.inf) > 0.0:
+                dead = ~failed & ~(s > 0.0)
+                if np.any(dead):
+                    failed |= dead
+                    any_failed = True
+                    r[dead] = np.nan
+                    s[dead] = 1.0
+            np.divide(r, s[:, None], out=r)
         if record_trace:
             trace.append(_loglik_rows(ey * (r @ a.T), noclick, n_runs, floor))
-        if cfg.early_stop_tol is not None:
+        if previous is not None:
             moved = np.abs(r[~failed] - previous[~failed])
             if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
                 break

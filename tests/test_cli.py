@@ -266,6 +266,71 @@ def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, c
     assert "5 settings per point, fewer than n_trunc = 12" in capsys.readouterr().err
 
 
+def _drop_last_setting(head, body):
+    # 13 of the 14 settings at every point still cover n_trunc = 12
+    return head, [line for k, line in enumerate(body) if k % 14 != 13]
+
+
+def _header_alpha(value):
+    def edit(head, body):
+        return [f"# alpha = {value}" if line.startswith("# alpha = ") else line for line in head], body
+
+    return edit
+
+
+SCHEDULE_EDITS = {
+    "drop_last_setting": (_drop_last_setting, "differ from the 14 its embedded config declares"),
+    "other_header_alpha": (_header_alpha(0.3), "differ from the 14 its embedded config declares"),
+    "degenerate_header_alpha": (_header_alpha(0.0), "declares no valid schedule"),
+}
+
+
+@pytest.mark.parametrize("edit, message", SCHEDULE_EDITS.values(), ids=SCHEDULE_EDITS.keys())
+def test_schedule_differing_from_header_exit_code(small_cfg, tmp_path, capsys, edit, message):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    path = out / "clicks.csv"
+    lines = path.read_text().splitlines()
+    n_head = sum(1 for line in lines if line.startswith("#")) + 1
+    head, body = edit(lines[:n_head], lines[n_head:])
+    path.write_text("\n".join(head + body) + "\n")
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+STATES_THAT_DO_NOT_FIT = {
+    "fock_negative": "kind = fock\nn = -1",
+    "fock_above_n_pad": "kind = fock\nn = 100",
+    "coherent_too_bright": "kind = coherent\nre_amplitude = 9",
+    "squeezed_too_broad": "kind = squeezed\nsqueeze = 3",
+}
+
+
+@pytest.mark.parametrize("state", STATES_THAT_DO_NOT_FIT.values(), ids=STATES_THAT_DO_NOT_FIT.keys())
+def test_state_that_does_not_fit_is_a_config_error(tmp_path, capsys, state):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", state))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error: [state]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit", [("re_amplitude = 1.0", "re_amplitude = 0.5"), ("n_trunc = 12", "n_trunc = 10")],
+    ids=["state", "n_trunc"],
+)
+def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, edit):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
+    other = tmp_path / "other.ini"
+    other.write_text(SMALL.replace(*edit))
+    code = main(["recover-rho", "--config", str(other), "--wigner", str(out / "wigner.csv"), "--out", str(out)])
+    assert code == 3
+    assert "differs from the run config" in capsys.readouterr().err
+    assert not (out / "rho.csv").exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(io_csv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -20,7 +20,7 @@ from clicktomo import (
 from clicktomo.em import run_em_batch
 from clicktomo.errors import DegenerateModelError
 
-from oracles import poisson_pmf
+from oracles import em_batch_reference, poisson_pmf
 
 CFG = TruncationConfig(12)
 
@@ -284,3 +284,80 @@ class TestBatchConsistency:
             ]
             single, _ = run_em(records, cfg, CFG)
             np.testing.assert_allclose(batch.values[row], single.values, atol=1e-12)
+
+
+def _em_batch_case(name):
+    """(freqs, nu_bar, ey, cfg, extra kwargs) for one bit-identity case."""
+    rng = np.random.default_rng(11)
+    nu_bar = np.linspace(0.1, 0.9, 24)
+    kernel = (1.0 - nu_bar)[:, None] ** np.arange(12)[None, :]
+    rows = np.vstack([poisson_pmf(lam, 12) for lam in rng.uniform(0.0, 3.0, 96)])
+    ey = np.exp(-rng.uniform(0.0, 2.0, (96, 1)) * nu_bar[None, :])
+    probs = np.clip(ey * (rows @ kernel.T), 0.0, 1.0)
+    n_runs = np.full(probs.shape, 200.0)
+    noclick = rng.binomial(200, probs).astype(float)
+    sampled = {"noclick": noclick, "n_runs": n_runs}
+    if name == "sampled":
+        return noclick / n_runs, nu_bar, ey, EMConfig(n_iterations=300), sampled
+    if name == "exact":
+        return probs, nu_bar, ey, EMConfig(n_iterations=300), {}
+    if name == "literal":
+        cfg = EMConfig(n_iterations=300, normalization="literal")
+        return noclick / n_runs, nu_bar, ey, cfg, sampled
+    if name in ("floor_renormalized", "floor_literal"):
+        # the tiny-e^y rows fall under the floor on the first step or later
+        # (renormalized: rows fail at steps 1, 2, 4 and 10); the all-zero row
+        # fails through its vanishing sum (renormalized) or the floor (literal)
+        nu_bar = np.linspace(0.1, 0.9, 14)
+        faint = np.zeros((40, 14))
+        faint[:, 0], faint[:, 1] = 0.3, 0.1
+        freqs = np.vstack([faint, np.zeros((1, 14)), probs[:8, :14]])
+        ey = np.vstack(
+            [np.geomspace(1e-13, 1e-10, 40)[:, None] * np.ones((1, 14)), ey[:9, :14]]
+        )
+        mode = name.split("_")[1]
+        return freqs, nu_bar, ey, EMConfig(n_iterations=300, normalization=mode), {}
+    if name in ("blind", "blind_literal"):
+        # nu_bar = 1 everywhere: only the vacuum component is live
+        cfg = EMConfig(n_iterations=50, normalization="renormalized" if name == "blind" else "literal")
+        return noclick[:5, :12] / n_runs[:5, :12], np.ones(12), 1.0, cfg, {}
+    if name == "early_stop_trace_init":
+        cfg = EMConfig(n_iterations=2000, early_stop_tol=1e-4, init=tuple(rows[0]))
+        extra = {"noclick": noclick[:8], "n_runs": n_runs[:8], "record_trace": True}
+        return noclick[:8] / n_runs[:8], nu_bar, ey[:8], cfg, extra
+    if name == "single_row":
+        cfg = EMConfig(n_iterations=2000, early_stop_tol=1e-4)
+        extra = {"noclick": noclick[:1], "n_runs": n_runs[:1], "record_trace": True}
+        return noclick[:1] / n_runs[:1], nu_bar, ey[:1], cfg, extra
+    raise KeyError(name)
+
+
+class TestBatchBitIdentity:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "sampled",
+            "exact",
+            "literal",
+            "floor_renormalized",
+            "floor_literal",
+            "blind",
+            "blind_literal",
+            "early_stop_trace_init",
+            "single_row",
+        ],
+    )
+    def test_matches_reference_loop(self, name):
+        freqs, nu_bar, ey, cfg, extra = _em_batch_case(name)
+        got = run_em_batch(freqs, nu_bar, ey, 12, cfg, **extra)
+        want = em_batch_reference(freqs, nu_bar, ey, 12, cfg, **extra)
+        for field in ("values", "final_loglik", "final_residuals", "failed"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), field
+        if want.trace_loglik is None:
+            assert got.trace_loglik is None
+        else:
+            assert np.array_equal(got.trace_loglik, want.trace_loglik, equal_nan=True)
+        if name.startswith("floor"):
+            assert 0 < want.failed.sum() < want.failed.size
+        if cfg.early_stop_tol is not None:
+            assert want.trace_loglik.shape[0] < cfg.n_iterations
