@@ -6,7 +6,7 @@ diagonal at each phase-space point by expectation-maximization, read off the
 Wigner value, and recover the density matrix by quadrature over the map.
 """
 
-from .em import EMConfig, EMTrace, em_step, forward_probability, log_likelihood, run_em
+from .em import EMBatchResult, EMConfig, run_em_batch
 from .errors import (
     ClicktomoError,
     ConfigError,
@@ -32,7 +32,6 @@ from .fock import (
 )
 from .measurement import (
     ClickArrays,
-    ClickRecord,
     DetectorPair,
     DualDetectorRecipe,
     Setting,
@@ -42,10 +41,8 @@ from .measurement import (
     dual_detector_schedule,
     homogeneous_efficiencies,
     keyed_binomial,
-    no_click_probability,
-    sample_clicks,
+    no_click_probabilities,
     schedule_arrays,
-    schedule_probabilities,
     simulate,
     single_detector_schedule,
 )

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,42 +79,54 @@ def _check_schedule(path, file_cfg: RunConfig, clicks) -> None:
 
 
 def cmd_reconstruct(args) -> int:
+    """The wigner.csv header is the click files' embedded config; ``--config``
+    contributes only the EM settings and the analytic-reference switch."""
     cfg = _load(args)
     em_cfg = EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
     maps = []
     logliks = []
     n_failed = 0
-    gammas_ref = None
+    first_cfg = gammas_ref = None
     for path in args.records:
         file_cfg, _, clicks = io_csv.read_click_csv(path)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
+        if file_cfg.state != cfg.state:
+            raise DataError(f"{path}: [state] differs from the run config")
         n_settings = clicks.noclick.shape[1]
         if n_settings < cfg.trunc.n_trunc:
             raise DataError(
                 f"{path}: {n_settings} settings per point, fewer than n_trunc = {cfg.trunc.n_trunc}"
             )
         _check_schedule(path, file_cfg, clicks)
-        if gammas_ref is None:
-            gammas_ref = clicks.gammas
+        if first_cfg is None:
+            first_cfg, gammas_ref = file_cfg, clicks.gammas
+        elif file_cfg != first_cfg:
+            raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
         elif not np.array_equal(gammas_ref, clicks.gammas):
             raise DataError(f"{path}: point set differs between records files")
-        w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg, args.threads)
+        w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg)
         maps.append(w)
         logliks.append(ll)
         n_failed += int(failed.sum())
     expected = cfg.grid.flat_gammas()
     if gammas_ref.size != expected.size or np.max(np.abs(gammas_ref - expected)) > 1e-9:
         raise DataError("records do not cover the configured grid")
+    header = replace(
+        first_cfg,
+        n_iterations=cfg.n_iterations,
+        normalization=cfg.normalization,
+        analytic_reference=cfg.analytic_reference,
+    )
 
     w_rec = maps[0]
     w_var = np.var(np.stack(maps), axis=0) if len(maps) > 1 else None
     w_exact = None
-    if cfg.analytic_reference:
-        w_exact = analytic_wigner_fn(cfg)(gammas_ref)
+    if header.analytic_reference:
+        w_exact = analytic_wigner_fn(header)(gammas_ref)
     out = _out_dir(args)
     io_csv.write_wigner_csv(
-        out / "wigner.csv", cfg, gammas_ref, w_rec,
+        out / "wigner.csv", header, gammas_ref, w_rec,
         w_exact=w_exact, w_variance=w_var, loglik=logliks[0],
     )
     print(f"wrote {out / 'wigner.csv'} ({w_rec.size} points, {n_failed} failed)")
@@ -124,6 +137,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_recover_rho(args) -> int:
+    """rho.csv and metrics.json carry the Wigner file's embedded config."""
     cfg = _load(args)
     file_cfg, gammas, cols = io_csv.read_wigner_csv(args.wigner)
     if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc or file_cfg.state != cfg.state:
@@ -133,12 +147,13 @@ def cmd_recover_rho(args) -> int:
     if gammas.size != expected.size or np.max(np.abs(gammas - expected)) > 1e-9:
         raise DataError(f"{args.wigner}: points do not match the embedded grid")
     estimate = WignerEstimate(grid=grid, w_values=cols["w_rec"].reshape(grid.n_im, grid.n_re))
-    recovered = integrate_rho(estimate, cfg.trunc.n_trunc)
+    n_trunc = file_cfg.trunc.n_trunc
+    recovered = integrate_rho(estimate, n_trunc)
 
-    exact = build_state(cfg).elements[: cfg.trunc.n_trunc, : cfg.trunc.n_trunc]
+    exact = build_state(file_cfg).elements[:n_trunc, :n_trunc]
     comparison = compare_states(recovered, exact)
     out = _out_dir(args)
-    io_csv.write_rho_csv(out / "rho.csv", cfg, recovered.elements)
+    io_csv.write_rho_csv(out / "rho.csv", file_cfg, recovered.elements)
     metrics = {
         "trace": recovered.trace,
         "hermitization_residual": recovered.hermitization_residual,
@@ -148,7 +163,7 @@ def cmd_recover_rho(args) -> int:
         "max_abs_diff_vs_configured_state": comparison.max_abs_diff,
         "trace_distance_vs_configured_state": comparison.trace_distance,
     }
-    io_csv.write_metrics_json(out / "metrics.json", cfg, metrics)
+    io_csv.write_metrics_json(out / "metrics.json", file_cfg, metrics)
     print(f"wrote {out / 'rho.csv'} and {out / 'metrics.json'}")
     for key, value in metrics.items():
         print(f"  {key} = {value}")
@@ -207,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for grid scans")
         p.add_argument("--exact", action="store_true", help="exact-probability mode")
         p.add_argument("--out", default=".", help="output directory")
 

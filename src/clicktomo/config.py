@@ -8,9 +8,9 @@ is the identity on the resolved configuration.
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
+from .em import NORMALIZATION_MODES
 from .errors import ConfigError
 from .fock import (
     DensityMatrix,
@@ -42,7 +42,6 @@ __all__ = [
 
 STATE_KINDS = ("coherent", "squeezed", "fock")
 DETECTOR_MODES = ("single", "dual")
-NORMALIZATIONS = ("renormalized", "literal")
 
 
 @dataclass(frozen=True)
@@ -109,51 +108,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# section -> key -> (type, default or REQUIRED)
-_REQUIRED = object()
-
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "state": {
-        "kind": (str, _REQUIRED),
-        "re_amplitude": (float, 0.0),
-        "im_amplitude": (float, 0.0),
-        "squeeze": (float, 0.0),
-        "n": (int, 0),
-    },
-    "truncation": {
-        "n_trunc": (int, _REQUIRED),
-        "n_pad": (int, 0),
-    },
-    "detectors": {
-        "mode": (str, _REQUIRED),
-        "alpha": (float, 0.15),
-        "n_efficiencies": (int, 30),
-        "efficiency_min": (float, 0.1),
-        "efficiency_max": (float, 0.9),
-        "nu_c": (float, 0.3),
-        "nu_d": (float, 0.6),
-        "n_angles": (int, 30),
-        "angle_min": (float, 0.2),
-        "angle_max": (float, 1.2),
-    },
-    "grid": {
-        "re_min": (float, _REQUIRED),
-        "re_max": (float, _REQUIRED),
-        "im_min": (float, _REQUIRED),
-        "im_max": (float, _REQUIRED),
-        "n_re": (int, _REQUIRED),
-        "n_im": (int, _REQUIRED),
-    },
-    "run": {
-        "n_runs": (int, 10_000),
-        "n_iterations": (int, 1_000),
-        "repetitions": (int, 1),
-        "seed": (int, 0),
-        "exact_probabilities": (bool, False),
-        "normalization": (str, "renormalized"),
-        "analytic_reference": (bool, True),
-    },
+# section -> (RunConfig attribute, dataclass); [run] holds RunConfig's own scalar fields
+_SECTIONS = {
+    "state": ("state", StateSpec),
+    "truncation": ("trunc", TruncationConfig),
+    "detectors": ("detectors", DetectorSpec),
+    "grid": ("grid", PhaseGrid),
+    "run": (None, RunConfig),
 }
+_SCALARS = {"str": str, "float": float, "int": int, "bool": bool}
+
+
+def _keys(cls) -> dict[str, tuple]:
+    """key -> (type, default or MISSING) for each scalar field of ``cls``, in field order."""
+    return {
+        f.name: (_SCALARS[kind], f.default)
+        for f in fields(cls)
+        if (kind := getattr(f.type, "__name__", f.type)) in _SCALARS
+    }
+
+
+_KEYS = {section: _keys(cls) for section, (_, cls) in _SECTIONS.items()}
 
 
 def _convert(section: str, key: str, raw: str, typ):
@@ -181,55 +156,31 @@ def parse_config(text: str) -> RunConfig:
 
     values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         values[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, raw, _SCHEMA[section][key][0])
-    for section, keys in _SCHEMA.items():
+            values[section][key] = _convert(section, key, raw, _KEYS[section][key][0])
+    for section, keys in _KEYS.items():
         if section not in values:
             raise ConfigError(f"missing section [{section}]")
         for key, (_, default) in keys.items():
             if key not in values[section]:
-                if default is _REQUIRED:
+                if default is MISSING:
                     raise ConfigError(f"missing required key {key!r} in section [{section}]")
                 values[section][key] = default
 
-    state = StateSpec(
-        kind=values["state"]["kind"],
-        re_amplitude=values["state"]["re_amplitude"],
-        im_amplitude=values["state"]["im_amplitude"],
-        squeeze=values["state"]["squeeze"],
-        n=values["state"]["n"],
-    )
+    state = StateSpec(**values["state"])
     if state.kind not in STATE_KINDS:
         raise ConfigError(f"[state] kind must be one of {STATE_KINDS}, got {state.kind!r}")
-    det = DetectorSpec(
-        mode=values["detectors"]["mode"],
-        alpha=values["detectors"]["alpha"],
-        n_efficiencies=values["detectors"]["n_efficiencies"],
-        efficiency_min=values["detectors"]["efficiency_min"],
-        efficiency_max=values["detectors"]["efficiency_max"],
-        nu_c=values["detectors"]["nu_c"],
-        nu_d=values["detectors"]["nu_d"],
-        n_angles=values["detectors"]["n_angles"],
-        angle_min=values["detectors"]["angle_min"],
-        angle_max=values["detectors"]["angle_max"],
-    )
+    det = DetectorSpec(**values["detectors"])
     if det.mode not in DETECTOR_MODES:
         raise ConfigError(f"[detectors] mode must be one of {DETECTOR_MODES}, got {det.mode!r}")
     try:
-        trunc = TruncationConfig(values["truncation"]["n_trunc"], values["truncation"]["n_pad"])
-        grid = PhaseGrid(
-            re_min=values["grid"]["re_min"],
-            re_max=values["grid"]["re_max"],
-            im_min=values["grid"]["im_min"],
-            im_max=values["grid"]["im_max"],
-            n_re=values["grid"]["n_re"],
-            n_im=values["grid"]["n_im"],
-        )
+        trunc = TruncationConfig(**values["truncation"])
+        grid = PhaseGrid(**values["grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the EM needs at least as many detector settings per point as unknowns
@@ -242,27 +193,15 @@ def parse_config(text: str) -> RunConfig:
         )
 
     run = values["run"]
-    if run["normalization"] not in NORMALIZATIONS:
-        raise ConfigError(f"[run] normalization must be one of {NORMALIZATIONS}")
+    if run["normalization"] not in NORMALIZATION_MODES:
+        raise ConfigError(f"[run] normalization must be one of {NORMALIZATION_MODES}")
     for key in ("n_runs", "repetitions"):
         if run[key] < 1:
             raise ConfigError(f"[run] {key} must be positive")
     for key in ("n_iterations", "seed"):
         if run[key] < 0:
             raise ConfigError(f"[run] {key} must be non-negative")
-    return RunConfig(
-        state=state,
-        detectors=det,
-        trunc=trunc,
-        grid=grid,
-        n_runs=run["n_runs"],
-        n_iterations=run["n_iterations"],
-        repetitions=run["repetitions"],
-        seed=run["seed"],
-        exact_probabilities=run["exact_probabilities"],
-        normalization=run["normalization"],
-        analytic_reference=run["analytic_reference"],
-    )
+    return RunConfig(state=state, detectors=det, trunc=trunc, grid=grid, **run)
 
 
 def load_config(path) -> RunConfig:
@@ -272,65 +211,12 @@ def load_config(path) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical text form; stable ordering and float formatting."""
-    rows: list[tuple[str, dict]] = [
-        (
-            "state",
-            {
-                "kind": cfg.state.kind,
-                "re_amplitude": cfg.state.re_amplitude,
-                "im_amplitude": cfg.state.im_amplitude,
-                "squeeze": cfg.state.squeeze,
-                "n": cfg.state.n,
-            },
-        ),
-        ("truncation", {"n_trunc": cfg.trunc.n_trunc, "n_pad": cfg.trunc.n_pad}),
-        (
-            "detectors",
-            {
-                "mode": cfg.detectors.mode,
-                "alpha": cfg.detectors.alpha,
-                "n_efficiencies": cfg.detectors.n_efficiencies,
-                "efficiency_min": cfg.detectors.efficiency_min,
-                "efficiency_max": cfg.detectors.efficiency_max,
-                "nu_c": cfg.detectors.nu_c,
-                "nu_d": cfg.detectors.nu_d,
-                "n_angles": cfg.detectors.n_angles,
-                "angle_min": cfg.detectors.angle_min,
-                "angle_max": cfg.detectors.angle_max,
-            },
-        ),
-        (
-            "grid",
-            {
-                "re_min": cfg.grid.re_min,
-                "re_max": cfg.grid.re_max,
-                "im_min": cfg.grid.im_min,
-                "im_max": cfg.grid.im_max,
-                "n_re": cfg.grid.n_re,
-                "n_im": cfg.grid.n_im,
-            },
-        ),
-        (
-            "run",
-            {
-                "n_runs": cfg.n_runs,
-                "n_iterations": cfg.n_iterations,
-                "repetitions": cfg.repetitions,
-                "seed": cfg.seed,
-                "exact_probabilities": cfg.exact_probabilities,
-                "normalization": cfg.normalization,
-                "analytic_reference": cfg.analytic_reference,
-            },
-        ),
-    ]
-    out = io.StringIO()
-    for idx, (section, keys) in enumerate(rows):
-        if idx:
-            out.write("\n")
-        out.write(f"[{section}]\n")
-        for key, value in keys.items():
-            out.write(f"{key} = {_fmt(value)}\n")
-    return out.getvalue()
+    blocks = []
+    for section, (attr, _) in _SECTIONS.items():
+        obj = cfg if attr is None else getattr(cfg, attr)
+        rows = "".join(f"{key} = {_fmt(getattr(obj, key))}\n" for key in _KEYS[section])
+        blocks.append(f"[{section}]\n{rows}")
+    return "\n".join(blocks)
 
 
 def build_state(cfg: RunConfig) -> DensityMatrix:

@@ -22,30 +22,16 @@ default ``renormalized`` mode and emerges only at convergence in the
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateModelError
-from .fock import DiagonalDistribution, TruncationConfig
-from .measurement import ClickRecord, Setting
-
 __all__ = [
     "EMConfig",
-    "EMTrace",
-    "forward_probability",
-    "em_step",
-    "run_em",
-    "log_likelihood",
     "EMBatchResult",
     "run_em_batch",
 ]
 
-log = logging.getLogger(__name__)
-
-MONOTONE_SLACK = 1e-9
 NORMALIZATION_MODES = ("renormalized", "literal")
 
 
@@ -80,62 +66,11 @@ class EMConfig:
             raise ValueError("early_stop_tol must be positive when set")
 
 
-@dataclass(frozen=True, eq=False)
-class EMTrace:
-    """Per-iteration log-likelihood plus the final forward residuals."""
-
-    log_likelihood: np.ndarray  # length = iterations actually run
-    final_residuals: np.ndarray  # |p_j(R_final) - p_j^exp|
-    initial_log_likelihood: float
-
-
 def _kernel(nu_bar: np.ndarray, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """A_jn = (1 - nu_bar_j)^n and the weights f_j = sum_n A_jn."""
     x = 1.0 - np.asarray(nu_bar, dtype=float)
     a = x[:, None] ** np.arange(n_trunc, dtype=float)[None, :]
     return a, a.sum(axis=1)
-
-
-def _record_arrays(records: Sequence[ClickRecord]) -> tuple[np.ndarray, ...]:
-    if not records:
-        raise ValueError("records must be non-empty")
-    gamma0 = records[0].setting.gamma
-    for r in records:
-        if abs(r.setting.gamma - gamma0) > 1e-12:
-            raise ValueError(
-                f"records mix displacements: {r.setting.gamma} vs {gamma0}"
-            )
-    nu_bar = np.array([r.setting.nu_bar for r in records])
-    ey = np.exp(np.array([r.setting.y for r in records]))
-    freq = np.array([r.freq for r in records])
-    noclick = np.array([r.n_noclick for r in records], dtype=float)
-    n_runs = np.array([r.n_runs for r in records], dtype=float)
-    return nu_bar, ey, freq, noclick, n_runs
-
-
-def forward_probability(r: DiagonalDistribution, setting: Setting) -> float:
-    """Model no-click probability of a candidate diagonal at one setting."""
-    powers = (1.0 - setting.nu_bar) ** np.arange(r.dim, dtype=float)
-    p = float(np.exp(setting.y) * np.dot(powers, r.values))
-    return min(max(p, 0.0), 1.0)
-
-
-def log_likelihood(
-    r: DiagonalDistribution,
-    records: Sequence[ClickRecord],
-    floor_epsilon: float = 1e-12,
-) -> float:
-    """Binomial log-likelihood of the records under a candidate diagonal.
-
-    Probabilities are clamped to [floor, 1 - floor] so saturated frequencies
-    stay finite.
-    """
-    total = 0.0
-    for rec in records:
-        p = forward_probability(r, rec.setting)
-        p = min(max(p, floor_epsilon), 1.0 - floor_epsilon)
-        total += rec.n_noclick * np.log(p) + (rec.n_runs - rec.n_noclick) * np.log1p(-p)
-    return float(total)
 
 
 def _loglik_rows(
@@ -272,74 +207,3 @@ def run_em_batch(
             np.array(trace).reshape(len(trace), p_count) if record_trace else None
         ),
     )
-
-
-def em_step(
-    r: DiagonalDistribution, records: Sequence[ClickRecord], cfg: EMConfig
-) -> DiagonalDistribution:
-    """One iteration applied to a candidate diagonal."""
-    nu_bar, ey, freq, _, _ = _record_arrays(records)
-    if len(records) < r.dim:
-        raise ValueError(f"need at least {r.dim} settings, got {len(records)}")
-    one = EMConfig(
-        n_iterations=1,
-        normalization=cfg.normalization,
-        floor_epsilon=cfg.floor_epsilon,
-        init=tuple(np.maximum(r.values, np.finfo(float).tiny)),
-    )
-    out = run_em_batch(freq[None, :], nu_bar, ey[None, :], r.dim, one)
-    if out.failed[0]:
-        raise DegenerateModelError(
-            "every forward probability fell below the floor; model and data are incompatible"
-        )
-    return DiagonalDistribution(gamma=r.gamma, values=out.values[0], truncation_leak=0.0)
-
-
-def run_em(
-    records: Sequence[ClickRecord], cfg: EMConfig, trunc: TruncationConfig
-) -> tuple[DiagonalDistribution, EMTrace]:
-    """Full reconstruction of R_n(gamma) from one schedule's click records.
-
-    Starts from the uniform distribution (or ``cfg.init``), applies
-    ``cfg.n_iterations`` steps and reports the likelihood trace.  A decrease
-    beyond the tolerance is logged, not raised: the iteration is only
-    empirically monotone on consistent data.
-    """
-    nu_bar, ey, freq, noclick, n_runs = _record_arrays(records)
-    if len(records) < trunc.n_trunc:
-        raise ValueError(
-            f"need at least n_trunc = {trunc.n_trunc} settings, got {len(records)}"
-        )
-    gamma = records[0].setting.gamma
-
-    init = np.full(trunc.n_trunc, 1.0 / trunc.n_trunc) if cfg.init is None else np.asarray(cfg.init)
-    initial_ll = log_likelihood(
-        DiagonalDistribution(gamma=gamma, values=init), records, cfg.floor_epsilon
-    )
-
-    out = run_em_batch(
-        freq[None, :],
-        nu_bar,
-        ey[None, :],
-        trunc.n_trunc,
-        cfg,
-        noclick=noclick[None, :],
-        n_runs=n_runs[None, :],
-        record_trace=True,
-    )
-    if out.failed[0]:
-        raise DegenerateModelError(
-            "every forward probability fell below the floor; model and data are incompatible"
-        )
-    trace_ll = out.trace_loglik[:, 0] if out.trace_loglik is not None else np.empty(0)
-    drops = np.diff(np.concatenate(([initial_ll], trace_ll))) < -MONOTONE_SLACK
-    if np.any(drops):
-        log.warning("log-likelihood decreased on %d of %d iterations", int(drops.sum()), trace_ll.size)
-
-    dist = DiagonalDistribution(gamma=gamma, values=out.values[0], truncation_leak=0.0)
-    trace = EMTrace(
-        log_likelihood=trace_ll,
-        final_residuals=out.final_residuals[0],
-        initial_log_likelihood=initial_ll,
-    )
-    return dist, trace

@@ -29,19 +29,16 @@ __all__ = [
     "DetectorPair",
     "Setting",
     "SettingSchedule",
-    "ClickRecord",
     "SingleDetectorRecipe",
     "DualDetectorRecipe",
     "derive_setting",
     "single_detector_schedule",
     "dual_detector_schedule",
     "homogeneous_efficiencies",
-    "no_click_probability",
-    "schedule_probabilities",
     "ClickArrays",
     "schedule_arrays",
+    "no_click_probabilities",
     "keyed_binomial",
-    "sample_clicks",
     "simulate",
 ]
 
@@ -197,58 +194,6 @@ def dual_detector_schedule(
     )
 
 
-def no_click_probability(rho: DensityMatrix, setting: Setting, cfg: TruncationConfig) -> float:
-    """Exact joint no-click probability of one setting.
-
-    The geometric series runs over the full working dimension, so the value
-    is exact to padding accuracy rather than reconstruction accuracy.
-    """
-    diag = displaced_diagonal_padded(rho, setting.gamma, cfg)
-    x = 1.0 - setting.nu_bar
-    powers = x ** np.arange(cfg.n_pad, dtype=np.float64)
-    p = math.exp(setting.y) * float(np.dot(powers, diag))
-    return min(max(p, 0.0), 1.0)
-
-
-def schedule_probabilities(
-    rho: DensityMatrix, schedule: SettingSchedule, cfg: TruncationConfig
-) -> np.ndarray:
-    """Vector of no-click probabilities for a whole schedule.
-
-    All settings share one gamma, so the displaced diagonal is computed once.
-    """
-    diag = displaced_diagonal_padded(rho, schedule.target_gamma, cfg)
-    n = np.arange(cfg.n_pad, dtype=np.float64)
-    x = np.array([1.0 - s.nu_bar for s in schedule.settings])
-    ey = np.exp(np.array([s.y for s in schedule.settings]))
-    p = ey * ((x[:, None] ** n[None, :]) @ diag)
-    return np.clip(p, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """Trial count and no-click count of one setting.
-
-    ``n_noclick`` is an integer for sampled data; exact-probability records
-    store the expected count ``p * n_runs`` instead, so the frequency stays
-    the exact probability.
-    """
-
-    setting: Setting
-    n_runs: int
-    n_noclick: float
-
-    def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be positive")
-        if not 0.0 <= self.n_noclick <= self.n_runs:
-            raise ValueError("n_noclick outside [0, n_runs]")
-
-    @property
-    def freq(self) -> float:
-        return self.n_noclick / self.n_runs
-
-
 Recipe = SingleDetectorRecipe | DualDetectorRecipe
 
 
@@ -317,6 +262,29 @@ def schedule_arrays(recipe: Recipe, gammas: np.ndarray) -> tuple[np.ndarray, ...
         raise ValueError(f"derived gamma strays {stray[i]:.3e} from target {complex(g[i])}")
     y = -np.float_power(np.hypot(br, bi), 2.0) * nu_c * nu_d / nu_bar
     return alpha, complex_array(br, bi), nu_c, nu_d, nu_bar, y
+
+
+def no_click_probabilities(
+    rho: DensityMatrix,
+    gammas: np.ndarray,
+    nu_bar: np.ndarray,
+    y: np.ndarray,
+    trunc: TruncationConfig,
+) -> np.ndarray:
+    """Exact joint no-click probabilities of P points x M settings, clipped to [0, 1].
+
+    ``nu_bar`` (M,) is shared by every point and ``y`` is (P, M):
+    p[i, j] = e^{y_ij} sum_n (1 - nu_bar_j)^n R_n(gamma_i).  The series runs
+    over the full working dimension, so the values are exact to padding
+    accuracy rather than reconstruction accuracy.
+    """
+    x = 1.0 - np.asarray(nu_bar, dtype=float)
+    powers = x[:, None] ** np.arange(trunc.n_pad, dtype=float)[None, :]
+    y = np.asarray(y, dtype=float)
+    series = np.empty(y.shape)
+    for i, gamma in enumerate(np.asarray(gammas, dtype=complex).ravel()):
+        series[i] = powers @ displaced_diagonal_padded(rho, gamma, trunc)
+    return np.clip(np.exp(y) * series, 0.0, 1.0)
 
 
 # numpy's SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx, pcg64.h)
@@ -400,25 +368,6 @@ def keyed_binomial(
     return out
 
 
-def sample_clicks(
-    setting: Setting,
-    p: float,
-    n_runs: int,
-    seed: "int | tuple[int, ...]",
-    stream_id: int,
-) -> ClickRecord:
-    """Draw a binomial no-click count from a deterministic keyed stream.
-
-    Identical (seed, stream_id) always reproduce the same record; distinct
-    stream ids are statistically independent, which lets grid scans hand out
-    ``stream_id = point_index * M + j`` without any shared state.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    n_noclick = int(keyed_binomial(int(n_runs), np.array([p]), seed, np.array([stream_id]))[0])
-    return ClickRecord(setting=setting, n_runs=int(n_runs), n_noclick=n_noclick)
-
-
 def simulate(
     rho: DensityMatrix,
     gammas: np.ndarray,
@@ -438,11 +387,7 @@ def simulate(
     """
     g = np.asarray(gammas, dtype=complex).ravel()
     alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(recipe, g)
-    powers = (1.0 - nu_bar[0])[:, None] ** np.arange(trunc.n_pad, dtype=float)[None, :]
-    series = np.empty(y.shape)
-    for i, gamma in enumerate(g):
-        series[i] = powers @ displaced_diagonal_padded(rho, gamma, trunc)
-    probs = np.clip(np.exp(y) * series, 0.0, 1.0)
+    probs = no_click_probabilities(rho, g, nu_bar[0], y, trunc)
     if exact:
         noclick = probs * n_runs
     else:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,33 +134,20 @@ def wigner_from_values(values: np.ndarray) -> float:
 
 
 def reconstruct_clicks(
-    clicks: ClickArrays, n_trunc: int, em_cfg: EMConfig, threads: int = 1
+    clicks: ClickArrays, n_trunc: int, em_cfg: EMConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched EM on every point -> (W values, R tables, final loglik, failed).
 
-    Points are independent and run in ``threads`` concurrent chunks; failed points get W = NaN.
+    Failed points get W = NaN.
     """
-    freqs = clicks.noclick / clicks.n_runs
-    ey = np.exp(clicks.y)
-
-    def solve(sl: slice):
-        return run_em_batch(
-            freqs[sl], clicks.nu_bar[0], ey[sl], n_trunc, em_cfg,
-            noclick=clicks.noclick[sl], n_runs=clicks.n_runs[sl],
-        )
-
-    n_chunks = max(1, min(int(threads), freqs.shape[0]))
-    bounds = np.linspace(0, freqs.shape[0], n_chunks + 1, dtype=int)
-    slices = [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if len(slices) == 1:
-        results = [solve(slices[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(solve, slices))
-    values = np.vstack([r.values for r in results])
-    failed = np.concatenate([r.failed for r in results])
-    w = np.array([math.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)])
-    return w, values, np.concatenate([r.final_loglik for r in results]), failed
+    result = run_em_batch(
+        clicks.noclick / clicks.n_runs, clicks.nu_bar[0], np.exp(clicks.y), n_trunc, em_cfg,
+        noclick=clicks.noclick, n_runs=clicks.n_runs,
+    )
+    w = np.array(
+        [math.nan if bad else wigner_from_values(v) for v, bad in zip(result.values, result.failed)]
+    )
+    return w, result.values, result.final_loglik, result.failed
 
 
 def reconstruct_point(
@@ -199,17 +185,15 @@ def scan_grid(
     exact: bool = False,
     repetition: int = 0,
     keep_r: bool = False,
-    threads: int = 1,
 ) -> WignerEstimate:
     """Reconstruct the Wigner function on every grid node.
 
-    Randomness is keyed by (seed, repetition, point_index * M + j), so scans
-    parallelize over points without shared state and reproduce bit-for-bit
-    for a fixed seed.  A failed node is recorded and left NaN; the scan
-    continues.
+    Randomness is keyed by (seed, repetition, point_index * M + j), so points
+    share no state and scans reproduce bit-for-bit for a fixed seed.  A
+    failed node is recorded and left NaN; the scan continues.
     """
     clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, repetition, exact)
-    w, values, loglik, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg, threads)
+    w, values, loglik, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)
     failures = tuple(
         (int(i), "forward probabilities collapsed below the floor")
         for i in np.flatnonzero(failed)
@@ -250,7 +234,6 @@ def variance_map(
     n_repetitions: int = 2,
     seed: "int | tuple[int, ...]" = 0,
     exact: bool = False,
-    threads: int = 1,
 ) -> np.ndarray:
     """Per-point population variance of W over independent repetitions.
 
@@ -262,7 +245,7 @@ def variance_map(
     maps = [
         scan_grid(
             rho, grid, recipe, trunc, em_cfg,
-            n_runs=n_runs, seed=seed, exact=exact, repetition=rep, threads=threads,
+            n_runs=n_runs, seed=seed, exact=exact, repetition=rep,
         ).w_values
         for rep in range(n_repetitions)
     ]
@@ -277,11 +260,9 @@ def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfi
     iterative reconstruction enters.
     """
     gammas = grid.flat_gammas()
-    signs = np.where(np.arange(trunc.n_trunc) % 2 == 0, 1.0, -1.0)
     w = np.empty(gammas.size)
     for i, g in enumerate(gammas):
-        diag = displaced_diagonal_padded(rho, g, trunc)
-        w[i] = 2.0 / math.pi * np.dot(signs, diag[: trunc.n_trunc])
+        w[i] = wigner_from_values(displaced_diagonal_padded(rho, g, trunc)[: trunc.n_trunc])
     return WignerEstimate(grid=grid, w_values=w.reshape(grid.n_im, grid.n_re))
 
 
@@ -297,13 +278,12 @@ def truncation_error_map(
     padded-dimension numeric value stands in for it.
     """
     gammas = grid.flat_gammas()
-    signs_pad = np.where(np.arange(trunc.n_pad) % 2 == 0, 1.0, -1.0)
     w_trunc = np.empty(gammas.size)
     w_pad = np.empty(gammas.size)
     for i, g in enumerate(gammas):
         diag = displaced_diagonal_padded(rho, g, trunc)
-        w_trunc[i] = 2.0 / math.pi * np.dot(signs_pad[: trunc.n_trunc], diag[: trunc.n_trunc])
-        w_pad[i] = 2.0 / math.pi * np.dot(signs_pad, diag)
+        w_trunc[i] = wigner_from_values(diag[: trunc.n_trunc])
+        w_pad[i] = wigner_from_values(diag)
     ref = np.asarray(reference(gammas), dtype=float) if reference is not None else w_pad
     return np.abs(ref - w_trunc).reshape(grid.n_im, grid.n_re)
 

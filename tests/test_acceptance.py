@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from clicktomo import (
-    ClickRecord,
     DetectorPair,
     EMConfig,
     PhaseGrid,
@@ -28,16 +27,14 @@ from clicktomo import (
     fock_state,
     homogeneous_efficiencies,
     integrate_rho,
-    no_click_probability,
-    run_em,
-    sample_clicks,
+    keyed_binomial,
+    no_click_probabilities,
+    run_em_batch,
     scan_grid,
     squeezed_vacuum,
     wigner_map_from_function,
 )
 from clicktomo.config import dump_config, parse_config
-from clicktomo.em import em_step
-from clicktomo.fock import DiagonalDistribution
 
 from oracles import poisson_pmf
 
@@ -51,6 +48,17 @@ def report(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def gamma0_nu_bar() -> np.ndarray:
+    """nu_bar of 30 single-detector settings at gamma = 0, one per efficiency."""
+    settings = [derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)) for nu in homogeneous_efficiencies(30)]
+    return np.array([s.nu_bar for s in settings])
+
+
+def no_click(rho, setting) -> float:
+    """Exact no-click probability of one setting."""
+    return float(no_click_probabilities(rho, [setting.gamma], [setting.nu_bar], [[setting.y]], CFG)[0, 0])
+
+
 def test_criterion_1_forward_model_analytic():
     """Single detector facing a coherent signal: p = exp(-nu |alpha0|^2)."""
     rho = density_from_pure(coherent_state(1.0, CFG))
@@ -58,7 +66,7 @@ def test_criterion_1_forward_model_analytic():
     worst = 0.0
     for nu in np.arange(0.1, 0.95, 0.1):
         setting = derive_setting(0.0, 0.0, DetectorPair(float(nu), 0.0))
-        p = no_click_probability(rho, setting, CFG)
+        p = no_click(rho, setting)
         worst = max(worst, abs(p - math.exp(-float(nu))))
     ok = worst < 1e-10
     report(1, ok, f"max |p - exp(-nu)| = {worst:.3e} < 1e-10")
@@ -75,7 +83,7 @@ def test_criterion_2_probe_only_factorization():
             for im_b in np.linspace(-1.5, 1.5, 5):
                 beta = complex(re_b, im_b)
                 setting = derive_setting(float(alpha), beta, pair)
-                p = no_click_probability(rho, setting, CFG)
+                p = no_click(rho, setting)
                 expected = math.exp(
                     -pair.nu_c * abs(beta * math.sin(alpha)) ** 2
                     - pair.nu_d * abs(beta * math.cos(alpha)) ** 2
@@ -90,14 +98,11 @@ def test_criterion_3_em_exact_data_recovery():
     """Mean-one Poisson diagonal from 30 exact no-click probabilities."""
     rho = density_from_pure(coherent_state(1.0, CFG))
     occupation = np.real(np.diag(rho.elements))
-    records = []
-    for nu in homogeneous_efficiencies(30):
-        setting = derive_setting(0.0, 0.0, DetectorPair(nu, 0.0))
-        p = float(np.dot((1.0 - setting.nu_bar) ** np.arange(CFG.n_pad), occupation))
-        records.append(ClickRecord(setting, 10_000, p * 10_000))
-    dist, _ = run_em(records, EM_1000, CFG)
-    err = float(np.max(np.abs(dist.values - poisson_pmf(1.0, N_TRUNC))))
-    total = float(dist.values.sum())
+    nu_bar = gamma0_nu_bar()
+    freqs = ((1.0 - nu_bar)[:, None] ** np.arange(CFG.n_pad) @ occupation)[None, :]
+    values = run_em_batch(freqs, nu_bar, 1.0, N_TRUNC, EM_1000).values[0]
+    err = float(np.max(np.abs(values - poisson_pmf(1.0, N_TRUNC))))
+    total = float(values.sum())
     ok = err <= 1e-2 and abs(total - 1.0) <= 1e-12
     report(3, ok, f"max |R_n - e^-1/n!| = {err:.3e} <= 1e-2, sum = {total:.15f}")
     assert err <= 1e-2
@@ -224,27 +229,18 @@ def test_criterion_8_property_suites():
     # EM positivity and consistent-data fixed point
     values = poisson_pmf(1.0, N_TRUNC)
     values /= values.sum()
-    settings = [derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)) for nu in homogeneous_efficiencies(30)]
-    dist = DiagonalDistribution(0.0, values)
-    from clicktomo.em import forward_probability
-
-    records = [
-        ClickRecord(s, 1000, forward_probability(dist, s) * 1000) for s in settings
-    ]
-    stepped = em_step(dist, records, EMConfig())
-    checks.append(("EM fixed point on consistent data", float(np.max(np.abs(stepped.values - values))) < 1e-12))
-    noisy, _ = run_em(
-        [ClickRecord(s, 1000, round(r.n_noclick * 0.9)) for s, r in zip(settings, records)],
-        EMConfig(n_iterations=50),
-        CFG,
-    )
+    nu_bar = gamma0_nu_bar()
+    freqs = ((1.0 - nu_bar)[:, None] ** np.arange(N_TRUNC) @ values)[None, :]
+    one_step = EMConfig(n_iterations=1, init=tuple(values))
+    stepped = run_em_batch(freqs, nu_bar, 1.0, N_TRUNC, one_step).values[0]
+    checks.append(("EM fixed point on consistent data", float(np.max(np.abs(stepped - values))) < 1e-12))
+    noisy = run_em_batch(np.round(freqs * 1000 * 0.9) / 1000, nu_bar, 1.0, N_TRUNC, EMConfig(n_iterations=50))
     checks.append(("EM positivity", bool(np.all(noisy.values >= 0.0))))
 
     # sampling determinism
-    setting = settings[0]
     same = (
-        sample_clicks(setting, 0.4, 5000, 12, 3).n_noclick
-        == sample_clicks(setting, 0.4, 5000, 12, 3).n_noclick
+        keyed_binomial(5000, np.array([0.4]), 12, np.array([3]))[0]
+        == keyed_binomial(5000, np.array([0.4]), 12, np.array([3]))[0]
     )
     checks.append(("sampling determinism", bool(same)))
 

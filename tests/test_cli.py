@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,11 +333,81 @@ def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, ed
 
 
 def test_cli_import_loads_no_scipy():
+    # nor a thread pool: points run as one batch
     src = str(Path(io_csv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, clicktomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = (
+        "import sys, clicktomo.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+    )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["reconstruct", "--records", "clicks.csv"], ["recover-rho", "--wigner", "wigner.csv"]],
+    ids=["simulate", "reconstruct", "recover-rho"],
+)
+def test_threads_flag_is_refused(small_cfg, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(small_cfg), "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    other = tmp_path / "other.ini"
+    other.write_text(
+        SMALL.replace("n_iterations = 60", "n_iterations = 70\nnormalization = literal\nanalytic_reference = false")
+    )
+    code = main(["reconstruct", "--config", str(other), "--exact", "--seed", "99",
+                 "--records", str(out / "clicks.csv"), "--out", str(out)])
+    assert code == 0
+    click_cfg, _, _ = io_csv.read_click_csv(out / "clicks.csv")
+    wigner_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
+    assert (wigner_cfg.seed, wigner_cfg.exact_probabilities) == (5, False)
+    assert wigner_cfg == replace(
+        click_cfg, n_iterations=70, normalization="literal", analytic_reference=False
+    )
+    assert np.all(np.isnan(cols["w_exact"]))
+
+
+def test_reconstruct_rejects_another_runs_state(small_cfg, tmp_path, capsys):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    other = tmp_path / "other.ini"
+    other.write_text(SMALL.replace("re_amplitude = 1.0", "re_amplitude = 0.5"))
+    code = main(["reconstruct", "--config", str(other), "--records", str(out / "clicks.csv"), "--out", str(out)])
+    assert code == 3
+    assert "[state] differs from the run config" in capsys.readouterr().err
+    assert not (out / "wigner.csv").exists()
+
+
+def test_reconstruct_rejects_records_of_another_run(small_cfg, tmp_path, capsys):
+    first, second = tmp_path / "a", tmp_path / "b"
+    main(["simulate", "--config", str(small_cfg), "--out", str(first)])
+    main(["simulate", "--config", str(small_cfg), "--seed", "6", "--out", str(second)])
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(first / "clicks.csv"),
+                 str(second / "clicks.csv"), "--out", str(tmp_path)])
+    assert code == 3
+    assert "embedded config differs from that of" in capsys.readouterr().err
+    assert not (tmp_path / "wigner.csv").exists()
+
+
+def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
+    code = main(["recover-rho", "--config", str(small_cfg), "--exact", "--seed", "99",
+                 "--wigner", str(out / "wigner.csv"), "--out", str(out)])
+    assert code == 0
+    wigner_cfg, _, _ = io_csv.read_wigner_csv(out / "wigner.csv")
+    rho_cfg, _ = io_csv.read_rho_csv(out / "rho.csv")
+    assert rho_cfg == wigner_cfg and rho_cfg.seed == 5
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["config"] == io_csv.embedded_config(out / "wigner.csv")
 
 
 def test_report_identical_inputs_zero_delta(small_cfg, tmp_path):
@@ -362,18 +433,6 @@ def test_reconstruct_is_deterministic(small_cfg, tmp_path):
     first = (out / "wigner.csv").read_bytes()
     main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
     assert (out / "wigner.csv").read_bytes() == first
-
-
-def test_reconstruct_threads_match_serial(small_cfg, tmp_path):
-    out = tmp_path / "art"
-    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
-    main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out / "one")])
-    main(["reconstruct", "--config", str(small_cfg), "--threads", "3",
-          "--records", str(out / "clicks.csv"), "--out", str(out / "three")])
-    import numpy as _np
-    _, _, a = io_csv.read_wigner_csv(out / "one" / "wigner.csv")
-    _, _, b = io_csv.read_wigner_csv(out / "three" / "wigner.csv")
-    _np.testing.assert_allclose(a["w_rec"], b["w_rec"], atol=1e-12)
 
 
 DEGENERATE = """
@@ -460,6 +519,7 @@ BAD_ROWS = {
     "fractional_point_index": {"point_index": "3.5"},
     "fractional_runs": {"n_runs": "400.5"},
     "nu_bar_vanishes": {"alpha": "0", "nu_c": "0"},
+    "point_mixes_gamma": {"re_gamma": "0.25"},
 }
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clicktomo import TruncationConfig, coherent_state, density_from_pure, simulate
@@ -14,6 +14,7 @@ from clicktomo.config import (
     dump_config,
     parse_config,
 )
+from clicktomo.em import NORMALIZATION_MODES
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
 from clicktomo.measurement import SingleDetectorRecipe
@@ -93,6 +94,79 @@ class TestParse:
     def test_overrides(self):
         cfg = parse_config(BASE).with_overrides(seed=9, exact=True)
         assert cfg.seed == 9 and cfg.exact_probabilities
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+BOOL_TEXTS = st.sampled_from(["true", "false", "1", "0", "yes", "no", "on", "off", "True", "OFF"])
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config: optional keys may be left out, floats are written with repr."""
+
+    def maybe(strategy):
+        return draw(st.none() | strategy)
+
+    n_trunc = draw(st.integers(2, 40))
+    mode = draw(st.sampled_from(["single", "dual"]))
+    count = st.integers(n_trunc, 100)
+
+    def bounds():
+        return draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True).map(sorted))
+
+    re_min, re_max = bounds()
+    im_min, im_max = bounds()
+    sections = {
+        "state": {
+            "kind": draw(st.sampled_from(["coherent", "squeezed", "fock"])),
+            "re_amplitude": maybe(FLOATS),
+            "im_amplitude": maybe(FLOATS),
+            "squeeze": maybe(FLOATS),
+            "n": maybe(st.integers(-3, 100)),
+        },
+        "truncation": {"n_trunc": n_trunc, "n_pad": maybe(st.just(0) | st.integers(n_trunc, 200))},
+        "detectors": {
+            "mode": mode,
+            "alpha": maybe(FLOATS),
+            "n_efficiencies": draw(count) if mode == "single" else maybe(st.integers(0, 100)),
+            "efficiency_min": maybe(FLOATS),
+            "efficiency_max": maybe(FLOATS),
+            "nu_c": maybe(FLOATS),
+            "nu_d": maybe(FLOATS),
+            "n_angles": draw(count) if mode == "dual" else maybe(st.integers(0, 100)),
+            "angle_min": maybe(FLOATS),
+            "angle_max": maybe(FLOATS),
+        },
+        "grid": {
+            "re_min": re_min, "re_max": re_max, "im_min": im_min, "im_max": im_max,
+            "n_re": draw(st.integers(1, 500)), "n_im": draw(st.integers(1, 500)),
+        },
+        "run": {
+            "n_runs": maybe(st.integers(1, 10**9)),
+            "n_iterations": maybe(st.integers(0, 10**6)),
+            "repetitions": maybe(st.integers(1, 20)),
+            "seed": maybe(st.integers(0, 2**70)),
+            "exact_probabilities": maybe(BOOL_TEXTS),
+            "normalization": maybe(st.sampled_from(NORMALIZATION_MODES)),
+            "analytic_reference": maybe(BOOL_TEXTS),
+        },
+    }
+    blocks = []
+    for name, keys in sections.items():
+        rows = [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in keys.items() if v is not None]
+        blocks.append("\n".join([f"[{name}]", *rows]))
+    return "\n\n".join(blocks) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=config_texts())
+@example(text=BASE.replace("re_amplitude = 1.0", "re_amplitude = 0.30000000000000004"))
+def test_parse_dump_parse_is_identity(text):
+    first = parse_config(text)
+    dumped = dump_config(first)
+    second = parse_config(dumped)
+    assert second == first
+    assert dump_config(second) == dumped
 
 
 class TestBuilders:

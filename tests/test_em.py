@@ -1,59 +1,79 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from clicktomo import (
-    ClickRecord,
+    DensityMatrix,
     DetectorPair,
-    DiagonalDistribution,
     EMConfig,
     TruncationConfig,
     coherent_state,
     density_from_pure,
     derive_setting,
-    em_step,
-    forward_probability,
-    log_likelihood,
-    run_em,
+    no_click_probabilities,
+    run_em_batch,
 )
-from clicktomo.em import run_em_batch
-from clicktomo.errors import DegenerateModelError
+from clicktomo.em import _loglik_rows
 
 from oracles import em_batch_reference, poisson_pmf
 
 CFG = TruncationConfig(12)
 
 
-def flat_settings(efficiencies):
-    """Settings with nu_bar equal to the efficiency and gamma = 0."""
-    return [derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)) for nu in efficiencies]
+def kernel(nu_bar, n=12):
+    """A_jn = (1 - nu_bar_j)^n: the forward model at unit attenuation is ``kernel @ R``."""
+    return (1.0 - np.asarray(nu_bar, dtype=float))[:, None] ** np.arange(n)[None, :]
 
 
-def exact_records(values, settings, n_runs=10_000):
-    dist = DiagonalDistribution(gamma=0.0, values=values)
-    return [
-        ClickRecord(s, n_runs, forward_probability(dist, s) * n_runs) for s in settings
-    ]
+def diagonal_state(values):
+    """Density matrix diag(values) on the working dimension of CFG."""
+    rho = np.zeros((CFG.n_pad, CFG.n_pad))
+    rho[range(len(values)), range(len(values))] = values
+    return DensityMatrix(rho)
+
+
+def one_step(values, freqs, nu_bar, normalization="renormalized"):
+    """One iteration from ``values``; zero components start at the smallest normal float."""
+    init = tuple(np.maximum(values, np.finfo(float).tiny))
+    cfg = EMConfig(n_iterations=1, normalization=normalization, init=init)
+    return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), cfg).values[0]
+
+
+def run_one(freqs, nu_bar, cfg, n_runs=10_000, n_trunc=12):
+    """One point with counts ``freqs * n_runs`` -> (values, loglik per step, loglik of the start)."""
+    freqs = np.atleast_2d(freqs)
+    counts = {"noclick": freqs * n_runs, "n_runs": np.full(freqs.shape, float(n_runs))}
+    out = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, record_trace=True, **counts)
+    start = run_em_batch(freqs, nu_bar, 1.0, n_trunc, replace(cfg, n_iterations=0), **counts)
+    return out.values[0], out.trace_loglik[:, 0], start.final_loglik[0]
+
+
+def nu_bar_of(nu):
+    """nu_bar of a gamma = 0, alpha = 0 setting with the second detector blind (= nu)."""
+    return derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)).nu_bar
 
 
 class TestForwardProbability:
+    # the forward model p = e^y sum_n (1 - nu_bar)^n R_n, evaluated on a
+    # diagonal state at gamma = 0, where the displaced diagonal is R itself
     def test_pure_vacuum(self):
-        dist = DiagonalDistribution(0.0, np.eye(12)[0])
-        s = derive_setting(0.0, 0.0, DetectorPair(0.5, 0.0))
-        assert forward_probability(dist, s) == 1.0
+        rho = diagonal_state(np.eye(12)[0])
+        p = no_click_probabilities(rho, [0.0], [nu_bar_of(0.5)], [[0.0]], CFG)
+        assert p[0, 0] == 1.0
 
     def test_uniform_geometric_sum(self):
         n = 12
-        dist = DiagonalDistribution(0.0, np.full(n, 1.0 / n))
-        s = derive_setting(0.0, 0.0, DetectorPair(0.4, 0.0))
+        rho = diagonal_state(np.full(n, 1.0 / n))
+        p = no_click_probabilities(rho, [0.0], [nu_bar_of(0.4)], [[0.0]], CFG)
         expected = (1.0 - 0.6**n) / (0.4 * n)
-        assert forward_probability(dist, s) == pytest.approx(expected, rel=1e-14)
+        assert p[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_unit_efficiency_sees_vacuum_only(self):
-        dist = DiagonalDistribution(0.0, np.full(4, 0.25))
-        s = derive_setting(0.0, 0.0, DetectorPair(1.0, 0.0))
-        assert forward_probability(dist, s) == 0.25
+        rho = diagonal_state(np.full(4, 0.25))
+        p = no_click_probabilities(rho, [0.0], [nu_bar_of(1.0)], [[0.0]], CFG)
+        assert p[0, 0] == 0.25
 
 
 class TestEmStep:
@@ -62,45 +82,40 @@ class TestEmStep:
         # the identity, in both normalization modes
         values = poisson_pmf(1.0, 12)
         values = values / values.sum()
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = exact_records(values, settings)
-        start = DiagonalDistribution(0.0, values)
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        freqs = kernel(nu_bar) @ values
         for mode in ("renormalized", "literal"):
-            out = em_step(start, records, EMConfig(normalization=mode))
-            np.testing.assert_allclose(out.values, values, atol=1e-12)
+            out = one_step(values, freqs, nu_bar, mode)
+            np.testing.assert_allclose(out, values, atol=1e-12)
 
     def test_vacuum_fixed_point(self):
         values = np.zeros(12)
         values[0] = 1.0
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = [ClickRecord(s, 100, 100) for s in settings]  # always no-click
-        out = em_step(DiagonalDistribution(0.0, values), records, EMConfig())
-        np.testing.assert_allclose(out.values, values, atol=1e-15)
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        out = one_step(values, np.ones(30), nu_bar)  # always no-click
+        np.testing.assert_allclose(out, values, atol=1e-15)
 
     def test_zero_frequency_contributes_nothing(self):
         values = poisson_pmf(0.5, 12)
-        settings = flat_settings(np.linspace(0.1, 0.9, 14))
-        records = exact_records(values, settings)
-        # zeroing one record's counts must equal dropping its contribution
-        zeroed = records.copy()
-        zeroed[3] = ClickRecord(settings[3], records[3].n_runs, 0.0)
-        start = DiagonalDistribution(0.0, values / values.sum())
-        stepped = em_step(start, zeroed, EMConfig(normalization="literal"))
-        x = 1.0 - np.array([s.nu_bar for s in settings])
-        a = x[:, None] ** np.arange(12)[None, :]
+        nu_bar = np.linspace(0.1, 0.9, 14)
+        freqs = kernel(nu_bar) @ values
+        # zeroing one setting's counts must equal dropping its contribution
+        zeroed = freqs.copy()
+        zeroed[3] = 0.0
+        start = values / values.sum()
+        stepped = one_step(start, zeroed, nu_bar, "literal")
+        a = kernel(nu_bar)
         f = a.sum(axis=1)
         w = a / f[:, None]
-        ratios = np.array([r.freq for r in zeroed]) / np.array(
-            [forward_probability(start, s) for s in settings]
-        )
-        expected = start.values * (ratios @ w) / w.sum(axis=0)
-        np.testing.assert_allclose(stepped.values, expected, atol=1e-14)
+        ratios = zeroed / (a @ start)
+        expected = start * (ratios @ w) / w.sum(axis=0)
+        np.testing.assert_allclose(stepped, expected, atol=1e-14)
 
     def test_requires_enough_settings(self):
         values = np.full(12, 1.0 / 12)
-        records = exact_records(values, flat_settings(np.linspace(0.1, 0.9, 5)))
+        nu_bar = np.linspace(0.1, 0.9, 5)
         with pytest.raises(ValueError):
-            em_step(DiagonalDistribution(0.0, values), records, EMConfig())
+            one_step(values, kernel(nu_bar) @ values, nu_bar)
 
 
 class TestRunEm:
@@ -109,96 +124,87 @@ class TestRunEm:
         # exact no-click probabilities, uniform start
         rho = density_from_pure(coherent_state(1.0, CFG))
         occupation = np.real(np.diag(rho.elements))
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = [
-            ClickRecord(s, 10_000, 10_000 * float(np.dot((1 - s.nu_bar) ** np.arange(CFG.n_pad), occupation)))
-            for s in settings
-        ]
-        dist, trace = run_em(records, EMConfig(n_iterations=1000), CFG)
-        assert np.max(np.abs(dist.values - poisson_pmf(1.0, 12))) <= 1e-2
-        assert dist.values.sum() == pytest.approx(1.0, abs=1e-12)
-        assert trace.log_likelihood.size == 1000
-        assert trace.log_likelihood[-1] >= trace.initial_log_likelihood
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        freqs = kernel(nu_bar, CFG.n_pad) @ occupation
+        values, trace, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=1000))
+        assert np.max(np.abs(values - poisson_pmf(1.0, 12))) <= 1e-2
+        assert values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert trace.size == 1000
+        assert trace[-1] >= initial
 
     def test_monotone_on_exact_data(self):
         values = poisson_pmf(1.0, 12)
         values /= values.sum()
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = exact_records(values, settings)
-        _, trace = run_em(records, EMConfig(n_iterations=400), CFG)
-        steps = np.diff(np.concatenate(([trace.initial_log_likelihood], trace.log_likelihood)))
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        _, trace, initial = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=400))
+        steps = np.diff(np.concatenate(([initial], trace)))
         assert np.all(steps >= -1e-9)
 
     def test_zero_iterations_returns_init(self):
         values = np.full(12, 1.0 / 12)
-        records = exact_records(values, flat_settings(np.linspace(0.1, 0.9, 14)))
-        dist, trace = run_em(records, EMConfig(n_iterations=0), CFG)
-        np.testing.assert_allclose(dist.values, values, atol=1e-16)
-        assert trace.log_likelihood.size == 0
+        nu_bar = np.linspace(0.1, 0.9, 14)
+        out, trace, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0))
+        np.testing.assert_allclose(out, values, atol=1e-16)
+        assert trace.size == 0
 
     def test_custom_init(self):
         target = poisson_pmf(1.0, 12)
         target /= target.sum()
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = exact_records(target, settings)
+        nu_bar = np.linspace(0.1, 0.9, 30)
         cfg = EMConfig(n_iterations=50, init=tuple(target))
-        dist, _ = run_em(records, cfg, CFG)
-        np.testing.assert_allclose(dist.values, target, atol=1e-10)
+        values, _, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
+        np.testing.assert_allclose(values, target, atol=1e-10)
 
     def test_unit_efficiency_degenerate_case(self):
         # only the vacuum component is observable: the no-click channel
         # with nu_bar = 1 never sees n > 0
-        settings = flat_settings([1.0] * 12)
-        records = [ClickRecord(s, 1000, 700) for s in settings]
-        literal, _ = run_em(records, EMConfig(n_iterations=200, normalization="literal"), CFG)
-        assert literal.values[0] == pytest.approx(0.7, abs=1e-12)
-        assert np.all(literal.values[1:] == 0.0)
-        renorm, _ = run_em(records, EMConfig(n_iterations=200), CFG)
-        assert renorm.values[0] == pytest.approx(1.0, abs=1e-12)
+        nu_bar = np.ones(12)
+        freqs = np.full(12, 0.7)
+        literal, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200, normalization="literal"), 1000)
+        assert literal[0] == pytest.approx(0.7, abs=1e-12)
+        assert np.all(literal[1:] == 0.0)
+        renorm, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200), 1000)
+        assert renorm[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_determinism(self):
         values = poisson_pmf(0.8, 12)
-        settings = flat_settings(np.linspace(0.1, 0.9, 20))
-        records = exact_records(values, settings)
-        a, _ = run_em(records, EMConfig(n_iterations=300), CFG)
-        b, _ = run_em(records, EMConfig(n_iterations=300), CFG)
-        assert np.array_equal(a.values, b.values)
+        nu_bar = np.linspace(0.1, 0.9, 20)
+        freqs = kernel(nu_bar) @ values
+        a, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=300))
+        b, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=300))
+        assert np.array_equal(a, b)
 
     def test_early_stop_shortens_trace(self):
         # starting on the fixed point, the first step moves nothing and the
         # stopping rule fires immediately
         target = poisson_pmf(1.0, 12)
         target /= target.sum()
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = exact_records(target, settings)
+        nu_bar = np.linspace(0.1, 0.9, 30)
         cfg = EMConfig(n_iterations=5000, early_stop_tol=1e-10, init=tuple(target))
-        dist, trace = run_em(records, cfg, CFG)
-        assert trace.log_likelihood.size == 1
-        np.testing.assert_allclose(dist.values, target, atol=1e-12)
+        values, trace, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
+        assert trace.size == 1
+        np.testing.assert_allclose(values, target, atol=1e-12)
 
     def test_early_stop_off_by_default(self):
         target = poisson_pmf(1.0, 12)
         target /= target.sum()
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        records = exact_records(target, settings)
-        _, trace = run_em(records, EMConfig(n_iterations=120, init=tuple(target)), CFG)
-        assert trace.log_likelihood.size == 120
-
-    def test_mixed_gamma_rejected(self):
-        s1 = derive_setting(0.3, 1.0, DetectorPair(0.5, 0.0))
-        s2 = derive_setting(0.3, 1.1, DetectorPair(0.5, 0.0))
-        records = [ClickRecord(s1, 10, 5), ClickRecord(s2, 10, 5)]
-        with pytest.raises(ValueError):
-            run_em(records, EMConfig(), TruncationConfig(2))
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        cfg = EMConfig(n_iterations=120, init=tuple(target))
+        _, trace, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
+        assert trace.size == 120
 
     def test_degenerate_model_raises(self):
-        # a probe so bright that every forward probability underflows
+        # a probe so bright that every forward probability underflows: the
+        # point is marked failed and left NaN (reconstruct_point raises
+        # DegenerateModelError on it)
         from clicktomo import dual_detector_schedule
 
         sched = dual_detector_schedule(20.0, DetectorPair(0.5, 0.9), np.linspace(0.3, 1.2, 12))
-        records = [ClickRecord(s, 100, 0) for s in sched.settings]
-        with pytest.raises(DegenerateModelError):
-            run_em(records, EMConfig(n_iterations=5), TruncationConfig(4))
+        nu_bar = np.array([s.nu_bar for s in sched.settings])
+        ey = np.exp([[s.y for s in sched.settings]])
+        out = run_em_batch(np.zeros((1, 12)), nu_bar, ey, 4, EMConfig(n_iterations=5))
+        assert out.failed[0]
+        assert np.all(np.isnan(out.values[0]))
 
 
 class TestSensitivityNormalization:
@@ -225,43 +231,34 @@ class TestSensitivityNormalization:
 
 class TestLogLikelihood:
     def test_direct_value(self):
-        s = derive_setting(0.0, 0.0, DetectorPair(0.5, 0.0))
-        dist = DiagonalDistribution(0.0, np.array([0.5, 0.5] + [0.0] * 10))
         # forward p = 0.5 + 0.5 * 0.5 = 0.75; pick counts giving freq = p
-        rec = ClickRecord(s, 4, 3)
-        assert log_likelihood(dist, [rec]) == pytest.approx(
+        p = kernel([0.5]) @ np.array([0.5, 0.5] + [0.0] * 10)
+        assert _loglik_rows(p[None, :], np.array([[3.0]]), np.array([[4.0]]), 1e-12)[0] == pytest.approx(
             3 * math.log(0.75) + 1 * math.log(0.25), rel=1e-12
         )
 
     def test_two_trials_half(self):
-        s = derive_setting(0.0, 0.0, DetectorPair(1.0, 0.0))
-        dist = DiagonalDistribution(0.0, np.array([0.5, 0.5]))
-        rec = ClickRecord(s, 2, 1)
-        assert log_likelihood(dist, [rec]) == pytest.approx(2.0 * math.log(0.5), rel=1e-14)
+        p = kernel([1.0], 2) @ np.array([0.5, 0.5])
+        assert _loglik_rows(p[None, :], np.array([[1.0]]), np.array([[2.0]]), 1e-12)[0] == pytest.approx(
+            2.0 * math.log(0.5), rel=1e-14
+        )
 
     def test_saturated_frequencies_finite(self):
-        s = derive_setting(0.0, 0.0, DetectorPair(0.3, 0.0))
-        dist = DiagonalDistribution(0.0, np.eye(12)[0])
-        assert np.isfinite(log_likelihood(dist, [ClickRecord(s, 10, 10)]))
-        assert np.isfinite(log_likelihood(dist, [ClickRecord(s, 10, 0)]))
+        p = kernel([0.3]) @ np.eye(12)[0]
+        assert np.isfinite(_loglik_rows(p[None, :], np.array([[10.0]]), np.array([[10.0]]), 1e-12)[0])
+        assert np.isfinite(_loglik_rows(p[None, :], np.array([[0.0]]), np.array([[10.0]]), 1e-12)[0])
 
     def test_em_beats_uniform_init_across_seeds(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         occupation = np.real(np.diag(rho.elements))
-        settings = flat_settings(np.linspace(0.1, 0.9, 14))
-        probs = [
-            float(np.dot((1 - s.nu_bar) ** np.arange(CFG.n_pad), occupation)) for s in settings
-        ]
-        uniform = DiagonalDistribution(0.0, np.full(12, 1.0 / 12))
-        rng_cfg = EMConfig(n_iterations=60)
-        wins = 0
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            records = [
-                ClickRecord(s, 500, int(rng.binomial(500, p))) for s, p in zip(settings, probs)
-            ]
-            dist, _ = run_em(records, rng_cfg, CFG)
-            wins += log_likelihood(dist, records) >= log_likelihood(uniform, records)
+        nu_bar = np.linspace(0.1, 0.9, 14)
+        probs = kernel(nu_bar, CFG.n_pad) @ occupation
+        rngs = [np.random.default_rng(seed) for seed in range(100)]
+        noclick = np.array([[rng.binomial(500, p) for p in probs] for rng in rngs], dtype=float)
+        counts = {"noclick": noclick, "n_runs": np.full(noclick.shape, 500.0)}
+        fitted = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=60), **counts)
+        uniform = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=0), **counts)
+        wins = int(np.sum(fitted.final_loglik >= uniform.final_loglik))
         assert wins == 100
 
 
@@ -269,21 +266,15 @@ class TestBatchConsistency:
     def test_batch_matches_single(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         occupation = np.real(np.diag(rho.elements))
-        settings = flat_settings(np.linspace(0.1, 0.9, 30))
-        nu_bar = np.array([s.nu_bar for s in settings])
-        probs = np.array(
-            [float(np.dot((1 - nb) ** np.arange(CFG.n_pad), occupation)) for nb in nu_bar]
-        )
+        nu_bar = np.linspace(0.1, 0.9, 30)
+        probs = kernel(nu_bar, CFG.n_pad) @ occupation
         rng = np.random.default_rng(3)
         freqs = np.vstack([rng.binomial(1000, probs) / 1000.0 for _ in range(4)])
         cfg = EMConfig(n_iterations=250)
         batch = run_em_batch(freqs, nu_bar, np.ones_like(freqs), 12, cfg)
         for row in range(4):
-            records = [
-                ClickRecord(s, 1000, int(round(f * 1000))) for s, f in zip(settings, freqs[row])
-            ]
-            single, _ = run_em(records, cfg, CFG)
-            np.testing.assert_allclose(batch.values[row], single.values, atol=1e-12)
+            single, _, _ = run_one(freqs[row], nu_bar, cfg, 1000)
+            np.testing.assert_allclose(batch.values[row], single, atol=1e-12)
 
 
 def _em_batch_case(name):

@@ -15,10 +15,8 @@ from clicktomo import (
     fock_state,
     homogeneous_efficiencies,
     keyed_binomial,
-    no_click_probability,
-    sample_clicks,
+    no_click_probabilities,
     schedule_arrays,
-    schedule_probabilities,
     simulate,
     single_detector_schedule,
 )
@@ -26,6 +24,17 @@ from clicktomo import (
 from oracles import coherent_signal_noclick
 
 CFG = TruncationConfig(12)
+
+
+def no_click(rho, setting, cfg=CFG):
+    """Exact no-click probability of one setting."""
+    return no_click_probabilities(rho, [setting.gamma], [setting.nu_bar], [[setting.y]], cfg)[0, 0]
+
+
+def schedule_noclick(rho, sched, cfg=CFG):
+    """Exact no-click probabilities of a schedule's settings, all at its target gamma."""
+    nu_bar = [s.nu_bar for s in sched.settings]
+    return no_click_probabilities(rho, [sched.target_gamma], nu_bar, [[s.y for s in sched.settings]], cfg)[0]
 
 
 class TestDeriveSetting:
@@ -70,7 +79,7 @@ class TestNoClickProbability:
     def test_vacuum_without_probe(self):
         rho = density_from_pure(fock_state(0, CFG))
         s = derive_setting(0.3, 0.0, DetectorPair(0.8, 0.5))
-        assert no_click_probability(rho, s, CFG) == 1.0
+        assert no_click(rho, s, CFG) == 1.0
 
     def test_coherent_signal_closed_form(self):
         # beam-splitter outputs stay coherent, so the joint no-click
@@ -86,7 +95,7 @@ class TestNoClickProbability:
             rho = density_from_pure(coherent_state(alpha0, cfg))
             setting = derive_setting(angle, beta, DetectorPair(nu_c, nu_d))
             expected = coherent_signal_noclick(alpha0, beta, angle, nu_c, nu_d)
-            assert no_click_probability(rho, setting, cfg) == pytest.approx(expected, abs=1e-9)
+            assert no_click(rho, setting, cfg) == pytest.approx(expected, abs=1e-9)
 
     def test_probe_only_factorization(self):
         rho = density_from_pure(fock_state(0, CFG))
@@ -96,18 +105,18 @@ class TestNoClickProbability:
                 expected = math.exp(
                     -0.25 * abs(b * math.sin(angle)) ** 2 - 0.7 * abs(b * math.cos(angle)) ** 2
                 )
-                assert no_click_probability(rho, s, CFG) == pytest.approx(expected, abs=1e-9)
+                assert no_click(rho, s, CFG) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_in_efficiency(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = np.linspace(0.05, 0.95, 10)
         for angle, beta in ((0.4, 0.7), (0.9, -0.5 + 0.3j)):
             p_c = [
-                no_click_probability(rho, derive_setting(angle, beta, DetectorPair(nu, 0.55)), CFG)
+                no_click(rho, derive_setting(angle, beta, DetectorPair(nu, 0.55)), CFG)
                 for nu in grid
             ]
             p_d = [
-                no_click_probability(rho, derive_setting(angle, beta, DetectorPair(0.55, nu)), CFG)
+                no_click(rho, derive_setting(angle, beta, DetectorPair(0.55, nu)), CFG)
                 for nu in grid
             ]
             assert np.all(np.diff(p_c) <= 1e-12)
@@ -117,17 +126,17 @@ class TestNoClickProbability:
         vac = density_from_pure(fock_state(0, CFG))
         coh = density_from_pure(coherent_state(1.0, CFG))
         s_plain = derive_setting(0.3, 0.0, DetectorPair(0.8, 0.5))
-        assert no_click_probability(vac, s_plain, CFG) == 1.0
+        assert no_click(vac, s_plain, CFG) == 1.0
         # any signal photons or probe attenuation pull p below 1
-        assert no_click_probability(coh, s_plain, CFG) < 1.0
+        assert no_click(coh, s_plain, CFG) < 1.0
         s_probe = derive_setting(0.3, 0.7, DetectorPair(0.8, 0.5))
-        assert no_click_probability(vac, s_probe, CFG) < 1.0
+        assert no_click(vac, s_probe, CFG) < 1.0
 
     def test_schedule_probabilities_match_pointwise(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         sched = single_detector_schedule(0.7 + 0.2j, 0.15, homogeneous_efficiencies(10))
-        batch = schedule_probabilities(rho, sched, CFG)
-        single = [no_click_probability(rho, s, CFG) for s in sched.settings]
+        batch = schedule_noclick(rho, sched)
+        single = [no_click(rho, s) for s in sched.settings]
         np.testing.assert_allclose(batch, single, atol=1e-14)
 
 
@@ -188,51 +197,48 @@ class TestSchedules:
 
 
 class TestSampling:
-    def _setting(self):
-        return derive_setting(0.3, 0.5, DetectorPair(0.6, 0.0))
+    @staticmethod
+    def draw(p, n_runs, seed, stream_id):
+        return int(keyed_binomial(n_runs, np.array([p]), seed, np.array([stream_id]))[0])
 
     def test_saturated_probabilities(self):
-        s = self._setting()
-        assert sample_clicks(s, 1.0, 100, 0, 0).freq == 1.0
-        assert sample_clicks(s, 0.0, 100, 0, 0).freq == 0.0
+        assert self.draw(1.0, 100, 0, 0) / 100 == 1.0
+        assert self.draw(0.0, 100, 0, 0) / 100 == 0.0
 
     def test_determinism(self):
-        s = self._setting()
-        a = sample_clicks(s, 0.37, 10_000, 42, 7)
-        b = sample_clicks(s, 0.37, 10_000, 42, 7)
-        c = sample_clicks(s, 0.37, 10_000, 42, 8)
-        d = sample_clicks(s, 0.37, 10_000, 43, 7)
-        assert a.n_noclick == b.n_noclick
-        assert not (a.n_noclick == c.n_noclick == d.n_noclick)
+        a = self.draw(0.37, 10_000, 42, 7)
+        b = self.draw(0.37, 10_000, 42, 7)
+        c = self.draw(0.37, 10_000, 42, 8)
+        d = self.draw(0.37, 10_000, 43, 7)
+        assert a == b
+        assert not (a == c == d)
 
     def test_tuple_seed(self):
-        s = self._setting()
-        a = sample_clicks(s, 0.5, 1000, (5, 2), 3)
-        b = sample_clicks(s, 0.5, 1000, (5, 2), 3)
-        assert a.n_noclick == b.n_noclick
+        a = self.draw(0.5, 1000, (5, 2), 3)
+        b = self.draw(0.5, 1000, (5, 2), 3)
+        assert a == b
 
     def test_integer_counts(self):
-        rec = sample_clicks(self._setting(), 0.5, 1000, 1, 0)
-        assert rec.n_noclick == int(rec.n_noclick)
-        assert 0 <= rec.n_noclick <= 1000
+        counts = keyed_binomial(1000, np.array([0.5]), 1, np.array([0]))
+        assert counts.dtype.kind == "i"
+        assert 0 <= counts[0] <= 1000
 
     def test_five_sigma_band(self):
         # 5 sigma = 0.025 at p = 0.5, N = 1e4; each fixed seed is a frozen draw
-        s = self._setting()
         for seed in range(200):
-            freq = sample_clicks(s, 0.5, 10_000, seed, 0).freq
+            freq = self.draw(0.5, 10_000, seed, 0) / 10_000
             assert abs(freq - 0.5) <= 5.0 * math.sqrt(0.25 / 10_000)
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
-            sample_clicks(self._setting(), 1.5, 10, 0, 0)
+            self.draw(1.5, 10, 0, 0)
 
 
 class TestSimulateSchedule:
     def test_exact_mode_stores_expected_counts(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(12))
-        probs = schedule_probabilities(rho, recipe.build(0.3), CFG)
+        probs = schedule_noclick(rho, recipe.build(0.3))
         clicks = simulate(rho, [0.3], recipe, CFG, 1000, 0, 0, exact=True)
         for freq, p in zip(clicks.noclick[0] / clicks.n_runs[0], probs):
             assert freq == pytest.approx(p, abs=1e-16)
@@ -241,12 +247,12 @@ class TestSimulateSchedule:
         rho = density_from_pure(coherent_state(1.0, CFG))
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(5))
         sched = recipe.build(0.3)
-        probs = schedule_probabilities(rho, sched, CFG)
+        probs = schedule_noclick(rho, sched)
         clicks = simulate(rho, [0.3], recipe, CFG, 500, 9, 0, exact=False, offset=3)
         m = len(sched)
         for j, (n_noclick, p) in enumerate(zip(clicks.noclick[0], probs)):
-            ref = sample_clicks(sched.settings[j], float(p), 500, (9, 0), 3 * m + j)
-            assert n_noclick == ref.n_noclick
+            ref = keyed_binomial(500, np.array([p]), (9, 0), np.array([3 * m + j]))[0]
+            assert n_noclick == ref
 
     def test_offset_streams_match_default_rng(self):
         # point i of a slice starting at global index `offset` draws from
@@ -256,7 +262,7 @@ class TestSimulateSchedule:
         gammas = np.array([0.3, -0.2 + 0.4j])
         clicks = simulate(rho, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
         for i, g in enumerate(gammas):
-            probs = schedule_probabilities(rho, recipe.build(g), CFG)
+            probs = schedule_noclick(rho, recipe.build(g))
             for j, p in enumerate(probs):
                 rng = np.random.default_rng((4, 2, (11 + i) * 6 + j))
                 assert clicks.noclick[i, j] == rng.binomial(700, p)

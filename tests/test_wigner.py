@@ -138,13 +138,6 @@ class TestScanGrid:
             )
             assert abs(est.w_values.ravel()[k] - w) < 1e-12
 
-    def test_threads_do_not_change_results(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 4, 3)
-        one = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=800, seed=1, threads=1)
-        four = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=800, seed=1, threads=4)
-        np.testing.assert_allclose(one.w_values, four.w_values, atol=1e-12)
-
     def test_keep_r_tables(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-0.5, 0.5, -0.5, 0.5, 2, 2)
