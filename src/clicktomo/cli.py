@@ -64,20 +64,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _check_schedule(path, file_cfg: RunConfig, clicks) -> None:
-    """Every point must hold the settings that the file's own header declares."""
-    try:
-        settings = build_recipe(file_cfg).build(0.0).settings
-    except (ConfigError, ValueError) as exc:
-        raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    declared = np.array([(s.alpha, s.detectors.nu_c, s.detectors.nu_d) for s in settings])
-    stored = np.stack([clicks.alpha, clicks.nu_c, clicks.nu_d], axis=-1)
-    if stored.shape[1:] != declared.shape or np.any(stored != declared):
-        raise DataError(
-            f"{path}: settings per point differ from the {len(settings)} its embedded config declares"
-        )
-
-
 def cmd_reconstruct(args) -> int:
     """The wigner.csv header is the click files' embedded config; ``--config``
     contributes only the EM settings and the analytic-reference switch."""
@@ -93,18 +79,10 @@ def cmd_reconstruct(args) -> int:
             raise DataError(f"{path}: truncation differs from the run config")
         if file_cfg.state != cfg.state:
             raise DataError(f"{path}: [state] differs from the run config")
-        n_settings = clicks.noclick.shape[1]
-        if n_settings < cfg.trunc.n_trunc:
-            raise DataError(
-                f"{path}: {n_settings} settings per point, fewer than n_trunc = {cfg.trunc.n_trunc}"
-            )
-        _check_schedule(path, file_cfg, clicks)
         if first_cfg is None:
             first_cfg, gammas_ref = file_cfg, clicks.gammas
         elif file_cfg != first_cfg:
             raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
-        elif not np.array_equal(gammas_ref, clicks.gammas):
-            raise DataError(f"{path}: point set differs between records files")
         w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg)
         maps.append(w)
         logliks.append(ll)

@@ -72,6 +72,11 @@ class DetectorSpec:
     angle_min: float = 0.2
     angle_max: float = 1.2
 
+    @property
+    def n_settings(self) -> int:
+        """Settings per point: efficiencies in single mode, angles in dual mode."""
+        return self.n_efficiencies if self.mode == "single" else self.n_angles
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -184,11 +189,10 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the EM needs at least as many detector settings per point as unknowns
-    count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
-    n_settings = getattr(det, count_key)
-    if n_settings < trunc.n_trunc:
+    if det.n_settings < trunc.n_trunc:
+        count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
         raise ConfigError(
-            f"[detectors] {count_key} = {n_settings} is below n_trunc = {trunc.n_trunc}; "
+            f"[detectors] {count_key} = {det.n_settings} is below n_trunc = {trunc.n_trunc}; "
             "the EM needs at least n_trunc settings"
         )
 

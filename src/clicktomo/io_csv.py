@@ -4,6 +4,10 @@ Every output file starts with comment lines that embed the fully resolved
 configuration (and the repetition index for click files), so the exact run
 can be re-issued from the file alone.  Floating-point fields use 17
 significant digits and round-trip bit-for-bit.
+
+A click file (``# format = 2``) stores only the no-click count of each
+(point, setting); the embedded config is the authority for everything else,
+and the reader rebuilds the settings from it.
 """
 from __future__ import annotations
 
@@ -11,9 +15,9 @@ import json
 
 import numpy as np
 
-from .config import RunConfig, dump_config, parse_config
+from .config import RunConfig, build_recipe, dump_config, parse_config
 from .errors import ConfigError, DataError
-from .measurement import ClickArrays, DetectorPair, complex_array, derive_setting
+from .measurement import ClickArrays, complex_array, schedule_arrays
 
 __all__ = [
     "CLICK_COLUMNS",
@@ -29,20 +33,8 @@ __all__ = [
     "embedded_config",
 ]
 
-CLICK_COLUMNS = (
-    "point_index",
-    "re_gamma",
-    "im_gamma",
-    "alpha",
-    "re_beta",
-    "im_beta",
-    "nu_c",
-    "nu_d",
-    "nu_bar",
-    "y",
-    "n_runs",
-    "n_noclick",
-)
+CLICK_COLUMNS = ("point_index", "setting_index", "n_noclick")
+CLICK_FORMAT = "2"
 WIGNER_COLUMNS = ("re_gamma", "im_gamma", "w_rec", "w_exact", "w_variance", "em_final_loglik")
 RHO_COLUMNS = ("m", "n", "re", "im")
 
@@ -128,24 +120,30 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) -> None:
-    m = clicks.noclick.shape[1]
-    per_point = (np.arange(clicks.gammas.size), clicks.gammas.real, clicks.gammas.imag)
-    per_setting = (
-        clicks.alpha, clicks.beta.real, clicks.beta.imag, clicks.nu_c, clicks.nu_d,
-        clicks.nu_bar, clicks.y, clicks.n_runs, clicks.noclick,
-    )
-    columns = [[t for t in _texts(v) for _ in range(m)] for v in per_point]
-    columns += [_texts(v) for v in per_setting]
-    lines = _header_lines(dump_config(cfg), {"repetition": repetition})
+    """Counts only: one ``point_index,setting_index,n_noclick`` row per record, point-major.
+
+    The embedded config fixes every other field of a record, so none is stored.
+    """
+    p, m = clicks.noclick.shape
+    keys = [f"{i},{j}," for i in range(p) for j in range(m)]
+    lines = _header_lines(dump_config(cfg), {"repetition": repetition, "format": CLICK_FORMAT})
     lines.append(",".join(CLICK_COLUMNS))
-    lines.extend(map(",".join, zip(*columns)))
+    lines.extend(map(str.__add__, keys, _texts(clicks.noclick)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_table(path, columns: tuple[str, ...]) -> tuple[RunConfig, dict, np.ndarray]:
-    """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number."""
+def _read_table(path, columns: tuple[str, ...], fmt: "str | None" = None) -> tuple[RunConfig, dict, np.ndarray]:
+    """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number.
+
+    With ``fmt``, the file must carry a ``# format = <fmt>`` line.
+    """
     config_text, extras, found, body = _split_file(path)
+    if fmt is not None and extras.get("format") != fmt:
+        raise DataError(
+            f"{path}: old-format click file: expected '# format = {fmt}', "
+            f"found {extras.get('format', 'no format line')!r}"
+        )
     if tuple(found) != columns:
         raise DataError(f"{path}: unexpected columns {found}")
     cfg = _parse_embedded(path, config_text)
@@ -180,53 +178,48 @@ def _integers(path, column: np.ndarray, name: str, least: int = 0) -> np.ndarray
     return column.astype(np.int64)
 
 
+def _check_layout(path, point: np.ndarray, setting: np.ndarray, p: int, m: int) -> None:
+    """Rows must be the P x M (point, setting) pairs in point-major order; names the first row that is not."""
+    rows = point.size
+    k = min(rows, p * m)
+    # m may exceed every row count (and int64); below k + 1 it divides the same way
+    expected_point, expected_setting = np.divmod(np.arange(k), min(m, k + 1))
+    bad = np.flatnonzero((point[:k] != expected_point) | (setting[:k] != expected_setting))
+    if bad.size:
+        r = int(bad[0])
+        raise DataError(
+            f"{path}: row {r + 1}: point {point[r]}, setting {setting[r]}; "
+            f"expected point {expected_point[r]}, setting {expected_setting[r]}"
+        )
+    if rows != p * m:
+        raise DataError(
+            f"{path}: row {k + 1}: {'missing' if rows < p * m else 'extra'}; "
+            f"the embedded config declares {p} points x {m} settings"
+        )
+
+
 def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
-    """Read click records grouped by point; settings are re-derived and checked bit-for-bit."""
-    cfg, extras, data = _read_table(path, CLICK_COLUMNS)
+    """Read a format-2 click file; every field but the counts comes from its embedded config."""
+    cfg, extras, data = _read_table(path, CLICK_COLUMNS, CLICK_FORMAT)
     try:
         repetition = int(extras.get("repetition", 0))
     except ValueError as exc:
         raise DataError(f"{path}: repetition: {exc}") from exc
-    _, re_g, im_g, alpha, re_b, im_b, nu_c, nu_d, nu_bar, y, _, noclick = data.T
-    index = _integers(path, data[:, 0], "point_index")
-    n_runs = _integers(path, data[:, 10], "n_runs", least=1)
-    _reject(path, ~((noclick >= 0.0) & (noclick <= n_runs)), "n_noclick outside [0, n_runs]")
-
-    triples = np.ascontiguousarray(data[:, [3, 6, 7]])
-    # one 24-byte key per row: settings are grouped bit for bit
-    _, first, inverse = np.unique(triples.view("V24").ravel(), return_index=True, return_inverse=True)
-    derived = np.empty(first.size)
-    for u, (k, (a, c, d)) in enumerate(zip(first.tolist(), triples[first].tolist())):
-        try:
-            derived[u] = derive_setting(a, 0j, DetectorPair(c, d)).nu_bar
-        except ValueError as exc:
-            raise DataError(f"{path}: row {k + 1}: {exc}") from exc
-    nb = derived[inverse]
-    with np.errstate(all="ignore"):
-        y_derived = -np.float_power(np.hypot(re_b, im_b), 2.0) * nu_c * nu_d / nb
-    _reject(path, (nb != nu_bar) | (y_derived != y), "stored derived fields disagree with re-derivation")
-
-    order = np.argsort(index, kind="stable")
-    points, counts = np.unique(index[order], return_counts=True)
-    m = int(counts[0])
-    if np.any(counts != m):
-        u = int(np.argmax(counts != m))
-        raise DataError(f"{path}: point {points[u]} has {counts[u]} settings, expected {m}")
-    rows = order.reshape(points.size, m)
-    mixed = np.zeros(data.shape[0], dtype=bool)
-    mixed[rows] = (re_g[rows] != re_g[rows[:, :1]]) | (im_g[rows] != im_g[rows[:, :1]])
-    _reject(path, mixed, "point mixes gamma values")
-    other = np.max(np.abs(nb[rows] - nb[rows[0]]), axis=1) > 1e-12
-    if np.any(other):
-        raise DataError(
-            f"{path}: point {points[np.argmax(other)]} uses a different efficiency schedule"
-        )
-    alpha, nu_c, nu_d, nb, y, noclick, n_runs = (
-        f[rows] for f in (alpha, nu_c, nu_d, nb, y, noclick, n_runs)
+    point = _integers(path, data[:, 0], "point_index")
+    setting = _integers(path, data[:, 1], "setting_index")
+    p, m = cfg.grid.n_points, cfg.detectors.n_settings
+    _check_layout(path, point, setting, p, m)
+    noclick = data[:, 2]
+    _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)), "n_noclick outside [0, n_runs]")
+    gammas = cfg.grid.flat_gammas()
+    try:
+        alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(build_recipe(cfg), gammas)
+    except ValueError as exc:
+        raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
+    clicks = ClickArrays(
+        gammas, alpha, beta, nu_c, nu_d, nu_bar, y, noclick.reshape(p, m), np.full((p, m), cfg.n_runs)
     )
-    gammas = complex_array(re_g[rows[:, 0]], im_g[rows[:, 0]])
-    beta = complex_array(re_b[rows], im_b[rows])
-    return cfg, repetition, ClickArrays(gammas, alpha, beta, nu_c, nu_d, nb, y, noclick, n_runs)
+    return cfg, repetition, clicks
 
 
 def write_wigner_csv(

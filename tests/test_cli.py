@@ -264,25 +264,39 @@ def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, c
     path.write_text("\n".join(lines[:head] + kept) + "\n")
     code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
     assert code == 3
-    assert "5 settings per point, fewer than n_trunc = 12" in capsys.readouterr().err
+    assert "row 6: point 1, setting 0; expected point 0, setting 5" in capsys.readouterr().err
 
 
-def _drop_last_setting(head, body):
-    # 13 of the 14 settings at every point still cover n_trunc = 12
-    return head, [line for k, line in enumerate(body) if k % 14 != 13]
+def _drop_row(k):
+    return lambda head, body: (head, body[:k] + body[k + 1 :])
 
 
-def _header_alpha(value):
+def _repeat_row(k):
+    return lambda head, body: (head, body[: k + 1] + body[k:])
+
+
+def _header(key, value):
     def edit(head, body):
-        return [f"# alpha = {value}" if line.startswith("# alpha = ") else line for line in head], body
+        return [f"# {key} = {value}" if line.startswith(f"# {key} = ") else line for line in head], body
 
     return edit
 
 
+# an edit of the header or of the row layout -> message; every row's
+# (point, setting) must follow the schedule the header declares
 SCHEDULE_EDITS = {
-    "drop_last_setting": (_drop_last_setting, "differ from the 14 its embedded config declares"),
-    "other_header_alpha": (_header_alpha(0.3), "differ from the 14 its embedded config declares"),
-    "degenerate_header_alpha": (_header_alpha(0.0), "declares no valid schedule"),
+    "drop_last_setting": (
+        lambda head, body: (head, [line for k, line in enumerate(body) if k % 14 != 13]),
+        "row 14: point 1, setting 0; expected point 0, setting 13",
+    ),
+    "missing_row": (_drop_row(19), "row 20: point 1, setting 6; expected point 1, setting 5"),
+    "missing_last_row": (_drop_row(55), "row 56: missing; the embedded config declares 4 points x 14 settings"),
+    "duplicate_row": (_repeat_row(19), "row 21: point 1, setting 5; expected point 1, setting 6"),
+    "duplicate_last_row": (_repeat_row(55), "row 57: extra; the embedded config declares 4 points x 14 settings"),
+    "degenerate_header_alpha": (_header("alpha", 0.0), "declares no valid schedule"),
+    "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
+    "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
+    "fractional_runs": (_header("n_runs", 400.5), "embedded config: [run] n_runs: cannot parse '400.5' as int"),
 }
 
 
@@ -515,11 +529,11 @@ def test_negative_seed_in_config_exit_code(tmp_path, capsys):
 BAD_ROWS = {
     "noclick_above_runs": {"n_noclick": "401"},
     "noclick_negative": {"n_noclick": "-1"},
-    "runs_below_one": {"n_runs": "0", "n_noclick": "0"},
+    "noclick_nan": {"n_noclick": "nan"},
     "fractional_point_index": {"point_index": "3.5"},
-    "fractional_runs": {"n_runs": "400.5"},
-    "nu_bar_vanishes": {"alpha": "0", "nu_c": "0"},
-    "point_mixes_gamma": {"re_gamma": "0.25"},
+    "fractional_setting_index": {"setting_index": "13.5"},
+    "point_index_out_of_place": {"point_index": "2"},
+    "setting_index_out_of_place": {"setting_index": "12"},
 }
 
 
@@ -548,22 +562,22 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # Laguerre column w_exact; both were recorded while scipy still computed them.
 GOLDEN = {
     "sampled": (SMALL, [], {
-        "clicks.csv": "d457d5b3a7fa8c7573882ff9221cab7ef9afc77a8c8c12837706f1b7a7f62e67",
+        "clicks.csv": "81f9dc1501c9dffff2e1095de75eb5463a633496199de3e092311da9f6db2d57",
         "wigner.csv": "cff1d4cb73f1172309ab787dc3a1209db2b05414948c1e0fb60e2556c65bc98d",
         "rho.csv": "e2123ebb05180fbbfc5811310045b8603257e735ed001866de24688857f7d60e",
     }),
     "exact": (SMALL, ["--exact"], {
-        "clicks.csv": "58282c617e525395fb7df0940a2f561223f0105d139beb4f96d36b3b3912901c",
+        "clicks.csv": "9999938ba59434ee941fec6fd01bda19843fd7699122ad7f7152a2345de3a147",
         "wigner.csv": "3deb816186a249e0f92f638989c30cf40192dfc876f35850cc7009c26a16f4f9",
         "rho.csv": "7d65202837cc52dfddf09253be3375841190baf9baa9e079a8d5895ecb1fb14f",
     }),
     "dual": (DUAL, [], {
-        "clicks.csv": "8ef3d0cfe5e828532fea6d317c73092650468949d79149e30e644708cd9e6fa6",
+        "clicks.csv": "085ba5389fa8364141152950c88dafcf98df18319b7b7eadc3f60d7b36133566",
         "wigner.csv": "35aad34d07afb293894601691fc45a0a4aa8e195acceb557922f8a103c060f1b",
         "rho.csv": "f564458a1f01949b892d60bcbae560eef94a0708e63e7eecbae97222657454e0",
     }),
     "fock": (FOCK, [], {
-        "clicks.csv": "21cc51d88de6bb03280ce08b5854bbded8077c6488f1ce5b44bdbf9406a7466c",
+        "clicks.csv": "c0b21324cb26faaf35012eb5a3982440d5b0f0dec7fff6e7be2ec7ea881a4ef6",
         "wigner.csv": "f983a90df0cde1584ab658ccedee61494aacf940bbb7573ffad99773833dc352",
         "rho.csv": "199fbb1371424ea5ce54a5ebb54ab16448a59621638606db2c58fa458861bafc",
     }),

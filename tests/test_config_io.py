@@ -236,6 +236,17 @@ class TestClickCsv:
         with pytest.raises(DataError, match="row"):
             io_csv.read_click_csv(path)
 
+    def test_old_format_rejected(self, tmp_path):
+        # format 1 had no format line and stored every derived field per row
+        cfg = parse_config(BASE)
+        columns = "point_index,re_gamma,im_gamma,alpha,re_beta,im_beta,nu_c,nu_d,nu_bar,y,n_runs,n_noclick"
+        row = "0,-0.7375,-0.7375,0.15,4.9,4.9,0.1,0,0.0978,0,500,480"
+        lines = io_csv._header_lines(dump_config(cfg), {"repetition": 0}) + [columns, row]
+        path = tmp_path / "clicks.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="old-format click file: expected '# format = 2'"):
+            io_csv.read_click_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "clicks.csv"
         path.write_text(",".join(io_csv.CLICK_COLUMNS) + "\n")
