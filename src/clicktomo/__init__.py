@@ -37,10 +37,10 @@ from .measurement import (
     Setting,
     SettingSchedule,
     SingleDetectorRecipe,
+    binomial_counts,
     derive_setting,
     dual_detector_schedule,
     homogeneous_efficiencies,
-    keyed_binomial,
     no_click_probabilities,
     schedule_arrays,
     simulate,

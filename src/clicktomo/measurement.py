@@ -38,7 +38,7 @@ __all__ = [
     "ClickArrays",
     "schedule_arrays",
     "no_click_probabilities",
-    "keyed_binomial",
+    "binomial_counts",
     "simulate",
 ]
 
@@ -287,84 +287,20 @@ def no_click_probabilities(
     return np.clip(np.exp(y) * series, 0.0, 1.0)
 
 
-# numpy's SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx, pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
 def _seed_key(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
     return (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
 
 
-def _seed_words(entropy: np.ndarray) -> list[list[int]]:
-    """Rows of uint32 entropy -> ``SeedSequence(row).generate_state(4, uint64)`` per row."""
-    hash_const = _INIT_A
+def binomial_counts(n_runs: int, probs: np.ndarray, key: "tuple[int, ...]", offset: int = 0) -> np.ndarray:
+    """Binomial(n_runs, probs[i, j]) counts; row i comes from ``np.random.default_rng(key + (offset + i,))``.
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    rows, length = entropy.shape
-    pool = [hashmix(entropy[:, i] if i < length else np.zeros(rows, np.uint32)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, length):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    hash_const = _INIT_B
-    state = np.empty((rows, 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64).tolist()
-
-
-def keyed_binomial(
-    n_runs: int, p: np.ndarray, seed: "int | tuple[int, ...]", stream_ids: np.ndarray
-) -> np.ndarray:
-    """Binomial(n_runs, p[k]) drawn from ``np.random.default_rng(seed + (stream_ids[k],))``.
-
-    Bit for bit the same draws, without one SeedSequence per key: every key
-    is hashed at once in uint32 arithmetic, each hash is turned into the
-    PCG64 (state, inc) pair the way ``pcg64_set_seed`` does, and one reused
-    generator draws from it.
+    One generator per row keeps rows independent, so ``offset`` (the global
+    index of the first row) makes any split of the rows draw the same counts.
     """
-    key = _seed_key(seed)
-    if min(key) < 0:
-        raise ValueError("expected non-negative integer")
-    # little-endian 32-bit words of each int, as SeedSequence splits them
-    base = [(v >> shift) & _MASK32 for v in key for shift in range(0, max(v.bit_length(), 1), 32)]
-    streams = np.asarray(stream_ids, dtype=np.uint64).ravel()
-    p = np.asarray(p, dtype=float).ravel()
-    low, high = streams & np.uint64(_MASK32), streams >> np.uint64(32)
-    out = np.empty(streams.size, dtype=np.int64)
-    bitgen = np.random.PCG64()
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for wide in (False, True):  # a stream id of 2**32 or more is two words
-        group = np.flatnonzero((high > 0) == wide)
-        words = [np.tile(base, (group.size, 1)), low[group, None], high[group, None]]
-        entropy = np.hstack(words[: 3 if wide else 2]).astype(np.uint32)
-        for k, (s_hi, s_lo, i_hi, i_lo) in zip(group.tolist(), _seed_words(entropy)):
-            inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-            state["state"] = {"state": ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-            bitgen.state = state
-            out[k] = gen.binomial(n_runs, p[k])
+    probs = np.asarray(probs, dtype=float)
+    out = np.empty(probs.shape, dtype=np.int64)
+    for i, p in enumerate(probs):
+        out[i] = np.random.default_rng(key + (int(offset) + i,)).binomial(n_runs, p)
     return out
 
 
@@ -381,7 +317,7 @@ def simulate(
 ) -> ClickArrays:
     """Measure every point's schedule: exact probabilities, then (optionally) sampling.
 
-    Point i draws from the streams keyed (seed, repetition, (offset + i) * M + j),
+    Point i draws its M counts from the stream keyed (seed, repetition, offset + i),
     so ``offset`` (the global index of the first point) keeps a point's
     counts the same however a grid is split.
     """
@@ -391,8 +327,6 @@ def simulate(
     if exact:
         noclick = probs * n_runs
     else:
-        m = np.uint64(y.shape[1])
-        streams = (offset + np.arange(g.size, dtype=np.uint64)[:, None]) * m + np.arange(m)
-        noclick = keyed_binomial(int(n_runs), probs, _seed_key(seed) + (int(repetition),), streams)
-        noclick = noclick.reshape(y.shape).astype(float)
+        key = _seed_key(seed) + (int(repetition),)
+        noclick = binomial_counts(int(n_runs), probs, key, offset).astype(float)
     return ClickArrays(g, alpha, beta, nu_c, nu_d, nu_bar, y, noclick, np.full(y.shape, int(n_runs)))

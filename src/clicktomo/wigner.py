@@ -188,7 +188,7 @@ def scan_grid(
 ) -> WignerEstimate:
     """Reconstruct the Wigner function on every grid node.
 
-    Randomness is keyed by (seed, repetition, point_index * M + j), so points
+    Randomness is keyed by (seed, repetition, point_index), so points
     share no state and scans reproduce bit-for-bit for a fixed seed.  A
     failed node is recorded and left NaN; the scan continues.
     """

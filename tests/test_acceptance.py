@@ -15,6 +15,7 @@ from clicktomo import (
     SingleDetectorRecipe,
     TruncationConfig,
     WignerEstimate,
+    binomial_counts,
     coherent_state,
     coherent_wigner,
     compare_states,
@@ -27,7 +28,6 @@ from clicktomo import (
     fock_state,
     homogeneous_efficiencies,
     integrate_rho,
-    keyed_binomial,
     no_click_probabilities,
     run_em_batch,
     scan_grid,
@@ -239,8 +239,8 @@ def test_criterion_8_property_suites():
 
     # sampling determinism
     same = (
-        keyed_binomial(5000, np.array([0.4]), 12, np.array([3]))[0]
-        == keyed_binomial(5000, np.array([0.4]), 12, np.array([3]))[0]
+        binomial_counts(5000, np.array([[0.4]]), (12,), 3)[0, 0]
+        == binomial_counts(5000, np.array([[0.4]]), (12,), 3)[0, 0]
     )
     checks.append(("sampling determinism", bool(same)))
 

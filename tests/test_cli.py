@@ -556,15 +556,17 @@ def test_bad_click_row_is_a_data_error(small_cfg, tmp_path, capsys, edit):
 DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_angles = 14")
 FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1")
 
-# sha256 of the outputs of the SMALL config, recorded before the click
-# pipeline worked on arrays; any change here changes every downstream file.
-# rho.csv pins the quadrature kernel and the fock case pins the analytic
-# Laguerre column w_exact; both were recorded while scipy still computed them.
+# sha256 of the outputs of the SMALL config; any change here changes every
+# downstream file.  The exact case's wigner.csv and rho.csv date from before
+# the click pipeline worked on arrays, while scipy still computed the
+# quadrature kernel; the sampled cases were re-pinned when each point got one
+# generator, and every clicks.csv when click files became counts-only.  The
+# fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
-        "clicks.csv": "81f9dc1501c9dffff2e1095de75eb5463a633496199de3e092311da9f6db2d57",
-        "wigner.csv": "cff1d4cb73f1172309ab787dc3a1209db2b05414948c1e0fb60e2556c65bc98d",
-        "rho.csv": "e2123ebb05180fbbfc5811310045b8603257e735ed001866de24688857f7d60e",
+        "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
+        "wigner.csv": "6d213fee3864f86ce1bb458bc7b2cdd7b4335090b12592d0b7fd03e54459609f",
+        "rho.csv": "227c09d14eb60ed5d56c12f543759d871ba07e4da32bb165944a28425bb474b2",
     }),
     "exact": (SMALL, ["--exact"], {
         "clicks.csv": "9999938ba59434ee941fec6fd01bda19843fd7699122ad7f7152a2345de3a147",
@@ -572,14 +574,14 @@ GOLDEN = {
         "rho.csv": "7d65202837cc52dfddf09253be3375841190baf9baa9e079a8d5895ecb1fb14f",
     }),
     "dual": (DUAL, [], {
-        "clicks.csv": "085ba5389fa8364141152950c88dafcf98df18319b7b7eadc3f60d7b36133566",
-        "wigner.csv": "35aad34d07afb293894601691fc45a0a4aa8e195acceb557922f8a103c060f1b",
-        "rho.csv": "f564458a1f01949b892d60bcbae560eef94a0708e63e7eecbae97222657454e0",
+        "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",
+        "wigner.csv": "2c1d73366e888b911c4d68eea41e2d911fb059acc558f28c9c6fac99e1861702",
+        "rho.csv": "4cb108ef0cc892e3cbcff7c34ca1828e169a077f960ef58c6d6d8cefb02e13f0",
     }),
     "fock": (FOCK, [], {
-        "clicks.csv": "c0b21324cb26faaf35012eb5a3982440d5b0f0dec7fff6e7be2ec7ea881a4ef6",
-        "wigner.csv": "f983a90df0cde1584ab658ccedee61494aacf940bbb7573ffad99773833dc352",
-        "rho.csv": "199fbb1371424ea5ce54a5ebb54ab16448a59621638606db2c58fa458861bafc",
+        "clicks.csv": "8f86cbb518de3aeb4fa37c5d66f3a0760d48f7a9f86e46bd7e01f0aa8405dc56",
+        "wigner.csv": "4984359a5381e4153be88831505a302b70c339a5bd86324b64842a05699d1002",
+        "rho.csv": "ff62b374d49291df1b8f1036c7ea9cb422b01c5abf6eb17988de1ebd1a708ab6",
     }),
 }
 

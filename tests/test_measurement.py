@@ -13,8 +13,8 @@ from clicktomo import (
     derive_setting,
     dual_detector_schedule,
     fock_state,
+    binomial_counts,
     homogeneous_efficiencies,
-    keyed_binomial,
     no_click_probabilities,
     schedule_arrays,
     simulate,
@@ -199,7 +199,8 @@ class TestSchedules:
 class TestSampling:
     @staticmethod
     def draw(p, n_runs, seed, stream_id):
-        return int(keyed_binomial(n_runs, np.array([p]), seed, np.array([stream_id]))[0])
+        key = (seed,) if isinstance(seed, int) else seed
+        return int(binomial_counts(n_runs, np.array([[p]]), key, stream_id)[0, 0])
 
     def test_saturated_probabilities(self):
         assert self.draw(1.0, 100, 0, 0) / 100 == 1.0
@@ -219,9 +220,9 @@ class TestSampling:
         assert a == b
 
     def test_integer_counts(self):
-        counts = keyed_binomial(1000, np.array([0.5]), 1, np.array([0]))
+        counts = binomial_counts(1000, np.array([[0.5]]), (1,))
         assert counts.dtype.kind == "i"
-        assert 0 <= counts[0] <= 1000
+        assert 0 <= counts[0, 0] <= 1000
 
     def test_five_sigma_band(self):
         # 5 sigma = 0.025 at p = 0.5, N = 1e4; each fixed seed is a frozen draw
@@ -249,34 +250,33 @@ class TestSimulateSchedule:
         sched = recipe.build(0.3)
         probs = schedule_noclick(rho, sched)
         clicks = simulate(rho, [0.3], recipe, CFG, 500, 9, 0, exact=False, offset=3)
-        m = len(sched)
-        for j, (n_noclick, p) in enumerate(zip(clicks.noclick[0], probs)):
-            ref = keyed_binomial(500, np.array([p]), (9, 0), np.array([3 * m + j]))[0]
-            assert n_noclick == ref
+        ref = binomial_counts(500, probs[None, :], (9, 0), 3)[0]
+        assert clicks.noclick[0].tolist() == ref.tolist()
 
     def test_offset_streams_match_default_rng(self):
-        # point i of a slice starting at global index `offset` draws from
-        # default_rng((seed, repetition, (offset + i) * M + j))
+        # point i of a slice starting at global index `offset` draws its M
+        # counts from default_rng((seed, repetition, offset + i))
         rho = density_from_pure(coherent_state(1.0, CFG))
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(6))
         gammas = np.array([0.3, -0.2 + 0.4j])
         clicks = simulate(rho, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
         for i, g in enumerate(gammas):
             probs = schedule_noclick(rho, recipe.build(g))
-            for j, p in enumerate(probs):
-                rng = np.random.default_rng((4, 2, (11 + i) * 6 + j))
-                assert clicks.noclick[i, j] == rng.binomial(700, p)
+            rng = np.random.default_rng((4, 2, 11 + i))
+            assert clicks.noclick[i].tolist() == rng.binomial(700, probs).tolist()
 
 
 class TestKeyedBinomial:
+    """Row i of ``binomial_counts`` is the generator keyed ``key + (offset + i,)``."""
+
     @pytest.mark.parametrize("seed", [0, 2**32 + 7, (3, 2**40, 5, 6)], ids=["zero", "wide", "five-words"])
     def test_matches_default_rng_bit_for_bit(self, seed):
         key = (seed,) if isinstance(seed, int) else seed
-        streams = np.array([0, 1, 17, 2**32 - 1, 2**32, 2**45 + 3], dtype=np.uint64)
-        p = np.array([0.0, 1.0, 0.37, 0.5, 0.999, 1e-3])
-        got = keyed_binomial(10_000, p, seed, streams)
-        ref = [np.random.default_rng(key + (int(s),)).binomial(10_000, q) for s, q in zip(streams, p)]
-        assert got.tolist() == ref
+        p = np.array([[0.0, 1.0, 0.37], [0.5, 0.999, 1e-3]])
+        for offset in (0, 17, 2**32 - 1, 2**45 + 3):
+            got = binomial_counts(10_000, p, key, offset)
+            ref = [np.random.default_rng(key + (offset + i,)).binomial(10_000, row).tolist() for i, row in enumerate(p)]
+            assert got.tolist() == ref
 
 
 class TestScheduleArrays:
