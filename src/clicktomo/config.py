@@ -8,6 +8,7 @@ is the identity on the resolved configuration.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .em import NORMALIZATION_MODES
@@ -146,9 +147,12 @@ def _convert(section: str, key: str, raw: str, typ):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -239,17 +243,24 @@ def build_state(cfg: RunConfig) -> DensityMatrix:
 
 
 def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":
+    """The configured recipe; one whose schedule cannot be built is a ConfigError."""
     det = cfg.detectors
-    if det.mode == "single":
-        effs = homogeneous_efficiencies(det.n_efficiencies, det.efficiency_min, det.efficiency_max)
-        return SingleDetectorRecipe(alpha=det.alpha, efficiencies=effs)
-    if det.angle_min >= det.angle_max:
-        raise ConfigError("[detectors] angle_min must be below angle_max")
-    angles = tuple(
-        det.angle_min + (det.angle_max - det.angle_min) * k / (det.n_angles - 1)
-        for k in range(det.n_angles)
-    )
-    return DualDetectorRecipe(detectors=DetectorPair(det.nu_c, det.nu_d), angles=angles)
+    try:
+        if det.mode == "single":
+            effs = homogeneous_efficiencies(det.n_efficiencies, det.efficiency_min, det.efficiency_max)
+            recipe = SingleDetectorRecipe(alpha=det.alpha, efficiencies=effs)
+        else:
+            if det.angle_min >= det.angle_max:
+                raise ValueError("angle_min must be below angle_max")
+            angles = tuple(
+                det.angle_min + (det.angle_max - det.angle_min) * k / (det.n_angles - 1)
+                for k in range(det.n_angles)
+            )
+            recipe = DualDetectorRecipe(detectors=DetectorPair(det.nu_c, det.nu_d), angles=angles)
+        recipe.build(0.0)
+    except ValueError as exc:
+        raise ConfigError(f"[detectors] mode = {det.mode}: {exc}") from exc
+    return recipe
 
 
 def analytic_wigner_fn(cfg: RunConfig):

@@ -43,18 +43,19 @@ _CONFIG_END = "# config-end"
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
-def _header_lines(config_text: str, extra: "dict | None" = None) -> list[str]:
+def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "dict | None" = None) -> None:
+    """The embedded config, one ``# key = value`` line per extra, the column names, then the rows."""
     lines = [_CONFIG_BEGIN]
-    lines += [f"# {row}" if row else "#" for row in config_text.rstrip("\n").split("\n")]
+    lines += [f"# {row}" if row else "#" for row in dump_config(cfg).rstrip("\n").split("\n")]
     lines.append(_CONFIG_END)
-    for key, value in (extra or {}).items():
-        lines.append(f"# {key} = {value}")
-    return lines
+    lines += [f"# {key} = {value}" for key, value in (extra or {}).items()]
+    lines.append(",".join(columns))
+    lines.extend(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
@@ -108,17 +109,6 @@ def embedded_config(path) -> str:
     return _split_file(path)[0]
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every element; each distinct value is formatted once.
-
-    Floats are grouped by bit pattern, so -0.0 and 0.0 keep their own text.
-    """
-    flat = np.ascontiguousarray(values).ravel()
-    keys = flat.view(np.uint64) if flat.dtype == np.float64 else flat
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.array([_fmt(v) for v in flat[first].tolist()], dtype=object)[inverse].tolist()
-
-
 def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) -> None:
     """Counts only: one ``point_index,setting_index,n_noclick`` row per record, point-major.
 
@@ -126,14 +116,13 @@ def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) 
     """
     p, m = clicks.noclick.shape
     keys = [f"{i},{j}," for i in range(p) for j in range(m)]
-    lines = _header_lines(dump_config(cfg), {"repetition": repetition, "format": CLICK_FORMAT})
-    lines.append(",".join(CLICK_COLUMNS))
-    lines.extend(map(str.__add__, keys, _texts(clicks.noclick)))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = map(str.__add__, keys, map(_fmt, clicks.noclick.ravel().tolist()))
+    _write_table(path, cfg, CLICK_COLUMNS, rows, {"repetition": repetition, "format": CLICK_FORMAT})
 
 
-def _read_table(path, columns: tuple[str, ...], fmt: "str | None" = None) -> tuple[RunConfig, dict, np.ndarray]:
+def _read_table(
+    path, columns: tuple[str, ...], fmt: "str | None" = None
+) -> tuple[RunConfig, dict, np.ndarray]:
     """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number.
 
     With ``fmt``, the file must carry a ``# format = <fmt>`` line.
@@ -178,26 +167,6 @@ def _integers(path, column: np.ndarray, name: str, least: int = 0) -> np.ndarray
     return column.astype(np.int64)
 
 
-def _check_layout(path, point: np.ndarray, setting: np.ndarray, p: int, m: int) -> None:
-    """Rows must be the P x M (point, setting) pairs in point-major order; names the first row that is not."""
-    rows = point.size
-    k = min(rows, p * m)
-    # m may exceed every row count (and int64); below k + 1 it divides the same way
-    expected_point, expected_setting = np.divmod(np.arange(k), min(m, k + 1))
-    bad = np.flatnonzero((point[:k] != expected_point) | (setting[:k] != expected_setting))
-    if bad.size:
-        r = int(bad[0])
-        raise DataError(
-            f"{path}: row {r + 1}: point {point[r]}, setting {setting[r]}; "
-            f"expected point {expected_point[r]}, setting {expected_setting[r]}"
-        )
-    if rows != p * m:
-        raise DataError(
-            f"{path}: row {k + 1}: {'missing' if rows < p * m else 'extra'}; "
-            f"the embedded config declares {p} points x {m} settings"
-        )
-
-
 def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     """Read a format-2 click file; every field but the counts comes from its embedded config."""
     cfg, extras, data = _read_table(path, CLICK_COLUMNS, CLICK_FORMAT)
@@ -208,17 +177,21 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     point = _integers(path, data[:, 0], "point_index")
     setting = _integers(path, data[:, 1], "setting_index")
     p, m = cfg.grid.n_points, cfg.detectors.n_settings
-    _check_layout(path, point, setting, p, m)
+    k = min(len(data), p * m)
+    # m may exceed every row count (and int64); below k + 1 it divides the same way
+    expected_point, expected_setting = np.divmod(np.arange(k), min(m, k + 1))
+    order = f"the point-major order of the {p} points x {m} settings the embedded config declares"
+    _reject(path, (point[:k] != expected_point) | (setting[:k] != expected_setting), f"out of {order}")
+    if len(data) != p * m:
+        raise DataError(f"{path}: row {k + 1}: {'missing' if k < p * m else 'extra'} in {order}")
     noclick = data[:, 2]
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)), "n_noclick outside [0, n_runs]")
     gammas = cfg.grid.flat_gammas()
     try:
-        alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(build_recipe(cfg), gammas)
+        *_, nu_bar, y = schedule_arrays(build_recipe(cfg), gammas)
     except ValueError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    clicks = ClickArrays(
-        gammas, alpha, beta, nu_c, nu_d, nu_bar, y, noclick.reshape(p, m), np.full((p, m), cfg.n_runs)
-    )
+    clicks = ClickArrays(gammas, nu_bar, y, noclick.reshape(p, m), np.full((p, m), cfg.n_runs))
     return cfg, repetition, clicks
 
 
@@ -237,20 +210,16 @@ def write_wigner_csv(
     ex = nan if w_exact is None else np.asarray(w_exact, dtype=float).ravel()
     var = nan if w_variance is None else np.asarray(w_variance, dtype=float).ravel()
     ll = nan if loglik is None else np.asarray(loglik, dtype=float).ravel()
-    lines = _header_lines(dump_config(cfg))
-    lines.append(",".join(WIGNER_COLUMNS))
-    for g, w, e, v, l in zip(flat_g, flat_w, ex, var, ll):
-        lines.append(
-            ",".join((_fmt(g.real), _fmt(g.imag), _fmt(w), _fmt(e), _fmt(v), _fmt(l)))
-        )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        ",".join(map(_fmt, (g.real, g.imag, *values))) for g, *values in zip(flat_g, flat_w, ex, var, ll)
+    )
+    _write_table(path, cfg, WIGNER_COLUMNS, rows)
 
 
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
     """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / loglik)."""
     cfg, _, data = _read_table(path, WIGNER_COLUMNS)
-    gammas = data[:, 0] + 1j * data[:, 1]
+    gammas = complex_array(data[:, 0], data[:, 1])
     cols = {
         "w_rec": data[:, 2],
         "w_exact": data[:, 3],
@@ -262,15 +231,8 @@ def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]
 
 def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
     rho = np.asarray(elements)
-    lines = _header_lines(dump_config(cfg))
-    lines.append(",".join(RHO_COLUMNS))
-    for m in range(rho.shape[0]):
-        for n in range(rho.shape[1]):
-            lines.append(
-                ",".join((str(m), str(n), _fmt(rho[m, n].real), _fmt(rho[m, n].imag)))
-            )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (f"{m},{n},{_fmt(v.real)},{_fmt(v.imag)}" for (m, n), v in np.ndenumerate(rho))
+    _write_table(path, cfg, RHO_COLUMNS, rows)
 
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:

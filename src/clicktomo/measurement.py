@@ -205,10 +205,6 @@ class ClickArrays:
     """
 
     gammas: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    nu_c: np.ndarray
-    nu_d: np.ndarray
     nu_bar: np.ndarray
     y: np.ndarray
     noclick: np.ndarray
@@ -322,11 +318,11 @@ def simulate(
     counts the same however a grid is split.
     """
     g = np.asarray(gammas, dtype=complex).ravel()
-    alpha, beta, nu_c, nu_d, nu_bar, y = schedule_arrays(recipe, g)
+    *_, nu_bar, y = schedule_arrays(recipe, g)
     probs = no_click_probabilities(rho, g, nu_bar[0], y, trunc)
     if exact:
         noclick = probs * n_runs
     else:
         key = _seed_key(seed) + (int(repetition),)
         noclick = binomial_counts(int(n_runs), probs, key, offset).astype(float)
-    return ClickArrays(g, alpha, beta, nu_c, nu_d, nu_bar, y, noclick, np.full(y.shape, int(n_runs)))
+    return ClickArrays(g, nu_bar, y, noclick, np.full(y.shape, int(n_runs)))

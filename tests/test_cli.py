@@ -264,7 +264,7 @@ def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, c
     path.write_text("\n".join(lines[:head] + kept) + "\n")
     code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
     assert code == 3
-    assert "row 6: point 1, setting 0; expected point 0, setting 5" in capsys.readouterr().err
+    assert "row 6: out of the point-major order of the 4 points x 14 settings" in capsys.readouterr().err
 
 
 def _drop_row(k):
@@ -287,12 +287,12 @@ def _header(key, value):
 SCHEDULE_EDITS = {
     "drop_last_setting": (
         lambda head, body: (head, [line for k, line in enumerate(body) if k % 14 != 13]),
-        "row 14: point 1, setting 0; expected point 0, setting 13",
+        "row 14: out of the point-major order",
     ),
-    "missing_row": (_drop_row(19), "row 20: point 1, setting 6; expected point 1, setting 5"),
-    "missing_last_row": (_drop_row(55), "row 56: missing; the embedded config declares 4 points x 14 settings"),
-    "duplicate_row": (_repeat_row(19), "row 21: point 1, setting 5; expected point 1, setting 6"),
-    "duplicate_last_row": (_repeat_row(55), "row 57: extra; the embedded config declares 4 points x 14 settings"),
+    "missing_row": (_drop_row(19), "row 20: out of the point-major order"),
+    "missing_last_row": (_drop_row(55), "row 56: missing in the point-major order of the 4 points x 14 settings"),
+    "duplicate_row": (_repeat_row(19), "row 21: out of the point-major order"),
+    "duplicate_last_row": (_repeat_row(55), "row 57: extra in the point-major order of the 4 points x 14 settings"),
     "degenerate_header_alpha": (_header("alpha", 0.0), "declares no valid schedule"),
     "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
@@ -328,6 +328,30 @@ def test_state_that_does_not_fit_is_a_config_error(tmp_path, capsys, state):
     path.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", state))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error: [state]" in capsys.readouterr().err
+
+
+NON_FINITE = {
+    "alpha_nan": ("alpha = 0.15", "alpha = nan"),
+    "re_amplitude_nan": ("re_amplitude = 1.0", "re_amplitude = nan"),
+    "efficiency_min_nan": ("n_efficiencies = 14", "n_efficiencies = 14\nefficiency_min = nan"),
+    "alpha_inf": ("alpha = 0.15", "alpha = inf"),
+}
+
+
+@pytest.mark.parametrize("edit", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_float_is_a_config_error(tmp_path, capsys, edit):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace(*edit))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "clicks.csv").exists()
+
+
+def test_schedule_that_cannot_be_built_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace("alpha = 0.15", "alpha = 0"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error: [detectors] mode = single: alpha = 0.0 is degenerate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clicktomo import TruncationConfig, coherent_state, density_from_pure, simulate
 from clicktomo.config import (
@@ -17,7 +19,7 @@ from clicktomo.config import (
 from clicktomo.em import NORMALIZATION_MODES
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
-from clicktomo.measurement import SingleDetectorRecipe
+from clicktomo.measurement import SingleDetectorRecipe, complex_array
 
 BASE = """
 [state]
@@ -239,11 +241,12 @@ class TestClickCsv:
     def test_old_format_rejected(self, tmp_path):
         # format 1 had no format line and stored every derived field per row
         cfg = parse_config(BASE)
+        path = tmp_path / "clicks.csv"
+        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        head = [line for line in path.read_text().splitlines() if line.startswith("#") and line != "# format = 2"]
         columns = "point_index,re_gamma,im_gamma,alpha,re_beta,im_beta,nu_c,nu_d,nu_bar,y,n_runs,n_noclick"
         row = "0,-0.7375,-0.7375,0.15,4.9,4.9,0.1,0,0.0978,0,500,480"
-        lines = io_csv._header_lines(dump_config(cfg), {"repetition": 0}) + [columns, row]
-        path = tmp_path / "clicks.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(head + [columns, row]) + "\n")
         with pytest.raises(DataError, match="old-format click file: expected '# format = 2'"):
             io_csv.read_click_csv(path)
 
@@ -319,3 +322,50 @@ class TestRhoCsv:
         cfg2, back = io_csv.read_rho_csv(path)
         assert cfg2 == cfg
         np.testing.assert_array_equal(back, mat)
+
+
+def same_bits(got, want) -> bool:
+    """Equal bit patterns, except that NaN matches any NaN: the text 'nan' keeps no sign or payload."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return bool(
+        np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    )
+
+
+# every float: -0.0, subnormals, infinities and NaN included
+WIGNER_ROWS = st.lists(st.tuples(*[st.floats()] * 6), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=WIGNER_ROWS)
+@example(rows=[(-0.0, 5e-324, -0.0, math.nan, -1e-310, math.nan), (0.0, -0.0, 2.5e-320, -0.0, math.nan, -5e-324)])
+def test_wigner_csv_floats_survive_bit_for_bit(rows):
+    re_g, im_g, w_rec, w_exact, w_variance, loglik = map(np.array, zip(*rows))
+    cfg = parse_config(BASE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wigner.csv"
+        io_csv.write_wigner_csv(
+            path, cfg, complex_array(re_g, im_g), w_rec, w_exact=w_exact, w_variance=w_variance, loglik=loglik
+        )
+        _, gammas, cols = io_csv.read_wigner_csv(path)
+    assert same_bits(gammas.real, re_g) and same_bits(gammas.imag, im_g)
+    for name, want in zip(io_csv.WIGNER_COLUMNS[2:], (w_rec, w_exact, w_variance, loglik)):
+        assert same_bits(cols[name], want), name
+
+
+RHO_PARTS = st.integers(1, 5).flatmap(lambda n: arrays(float, (2, n, n), elements=st.floats()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=RHO_PARTS)
+@example(parts=np.array([-0.0, 5e-324, 0.0, -2.5e-320, math.nan, -0.0, 1e-310, -math.inf]).reshape(2, 2, 2))
+def test_rho_csv_floats_survive_bit_for_bit(parts):
+    re, im = parts
+    cfg = parse_config(BASE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rho.csv"
+        io_csv.write_rho_csv(path, cfg, complex_array(re, im))
+        _, rho = io_csv.read_rho_csv(path)
+    assert same_bits(rho.real, re) and same_bits(rho.imag, im)

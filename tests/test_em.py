@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clicktomo import (
     DensityMatrix,
@@ -352,3 +355,27 @@ class TestBatchBitIdentity:
             assert 0 < want.failed.sum() < want.failed.size
         if cfg.early_stop_tol is not None:
             assert want.trace_loglik.shape[0] < cfg.n_iterations
+
+
+@st.composite
+def em_problems(draw):
+    """Random positive kernels: nu_bar in (0, 1], e^y in (0, 1], frequencies in [0, 1]."""
+    n_trunc = draw(st.integers(2, 12))
+    m = draw(st.integers(n_trunc, n_trunc + 8))
+    rows = draw(st.integers(1, 4))
+    unit = st.floats(1e-3, 1.0)
+    nu_bar = draw(arrays(float, m, elements=unit))
+    ey = draw(arrays(float, (rows, m), elements=unit))
+    freqs = draw(arrays(float, (rows, m), elements=st.floats(0.0, 1.0)))
+    return freqs, nu_bar, ey, n_trunc, draw(st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=em_problems())
+def test_batch_stays_positive_and_normalized(problem):
+    freqs, nu_bar, ey, n_trunc, iterations = problem
+    result = run_em_batch(freqs, nu_bar, ey, n_trunc, EMConfig(n_iterations=iterations))
+    live = ~result.failed
+    assert np.all(result.values[live] >= 0.0)
+    np.testing.assert_allclose(result.values[live].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(np.isnan(result.values[result.failed]))
