@@ -267,6 +267,11 @@ def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, c
     assert "row 6: out of the point-major order of the 4 points x 14 settings" in capsys.readouterr().err
 
 
+def _drop_last_setting(head, body):
+    # 13 of the 14 settings at every point still cover n_trunc = 12
+    return head, [line for k, line in enumerate(body) if k % 14 != 13]
+
+
 def _drop_row(k):
     return lambda head, body: (head, body[:k] + body[k + 1 :])
 
@@ -285,18 +290,15 @@ def _header(key, value):
 # an edit of the header or of the row layout -> message; every row's
 # (point, setting) must follow the schedule the header declares
 SCHEDULE_EDITS = {
-    "drop_last_setting": (
-        lambda head, body: (head, [line for k, line in enumerate(body) if k % 14 != 13]),
-        "row 14: out of the point-major order",
-    ),
+    "drop_last_setting": (_drop_last_setting, "row 14: out of the point-major order"),
     "missing_row": (_drop_row(19), "row 20: out of the point-major order"),
-    "missing_last_row": (_drop_row(55), "row 56: missing in the point-major order of the 4 points x 14 settings"),
+    "missing_last_row": (_drop_row(55), "row 56: missing in the point-major order of the 4 points x 14"),
     "duplicate_row": (_repeat_row(19), "row 21: out of the point-major order"),
-    "duplicate_last_row": (_repeat_row(55), "row 57: extra in the point-major order of the 4 points x 14 settings"),
+    "duplicate_last_row": (_repeat_row(55), "row 57: extra in the point-major order of the 4 points x 14"),
     "degenerate_header_alpha": (_header("alpha", 0.0), "declares no valid schedule"),
     "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
-    "fractional_runs": (_header("n_runs", 400.5), "embedded config: [run] n_runs: cannot parse '400.5' as int"),
+    "fractional_runs": (_header("n_runs", 400.5), "[run] n_runs: cannot parse '400.5' as int"),
 }
 
 

@@ -10,10 +10,10 @@ from clicktomo import (
     density_from_pure,
     DualDetectorRecipe,
     SingleDetectorRecipe,
+    binomial_counts,
     derive_setting,
     dual_detector_schedule,
     fock_state,
-    binomial_counts,
     homogeneous_efficiencies,
     no_click_probabilities,
     schedule_arrays,
@@ -275,8 +275,8 @@ class TestKeyedBinomial:
         p = np.array([[0.0, 1.0, 0.37], [0.5, 0.999, 1e-3]])
         for offset in (0, 17, 2**32 - 1, 2**45 + 3):
             got = binomial_counts(10_000, p, key, offset)
-            ref = [np.random.default_rng(key + (offset + i,)).binomial(10_000, row).tolist() for i, row in enumerate(p)]
-            assert got.tolist() == ref
+            ref = [np.random.default_rng(key + (offset + i,)).binomial(10_000, row) for i, row in enumerate(p)]
+            assert got.tolist() == np.array(ref).tolist()
 
 
 class TestScheduleArrays:
