@@ -13,22 +13,18 @@ from .errors import (
     DataError,
     DegenerateModelError,
     NumericalError,
-    TruncationLeakError,
 )
 from .fock import (
     DensityMatrix,
     DiagonalDistribution,
-    DisplacementMatrix,
     PureState,
     TruncationConfig,
     coherent_state,
     density_from_pure,
-    displaced_diagonal,
-    displaced_diagonal_padded,
-    displacement_matrix,
+    displace,
+    displaced_diagonals,
     fock_state,
     squeezed_vacuum,
-    wigner_exact,
 )
 from .measurement import (
     ClickArrays,

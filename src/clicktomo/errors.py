@@ -21,9 +21,5 @@ class NumericalError(ClicktomoError, RuntimeError):
     """A computation left its validated numerical envelope."""
 
 
-class TruncationLeakError(NumericalError):
-    """Too much probability mass fell outside the retained Fock block."""
-
-
 class DegenerateModelError(NumericalError):
     """Forward model collapsed (all probabilities at the floor)."""

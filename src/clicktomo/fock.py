@@ -2,8 +2,10 @@
 
 All operator work happens in a padded working dimension (``n_pad``) so that
 the non-unitary edge of a truncated displacement matrix stays away from the
-exposed ``n_trunc`` block.  Every function is pure and returned arrays are
-read-only, so values can be shared freely between workers.
+exposed ``n_trunc`` block.  :func:`displace` is the one place that evaluates
+the displacement series; the forward model and the density-matrix quadrature
+both build on its coefficient and power tables.  Every function is pure, and
+states and cached tables are read-only, so values can be shared freely.
 """
 from __future__ import annotations
 
@@ -13,28 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, TruncationLeakError
+from .errors import NumericalError
 
 __all__ = [
     "TruncationConfig",
     "PureState",
     "DensityMatrix",
-    "DisplacementMatrix",
     "DiagonalDistribution",
     "coherent_state",
     "squeezed_vacuum",
     "fock_state",
     "density_from_pure",
-    "displacement_matrix",
-    "displaced_diagonal",
-    "displaced_diagonal_padded",
-    "wigner_exact",
+    "displace",
+    "displaced_diagonals",
 ]
 
 # Diagonal entries below -NEGATIVE_NOISE_TOL are an error, not rounding noise.
 NEGATIVE_NOISE_TOL = 1e-12
 SUM_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
+# Density-matrix components at or below this fraction of the largest eigenvalue are dropped.
+EIGEN_CUTOFF = 1e-14
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -158,34 +159,14 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class DisplacementMatrix:
-    """Matrix elements <m|D(gamma)|n> on the working dimension."""
-
-    gamma: complex
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        object.__setattr__(
-            self, "elements", _readonly(np.ascontiguousarray(self.elements, dtype=np.complex128))
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class DiagonalDistribution:
     """Diagonal of the displaced state, R_n = <n|D^dag(gamma) rho D(gamma)|n>.
 
-    At gamma = 0 this is the photon-number distribution.  ``truncation_leak``
-    is the probability mass outside the retained block, 1 - sum(values).
+    At gamma = 0 this is the photon-number distribution.
     """
 
     gamma: complex
     values: np.ndarray
-    truncation_leak: float = 0.0
 
     def __post_init__(self) -> None:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -253,120 +234,101 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-def _displacement_elements(gamma: complex, dim: int) -> np.ndarray:
-    """Dense <m|D(gamma)|n> for D(gamma) = exp(gamma a+ - gamma* a).
 
+
+@functools.lru_cache(maxsize=None)
+def displacement_coefficients(dim: int) -> np.ndarray:
+    """Read-only table c[d, k] = sqrt((k+d)!/k!) / d! for k + d < dim, zero elsewhere.
+
+    Row d holds the d-th diagonal of both triangular factors of D(gamma)
+    (see :func:`displace`).  Factorials are handled in log space so
+    dimensions of a few hundred stay finite.
+    """
+    logfac = log_factorials(dim)
+    k = np.arange(dim)
+    top = k[:, None] + k[None, :]
+    fits = top < dim
+    top = np.where(fits, top, 0)
+    table = np.exp(0.5 * (logfac[top] - logfac[None, :]) - logfac[:, None])
+    return _readonly(np.where(fits, table, 0.0))
+
+
+def power_table(z: np.ndarray, dim: int) -> np.ndarray:
+    """(P, dim) powers z_p^j for j < dim, by cumulative products."""
+    z = np.asarray(z, dtype=np.complex128).reshape(-1, 1)
+    out = np.ones((z.shape[0], dim), dtype=np.complex128)
+    np.cumprod(np.broadcast_to(z, (z.shape[0], dim - 1)), axis=1, out=out[:, 1:])
+    return out
+
+
+def displace(gammas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """D(gamma_p) applied to vectors[p] for P displacements, as a (P, dim) array.
+
+    ``vectors`` is (P, dim), or one (dim,) vector shared by every point.
     The closed-form series
 
         <m|D|n> = e^{-|g|^2/2} sqrt(m! n!)
                   sum_l g^{m-l} (-g*)^{n-l} / (l! (m-l)! (n-l)!)
 
-    factors exactly into a product of two triangular matrices,
-    L[m,k] = g^{m-k} sqrt(m!/k!) / (m-k)!  and
-    U[k,n] = (-g*)^{n-k} sqrt(n!/k!) / (n-k)!, with the l-sum realised by the
-    matrix product.  Factorials are handled in log space so dimensions of a
-    few hundred stay finite.
+    factors exactly into D = e^{-|g|^2/2} L U, with L[k+d, k] = g^d c[d, k]
+    and U[k, k+d] = (-g*)^d c[d, k] from :func:`displacement_coefficients`.
+    Each factor is applied one diagonal offset d at a time, as one
+    (P, dim - d) multiply-add, so no (P, dim, dim) array is built.
+
+    Every |gamma|^2 must be at most dim / 2, otherwise the displaced vacuum
+    itself would not fit the basis.
     """
-    g = complex(gamma)
-    if g == 0:
-        return np.eye(dim, dtype=np.complex128)
-    idx = np.arange(dim)
-    logfac = log_factorials(dim)
-    diff = idx[:, None] - idx[None, :]
-    lower = diff >= 0
-    dclip = np.where(lower, diff, 0)
-    # coeff[m, k] = sqrt(m!/k!) / (m-k)!  on the lower triangle
-    coeff = np.exp(0.5 * (logfac[:, None] - logfac[None, :]) - logfac[dclip])
-    pow_g = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(dim - 1, g))))
-    pow_mg = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(dim - 1, -np.conjugate(g)))))
-    lo = np.where(lower, pow_g[dclip] * coeff, 0.0)
-    up = np.where(lower, pow_mg[dclip] * coeff, 0.0).T
-    return math.exp(-0.5 * abs(g) ** 2) * (lo @ up)
-
-
-def displacement_matrix(gamma: complex, cfg: TruncationConfig) -> DisplacementMatrix:
-    """Displacement operator on the working dimension.
-
-    Args:
-        gamma: complex displacement; |gamma|^2 must not exceed n_pad / 2,
-            otherwise the displaced vacuum itself would not fit the basis.
-        cfg: truncation configuration; the matrix is built on ``n_pad``.
-
-    Returns:
-        DisplacementMatrix whose retained ``n_trunc`` block is unitary to
-        high accuracy (see the group-property tests for the bound).
-    """
-    g = complex(gamma)
-    if abs(g) ** 2 > 0.5 * cfg.n_pad:
+    g = np.asarray(gammas, dtype=np.complex128).ravel()
+    v = np.asarray(vectors, dtype=np.complex128)
+    dim = v.shape[-1]
+    r2 = np.abs(g) ** 2
+    worst = int(np.argmax(r2))
+    if r2[worst] > 0.5 * dim:
         raise ValueError(
-            f"|gamma|^2 = {abs(g) ** 2:.3f} exceeds n_pad/2 = {0.5 * cfg.n_pad}"
+            f"|gamma|^2 = {r2[worst]:.3f} at gamma = {complex(g[worst])} exceeds n_pad/2 = {0.5 * dim}"
         )
-    return DisplacementMatrix(g, _displacement_elements(g, cfg.n_pad))
-
-
-def _embed(rho: np.ndarray, dim: int) -> np.ndarray:
-    if rho.shape[0] > dim:
-        raise ValueError("state dimension exceeds the working dimension")
-    if rho.shape[0] == dim:
-        return rho
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[: rho.shape[0], : rho.shape[0]] = rho
+    coeff = displacement_coefficients(dim)
+    up = np.array(np.broadcast_to(v, (g.size, dim)))
+    pow_mg = power_table(-np.conj(g), dim)
+    for d in range(1, dim):
+        up[:, : dim - d] += pow_mg[:, d, None] * (coeff[d, : dim - d] * v[..., d:])
+    out = up.copy()
+    pow_g = power_table(g, dim)
+    for d in range(1, dim):
+        out[:, d:] += pow_g[:, d, None] * (coeff[d, : dim - d] * up[:, : dim - d])
+    out *= np.exp(-0.5 * r2)[:, None]
     return out
 
 
-def displaced_diagonal_padded(rho: DensityMatrix, gamma: complex, cfg: TruncationConfig) -> np.ndarray:
-    """Exact displaced diagonal on the full working dimension.
+def displaced_diagonals(rho: DensityMatrix, gammas: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
+    """Exact displaced diagonals R_n(gamma_p) = <n|D^dag(gamma_p) rho D(gamma_p)|n>, (P, n_pad).
 
-    This is the simulator's forward-model ingredient: summing the no-click
-    series over all ``n_pad`` entries keeps probabilities exact far beyond
-    the retained block.
+    With rho = sum_k lam_k |psi_k><psi_k|, R(gamma) = sum_k lam_k |D(-gamma) psi_k|^2.
+    Components with |lam_k| <= EIGEN_CUTOFF * lam_max are skipped, so a pure
+    state costs one :func:`displace` call; a negative eigenvalue above the
+    cutoff is kept, so an unphysical rho fails the noise check below.  The
+    series runs over the full working dimension, which keeps the no-click
+    probabilities exact far beyond the retained block.
     """
-    dmat = displacement_matrix(gamma, cfg)
-    rho_p = _embed(rho.elements, cfg.n_pad)
-    shifted = rho_p @ dmat.elements
-    diag = np.real(np.einsum("jn,jn->n", dmat.elements.conj(), shifted))
+    if rho.dim > cfg.n_pad:
+        raise ValueError("state dimension exceeds the working dimension")
+    lam, vecs = np.linalg.eigh(rho.elements)
+    keep = np.abs(lam) > EIGEN_CUTOFF * lam.max()
+    g = -np.asarray(gammas, dtype=np.complex128).ravel()
+    diag = np.zeros((g.size, cfg.n_pad))
+    psi = np.zeros(cfg.n_pad, dtype=np.complex128)
+    for lam_k, vec in zip(lam[keep], vecs.T[keep]):
+        psi[: rho.dim] = vec
+        amps = displace(g, psi)
+        diag += lam_k * (amps.real**2 + amps.imag**2)
     lowest = float(diag.min())
     if lowest < -NEGATIVE_NOISE_TOL:
-        raise NumericalError(
-            f"displaced diagonal entry {lowest:.3e} below the noise tolerance"
-        )
+        raise NumericalError(f"displaced diagonal entry {lowest:.3e} below the noise tolerance")
     np.clip(diag, 0.0, None, out=diag)
-    total = float(diag.sum())
-    if total > 1.0 + SUM_TOL:
-        raise NumericalError(f"displaced diagonal sums to {total} > 1")
-    return diag
-
-
-def displaced_diagonal(
-    rho: DensityMatrix,
-    gamma: complex,
-    cfg: TruncationConfig,
-    max_leak: float | None = None,
-) -> DiagonalDistribution:
-    """Retained block of the displaced diagonal, with its truncation leak.
-
-    ``max_leak``, when given, turns an excessive leak into a
-    TruncationLeakError: the signal that ``n_trunc`` is too small for this
-    displacement.
-    """
-    full = displaced_diagonal_padded(rho, gamma, cfg)
-    values = full[: cfg.n_trunc].copy()
-    leak = 1.0 - float(values.sum())
-    if max_leak is not None and leak > max_leak:
-        raise TruncationLeakError(
-            f"truncation leak {leak:.3e} exceeds {max_leak:.3e} at gamma = {gamma}"
+    totals = diag.sum(axis=1)
+    worst = int(np.argmax(totals))
+    if totals[worst] > 1.0 + SUM_TOL:
+        raise NumericalError(
+            f"displaced diagonal sums to {totals[worst]} > 1 at gamma = {complex(-g[worst])}"
         )
-    return DiagonalDistribution(gamma=gamma, values=values, truncation_leak=leak)
-
-
-def wigner_exact(
-    rho: DensityMatrix,
-    gamma: complex,
-    cfg: TruncationConfig,
-    max_leak: float | None = None,
-) -> float:
-    """Wigner value of the truncated state at one phase-space point:
-    W = (2/pi) sum_n (-1)^n R_n(gamma) over the retained block."""
-    dist = displaced_diagonal(rho, gamma, cfg, max_leak=max_leak)
-    signs = np.where(np.arange(cfg.n_trunc) % 2 == 0, 1.0, -1.0)
-    return float(2.0 / math.pi * np.dot(signs, dist.values))
+    return diag

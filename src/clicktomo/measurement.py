@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, TruncationConfig, displaced_diagonal_padded
+from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
 
 __all__ = [
     "DetectorPair",
@@ -274,13 +274,14 @@ def no_click_probabilities(
     over the full working dimension, so the values are exact to padding
     accuracy rather than reconstruction accuracy.
     """
+    return _series_probabilities(displaced_diagonals(rho, gammas, trunc), nu_bar, y)
+
+
+def _series_probabilities(diag: np.ndarray, nu_bar: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The no-click series of (P, n_pad) displaced diagonals as one product with the (M, n_pad) powers."""
     x = 1.0 - np.asarray(nu_bar, dtype=float)
-    powers = x[:, None] ** np.arange(trunc.n_pad, dtype=float)[None, :]
-    y = np.asarray(y, dtype=float)
-    series = np.empty(y.shape)
-    for i, gamma in enumerate(np.asarray(gammas, dtype=complex).ravel()):
-        series[i] = powers @ displaced_diagonal_padded(rho, gamma, trunc)
-    return np.clip(np.exp(y) * series, 0.0, 1.0)
+    powers = x[:, None] ** np.arange(diag.shape[1], dtype=float)[None, :]
+    return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
 def _seed_key(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
@@ -319,7 +320,8 @@ def simulate(
     """
     g = np.asarray(gammas, dtype=complex).ravel()
     *_, nu_bar, y = schedule_arrays(recipe, g)
-    probs = no_click_probabilities(rho, g, nu_bar[0], y, trunc)
+    diag = displaced_diagonals(rho, g, trunc)
+    probs = _series_probabilities(diag, nu_bar[0], y)
     if exact:
         noclick = probs * n_runs
     else:

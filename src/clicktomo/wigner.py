@@ -20,7 +20,7 @@ from .fock import (
     DensityMatrix,
     DiagonalDistribution,
     TruncationConfig,
-    displaced_diagonal_padded,
+    displaced_diagonals,
 )
 from .measurement import ClickArrays, Recipe, simulate
 
@@ -126,11 +126,11 @@ class ErrorReport:
     abs_differences: np.ndarray
 
 
-def wigner_from_values(values: np.ndarray) -> float:
-    """Alternating-sign sum (2/pi) sum_n (-1)^n R_n."""
+def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":
+    """Alternating-sign sum (2/pi) sum_n (-1)^n R_n over the last axis."""
     values = np.asarray(values, dtype=float)
-    signs = np.where(np.arange(values.size) % 2 == 0, 1.0, -1.0)
-    return float(2.0 / math.pi * np.dot(signs, values))
+    signs = np.where(np.arange(values.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return 2.0 / math.pi * np.dot(values, signs)
 
 
 def reconstruct_clicks(
@@ -171,7 +171,7 @@ def reconstruct_point(
         raise DegenerateModelError(
             "every forward probability fell below the floor; model and data are incompatible"
         )
-    return DiagonalDistribution(gamma=complex(gamma), values=values[0], truncation_leak=0.0), w[0]
+    return DiagonalDistribution(gamma=complex(gamma), values=values[0]), w[0]
 
 
 def scan_grid(
@@ -259,10 +259,8 @@ def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfi
     no-click probabilities the displaced diagonals are known outright, so no
     iterative reconstruction enters.
     """
-    gammas = grid.flat_gammas()
-    w = np.empty(gammas.size)
-    for i, g in enumerate(gammas):
-        w[i] = wigner_from_values(displaced_diagonal_padded(rho, g, trunc)[: trunc.n_trunc])
+    diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
+    w = wigner_from_values(diag[:, : trunc.n_trunc])
     return WignerEstimate(grid=grid, w_values=w.reshape(grid.n_im, grid.n_re))
 
 
@@ -278,12 +276,9 @@ def truncation_error_map(
     padded-dimension numeric value stands in for it.
     """
     gammas = grid.flat_gammas()
-    w_trunc = np.empty(gammas.size)
-    w_pad = np.empty(gammas.size)
-    for i, g in enumerate(gammas):
-        diag = displaced_diagonal_padded(rho, g, trunc)
-        w_trunc[i] = wigner_from_values(diag[: trunc.n_trunc])
-        w_pad[i] = wigner_from_values(diag)
+    diag = displaced_diagonals(rho, gammas, trunc)
+    w_trunc = wigner_from_values(diag[:, : trunc.n_trunc])
+    w_pad = wigner_from_values(diag)
     ref = np.asarray(reference(gammas), dtype=float) if reference is not None else w_pad
     return np.abs(ref - w_trunc).reshape(grid.n_im, grid.n_re)
 

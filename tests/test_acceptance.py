@@ -22,7 +22,7 @@ from clicktomo import (
     delta_w,
     density_from_pure,
     derive_setting,
-    displacement_matrix,
+    displace,
     dual_detector_schedule,
     exact_wigner_map,
     fock_state,
@@ -221,8 +221,8 @@ def test_criterion_8_property_suites():
     checks = []
 
     # displacement group property on the retained block
-    fwd = displacement_matrix(1.0, TruncationConfig(12, 40)).elements
-    back = displacement_matrix(-1.0, TruncationConfig(12, 40)).elements
+    fwd = displace(np.full(40, 1.0), np.eye(40)).T
+    back = displace(np.full(40, -1.0), np.eye(40)).T
     group = float(np.max(np.abs((fwd @ back)[:12, :12] - np.eye(12))))
     checks.append(("displacement group property", group < 1e-8))
 

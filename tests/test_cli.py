@@ -583,11 +583,11 @@ DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_an
 FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1")
 
 # sha256 of the outputs of the SMALL config; any change here changes every
-# downstream file.  The exact case's wigner.csv and rho.csv date from before
-# the click pipeline worked on arrays, while scipy still computed the
-# quadrature kernel; the sampled cases were re-pinned when each point got one
-# generator, and every clicks.csv when click files became counts-only.  The
-# fock case pins the analytic Laguerre column w_exact.
+# downstream file.  The sampled cases were re-pinned when each point got one
+# generator, every clicks.csv when click files became counts-only, and the
+# exact case when the forward model became one batched displacement kernel
+# (its probabilities moved in the last bits).  The fock case pins the
+# analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
         "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
@@ -595,9 +595,9 @@ GOLDEN = {
         "rho.csv": "227c09d14eb60ed5d56c12f543759d871ba07e4da32bb165944a28425bb474b2",
     }),
     "exact": (SMALL, ["--exact"], {
-        "clicks.csv": "9999938ba59434ee941fec6fd01bda19843fd7699122ad7f7152a2345de3a147",
-        "wigner.csv": "3deb816186a249e0f92f638989c30cf40192dfc876f35850cc7009c26a16f4f9",
-        "rho.csv": "7d65202837cc52dfddf09253be3375841190baf9baa9e079a8d5895ecb1fb14f",
+        "clicks.csv": "05ebdbbaeb4e13f9b6576e18fbe3283c52491ff261ab927ba9884ee1cb2fbd0a",
+        "wigner.csv": "82ad5bbf60692f97098c823a3dce1a30dfd4e13b420d68248763cdfc59bfdee6",
+        "rho.csv": "0359117c09512507a2a52234093c038cb7bdaed4f160ae62c058673f4f364192",
     }),
     "dual": (DUAL, [], {
         "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",

@@ -12,6 +12,7 @@ from clicktomo import (
     coherent_wigner,
     delta_w,
     density_from_pure,
+    displaced_diagonals,
     exact_wigner_map,
     fock_state,
     fock_wigner,
@@ -23,13 +24,18 @@ from clicktomo import (
     squeezed_wigner,
     truncation_error_map,
     variance_map,
-    wigner_exact,
+    wigner_from_values,
     wigner_map_from_function,
 )
 from clicktomo.errors import DataError
 from clicktomo.wigner import laguerre
 
 CFG = TruncationConfig(12)
+
+
+def wigner_exact(rho, gamma: complex, cfg: TruncationConfig) -> float:
+    """Truncated Wigner value at one point, from a one-point batch of displaced diagonals."""
+    return wigner_from_values(displaced_diagonals(rho, [gamma], cfg)[0, : cfg.n_trunc])
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
 EM = EMConfig(n_iterations=1000)
 EM_FAST = EMConfig(n_iterations=300)
