@@ -42,7 +42,7 @@ from .measurement import (
     simulate,
     single_detector_schedule,
 )
-from .recover import RecoveredDensity, StateComparison, compare_states, dmn_kernel, integrate_rho
+from .recover import RecoveredDensity, StateComparison, compare_states, integrate_rho
 from .wigner import (
     ErrorReport,
     PhaseGrid,

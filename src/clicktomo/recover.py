@@ -4,28 +4,29 @@ The matrix elements come from the overlap of the Wigner function with
 displacement matrix elements taken at twice the phase-space argument:
 
     rho_mn = 2 integral d^2gamma (-1)^n W(gamma) K_mn(2 gamma),
-    K_mn(b) = <m|D(b)|n> = e^{-|b|^2/2} sqrt(m! n!)
-              sum_l b^{m-l} (-b*)^{n-l} / (l! (m-l)! (n-l)!).
+    K_mn(b) = <m|D(b)|n> = e^{-|b|^2/2}
+              sum_l c[m-l, l] c[n-l, l] b^{m-l} (-b*)^{n-l},
 
-The integral is a midpoint sum on the scan's own cell-centered grid.  The
-kernel decays like exp(-2|gamma|^2), so corners of the grid - exactly where
-the truncated Wigner map is least trustworthy - contribute almost nothing;
-a test quantifies this.
+with c[d, k] = sqrt((k+d)!/k!) / d! the displacement coefficients of
+``fock``.  The integral is a midpoint sum on the scan's own cell-centered
+grid, so it factors through one weighted moment matrix
+M[i, j] = sum_p w_p e^{-|b_p|^2/2} b_p^i (-b_p*)^j.  The kernel decays like
+exp(-2|gamma|^2), so corners of the grid - exactly where the truncated
+Wigner map is least trustworthy - contribute almost nothing; a test
+quantifies this.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .fock import DensityMatrix, log_factorials
+from .fock import DensityMatrix, displacement_coefficients, power_table
 from .wigner import PhaseGrid, WignerEstimate
 
 __all__ = [
-    "dmn_kernel",
     "integrate_rho",
     "compare_states",
     "RecoveredDensity",
@@ -35,29 +36,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 TRACE_WARN_TOL = 0.05
-
-
-def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
-    """Quadrature kernel K_mn evaluated at 2*gamma; vectorized over gamma.
-
-    At gamma = 0 the kernel is the identity delta_mn; its one-index swap obeys
-    K_mn = (-1)^{m-n} conj(K_nm), which keeps the recovered matrix Hermitian
-    for any real Wigner map.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
-    g = 2.0 * np.asarray(gamma, dtype=complex)
-    scalar = g.ndim == 0
-    g = np.atleast_1d(g)
-    total = np.zeros(g.shape, dtype=complex)
-    logfac = log_factorials(max(m, n) + 1)
-    for l in range(min(m, n) + 1):
-        log_coeff = (
-            0.5 * (logfac[m] + logfac[n]) - logfac[l] - logfac[m - l] - logfac[n - l]
-        )
-        total += math.exp(log_coeff) * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
-    out = np.exp(-0.5 * np.abs(g) ** 2) * total
-    return complex(out[0]) if scalar else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +65,8 @@ class RecoveredDensity:
 
 
 def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
-    """Midpoint quadrature of the Wigner map against the recovery kernel.
+    """Midpoint quadrature of the Wigner map against the recovery kernel,
+    as one moment matrix over the grid points (see the module docstring).
 
     Failed (non-finite) nodes are skipped with a warning; a trace further
     than 0.05 from 1 flags the result (grid too small or too coarse) without
@@ -104,11 +83,15 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
     if w.size == 0:
         raise DataError("Wigner map holds no finite values")
 
-    raw = np.empty((n_trunc, n_trunc), dtype=complex)
-    for mm in range(n_trunc):
-        for nn in range(n_trunc):
-            kern = dmn_kernel(mm, nn, gammas)
-            raw[mm, nn] = 2.0 * (-1.0) ** nn * area * np.dot(w, kern)
+    b = 2.0 * gammas
+    weighted = (w * np.exp(-0.5 * np.abs(b) ** 2))[:, None] * power_table(b, n_trunc)
+    moments = weighted.T @ power_table(-np.conj(b), n_trunc)
+    coeff = displacement_coefficients(n_trunc)
+    raw = np.zeros((n_trunc, n_trunc), dtype=complex)
+    for l in range(n_trunc):
+        c = coeff[: n_trunc - l, l]
+        raw[l:, l:] += np.outer(c, c) * moments[: n_trunc - l, : n_trunc - l]
+    raw *= 2.0 * area * (-1.0) ** np.arange(n_trunc)
     residual = float(np.max(np.abs(raw - raw.conj().T)))
     sym = 0.5 * (raw + raw.conj().T)
     trace = float(np.real(np.trace(sym)))

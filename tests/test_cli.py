@@ -586,28 +586,29 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # downstream file.  The sampled cases were re-pinned when each point got one
 # generator, every clicks.csv when click files became counts-only, and the
 # exact case when the forward model became one batched displacement kernel
-# (its probabilities moved in the last bits).  The fock case pins the
-# analytic Laguerre column w_exact.
+# (its probabilities moved in the last bits), and every rho.csv when the
+# quadrature became one moment matrix.  The fock case pins the analytic
+# Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
         "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
         "wigner.csv": "6d213fee3864f86ce1bb458bc7b2cdd7b4335090b12592d0b7fd03e54459609f",
-        "rho.csv": "227c09d14eb60ed5d56c12f543759d871ba07e4da32bb165944a28425bb474b2",
+        "rho.csv": "90b202d78e10fd66ab4cbff96b577dc532f6a12651ca7476588472ce050a864f",
     }),
     "exact": (SMALL, ["--exact"], {
         "clicks.csv": "05ebdbbaeb4e13f9b6576e18fbe3283c52491ff261ab927ba9884ee1cb2fbd0a",
         "wigner.csv": "82ad5bbf60692f97098c823a3dce1a30dfd4e13b420d68248763cdfc59bfdee6",
-        "rho.csv": "0359117c09512507a2a52234093c038cb7bdaed4f160ae62c058673f4f364192",
+        "rho.csv": "3b8d83635a009752323df038f40883028cefa3347bb8c5bdd5b4d22ad927c52f",
     }),
     "dual": (DUAL, [], {
         "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",
         "wigner.csv": "2c1d73366e888b911c4d68eea41e2d911fb059acc558f28c9c6fac99e1861702",
-        "rho.csv": "4cb108ef0cc892e3cbcff7c34ca1828e169a077f960ef58c6d6d8cefb02e13f0",
+        "rho.csv": "dc355fde07958e6e632db9fedae1c43784b7f209155f54293e4ce325950bd876",
     }),
     "fock": (FOCK, [], {
         "clicks.csv": "8f86cbb518de3aeb4fa37c5d66f3a0760d48f7a9f86e46bd7e01f0aa8405dc56",
         "wigner.csv": "4984359a5381e4153be88831505a302b70c339a5bd86324b64842a05699d1002",
-        "rho.csv": "ff62b374d49291df1b8f1036c7ea9cb422b01c5abf6eb17988de1ebd1a708ab6",
+        "rho.csv": "8c5c2befcde82875cece66b7f9b33e54ad2c4850320d7a439b24e0c24bb4ccf1",
     }),
 }
 

