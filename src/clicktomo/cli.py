@@ -60,7 +60,12 @@ def cmd_simulate(args) -> int:
         )
         name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
         io_csv.write_click_csv(out / name, cfg, rep, clicks)
-        print(f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings)")
+        worst = int(np.argmax(clicks.truncation_leak))
+        print(
+            f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings; "
+            f"largest truncation leak {clicks.truncation_leak[worst]:.6e} "
+            f"at gamma = {complex(gammas[worst])})"
+        )
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from .fock import (
     TruncationConfig,
     coherent_state,
     density_from_pure,
+    displacement_r2,
     fock_state,
     squeezed_vacuum,
 )
@@ -43,6 +44,8 @@ __all__ = [
 
 STATE_KINDS = ("coherent", "squeezed", "fock")
 DETECTOR_MODES = ("single", "dual")
+# numpy draws the binomial counts as 64-bit integers
+MAX_RUNS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,10 @@ def parse_config(text: str) -> RunConfig:
         grid = PhaseGrid(**values["grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        displacement_r2([grid.farthest_node()], trunc.n_pad)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}; shrink the grid or raise n_pad") from exc
     # the EM needs at least as many detector settings per point as unknowns
     if det.n_settings < trunc.n_trunc:
         count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
@@ -206,6 +213,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("n_runs", "repetitions"):
         if run[key] < 1:
             raise ConfigError(f"[run] {key} must be positive")
+    if run["n_runs"] > MAX_RUNS:
+        raise ConfigError(f"[run] n_runs = {run['n_runs']} exceeds 2**63 - 1 = {MAX_RUNS}")
     for key in ("n_iterations", "seed"):
         if run[key] < 0:
             raise ConfigError(f"[run] {key} must be non-negative")

@@ -234,8 +234,6 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-
-
 @functools.lru_cache(maxsize=None)
 def displacement_coefficients(dim: int) -> np.ndarray:
     """Read-only table c[d, k] = sqrt((k+d)!/k!) / d! for k + d < dim, zero elsewhere.
@@ -261,6 +259,22 @@ def power_table(z: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+def displacement_r2(gammas: np.ndarray, dim: int) -> np.ndarray:
+    """|gamma|^2 of every displacement, after checking that each is at most dim / 2.
+
+    The ValueError names the worst point; the config check on a grid calls
+    this too, so both draw the line at the same bit.
+    """
+    g = np.asarray(gammas, dtype=np.complex128).ravel()
+    r2 = np.abs(g) ** 2
+    worst = int(np.argmax(r2))
+    if r2[worst] > 0.5 * dim:
+        raise ValueError(
+            f"|gamma|^2 = {r2[worst]:.3f} at gamma = {complex(g[worst])} exceeds n_pad/2 = {0.5 * dim}"
+        )
+    return r2
+
+
 def displace(gammas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """D(gamma_p) applied to vectors[p] for P displacements, as a (P, dim) array.
 
@@ -276,17 +290,12 @@ def displace(gammas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     (P, dim - d) multiply-add, so no (P, dim, dim) array is built.
 
     Every |gamma|^2 must be at most dim / 2, otherwise the displaced vacuum
-    itself would not fit the basis.
+    itself would not fit the basis (see :func:`displacement_r2`).
     """
     g = np.asarray(gammas, dtype=np.complex128).ravel()
     v = np.asarray(vectors, dtype=np.complex128)
     dim = v.shape[-1]
-    r2 = np.abs(g) ** 2
-    worst = int(np.argmax(r2))
-    if r2[worst] > 0.5 * dim:
-        raise ValueError(
-            f"|gamma|^2 = {r2[worst]:.3f} at gamma = {complex(g[worst])} exceeds n_pad/2 = {0.5 * dim}"
-        )
+    r2 = displacement_r2(g, dim)
     coeff = displacement_coefficients(dim)
     up = np.array(np.broadcast_to(v, (g.size, dim)))
     pow_mg = power_table(-np.conj(g), dim)

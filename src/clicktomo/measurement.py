@@ -202,6 +202,9 @@ class ClickArrays:
     """Click data of P points x M settings: ``gammas`` is (P,), every other field (P, M).
 
     In exact mode ``noclick`` holds the expected counts ``p * n_runs``.
+    ``truncation_leak`` (P,) is each point's 1 - sum_{n < n_trunc} R_n(gamma),
+    the mass the EM's retained block cannot hold: known to :func:`simulate`,
+    None for clicks read from a file.
     """
 
     gammas: np.ndarray
@@ -209,6 +212,7 @@ class ClickArrays:
     y: np.ndarray
     noclick: np.ndarray
     n_runs: np.ndarray
+    truncation_leak: np.ndarray | None = None
 
 
 def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -327,4 +331,5 @@ def simulate(
     else:
         key = _seed_key(seed) + (int(repetition),)
         noclick = binomial_counts(int(n_runs), probs, key, offset).astype(float)
-    return ClickArrays(g, nu_bar, y, noclick, np.full(y.shape, int(n_runs)))
+    leak = 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)
+    return ClickArrays(g, nu_bar, y, noclick, np.full(y.shape, int(n_runs)), leak)

@@ -92,6 +92,15 @@ class PhaseGrid:
     def flat_gammas(self) -> np.ndarray:
         return self.gammas().ravel()
 
+    def farthest_node(self) -> complex:
+        """The node farthest from the origin, computed as ``gammas()`` computes
+        it; |gamma| grows with |re| and |im|, so it is a corner of the nodes."""
+
+        def edge(lo: float, step: float, n: int) -> float:
+            return max(lo + 0.5 * step, lo + (n - 0.5) * step, key=abs)
+
+        return complex(edge(self.re_min, self.d_re, self.n_re), edge(self.im_min, self.d_im, self.n_im))
+
 
 @dataclass(frozen=True, eq=False)
 class WignerEstimate:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,9 @@ import pytest
 
 from clicktomo import io_csv
 from clicktomo.cli import main
+from clicktomo.config import build_state, parse_config
+
+from oracles import displaced_diagonal_padded
 
 SMALL = """
 [state]
@@ -71,6 +75,17 @@ def small_cfg(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL)
     return path
+
+
+def test_simulate_reports_the_largest_truncation_leak(small_cfg, tmp_path, capsys):
+    assert main(["simulate", "--config", str(small_cfg), "--out", str(tmp_path)]) == 0
+    printed = re.search(r"largest truncation leak (\S+) at gamma = (\S+)\)$", capsys.readouterr().out)
+    cfg = parse_config(SMALL)
+    rho, gammas = build_state(cfg), cfg.grid.flat_gammas()
+    leaks = [1.0 - displaced_diagonal_padded(rho, g, cfg.trunc)[:12].sum() for g in gammas]
+    worst = int(np.argmax(leaks))
+    assert float(printed[1]) == pytest.approx(leaks[worst], rel=1e-6)
+    assert complex(printed[2]) == gammas[worst]
 
 
 def test_simulate_writes_expected_rows(small_cfg, tmp_path):
@@ -299,6 +314,11 @@ SCHEDULE_EDITS = {
     "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
     "fractional_runs": (_header("n_runs", 400.5), "[run] n_runs: cannot parse '400.5' as int"),
+    "runs_above_int64": (_header("n_runs", 10**29), f"embedded config: [run] n_runs = {10**29} exceeds"),
+    "grid_beyond_n_pad": (
+        _header("re_max", 7.0),
+        "embedded config: [grid] |gamma|^2 = 26.516 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
+    ),
 }
 
 
@@ -330,6 +350,27 @@ def test_state_that_does_not_fit_is_a_config_error(tmp_path, capsys, state):
     path.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", state))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error: [state]" in capsys.readouterr().err
+
+
+RUNS_THAT_DO_NOT_FIT = {
+    "grid_beyond_n_pad": (
+        ("re_max = 1.5", "re_max = 7"),
+        "config error: [grid] |gamma|^2 = 26.516 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
+    ),
+    "runs_above_int64": (
+        ("n_runs = 400", f"n_runs = {10**29}"),
+        f"config error: [run] n_runs = {10**29} exceeds 2**63 - 1 = {2**63 - 1}",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", RUNS_THAT_DO_NOT_FIT.values(), ids=RUNS_THAT_DO_NOT_FIT.keys())
+def test_run_that_does_not_fit_is_a_config_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace(*edit))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "clicks.csv").exists()
 
 
 NON_FINITE = {

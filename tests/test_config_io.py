@@ -110,11 +110,14 @@ def config_texts(draw):
         return draw(st.none() | strategy)
 
     n_trunc = draw(st.integers(2, 40))
+    n_pad = maybe(st.just(0) | st.integers(n_trunc, 200))
     mode = draw(st.sampled_from(["single", "dual"]))
     count = st.integers(n_trunc, 100)
+    # every grid node must have |gamma|^2 <= n_pad/2
+    half = 0.49 * math.sqrt(n_pad or 2 * n_trunc + 20)
 
     def bounds():
-        return draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True).map(sorted))
+        return draw(st.lists(st.floats(-half, half), min_size=2, max_size=2, unique=True).map(sorted))
 
     re_min, re_max = bounds()
     im_min, im_max = bounds()
@@ -126,7 +129,7 @@ def config_texts(draw):
             "squeeze": maybe(FLOATS),
             "n": maybe(st.integers(-3, 100)),
         },
-        "truncation": {"n_trunc": n_trunc, "n_pad": maybe(st.just(0) | st.integers(n_trunc, 200))},
+        "truncation": {"n_trunc": n_trunc, "n_pad": n_pad},
         "detectors": {
             "mode": mode,
             "alpha": maybe(FLOATS),
