@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own construction paths:
 displacement operators come from a matrix exponential of the truncated
 generator, state amplitudes from direct per-term formulas, and no-click
-probabilities from beam-splitter output amplitudes in closed form.
+probabilities from beam-splitter output amplitudes in closed form.  The
+exception is the block of dense displacement functions at the end: the
+per-point code the batched kernel replaced, kept as its reference.
 """
 import math
 from collections import namedtuple

@@ -31,14 +31,14 @@ from clicktomo.errors import DataError
 from clicktomo.wigner import laguerre
 
 CFG = TruncationConfig(12)
+RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
+EM = EMConfig(n_iterations=1000)
+EM_FAST = EMConfig(n_iterations=300)
 
 
 def wigner_exact(rho, gamma: complex, cfg: TruncationConfig) -> float:
     """Truncated Wigner value at one point, from a one-point batch of displaced diagonals."""
     return wigner_from_values(displaced_diagonals(rho, [gamma], cfg)[0, : cfg.n_trunc])
-RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
-EM = EMConfig(n_iterations=1000)
-EM_FAST = EMConfig(n_iterations=300)
 
 
 class TestPhaseGrid:
