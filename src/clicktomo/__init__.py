@@ -30,17 +30,13 @@ from .measurement import (
     ClickArrays,
     DetectorPair,
     DualDetectorRecipe,
-    Setting,
-    SettingSchedule,
+    Schedule,
     SingleDetectorRecipe,
     binomial_counts,
-    derive_setting,
-    dual_detector_schedule,
+    derive_settings,
     homogeneous_efficiencies,
     no_click_probabilities,
-    schedule_arrays,
     simulate,
-    single_detector_schedule,
 )
 from .recover import RecoveredDensity, StateComparison, compare_states, integrate_rho
 from .wigner import (

@@ -3,8 +3,8 @@
 Subcommands cover the pipeline stages: ``simulate`` writes click records,
 ``reconstruct`` turns them into a Wigner map, ``recover-rho`` integrates the
 map into a density matrix, and ``report`` condenses one or more artifacts
-into a tidy summary.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numerical failure.
+into a tidy summary.  Exit codes: 0 success, 2 config error, 3 data or I/O
+error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -177,7 +177,10 @@ def cmd_report(args) -> int:
     payload: dict = {"maps": rows}
     if args.metrics:
         with open(args.metrics, "r", encoding="utf-8") as fh:
-            payload["rho_metrics"] = json.load(fh)
+            try:
+                payload["rho_metrics"] = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+                raise DataError(f"{args.metrics}: not a metrics JSON file: {exc}") from exc
     payload["runtime_seconds"] = time.perf_counter() - t0
 
     header = f"{'n_iterations':>12} {'n_runs':>8} {'seed':>6} {'delta_w':>12} {'mean_var':>12}"
@@ -238,8 +241,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

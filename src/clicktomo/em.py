@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measurement import no_click_powers
+
 __all__ = [
     "EMConfig",
     "EMBatchResult",
@@ -66,15 +68,8 @@ class EMConfig:
             raise ValueError("early_stop_tol must be positive when set")
 
 
-def _kernel(nu_bar: np.ndarray, n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """A_jn = (1 - nu_bar_j)^n and the weights f_j = sum_n A_jn."""
-    x = 1.0 - np.asarray(nu_bar, dtype=float)
-    a = x[:, None] ** np.arange(n_trunc, dtype=float)[None, :]
-    return a, a.sum(axis=1)
-
-
 def _loglik_rows(
-    p: np.ndarray, noclick: np.ndarray, n_runs: np.ndarray, floor: float
+    p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray", floor: float
 ) -> np.ndarray:
     pc = np.clip(p, floor, 1.0 - floor)
     return (noclick * np.log(pc) + (n_runs - noclick) * np.log1p(-pc)).sum(axis=1)
@@ -98,7 +93,7 @@ def run_em_batch(
     n_trunc: int,
     cfg: EMConfig,
     noclick: np.ndarray | None = None,
-    n_runs: np.ndarray | None = None,
+    n_runs: "int | np.ndarray | None" = None,
     record_trace: bool = False,
 ) -> EMBatchResult:
     """Run the iteration for P independent points sharing one efficiency set.
@@ -109,8 +104,8 @@ def run_em_batch(
         ey: (P, M) attenuation factors e^{y} per point and setting.
         n_trunc: model dimension N; requires M >= N.
         cfg: iteration configuration.
-        noclick / n_runs: (P, M) counts for the likelihood; frequencies are
-            used with unit weight when omitted.
+        noclick / n_runs: (P, M) counts and their runs (scalar or (P, M)) for
+            the likelihood; frequencies are used with unit weight when omitted.
         record_trace: also keep the likelihood after every iteration.
 
     Returns:
@@ -122,11 +117,11 @@ def run_em_batch(
     p_count, m = freqs.shape
     if m < n_trunc:
         raise ValueError(f"need at least n_trunc = {n_trunc} settings, got {m}")
-    a, f = _kernel(np.asarray(nu_bar, dtype=float), n_trunc)
+    a = no_click_powers(nu_bar, n_trunc)  # A_jn = (1 - nu_bar_j)^n
+    f = a.sum(axis=1)
     ey = np.broadcast_to(np.asarray(ey, dtype=float), (p_count, m))
     if noclick is None or n_runs is None:
-        noclick = freqs
-        n_runs = np.ones_like(freqs)
+        noclick, n_runs = freqs, 1
 
     weighted = a / f[:, None]  # (M, N) row-normalized kernel
     sensitivity = weighted.sum(axis=0)  # (N,)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, build_recipe, dump_config, parse_config
 from .errors import ConfigError, DataError
-from .measurement import ClickArrays, complex_array, schedule_arrays
+from .measurement import ClickArrays, complex_array
 
 __all__ = [
     "CLICK_COLUMNS",
@@ -188,10 +188,10 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)), "n_noclick outside [0, n_runs]")
     gammas = cfg.grid.flat_gammas()
     try:
-        *_, nu_bar, y = schedule_arrays(build_recipe(cfg), gammas)
+        sched = build_recipe(cfg).build(gammas)
     except ValueError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    clicks = ClickArrays(gammas, nu_bar, y, noclick.reshape(p, m), np.full((p, m), cfg.n_runs))
+    clicks = ClickArrays(gammas, sched.nu_bar, sched.y, noclick.reshape(p, m), cfg.n_runs)
     return cfg, repetition, clicks
 
 

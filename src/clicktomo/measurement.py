@@ -27,16 +27,13 @@ from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
 
 __all__ = [
     "DetectorPair",
-    "Setting",
-    "SettingSchedule",
     "SingleDetectorRecipe",
     "DualDetectorRecipe",
-    "derive_setting",
-    "single_detector_schedule",
-    "dual_detector_schedule",
+    "Schedule",
+    "derive_settings",
     "homogeneous_efficiencies",
     "ClickArrays",
-    "schedule_arrays",
+    "no_click_powers",
     "no_click_probabilities",
     "binomial_counts",
     "simulate",
@@ -58,37 +55,50 @@ class DetectorPair:
                 raise ValueError(f"{name} = {nu} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class Setting:
-    """One measurement configuration with its derived parameters.
+def derive_settings(alpha, beta, nu_c, nu_d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nu_bar, gamma, y) of M settings, the package's one derivation of them.
 
-    Instances come out of :func:`derive_setting` only, so the derived fields
-    (nu_bar, gamma, y) always reproduce bit-for-bit when recomputed from
-    (alpha, beta, detectors).
+    ``alpha``, ``nu_c`` and ``nu_d`` are (M,); ``beta`` broadcasts against
+    them, (P, M) for P points.  nu_bar is (M,), gamma and y take beta's shape.
+    The arithmetic is real, on beta's parts, and the trigonometry is ``math``'s,
+    one setting at a time: numpy's vectorised trigonometry may round otherwise.
     """
-
-    alpha: float
-    beta: complex
-    detectors: DetectorPair
-    nu_bar: float
-    gamma: complex
-    y: float
-
-
-def derive_setting(alpha: float, beta: complex, detectors: DetectorPair) -> Setting:
-    """Populate a Setting from the physical knobs (single derivation path)."""
-    a = float(alpha)
-    b = complex(beta)
-    c, s = math.cos(a), math.sin(a)
-    nu_bar = detectors.nu_c * c * c + detectors.nu_d * s * s
-    if nu_bar <= 0.0:
+    alpha, nu_c, nu_d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, nu_c, nu_d)))
+    c = np.array([math.cos(a) for a in alpha.tolist()])
+    s = np.array([math.sin(a) for a in alpha.tolist()])
+    nu_bar = nu_c * c * c + nu_d * s * s
+    if np.any(nu_bar <= 0.0):
+        j = int(np.argmax(nu_bar <= 0.0))
         raise ValueError(
             "nu_bar vanishes: no detector sees the signal "
-            f"(alpha={a}, nu_c={detectors.nu_c}, nu_d={detectors.nu_d})"
+            f"(alpha={alpha[j]}, nu_c={nu_c[j]}, nu_d={nu_d[j]})"
         )
-    gamma = b * (detectors.nu_d - detectors.nu_c) * c * s / nu_bar
-    y = -abs(b) ** 2 * detectors.nu_c * detectors.nu_d / nu_bar
-    return Setting(alpha=a, beta=b, detectors=detectors, nu_bar=nu_bar, gamma=gamma, y=y)
+    br, bi = np.real(beta), np.imag(beta)
+    gamma = complex_array(br * (nu_d - nu_c) * c * s / nu_bar, bi * (nu_d - nu_c) * c * s / nu_bar)
+    y = -np.float_power(np.hypot(br, bi), 2.0) * nu_c * nu_d / nu_bar
+    return nu_bar, gamma, y
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """M settings at each of P points: ``nu_bar`` (M,) is shared, ``beta`` and ``y`` are (P, M)."""
+
+    nu_bar: np.ndarray
+    beta: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return self.nu_bar.size
+
+
+def _schedule(gammas: np.ndarray, alpha, beta: np.ndarray, nu_c, nu_d) -> Schedule:
+    """Derive the settings of probes ``beta`` (P, M) and check that they land on ``gammas`` (P,)."""
+    nu_bar, gamma, y = derive_settings(alpha, beta, nu_c, nu_d)
+    stray = np.abs(gamma - gammas[:, None]).max(axis=1)
+    if np.any(stray > GAMMA_MATCH_TOL):
+        i = int(np.argmax(stray))
+        raise ValueError(f"derived gamma strays {stray[i]:.3e} from target {complex(gammas[i])}")
+    return Schedule(nu_bar, np.broadcast_to(beta, y.shape), y)
 
 
 @dataclass(frozen=True)
@@ -102,8 +112,21 @@ class SingleDetectorRecipe:
     alpha: float
     efficiencies: tuple[float, ...]
 
-    def build(self, target_gamma: complex) -> "SettingSchedule":
-        return single_detector_schedule(target_gamma, self.alpha, self.efficiencies)
+    def build(self, gammas) -> Schedule:
+        """The schedule at every point of ``gammas`` (a scalar is one point): one probe per point."""
+        a = float(self.alpha)
+        if abs(math.sin(a)) < 1e-12 or abs(math.cos(a)) < 1e-12:
+            raise ValueError(f"alpha = {a} is degenerate (multiple of pi/2)")
+        effs = tuple(float(v) for v in self.efficiencies)
+        if not effs:
+            raise ValueError("efficiencies must be non-empty")
+        for nu in effs:
+            if not 0.0 < nu <= 1.0:
+                raise ValueError(f"efficiency {nu} outside (0, 1]")
+        g = np.asarray(gammas, dtype=complex).ravel()
+        t = math.tan(a)
+        beta = complex_array(-g.real[:, None] / t, -g.imag[:, None] / t)
+        return _schedule(g, [a] * len(effs), beta, effs, 0.0)
 
 
 @dataclass(frozen=True)
@@ -113,28 +136,25 @@ class DualDetectorRecipe:
     detectors: DetectorPair
     angles: tuple[float, ...]
 
-    def build(self, target_gamma: complex) -> "SettingSchedule":
-        return dual_detector_schedule(target_gamma, self.detectors, self.angles)
-
-
-@dataclass(frozen=True)
-class SettingSchedule:
-    """Settings sharing one effective displacement ``target_gamma``."""
-
-    target_gamma: complex
-    settings: tuple[Setting, ...]
-
-    def __post_init__(self) -> None:
-        if not self.settings:
-            raise ValueError("schedule must contain at least one setting")
-        worst = max(abs(s.gamma - self.target_gamma) for s in self.settings)
-        if worst > GAMMA_MATCH_TOL:
-            raise ValueError(
-                f"derived gamma strays {worst:.3e} from target {self.target_gamma}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.settings)
+    def build(self, gammas) -> Schedule:
+        """The schedule at every point of ``gammas`` (a scalar is one point)."""
+        nu_c, nu_d = self.detectors.nu_c, self.detectors.nu_d
+        if nu_c == nu_d:
+            raise ValueError("dual-detector mode needs nu_c != nu_d")
+        angs = tuple(float(v) for v in self.angles)
+        if not angs:
+            raise ValueError("angles must be non-empty")
+        for a in angs:
+            if abs(math.sin(2.0 * a)) < 1e-12:
+                raise ValueError(f"angle {a} is degenerate (sin(2 alpha) = 0)")
+        # beta_j = 2 gamma nu_bar_j / ((nu_d - nu_c) sin(2 alpha_j)) lands every angle
+        # on gamma.  nb squares cos and sin by pow, which rounds unlike derive_settings'
+        # products for a third of angles: the probes keep the bits tests/oracles.py pins
+        nb = np.array([nu_c * math.cos(a) ** 2 + nu_d * math.sin(a) ** 2 for a in angs])
+        den = np.array([(nu_d - nu_c) * math.sin(2.0 * a) for a in angs])
+        g = np.asarray(gammas, dtype=complex).ravel()
+        beta = complex_array(2.0 * g.real[:, None] * nb / den, 2.0 * g.imag[:, None] * nb / den)
+        return _schedule(g, angs, beta, nu_c, nu_d)
 
 
 def homogeneous_efficiencies(count: int, lo: float = 0.1, hi: float = 0.9) -> tuple[float, ...]:
@@ -144,62 +164,12 @@ def homogeneous_efficiencies(count: int, lo: float = 0.1, hi: float = 0.9) -> tu
     return tuple(float(v) for v in np.linspace(lo, hi, count))
 
 
-def single_detector_schedule(
-    target_gamma: complex, alpha: float, efficiencies: "tuple[float, ...] | list[float]"
-) -> SettingSchedule:
-    """Schedule for the one-detector mode: fixed alpha and probe, swept nu_c."""
-    a = float(alpha)
-    if abs(math.sin(a)) < 1e-12 or abs(math.cos(a)) < 1e-12:
-        raise ValueError(f"alpha = {a} is degenerate (multiple of pi/2)")
-    effs = tuple(float(v) for v in efficiencies)
-    if not effs:
-        raise ValueError("efficiencies must be non-empty")
-    for nu in effs:
-        if not 0.0 < nu <= 1.0:
-            raise ValueError(f"efficiency {nu} outside (0, 1]")
-    beta = -complex(target_gamma) / math.tan(a)
-    settings = tuple(derive_setting(a, beta, DetectorPair(nu, 0.0)) for nu in effs)
-    return SettingSchedule(
-        target_gamma=complex(target_gamma),
-        settings=settings,
-    )
-
-
-def dual_detector_schedule(
-    target_gamma: complex, detectors: DetectorPair, angles: "tuple[float, ...] | list[float]"
-) -> SettingSchedule:
-    """Schedule for the two-detector mode: fixed efficiencies, swept angle.
-
-    Per angle the probe amplitude
-    beta_j = 2 gamma nu_bar_j / ((nu_d - nu_c) sin(2 alpha_j)) inverts the
-    setting derivation, so every setting lands on the same gamma.
-    """
-    if detectors.nu_c == detectors.nu_d:
-        raise ValueError("dual-detector mode needs nu_c != nu_d")
-    angs = tuple(float(v) for v in angles)
-    if not angs:
-        raise ValueError("angles must be non-empty")
-    settings = []
-    g = complex(target_gamma)
-    for a in angs:
-        s2 = math.sin(2.0 * a)
-        if abs(s2) < 1e-12:
-            raise ValueError(f"angle {a} is degenerate (sin(2 alpha) = 0)")
-        nu_bar = detectors.nu_c * math.cos(a) ** 2 + detectors.nu_d * math.sin(a) ** 2
-        beta = 2.0 * g * nu_bar / ((detectors.nu_d - detectors.nu_c) * s2)
-        settings.append(derive_setting(a, beta, detectors))
-    return SettingSchedule(
-        target_gamma=g,
-        settings=tuple(settings),
-    )
-
-
 Recipe = SingleDetectorRecipe | DualDetectorRecipe
 
 
 @dataclass(frozen=True, eq=False)
 class ClickArrays:
-    """Click data of P points x M settings: ``gammas`` is (P,), every other field (P, M).
+    """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` and ``noclick`` (P, M).
 
     In exact mode ``noclick`` holds the expected counts ``p * n_runs``.
     ``truncation_leak`` (P,) is each point's 1 - sum_{n < n_trunc} R_n(gamma),
@@ -211,7 +181,7 @@ class ClickArrays:
     nu_bar: np.ndarray
     y: np.ndarray
     noclick: np.ndarray
-    n_runs: np.ndarray
+    n_runs: int
     truncation_leak: np.ndarray | None = None
 
 
@@ -220,48 +190,6 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def _cmul(re, im, k):
-    """CPython's ``complex * float``: the float enters as ``complex(k, 0.0)``."""
-    return re * k - im * 0.0, im * k + re * 0.0
-
-
-def _cdiv(re, im, k):
-    """CPython's ``complex / float``: its quotient algorithm with a zero imaginary part."""
-    ratio = 0.0 / k
-    denom = k + 0.0 * ratio
-    return (re + im * ratio) / denom, (im - re * ratio) / denom
-
-
-def schedule_arrays(recipe: Recipe, gammas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(alpha, beta, nu_c, nu_d, nu_bar, y) of every point's schedule as (P, M) arrays.
-
-    Bit for bit what ``recipe.build(g).settings`` holds: nu_bar is derived once
-    per schedule entry, and the per-point fields repeat the float and complex
-    operations of the schedule builders and ``derive_setting`` in order.
-    """
-    g = np.asarray(gammas, dtype=complex).ravel()
-    settings = recipe.build(g[0]).settings
-    entries = [(s.alpha, s.detectors.nu_c, s.detectors.nu_d, s.nu_bar) for s in settings]
-    alpha, nu_c, nu_d, nu_bar = (np.broadcast_to(v, (g.size, len(entries))) for v in zip(*entries))
-    gr, gi = g.real[:, None], g.imag[:, None]
-    if isinstance(recipe, SingleDetectorRecipe):
-        # beta = -complex(target_gamma) / math.tan(alpha)
-        br, bi = _cdiv(-gr, -gi, np.array([math.tan(a) for a, _, _, _ in entries]))
-    else:
-        # beta = 2.0 * g * nb / ((nu_d - nu_c) * sin(2 alpha)), nb as dual_detector_schedule has it
-        nb = np.array([c * math.cos(a) ** 2 + d * math.sin(a) ** 2 for a, c, d, _ in entries])
-        den = np.array([(d - c) * math.sin(2.0 * a) for a, c, d, _ in entries])
-        br, bi = _cdiv(*_cmul(*_cmul(gr, gi, 2.0), nb), den)
-    cos, sin = np.array([(math.cos(a), math.sin(a)) for a, _, _, _ in entries]).T
-    re, im = _cdiv(*_cmul(*_cmul(*_cmul(br, bi, nu_d[0] - nu_c[0]), cos), sin), nu_bar[0])
-    stray = np.hypot(re - gr, im - gi).max(axis=1)
-    if np.any(stray > GAMMA_MATCH_TOL):
-        i = int(np.argmax(stray))
-        raise ValueError(f"derived gamma strays {stray[i]:.3e} from target {complex(g[i])}")
-    y = -np.float_power(np.hypot(br, bi), 2.0) * nu_c * nu_d / nu_bar
-    return alpha, complex_array(br, bi), nu_c, nu_d, nu_bar, y
 
 
 def no_click_probabilities(
@@ -281,10 +209,15 @@ def no_click_probabilities(
     return _series_probabilities(displaced_diagonals(rho, gammas, trunc), nu_bar, y)
 
 
+def no_click_powers(nu_bar: np.ndarray, n: int) -> np.ndarray:
+    """(M, n) table (1 - nu_bar_j)^k, k < n: the weights of the no-click series."""
+    x = 1.0 - np.asarray(nu_bar, dtype=float)
+    return x[:, None] ** np.arange(n, dtype=float)[None, :]
+
+
 def _series_probabilities(diag: np.ndarray, nu_bar: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The no-click series of (P, n_pad) displaced diagonals as one product with the (M, n_pad) powers."""
-    x = 1.0 - np.asarray(nu_bar, dtype=float)
-    powers = x[:, None] ** np.arange(diag.shape[1], dtype=float)[None, :]
+    powers = no_click_powers(nu_bar, diag.shape[1])
     return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
@@ -323,13 +256,13 @@ def simulate(
     counts the same however a grid is split.
     """
     g = np.asarray(gammas, dtype=complex).ravel()
-    *_, nu_bar, y = schedule_arrays(recipe, g)
+    sched = recipe.build(g)
     diag = displaced_diagonals(rho, g, trunc)
-    probs = _series_probabilities(diag, nu_bar[0], y)
+    probs = _series_probabilities(diag, sched.nu_bar, sched.y)
     if exact:
         noclick = probs * n_runs
     else:
         key = _seed_key(seed) + (int(repetition),)
         noclick = binomial_counts(int(n_runs), probs, key, offset).astype(float)
     leak = 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)
-    return ClickArrays(g, nu_bar, y, noclick, np.full(y.shape, int(n_runs)), leak)
+    return ClickArrays(g, sched.nu_bar, sched.y, noclick, int(n_runs), leak)

@@ -150,7 +150,7 @@ def reconstruct_clicks(
     Failed points get W = NaN.
     """
     result = run_em_batch(
-        clicks.noclick / clicks.n_runs, clicks.nu_bar[0], np.exp(clicks.y), n_trunc, em_cfg,
+        clicks.noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg,
         noclick=clicks.noclick, n_runs=clicks.n_runs,
     )
     w = np.array(

@@ -5,10 +5,12 @@ displacement operators come from a matrix exponential of the truncated
 generator, state amplitudes from direct per-term formulas, and no-click
 probabilities from beam-splitter output amplitudes in closed form.  The
 exception is the block of dense displacement functions at the end: the
-per-point code the batched kernel replaced, kept as its reference.
+per-point code the batched kernel replaced, kept as its reference, and the
+block of scalar schedule builders the array derivation replaced.
 """
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,6 +23,7 @@ from clicktomo.fock import (
     TruncationConfig,
     log_factorials,
 )
+from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair
 
 
 def displacement_expm(gamma: complex, dim: int) -> np.ndarray:
@@ -278,3 +281,111 @@ def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
         total += math.exp(log_coeff) * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
     out = np.exp(-0.5 * np.abs(g) ** 2) * total
     return complex(out[0]) if scalar else out
+
+
+# Scalar schedule references: the per-setting objects and builders that the
+# array derivation ``measurement.derive_settings`` and the recipes' ``build``
+# replaced, kept verbatim to pin their results bit for bit.
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One measurement configuration with its derived parameters.
+
+    Instances come out of :func:`derive_setting` only, so the derived fields
+    (nu_bar, gamma, y) always reproduce bit-for-bit when recomputed from
+    (alpha, beta, detectors).
+    """
+
+    alpha: float
+    beta: complex
+    detectors: DetectorPair
+    nu_bar: float
+    gamma: complex
+    y: float
+
+
+def derive_setting(alpha: float, beta: complex, detectors: DetectorPair) -> Setting:
+    """Populate a Setting from the physical knobs (single derivation path)."""
+    a = float(alpha)
+    b = complex(beta)
+    c, s = math.cos(a), math.sin(a)
+    nu_bar = detectors.nu_c * c * c + detectors.nu_d * s * s
+    if nu_bar <= 0.0:
+        raise ValueError(
+            "nu_bar vanishes: no detector sees the signal "
+            f"(alpha={a}, nu_c={detectors.nu_c}, nu_d={detectors.nu_d})"
+        )
+    gamma = b * (detectors.nu_d - detectors.nu_c) * c * s / nu_bar
+    y = -abs(b) ** 2 * detectors.nu_c * detectors.nu_d / nu_bar
+    return Setting(alpha=a, beta=b, detectors=detectors, nu_bar=nu_bar, gamma=gamma, y=y)
+
+
+@dataclass(frozen=True)
+class SettingSchedule:
+    """Settings sharing one effective displacement ``target_gamma``."""
+
+    target_gamma: complex
+    settings: tuple[Setting, ...]
+
+    def __post_init__(self) -> None:
+        if not self.settings:
+            raise ValueError("schedule must contain at least one setting")
+        worst = max(abs(s.gamma - self.target_gamma) for s in self.settings)
+        if worst > GAMMA_MATCH_TOL:
+            raise ValueError(
+                f"derived gamma strays {worst:.3e} from target {self.target_gamma}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.settings)
+
+
+def single_detector_schedule(
+    target_gamma: complex, alpha: float, efficiencies: "tuple[float, ...] | list[float]"
+) -> SettingSchedule:
+    """Schedule for the one-detector mode: fixed alpha and probe, swept nu_c."""
+    a = float(alpha)
+    if abs(math.sin(a)) < 1e-12 or abs(math.cos(a)) < 1e-12:
+        raise ValueError(f"alpha = {a} is degenerate (multiple of pi/2)")
+    effs = tuple(float(v) for v in efficiencies)
+    if not effs:
+        raise ValueError("efficiencies must be non-empty")
+    for nu in effs:
+        if not 0.0 < nu <= 1.0:
+            raise ValueError(f"efficiency {nu} outside (0, 1]")
+    beta = -complex(target_gamma) / math.tan(a)
+    settings = tuple(derive_setting(a, beta, DetectorPair(nu, 0.0)) for nu in effs)
+    return SettingSchedule(
+        target_gamma=complex(target_gamma),
+        settings=settings,
+    )
+
+
+def dual_detector_schedule(
+    target_gamma: complex, detectors: DetectorPair, angles: "tuple[float, ...] | list[float]"
+) -> SettingSchedule:
+    """Schedule for the two-detector mode: fixed efficiencies, swept angle.
+
+    Per angle the probe amplitude
+    beta_j = 2 gamma nu_bar_j / ((nu_d - nu_c) sin(2 alpha_j)) inverts the
+    setting derivation, so every setting lands on the same gamma.
+    """
+    if detectors.nu_c == detectors.nu_d:
+        raise ValueError("dual-detector mode needs nu_c != nu_d")
+    angs = tuple(float(v) for v in angles)
+    if not angs:
+        raise ValueError("angles must be non-empty")
+    settings = []
+    g = complex(target_gamma)
+    for a in angs:
+        s2 = math.sin(2.0 * a)
+        if abs(s2) < 1e-12:
+            raise ValueError(f"angle {a} is degenerate (sin(2 alpha) = 0)")
+        nu_bar = detectors.nu_c * math.cos(a) ** 2 + detectors.nu_d * math.sin(a) ** 2
+        beta = 2.0 * g * nu_bar / ((detectors.nu_d - detectors.nu_c) * s2)
+        settings.append(derive_setting(a, beta, detectors))
+    return SettingSchedule(
+        target_gamma=g,
+        settings=tuple(settings),
+    )

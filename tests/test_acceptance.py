@@ -21,9 +21,8 @@ from clicktomo import (
     compare_states,
     delta_w,
     density_from_pure,
-    derive_setting,
+    derive_settings,
     displace,
-    dual_detector_schedule,
     exact_wigner_map,
     fock_state,
     homogeneous_efficiencies,
@@ -50,13 +49,19 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def gamma0_nu_bar() -> np.ndarray:
     """nu_bar of 30 single-detector settings at gamma = 0, one per efficiency."""
-    settings = [derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)) for nu in homogeneous_efficiencies(30)]
-    return np.array([s.nu_bar for s in settings])
+    return derive_settings(np.zeros(30), [[0.0]], homogeneous_efficiencies(30), 0.0)[0]
+
+
+def derive(alpha: float, beta: complex, detectors: DetectorPair) -> tuple:
+    """(nu_bar, gamma, y) of one setting."""
+    nu_bar, gamma, y = derive_settings([alpha], [[beta]], [detectors.nu_c], [detectors.nu_d])
+    return nu_bar[0], gamma[0, 0], y[0, 0]
 
 
 def no_click(rho, setting) -> float:
-    """Exact no-click probability of one setting."""
-    return float(no_click_probabilities(rho, [setting.gamma], [setting.nu_bar], [[setting.y]], CFG)[0, 0])
+    """Exact no-click probability of one setting (nu_bar, gamma, y)."""
+    nu_bar, gamma, y = setting
+    return float(no_click_probabilities(rho, [gamma], [nu_bar], [[y]], CFG)[0, 0])
 
 
 def test_criterion_1_forward_model_analytic():
@@ -65,7 +70,7 @@ def test_criterion_1_forward_model_analytic():
     assert CFG.n_pad >= 44
     worst = 0.0
     for nu in np.arange(0.1, 0.95, 0.1):
-        setting = derive_setting(0.0, 0.0, DetectorPair(float(nu), 0.0))
+        setting = derive(0.0, 0.0, DetectorPair(float(nu), 0.0))
         p = no_click(rho, setting)
         worst = max(worst, abs(p - math.exp(-float(nu))))
     ok = worst < 1e-10
@@ -82,7 +87,7 @@ def test_criterion_2_probe_only_factorization():
         for re_b in np.linspace(-1.5, 1.5, 5):
             for im_b in np.linspace(-1.5, 1.5, 5):
                 beta = complex(re_b, im_b)
-                setting = derive_setting(float(alpha), beta, pair)
+                setting = derive(float(alpha), beta, pair)
                 p = no_click(rho, setting)
                 expected = math.exp(
                     -pair.nu_c * abs(beta * math.sin(alpha)) ** 2

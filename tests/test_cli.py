@@ -253,6 +253,43 @@ def test_report_missing_file(tmp_path):
     assert main(["report", "--wigner", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 3
 
 
+@pytest.fixture(scope="module")
+def small_wigner(tmp_path_factory):
+    out = tmp_path_factory.mktemp("art")
+    cfg = out / "run.ini"
+    cfg.write_text(SMALL)
+    main(["simulate", "--config", str(cfg), "--out", str(out)])
+    main(["reconstruct", "--config", str(cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
+    return out / "wigner.csv"
+
+
+# route -> (arguments, the path at fault, exit code)
+BAD_FILES = {
+    "metrics_not_json": ("report --wigner {wigner} --metrics {not_json} --out {dir}", "not_json", 3),
+    "metrics_not_utf8": ("report --wigner {wigner} --metrics {not_utf8} --out {dir}", "not_utf8", 3),
+    "metrics_nested_too_deep": ("report --wigner {wigner} --metrics {deep} --out {dir}", "deep", 3),
+    "records_a_directory": ("reconstruct --config {cfg} --records {dir} --out {dir}", "dir", 3),
+    "config_a_directory": ("simulate --config {dir} --out {dir}", "dir", 3),
+    "out_an_existing_file": ("simulate --config {cfg} --out {cfg}", "cfg", 3),
+    "config_not_utf8": ("simulate --config {not_utf8} --out {dir}", "not_utf8", 2),
+}
+
+
+@pytest.mark.parametrize("argv, culprit, code", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_file_is_a_one_line_error(small_cfg, small_wigner, tmp_path, capsys, argv, culprit, code):
+    paths = {
+        "cfg": small_cfg, "wigner": small_wigner, "dir": tmp_path,
+        "not_json": tmp_path / "metrics.json", "not_utf8": tmp_path / "latin1.txt", "deep": tmp_path / "deep.json",
+    }
+    paths["not_json"].write_text('{"trace": 1.0,')
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    paths["not_utf8"].write_bytes("[run]\nseed = 5 \xb1 1\n".encode("latin-1"))
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv.split()]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(paths[culprit]) in err
+
+
 def test_report_refuses_run_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--config", str(tmp_path / "none.ini"), "--seed", "3",

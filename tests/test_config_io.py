@@ -19,7 +19,7 @@ from clicktomo.config import (
 from clicktomo.em import NORMALIZATION_MODES
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
-from clicktomo.measurement import SingleDetectorRecipe, complex_array
+from clicktomo.measurement import SingleDetectorRecipe, complex_array, derive_settings
 
 BASE = """
 [state]
@@ -198,7 +198,9 @@ class TestBuilders:
         text = BASE.replace("mode = single", "mode = dual")
         recipe = build_recipe(parse_config(text))
         sched = recipe.build(0.5 + 0.1j)
-        assert all(abs(s.gamma - (0.5 + 0.1j)) <= 1e-12 for s in sched.settings)
+        pair = recipe.detectors
+        gamma = derive_settings(recipe.angles, sched.beta, pair.nu_c, pair.nu_d)[1]
+        assert np.all(np.abs(gamma - (0.5 + 0.1j)) <= 1e-12)
 
     def test_analytic_function(self):
         fn = analytic_wigner_fn(parse_config(BASE))

@@ -13,8 +13,9 @@ from clicktomo import (
     EMConfig,
     TruncationConfig,
     coherent_state,
+    DualDetectorRecipe,
     density_from_pure,
-    derive_setting,
+    derive_settings,
     no_click_probabilities,
     run_em_batch,
 )
@@ -55,7 +56,7 @@ def run_one(freqs, nu_bar, cfg, n_runs=10_000, n_trunc=12):
 
 def nu_bar_of(nu):
     """nu_bar of a gamma = 0, alpha = 0 setting with the second detector blind (= nu)."""
-    return derive_setting(0.0, 0.0, DetectorPair(nu, 0.0)).nu_bar
+    return float(derive_settings([0.0], [[0.0]], [nu], [0.0])[0][0])
 
 
 class TestForwardProbability:
@@ -200,12 +201,8 @@ class TestRunEm:
         # a probe so bright that every forward probability underflows: the
         # point is marked failed and left NaN (reconstruct_point raises
         # DegenerateModelError on it)
-        from clicktomo import dual_detector_schedule
-
-        sched = dual_detector_schedule(20.0, DetectorPair(0.5, 0.9), np.linspace(0.3, 1.2, 12))
-        nu_bar = np.array([s.nu_bar for s in sched.settings])
-        ey = np.exp([[s.y for s in sched.settings]])
-        out = run_em_batch(np.zeros((1, 12)), nu_bar, ey, 4, EMConfig(n_iterations=5))
+        sched = DualDetectorRecipe(DetectorPair(0.5, 0.9), tuple(np.linspace(0.3, 1.2, 12))).build(20.0)
+        out = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, EMConfig(n_iterations=5))
         assert out.failed[0]
         assert np.all(np.isnan(out.values[0]))
 
