@@ -285,6 +285,41 @@ class TestSimulateSchedule:
             assert clicks.noclick[i].tolist() == rng.binomial(700, probs).tolist()
 
 
+class TestScheduleArrays:
+    """``recipe.build`` over many points reproduces the scalar builders of tests/oracles.py.
+
+    Fixed recipes and gammas, signed zeros included; the hypothesis test below
+    draws both.
+    """
+
+    @pytest.mark.parametrize(
+        "recipe, oracle",
+        [
+            (
+                SingleDetectorRecipe(0.15, homogeneous_efficiencies(7)),
+                lambda g: single_detector_schedule(g, 0.15, homogeneous_efficiencies(7)),
+            ),
+            (
+                DualDetectorRecipe(DetectorPair(0.3, 0.6), (0.2, 0.5, 0.9, 1.2)),
+                lambda g: dual_detector_schedule(g, DetectorPair(0.3, 0.6), (0.2, 0.5, 0.9, 1.2)),
+            ),
+        ],
+        ids=["single", "dual"],
+    )
+    def test_matches_derive_setting_bit_for_bit(self, recipe, oracle):
+        rng = np.random.default_rng(3)
+        signed_zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        gammas = np.array([*signed_zeros, -1.5, 2j, *(rng.normal(size=40) + 1j * rng.normal(size=40))])
+        sched = recipe.build(gammas)
+        for i, g in enumerate(gammas):
+            ss = oracle(g).settings
+            assert bits(sched.nu_bar) == bits([s.nu_bar for s in ss])
+            assert bits(sched.y[i]) == bits([s.y for s in ss])
+            # beta agrees up to the sign of a zero part
+            assert sched.beta[i].real.tolist() == [s.beta.real for s in ss]
+            assert sched.beta[i].imag.tolist() == [s.beta.imag for s in ss]
+
+
 class TestKeyedBinomial:
     """Row i of ``binomial_counts`` is the generator keyed ``key + (offset + i,)``."""
 
