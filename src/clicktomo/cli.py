@@ -181,6 +181,8 @@ def cmd_report(args) -> int:
                 payload["rho_metrics"] = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
                 raise DataError(f"{args.metrics}: not a metrics JSON file: {exc}") from exc
+        if not isinstance(payload["rho_metrics"], dict):
+            raise DataError(f"{args.metrics}: not a metrics JSON file: holds no JSON object")
     payload["runtime_seconds"] = time.perf_counter() - t0
 
     header = f"{'n_iterations':>12} {'n_runs':>8} {'seed':>6} {'delta_w':>12} {'mean_var':>12}"

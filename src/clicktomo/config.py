@@ -163,8 +163,8 @@ def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
+    except configparser.Error as exc:  # its message spans lines; errors print as one
+        raise ConfigError(f"config syntax error: {' '.join(str(exc).split())}") from exc
 
     values: dict[str, dict] = {}
     for section in parser.sections():
@@ -222,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not config text
         try:
             return parse_config(fh.read())
         except UnicodeDecodeError as exc:

@@ -16,9 +16,14 @@ consistent data a true fixed point: dropping it sends every iterate to the
 vacuum component regardless of the data (the tests pin this down), because
 sum_j A_jn / f_j decreases strictly with n.
 
-Positivity is preserved by construction.  The unit sum is exact in the
-default ``renormalized`` mode and emerges only at convergence in the
-``literal`` mode, which applies no per-step rescaling.
+Positivity is preserved by construction.  The update is scale-free: scaling
+R by c scales every p_j(R) by c and the bracketed gain by 1/c, so R' does not
+change.  The ``renormalized`` iterates are therefore the ``literal`` iterates
+divided by their sums, and one loop serves both modes: it iterates without
+rescaling, and the default ``renormalized`` mode divides by the sums once,
+after the last step.  In the ``literal`` mode the unit sum emerges only at
+convergence.  Only the probability floor breaks the scale invariance, so a
+step whose probabilities could fall under it normalizes first and clamps.
 """
 from __future__ import annotations
 
@@ -86,6 +91,14 @@ class EMBatchResult:
     trace_loglik: np.ndarray | None = None  # (iterations, P) when traced
 
 
+def _normalize(r: np.ndarray, sums: np.ndarray, failed: np.ndarray) -> None:
+    """Divide each point's column of r by its sum; a point whose sum is not positive fails (NaN)."""
+    dead = ~failed & ~(sums > 0.0)
+    failed |= dead
+    r[:, dead] = np.nan
+    r /= np.where(dead, 1.0, sums)
+
+
 def run_em_batch(
     freqs: np.ndarray,
     nu_bar: np.ndarray,
@@ -118,80 +131,76 @@ def run_em_batch(
     if m < n_trunc:
         raise ValueError(f"need at least n_trunc = {n_trunc} settings, got {m}")
     a = no_click_powers(nu_bar, n_trunc)  # A_jn = (1 - nu_bar_j)^n
-    f = a.sum(axis=1)
     ey = np.broadcast_to(np.asarray(ey, dtype=float), (p_count, m))
     if noclick is None or n_runs is None:
         noclick, n_runs = freqs, 1
 
-    weighted = a / f[:, None]  # (M, N) row-normalized kernel
-    sensitivity = weighted.sum(axis=0)  # (N,)
-    live = sensitivity > 0.0  # all-blind settings leave components unconstrained
-
+    # The iterate is component-major, (N, P): the faster layout for both GEMMs.
     if cfg.init is None:
-        r = np.full((p_count, n_trunc), 1.0 / n_trunc)
+        r = np.full((n_trunc, p_count), 1.0 / n_trunc)
     else:
         init = np.asarray(cfg.init, dtype=float)
         if init.size != n_trunc:
             raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
-        r = np.tile(init, (p_count, 1))
+        r = np.repeat(init[:, None], p_count, axis=1)
 
-    # The loop repeats the arithmetic of the plain one-array-per-step loop
-    # (tests/oracles.py) bit for bit, in preallocated buffers.  Whole-array
-    # guards skip only work that provably changes nothing: the per-row failure
-    # scans and the floor clamp run once a row has failed, or when some
-    # probability is under the floor or some sum is not positive (np.minimum
-    # propagates NaN, so a NaN trips the guards too).
-    # The GEMM operand layouts must stay as they are: OpenBLAS changes its
-    # accumulation order with the layout, which moves results in the last bits.
-    failed = np.zeros(p_count, dtype=bool)
-    any_failed = False
-    trace: list[np.ndarray] = []
+    # A step is r * W'(G / q) with q = A r, G = F / e^y and W' the weighted
+    # kernel over the sensitivity (zero for a component no setting sees).  A
+    # row of ones in the forward kernel puts each point's sum in q's last row.
+    weighted = a / a.sum(axis=1)[:, None]
+    sensitivity = weighted.sum(axis=0)
+    back = np.zeros((n_trunc, m + 1))
+    np.divide(weighted.T, sensitivity[:, None], out=back[:, :m], where=(sensitivity > 0.0)[:, None])
+    forward = np.vstack([a, np.ones(n_trunc)])
+    scaled_freqs = np.zeros((m + 1, p_count))
+    np.divide(freqs.T, ey.T, out=scaled_freqs[:m], where=ey.T > 0.0)
+
+    # A step skips the floor only if the normalized iterate's probabilities
+    # e^y q / sum provably stay above it and no sum is 0 or NaN (a failed point
+    # is NaN; e^y = 0 fails the bound).  The sums count from the second
+    # renormalized step on.  Otherwise the step normalizes, clamps and marks
+    # failures as the per-step loop of tests/oracles.py does.
     floor = cfg.floor_epsilon
+    e_min = float(np.min(ey, initial=np.inf))
+    q_bound = floor / e_min if e_min > 0.0 else np.inf
     renormalize = cfg.normalization == "renormalized"
-    all_live = bool(live.all())
-    sensitivity_rows = np.broadcast_to(sensitivity, (p_count, n_trunc)).copy()
-    a_t = a.T
-    p = np.empty((p_count, m))  # forward probabilities, then frequency ratios
-    gain = np.empty((p_count, n_trunc))
-    s = np.empty(p_count)
+    watch = record_trace or cfg.early_stop_tol is not None
+    failed = np.zeros(p_count, dtype=bool)
+    trace: list[np.ndarray] = []
+    q = np.empty((m + 1, p_count))  # forward products and sums, then ratios
+    gain = np.empty((n_trunc, p_count))
     previous = None if cfg.early_stop_tol is None else np.empty_like(r)
-    for _ in range(cfg.n_iterations):
-        np.matmul(r, a_t, out=p)
-        np.multiply(ey, p, out=p)
-        if any_failed or not np.minimum.reduce(p, axis=None, initial=np.inf) >= floor:
-            newly_dead = ~failed & np.all(p < floor, axis=1)
-            if np.any(newly_dead):
-                failed |= newly_dead
-                any_failed = True
-                r[newly_dead] = np.nan
-            np.maximum(p, floor, out=p)
-        np.divide(freqs, p, out=p)
-        np.matmul(p, weighted, out=gain)
-        if all_live:
-            np.divide(gain, sensitivity_rows, out=gain)
-        else:
-            np.divide(gain, sensitivity, out=gain, where=live)
-            gain[:, ~live] = 0.0
+    for step in range(cfg.n_iterations):
         if previous is not None:
             np.copyto(previous, r)
+        np.matmul(forward, r, out=q)
+        scaled = renormalize and step > 0
+        scale = np.maximum.reduce(q[m], initial=0.0) if scaled else 1.0
+        q_min = np.minimum.reduce(q, axis=None, initial=np.inf)
+        if q_min > 0.0 and q_min >= q_bound * scale:
+            np.divide(scaled_freqs, q, out=q)
+        else:
+            if scaled:
+                _normalize(r, q[m], failed)
+            p = ey.T * (a @ r)
+            newly_dead = ~failed & np.all(p < floor, axis=0)
+            failed |= newly_dead
+            r[:, newly_dead] = np.nan
+            np.divide(freqs.T, np.maximum(p, floor), out=q[:m])
+            q[m] = 0.0
+        np.matmul(back, q, out=gain)
         np.multiply(r, gain, out=r)
-        if renormalize:
-            np.add.reduce(r, axis=1, out=s)
-            if any_failed or not np.minimum.reduce(s, initial=np.inf) > 0.0:
-                dead = ~failed & ~(s > 0.0)
-                if np.any(dead):
-                    failed |= dead
-                    any_failed = True
-                    r[dead] = np.nan
-                    s[dead] = 1.0
-            np.divide(r, s[:, None], out=r)
+        # per-step observers see normalized iterates; otherwise normalize once
+        if renormalize and (watch or step == cfg.n_iterations - 1):
+            _normalize(r, r.sum(axis=0), failed)
         if record_trace:
-            trace.append(_loglik_rows(ey * (r @ a.T), noclick, n_runs, floor))
+            trace.append(_loglik_rows(ey * (a @ r).T, noclick, n_runs, floor))
         if previous is not None:
-            moved = np.abs(r[~failed] - previous[~failed])
+            moved = np.abs(r[:, ~failed] - previous[:, ~failed])
             if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
                 break
 
+    r = np.ascontiguousarray(r.T)
     p_final = ey * (r @ a.T)
     return EMBatchResult(
         values=r,

@@ -153,9 +153,7 @@ def reconstruct_clicks(
         clicks.noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg,
         noclick=clicks.noclick, n_runs=clicks.n_runs,
     )
-    w = np.array(
-        [math.nan if bad else wigner_from_values(v) for v, bad in zip(result.values, result.failed)]
-    )
+    w = np.where(result.failed, math.nan, wigner_from_values(result.values))
     return w, result.values, result.final_loglik, result.failed
 
 

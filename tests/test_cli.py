@@ -290,6 +290,43 @@ def test_bad_file_is_a_one_line_error(small_cfg, small_wigner, tmp_path, capsys,
     assert err.count("\n") == 1 and str(paths[culprit]) in err
 
 
+@pytest.mark.parametrize("value", ["[1, 2]", '"metrics"', "0.5", "null"], ids=["list", "string", "number", "null"])
+def test_report_metrics_must_be_a_json_object(small_wigner, tmp_path, capsys, value):
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text(value + "\n")
+    capsys.readouterr()
+    argv = ["report", "--wigner", str(small_wigner), "--metrics", str(metrics), "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(metrics) in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_with_byte_order_mark_runs(tmp_path):
+    # some editors save UTF-8 with a byte-order mark; it is not config text
+    digests = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        cfg = tmp_path / f"{encoding}.ini"
+        cfg.write_text(SMALL, encoding=encoding)
+        out = tmp_path / encoding
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        digests.append(hashlib.sha256((out / "clicks.csv").read_bytes()).hexdigest())
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf") and digests[0] == digests[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["seed = 3\n[run]\n", "[run]\nseed = 3\nnot a key value line\n", "[run]\nseed = 3\nseed = 4\n"],
+    ids=["no_section_header", "parsing_error", "duplicate_key"],
+)
+def test_config_syntax_error_is_one_line(tmp_path, capsys, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config syntax error:") and err.count("\n") == 1
+
+
 def test_report_refuses_run_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--config", str(tmp_path / "none.ini"), "--seed", "3",
@@ -664,29 +701,31 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # downstream file.  The sampled cases were re-pinned when each point got one
 # generator, every clicks.csv when click files became counts-only, and the
 # exact case when the forward model became one batched displacement kernel
-# (its probabilities moved in the last bits), and every rho.csv when the
-# quadrature became one moment matrix.  The fock case pins the analytic
-# Laguerre column w_exact.
+# (its probabilities moved in the last bits), every rho.csv when the
+# quadrature became one moment matrix, and every wigner.csv and rho.csv when
+# the EM began to normalize once after its last step (w_rec moved by at most
+# 5.7e-16, rho by at most 3.5e-13).  The fock case pins the analytic Laguerre
+# column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
         "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
-        "wigner.csv": "6d213fee3864f86ce1bb458bc7b2cdd7b4335090b12592d0b7fd03e54459609f",
-        "rho.csv": "90b202d78e10fd66ab4cbff96b577dc532f6a12651ca7476588472ce050a864f",
+        "wigner.csv": "901d4bf69e5859390308ee0723b89c654af63e129c1cb0f3abb011c658c60f36",
+        "rho.csv": "1a1f3d06ca4cb3da9c7e20b961ea5e5fa234f9b76ede893116e6cdc52334b9fb",
     }),
     "exact": (SMALL, ["--exact"], {
         "clicks.csv": "05ebdbbaeb4e13f9b6576e18fbe3283c52491ff261ab927ba9884ee1cb2fbd0a",
-        "wigner.csv": "82ad5bbf60692f97098c823a3dce1a30dfd4e13b420d68248763cdfc59bfdee6",
-        "rho.csv": "3b8d83635a009752323df038f40883028cefa3347bb8c5bdd5b4d22ad927c52f",
+        "wigner.csv": "e0e012e72783991fa4e9bcbed21668162511e0b9dd66c2974cb0b54849ce3fb5",
+        "rho.csv": "d23c3ce90bfeda9625addf1dd2209b34df905e7f38a96abedb4a53929f79f8ed",
     }),
     "dual": (DUAL, [], {
         "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",
-        "wigner.csv": "2c1d73366e888b911c4d68eea41e2d911fb059acc558f28c9c6fac99e1861702",
-        "rho.csv": "dc355fde07958e6e632db9fedae1c43784b7f209155f54293e4ce325950bd876",
+        "wigner.csv": "6bd60e5508751b946a648d29e564c8238a2338a96dee8f178fffae5c0d538330",
+        "rho.csv": "98a1c0a5c49d7b8ca10390a6486a96c6e5b451df311eac3bb3dadbebe5be59f8",
     }),
     "fock": (FOCK, [], {
         "clicks.csv": "8f86cbb518de3aeb4fa37c5d66f3a0760d48f7a9f86e46bd7e01f0aa8405dc56",
-        "wigner.csv": "4984359a5381e4153be88831505a302b70c339a5bd86324b64842a05699d1002",
-        "rho.csv": "8c5c2befcde82875cece66b7f9b33e54ad2c4850320d7a439b24e0c24bb4ccf1",
+        "wigner.csv": "b9abab37118ad3813f21981ac0f111b750b7aaa877ec6a8840bb1849cd75fe1e",
+        "rho.csv": "b737e18af94f121248d2c933a4a8d960927dfb3f54bf27d04e3442632df0d413",
     }),
 }
 

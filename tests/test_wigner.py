@@ -20,6 +20,7 @@ from clicktomo import (
     recommend_truncation,
     reconstruct_point,
     scan_grid,
+    simulate,
     squeezed_vacuum,
     squeezed_wigner,
     truncation_error_map,
@@ -28,7 +29,7 @@ from clicktomo import (
     wigner_map_from_function,
 )
 from clicktomo.errors import DataError
-from clicktomo.wigner import laguerre
+from clicktomo.wigner import laguerre, reconstruct_clicks
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
@@ -157,6 +158,26 @@ class TestScanGrid:
         dist, _ = reconstruct_point(rho, 0.0, RECIPE, CFG, EM, exact=True)
         occupation = np.real(np.diag(rho.elements))[:12]
         assert np.max(np.abs(dist.values - occupation)) <= 1e-2
+
+
+class TestReconstructClicks:
+    @pytest.mark.parametrize("failing", [False, True], ids=["sampled", "with_failures"])
+    def test_batched_read_off_matches_the_per_point_sum(self, failing):
+        # W comes from one batched dot over every point; it must agree with the
+        # per-point sum to rounding, and failed points must read NaN
+        from clicktomo import DetectorPair, DualDetectorRecipe
+
+        rho = density_from_pure(coherent_state(0.3 if failing else 1.0, CFG))
+        if failing:  # far nodes sit at e^y below the floor, as in TestScanFailures
+            recipe = DualDetectorRecipe(DetectorPair(0.4, 0.5), tuple(np.linspace(0.3, 1.2, 14)))
+            gammas = PhaseGrid(0.0, 2.0, -0.25, 0.25, 4, 1).flat_gammas()
+        else:
+            recipe, gammas = RECIPE, PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6).flat_gammas()
+        clicks = simulate(rho, gammas, recipe, CFG, 2000, 4, 0, exact=failing)
+        w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        per_point = [math.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)]
+        np.testing.assert_allclose(w, per_point, rtol=0.0, atol=1e-15)
+        assert failed.any() == failing and np.array_equal(np.isnan(w), failed)
 
 
 class TestScanFailures:
