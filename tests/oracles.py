@@ -96,9 +96,11 @@ def em_batch_reference(
 ):
     """The batched EM loop exactly as first written, one fresh array per step.
 
-    ``clicktomo.em.run_em_batch`` reuses buffers and skips provably no-op
-    work; tests require it to match this loop bit for bit.  Returns a
-    namespace with the fields of ``EMBatchResult``.
+    It renormalizes after every step and multiplies by e^y and divides by
+    the sensitivity each time.  ``clicktomo.em.run_em_batch`` normalizes once
+    at the end and folds both into constants, so tests hold it to this loop
+    within a tolerance fixed from the dtype.  Returns a namespace with the
+    fields of ``EMBatchResult``.
     """
     from types import SimpleNamespace
 
