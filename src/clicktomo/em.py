@@ -146,14 +146,14 @@ def run_em_batch(
 
     # A step is r * W'(G / q) with q = A r, G = F / e^y and W' the weighted
     # kernel over the sensitivity (zero for a component no setting sees).  A
-    # row of ones in the forward kernel puts each point's sum in q's last row.
+    # row of ones in the forward kernel puts each point's sum in q's last row,
+    # which the zero last column of W' drops from the gain.
     weighted = a / a.sum(axis=1)[:, None]
     sensitivity = weighted.sum(axis=0)
     back = np.zeros((n_trunc, m + 1))
     np.divide(weighted.T, sensitivity[:, None], out=back[:, :m], where=(sensitivity > 0.0)[:, None])
     forward = np.vstack([a, np.ones(n_trunc)])
-    scaled_freqs = np.zeros((m + 1, p_count))
-    np.divide(freqs.T, ey.T, out=scaled_freqs[:m], where=ey.T > 0.0)
+    scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
 
     # A step skips the floor only if the normalized iterate's probabilities
     # e^y q / sum provably stay above it and no sum is 0 or NaN (a failed point
@@ -178,7 +178,7 @@ def run_em_batch(
         scale = np.maximum.reduce(q[m], initial=0.0) if scaled else 1.0
         q_min = np.minimum.reduce(q, axis=None, initial=np.inf)
         if q_min > 0.0 and q_min >= q_bound * scale:
-            np.divide(scaled_freqs, q, out=q)
+            np.divide(scaled_freqs, q[:m], out=q[:m])
         else:
             if scaled:
                 _normalize(r, q[m], failed)
@@ -187,7 +187,6 @@ def run_em_batch(
             failed |= newly_dead
             r[:, newly_dead] = np.nan
             np.divide(freqs.T, np.maximum(p, floor), out=q[:m])
-            q[m] = 0.0
         np.matmul(back, q, out=gain)
         np.multiply(r, gain, out=r)
         # per-step observers see normalized iterates; otherwise normalize once

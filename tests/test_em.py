@@ -313,6 +313,13 @@ def _em_batch_case(name):
         )
         mode = name.split("_")[1]
         return freqs, nu_bar, ey, EMConfig(n_iterations=300, normalization=mode), {}
+    if name == "bright_data":
+        # frequencies far above e^y = 1e-9: the unnormalized iterate sums to
+        # about 1e9, and the normalized probabilities of the settings with
+        # nu_bar near 1 fall under the floor although the unnormalized ones
+        # do not, so the floor bound must use the sums
+        nu_bar = np.linspace(0.1, 0.999, 14)
+        return ((1.0 - nu_bar) ** 2)[None, :], nu_bar, 1e-9, EMConfig(n_iterations=300), {}
     if name in ("blind", "blind_literal"):
         # nu_bar = 1 everywhere: only the vacuum component is live
         cfg = EMConfig(n_iterations=50, normalization="renormalized" if name == "blind" else "literal")
@@ -344,6 +351,7 @@ class TestBatchBitIdentity:
             "literal",
             "floor_renormalized",
             "floor_literal",
+            "bright_data",
             "blind",
             "blind_literal",
             "early_stop_trace_init",
