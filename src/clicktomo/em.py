@@ -22,8 +22,16 @@ change.  The ``renormalized`` iterates are therefore the ``literal`` iterates
 divided by their sums, and one loop serves both modes: it iterates without
 rescaling, and the default ``renormalized`` mode divides by the sums once,
 after the last step.  In the ``literal`` mode the unit sum emerges only at
-convergence.  Only the probability floor breaks the scale invariance, so a
-step whose probabilities could fall under it normalizes first and clamps.
+convergence.  Only the probability floor breaks the scale invariance.
+
+Whether the floor can bind is decided once per point.  As p_j(R) >=
+e^{y_j} (min_n A_jn) sum_n R_n and the normalized iterate sums to 1 (to the
+init's sum on the first step), a ``renormalized`` point with min(1, sum init)
+min_j e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and
+takes the bare step: forward product, divide, back product, multiply.  Other
+points, and all points in the ``literal`` mode (whose iterate sum the bound
+does not know) or in runs that trace or stop early, are guarded: each step
+checks whether the floor could bind and, if so, normalizes and clamps.
 """
 from __future__ import annotations
 
@@ -145,59 +153,70 @@ def run_em_batch(
         r = np.repeat(init[:, None], p_count, axis=1)
 
     # A step is r * W'(G / q) with q = A r, G = F / e^y and W' the weighted
-    # kernel over the sensitivity (zero for a component no setting sees).  A
-    # row of ones in the forward kernel puts each point's sum in q's last row,
-    # which the zero last column of W' drops from the gain.
+    # kernel over the sensitivity (zero for a component no setting sees).
     weighted = a / a.sum(axis=1)[:, None]
     sensitivity = weighted.sum(axis=0)
-    back = np.zeros((n_trunc, m + 1))
-    np.divide(weighted.T, sensitivity[:, None], out=back[:, :m], where=(sensitivity > 0.0)[:, None])
-    forward = np.vstack([a, np.ones(n_trunc)])
+    back = np.zeros((n_trunc, m))
+    np.divide(weighted.T, sensitivity[:, None], out=back, where=(sensitivity > 0.0)[:, None])
+    forward = np.vstack([a, np.ones(n_trunc)])  # puts each point's sum in q's last row
     scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
 
-    # A step skips the floor only if the normalized iterate's probabilities
-    # e^y q / sum provably stay above it and no sum is 0 or NaN (a failed point
-    # is NaN; e^y = 0 fails the bound).  The sums count from the second
-    # renormalized step on.  Otherwise the step normalizes, clamps and marks
-    # failures as the per-step loop of tests/oracles.py does.
+    # Points that meet the static bound take the bare step.  A guarded step skips
+    # the floor only if e^y q / sum provably stays above it (sums count from the second
+    # renormalized step on), else it normalizes, clamps and fails as tests/oracles.py does.
     floor = cfg.floor_epsilon
-    e_min = float(np.min(ey, initial=np.inf))
-    q_bound = floor / e_min if e_min > 0.0 else np.inf
     renormalize = cfg.normalization == "renormalized"
     watch = record_trace or cfg.early_stop_tol is not None
+    reach = np.minimum(1.0, r.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
+    guarded = np.flatnonzero(~((renormalize and not watch) & (reach >= 2.0 * floor)))
+    every = guarded.size == p_count  # then the guard reads views, not copies, of q and r
+    e_min = np.min(ey[guarded], initial=np.inf)
     failed = np.zeros(p_count, dtype=bool)
     trace: list[np.ndarray] = []
-    q = np.empty((m + 1, p_count))  # forward products and sums, then ratios
+    q = np.empty((m + 1, p_count))  # forward products and sums
+    ratios = q[:m]  # then the ratios, in place
     gain = np.empty((n_trunc, p_count))
     previous = None if cfg.early_stop_tol is None else np.empty_like(r)
-    for step in range(cfg.n_iterations):
-        if previous is not None:
-            np.copyto(previous, r)
-        np.matmul(forward, r, out=q)
-        scaled = renormalize and step > 0
-        scale = np.maximum.reduce(q[m], initial=0.0) if scaled else 1.0
-        q_min = np.minimum.reduce(q, axis=None, initial=np.inf)
-        if q_min > 0.0 and q_min >= q_bound * scale:
-            np.divide(scaled_freqs, q[:m], out=q[:m])
-        else:
-            if scaled:
-                _normalize(r, q[m], failed)
-            p = ey.T * (a @ r)
-            newly_dead = ~failed & np.all(p < floor, axis=0)
-            failed |= newly_dead
-            r[:, newly_dead] = np.nan
-            np.divide(freqs.T, np.maximum(p, floor), out=q[:m])
-        np.matmul(back, q, out=gain)
-        np.multiply(r, gain, out=r)
-        # per-step observers see normalized iterates; otherwise normalize once
-        if renormalize and (watch or step == cfg.n_iterations - 1):
-            _normalize(r, r.sum(axis=0), failed)
-        if record_trace:
-            trace.append(_loglik_rows(ey * (a @ r).T, noclick, n_runs, floor))
-        if previous is not None:
-            moved = np.abs(r[:, ~failed] - previous[:, ~failed])
-            if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
-                break
+    # a bare step on a zero iterate divides 0 by 0; the final normalization fails the point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(cfg.n_iterations):
+            if previous is not None:
+                np.copyto(previous, r)
+            clamp = False
+            if not guarded.size:
+                np.matmul(a, r, out=ratios)
+            else:
+                np.matmul(forward, r, out=q)
+                cols = slice(None) if every else guarded
+                q_g, scaled = q[:, cols], renormalize and step > 0
+                scale = np.maximum.reduce(q_g[m], initial=0.0) if scaled else 1.0
+                q_min = np.minimum.reduce(q_g, axis=None, initial=np.inf)
+                clamp = not (q_min > 0.0 and q_min * e_min >= floor * scale)
+            if not (clamp and every):
+                np.divide(scaled_freqs, ratios, out=ratios)
+            if clamp:
+                r_g, dead = r[:, cols], failed[cols]
+                if scaled:
+                    _normalize(r_g, q_g[m], dead)
+                p = ey.T[:, cols] * (a @ r_g)
+                dead |= np.all(p < floor, axis=0)
+                r_g[:, dead] = np.nan
+                r[:, cols], failed[cols] = r_g, dead
+                ratios[:, cols] = freqs.T[:, cols] / np.maximum(p, floor)
+                if not every:  # a view keeps failed points, whose NaN clamps every step as before
+                    guarded = guarded[~failed[guarded]]
+                    e_min = np.min(ey[guarded], initial=np.inf)
+            np.matmul(back, ratios, out=gain)
+            np.multiply(r, gain, out=r)
+            # per-step observers see normalized iterates; otherwise normalize once
+            if renormalize and (watch or step == cfg.n_iterations - 1):
+                _normalize(r, r.sum(axis=0), failed)
+            if record_trace:
+                trace.append(_loglik_rows(ey * (a @ r).T, noclick, n_runs, floor))
+            if previous is not None:
+                moved = np.abs(r[:, ~failed] - previous[:, ~failed])
+                if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
+                    break
 
     r = np.ascontiguousarray(r.T)
     p_final = ey * (r @ a.T)

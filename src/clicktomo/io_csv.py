@@ -42,8 +42,12 @@ _CONFIG_BEGIN = "# config-begin"
 _CONFIG_END = "# config-end"
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _indexed_rows(values: np.ndarray):
+    """``i,j,v_0,...`` rows of an (I, J, K) table, one ``str.format`` per i on a prebuilt J-row template."""
+    n_i, n_j, n_k = values.shape
+    cells = [",".join(f"{{{j * n_k + k + 1}:.17g}}" for k in range(n_k)) for j in range(n_j)]
+    template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
+    return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist()))
 
 
 def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "dict | None" = None) -> None:
@@ -114,9 +118,7 @@ def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) 
 
     The embedded config fixes every other field of a record, so none is stored.
     """
-    p, m = clicks.noclick.shape
-    keys = [f"{i},{j}," for i in range(p) for j in range(m)]
-    rows = map(str.__add__, keys, map(_fmt, clicks.noclick.ravel().tolist()))
+    rows = _indexed_rows(np.asarray(clicks.noclick, dtype=float)[:, :, None])
     _write_table(path, cfg, CLICK_COLUMNS, rows, {"repetition": repetition, "format": CLICK_FORMAT})
 
 
@@ -210,10 +212,9 @@ def write_wigner_csv(
     ex = nan if w_exact is None else np.asarray(w_exact, dtype=float).ravel()
     var = nan if w_variance is None else np.asarray(w_variance, dtype=float).ravel()
     ll = nan if loglik is None else np.asarray(loglik, dtype=float).ravel()
-    rows = (
-        ",".join(map(_fmt, (g.real, g.imag, *values))) for g, *values in zip(flat_g, flat_w, ex, var, ll)
-    )
-    _write_table(path, cfg, WIGNER_COLUMNS, rows)
+    template = ",".join(["{:.17g}"] * len(WIGNER_COLUMNS))
+    table = np.column_stack([flat_g.real, flat_g.imag, flat_w, ex, var, ll]).tolist()
+    _write_table(path, cfg, WIGNER_COLUMNS, (template.format(*row) for row in table))
 
 
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
@@ -231,8 +232,7 @@ def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]
 
 def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
     rho = np.asarray(elements)
-    rows = (f"{m},{n},{_fmt(v.real)},{_fmt(v.imag)}" for (m, n), v in np.ndenumerate(rho))
-    _write_table(path, cfg, RHO_COLUMNS, rows)
+    _write_table(path, cfg, RHO_COLUMNS, _indexed_rows(np.stack([rho.real, rho.imag], axis=-1)))
 
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:

@@ -327,6 +327,31 @@ def test_config_syntax_error_is_one_line(tmp_path, capsys, text):
     assert err.startswith("config error: config syntax error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--seed", "9", "--exact"]], ids=["plain", "run_flags"])
+def test_downstream_stages_default_to_the_embedded_config(tmp_path, flags):
+    # EM keys off their defaults: without --config they must come from the
+    # click file's header, and the outputs match a run that passes the config
+    text = SMALL.replace("n_iterations = 60", "n_iterations = 35\nnormalization = literal\nanalytic_reference = false")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    outputs = {}
+    for name, config in (("with", ["--config", str(cfg)]), ("without", [])):
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["reconstruct", *config, *flags, "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+        assert main(["recover-rho", *config, *flags, "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
+        outputs[name] = [(out / f).read_bytes() for f in ("wigner.csv", "rho.csv", "metrics.json")]
+    assert outputs["with"] == outputs["without"]
+    assert b"# n_iterations = 35" in outputs["without"][0] and b"# analytic_reference = false" in outputs["without"][0]
+
+
+def test_simulate_still_needs_a_config(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
 def test_report_refuses_run_flags(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--config", str(tmp_path / "none.ini"), "--seed", "3",

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,12 @@ from clicktomo import (
     derive_settings,
     no_click_probabilities,
     run_em_batch,
+    simulate,
 )
+from clicktomo import em as em_module
+from clicktomo.config import build_recipe, build_state, load_config
 from clicktomo.em import _loglik_rows
+from clicktomo.measurement import no_click_powers
 
 from oracles import em_batch_reference, poisson_pmf
 
@@ -320,6 +325,21 @@ def _em_batch_case(name):
         # do not, so the floor bound must use the sums
         nu_bar = np.linspace(0.1, 0.999, 14)
         return ((1.0 - nu_bar) ** 2)[None, :], nu_bar, 1e-9, EMConfig(n_iterations=300), {}
+    if name in ("mixed_bound", "mixed_bound_literal"):
+        # exact data on nu_bar <= 1/2, where every point meets the static bound
+        # until e^y of the first 24 is scaled by 1e-14 ... 1e-4: those under
+        # about 1e-8 are guarded, and the smallest fail
+        nu_bar = np.linspace(0.1, 0.5, 24)
+        ey = ey * np.concatenate([np.geomspace(1e-14, 1e-4, 24), np.ones(72)])[:, None]
+        freqs = np.clip(ey * (rows @ ((1.0 - nu_bar)[:, None] ** np.arange(12)).T), 0.0, 1.0)
+        mode = "literal" if name.endswith("literal") else "renormalized"
+        return freqs, nu_bar, ey, EMConfig(n_iterations=300, normalization=mode), {}
+    if name == "small_init":
+        # a custom init summing to 1.2e-11 puts the first step's probabilities
+        # near the floor, which clamps some of them although every point meets
+        # the static bound on a unit sum
+        cfg = EMConfig(n_iterations=300, init=(1e-12,) * 12)
+        return noclick / n_runs, nu_bar, ey, cfg, sampled
     if name in ("blind", "blind_literal"):
         # nu_bar = 1 everywhere: only the vacuum component is live
         cfg = EMConfig(n_iterations=50, normalization="renormalized" if name == "blind" else "literal")
@@ -352,6 +372,9 @@ class TestBatchBitIdentity:
             "floor_renormalized",
             "floor_literal",
             "bright_data",
+            "mixed_bound",
+            "mixed_bound_literal",
+            "small_init",
             "blind",
             "blind_literal",
             "early_stop_trace_init",
@@ -374,7 +397,7 @@ class TestBatchBitIdentity:
         else:
             assert got.trace_loglik.shape == want.trace_loglik.shape
             np.testing.assert_allclose(got.trace_loglik, want.trace_loglik, rtol=tol, atol=0.0)
-        if name.startswith("floor"):
+        if name.startswith(("floor", "mixed")):
             assert 0 < want.failed.sum() < want.failed.size
         if cfg.early_stop_tol is not None:
             assert want.trace_loglik.shape[0] < cfg.n_iterations
@@ -436,3 +459,101 @@ def test_renormalized_iterates_are_the_normalized_literal_ones(problem):
     assert not stepwise.failed.any()
     np.testing.assert_allclose(normalized, stepwise.values, rtol=0.0, atol=tol)
     np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, cfg).values, stepwise.values, rtol=0.0, atol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["renormalized", "literal"])
+def test_bounded_point_with_zero_frequencies_fails_quietly(mode):
+    # e^y = 1 and nu_bar <= 1/2 put every point far above the floor; the
+    # zero row's iterate vanishes after one step and must end NaN and failed
+    nu_bar = np.linspace(0.1, 0.5, 14)
+    freqs = np.vstack([kernel(nu_bar) @ poisson_pmf(0.7, 12), np.zeros(14), kernel(nu_bar) @ poisson_pmf(1.5, 12)])
+    result = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50, normalization=mode))
+    assert result.failed.tolist() == [False, True, False]
+    assert np.all(np.isnan(result.values[1])) and np.all(np.isfinite(result.values[[0, 2]]))
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("bench/configs/*.ini"))
+
+
+def _static_bound(nu_bar, y, n_trunc):
+    """min_j e^{y_j} min_n A_jn per point: its normalized probabilities never fall below this."""
+    return np.min(np.exp(y) * no_click_powers(nu_bar, n_trunc).min(axis=1), axis=1)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.relative_to(REPO).as_posix() for p in SHIPPED_CONFIGS])
+def test_shipped_configs_take_the_bare_step_everywhere(path):
+    # every grid point must clear twice the floor, or the shipped and
+    # benchmark runs fall back to the guarded step
+    cfg = load_config(path)
+    sched = build_recipe(cfg).build(cfg.grid.flat_gammas())
+    assert np.all(_static_bound(sched.nu_bar, sched.y, cfg.trunc.n_trunc) >= 2.0 * EMConfig().floor_epsilon)
+
+
+@pytest.fixture
+def normalized_widths(monkeypatch):
+    """The number of points each call of ``em._normalize`` divides, in call order."""
+    widths = []
+    normalize = em_module._normalize
+
+    def spy(r, sums, failed):
+        widths.append(r.shape[1])
+        return normalize(r, sums, failed)
+
+    monkeypatch.setattr(em_module, "_normalize", spy)
+    return widths
+
+
+def test_points_under_twice_the_floor_are_guarded(normalized_widths):
+    # point 0 clears the floor itself but not twice it, point 1 has e^y = 1e-13
+    # on all settings but one (so it clamps every step and never fails), and
+    # point 2 is far above the floor: each clamped step normalizes points 0
+    # and 1, and only the final normalization sees point 2
+    nu_bar = np.linspace(0.1, 0.5, 14)
+    ey = np.ones((3, 14))
+    ey[0] = 1.5e-12 / 0.5**11
+    ey[1, 1:] = 1e-13
+    freqs = ey * (kernel(nu_bar) @ poisson_pmf(1.0, 12))
+    bound = _static_bound(nu_bar, np.log(ey), 12)
+    assert 1e-12 <= bound[0] < 2e-12 and bound[1] < 1e-12 and bound[2] >= 2e-12
+    result = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=20))
+    assert not result.failed.any()
+    assert normalized_widths == [2] * 19 + [3]
+
+
+def test_failed_point_stops_clamping_the_other_guarded_points(normalized_widths):
+    # point 0 is guarded (its bound is 1.5 floors) but its probabilities stay far
+    # above the floor; point 1 has e^y = 1e-20 and fails on the first step.  Once
+    # it has left the guard, point 0 takes no clamped step, so only the final
+    # normalization runs
+    nu_bar = np.linspace(0.1, 0.5, 14)
+    ey = np.ones((3, 14))
+    ey[0] = 1.5e-12 / 0.5**11
+    ey[1] = 1e-20
+    freqs = ey * (kernel(nu_bar) @ poisson_pmf(1.0, 12))
+    result = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=20))
+    assert result.failed.tolist() == [False, True, False]
+    assert normalized_widths == [3]
+
+
+def test_failed_point_leaves_the_others_on_the_bare_step(normalized_widths):
+    # on the fock_em_long inputs, a point whose e^y is 1e-20 fails on the first
+    # step and leaves the guard, so only the final normalization runs; every
+    # other point must keep the bits of the run without it
+    cfg = load_config(REPO / "bench" / "configs" / "fock_em_long.ini")
+    clicks = simulate(
+        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
+    )
+    freqs, ey = clicks.noclick / clicks.n_runs, np.exp(clicks.y)
+    em_cfg = EMConfig(n_iterations=cfg.n_iterations)
+    dim = cfg.trunc.n_trunc
+    clean = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    ey[17] = 1e-20
+    normalized_widths.clear()
+    spoiled = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    assert normalized_widths == [len(freqs)]
+    others = np.arange(len(freqs)) != 17
+    assert np.flatnonzero(spoiled.failed).tolist() == [17] and not clean.failed.any()
+    assert np.array_equal(spoiled.values[others], clean.values[others])
+    assert np.array_equal(spoiled.final_loglik[others], clean.final_loglik[others])
