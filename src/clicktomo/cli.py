@@ -73,6 +73,7 @@ def cmd_reconstruct(args) -> int:
     """The wigner.csv header is the click files' embedded config; ``--config``
     (default: that config) sets only the EM keys and ``analytic_reference``."""
     cfg = None if args.config is None else _load(args)
+    em_cfg = None
     maps = []
     logliks = []
     n_failed = 0
@@ -80,6 +81,7 @@ def cmd_reconstruct(args) -> int:
     for path in args.records:
         file_cfg, _, clicks = io_csv.read_click_csv(path)
         cfg = file_cfg if cfg is None else cfg
+        em_cfg = em_cfg or EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
         if file_cfg.state != cfg.state:
@@ -88,7 +90,6 @@ def cmd_reconstruct(args) -> int:
             first_cfg, gammas_ref = file_cfg, clicks.gammas
         elif file_cfg != first_cfg:
             raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
-        em_cfg = EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
         w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg)
         maps.append(w)
         logliks.append(ll)
@@ -208,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default=""):
-        p.add_argument("--config", required=not default, help="run configuration file" + default)
+    def common(p, optional=False, config_help="run configuration file"):
+        p.add_argument("--config", required=not optional, help=config_help)
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--exact", action="store_true", help="exact-probability mode")
         p.add_argument("--out", default=".", help="output directory")
@@ -219,12 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("reconstruct", help="EM-reconstruct a Wigner map from click records")
-    common(p_rec, "; default: the first record's embedded config")
+    common(p_rec, optional=True, config_help="run configuration file; default: the first record's embedded config")
     p_rec.add_argument("--records", nargs="+", required=True, help="click CSV file(s)")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_rho = sub.add_parser("recover-rho", help="integrate a Wigner map into a density matrix")
-    common(p_rho, "; default: the Wigner file's embedded config")
+    common(p_rho, optional=True, config_help="run configuration file; default: the Wigner file's embedded config")
     p_rho.add_argument("--wigner", required=True, help="Wigner CSV file")
     p_rho.set_defaults(func=cmd_recover_rho)
 

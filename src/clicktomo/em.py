@@ -30,8 +30,9 @@ init's sum on the first step), a ``renormalized`` point with min(1, sum init)
 min_j e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and
 takes the bare step: forward product, divide, back product, multiply.  Other
 points, and all points in the ``literal`` mode (whose iterate sum the bound
-does not know) or in runs that trace or stop early, are guarded: each step
-checks whether the floor could bind and, if so, normalizes and clamps.
+does not know), are guarded: each step checks on their columns whether the
+floor could bind and, if so, normalizes and clamps them.  A point that fails
+leaves the guard, so it sends no other point to the clamped step.
 """
 from __future__ import annotations
 
@@ -168,8 +169,8 @@ def run_em_batch(
     renormalize = cfg.normalization == "renormalized"
     watch = record_trace or cfg.early_stop_tol is not None
     reach = np.minimum(1.0, r.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
-    guarded = np.flatnonzero(~((renormalize and not watch) & (reach >= 2.0 * floor)))
-    every = guarded.size == p_count  # then the guard reads views, not copies, of q and r
+    guarded = np.flatnonzero(~(renormalize & (reach >= 2.0 * floor)))
+    cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
     e_min = np.min(ey[guarded], initial=np.inf)
     failed = np.zeros(p_count, dtype=bool)
     trace: list[np.ndarray] = []
@@ -187,13 +188,11 @@ def run_em_batch(
                 np.matmul(a, r, out=ratios)
             else:
                 np.matmul(forward, r, out=q)
-                cols = slice(None) if every else guarded
                 q_g, scaled = q[:, cols], renormalize and step > 0
                 scale = np.maximum.reduce(q_g[m], initial=0.0) if scaled else 1.0
                 q_min = np.minimum.reduce(q_g, axis=None, initial=np.inf)
                 clamp = not (q_min > 0.0 and q_min * e_min >= floor * scale)
-            if not (clamp and every):
-                np.divide(scaled_freqs, ratios, out=ratios)
+            np.divide(scaled_freqs, ratios, out=ratios)
             if clamp:
                 r_g, dead = r[:, cols], failed[cols]
                 if scaled:
@@ -203,8 +202,8 @@ def run_em_batch(
                 r_g[:, dead] = np.nan
                 r[:, cols], failed[cols] = r_g, dead
                 ratios[:, cols] = freqs.T[:, cols] / np.maximum(p, floor)
-                if not every:  # a view keeps failed points, whose NaN clamps every step as before
-                    guarded = guarded[~failed[guarded]]
+                if dead.any():  # a failed point leaves the guard
+                    guarded = cols = guarded[~dead]
                     e_min = np.min(ey[guarded], initial=np.inf)
             np.matmul(back, ratios, out=gain)
             np.multiply(r, gain, out=r)
