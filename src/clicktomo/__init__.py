@@ -7,16 +7,9 @@ Wigner value, and recover the density matrix by quadrature over the map.
 """
 
 from .em import EMBatchResult, EMConfig, run_em_batch
-from .errors import (
-    ClicktomoError,
-    ConfigError,
-    DataError,
-    DegenerateModelError,
-    NumericalError,
-)
+from .errors import ClicktomoError, ConfigError, DataError, NumericalError
 from .fock import (
     DensityMatrix,
-    DiagonalDistribution,
     PureState,
     TruncationConfig,
     coherent_state,
@@ -40,21 +33,14 @@ from .measurement import (
 )
 from .recover import RecoveredDensity, StateComparison, compare_states, integrate_rho
 from .wigner import (
-    ErrorReport,
     PhaseGrid,
     WignerEstimate,
     coherent_wigner,
     delta_w,
     exact_wigner_map,
     fock_wigner,
-    recommend_truncation,
-    reconstruct_point,
-    scan_grid,
     squeezed_wigner,
-    truncation_error_map,
-    variance_map,
     wigner_from_values,
-    wigner_map_from_function,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_
 from .errors import ConfigError, DataError, NumericalError
 from .measurement import simulate
 from .recover import compare_states, integrate_rho
-from .wigner import WignerEstimate, reconstruct_clicks
+from .wigner import WignerEstimate, delta_w, reconstruct_clicks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -160,8 +160,6 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.wigner:
         cfg, _, cols = io_csv.read_wigner_csv(path)
-        finite = np.isfinite(cols["w_rec"]) & np.isfinite(cols["w_exact"])
-        delta = float(np.mean(np.abs(cols["w_rec"] - cols["w_exact"])[finite])) if finite.any() else float("nan")
         rows.append(
             {
                 "file": str(path),
@@ -169,7 +167,7 @@ def cmd_report(args) -> int:
                 "n_iterations": cfg.n_iterations,
                 "seed": cfg.seed,
                 "exact_probabilities": cfg.exact_probabilities,
-                "delta_w": delta,
+                "delta_w": delta_w(cols["w_exact"], cols["w_rec"]),
                 "mean_variance": float(np.nanmean(cols["w_variance"]))
                 if np.isfinite(cols["w_variance"]).any()
                 else float("nan"),

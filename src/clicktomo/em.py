@@ -22,7 +22,8 @@ change.  The ``renormalized`` iterates are therefore the ``literal`` iterates
 divided by their sums, and one loop serves both modes: it iterates without
 rescaling, and the default ``renormalized`` mode divides by the sums once,
 after the last step.  In the ``literal`` mode the unit sum emerges only at
-convergence.  Only the probability floor breaks the scale invariance.
+convergence.  Only the probability floor, ``FLOOR``, breaks the scale
+invariance.
 
 Whether the floor can bind is decided once per point.  As p_j(R) >=
 e^{y_j} (min_n A_jn) sum_n R_n and the normalized iterate sums to 1 (to the
@@ -33,6 +34,9 @@ points, and all points in the ``literal`` mode (whose iterate sum the bound
 does not know), are guarded: each step checks on their columns whether the
 floor could bind and, if so, normalizes and clamps them.  A point that fails
 leaves the guard, so it sends no other point to the clamped step.
+
+The loop runs a fixed number of steps; the result holds each point's
+values, final log-likelihood and whether it failed.
 """
 from __future__ import annotations
 
@@ -49,43 +53,30 @@ __all__ = [
 ]
 
 NORMALIZATION_MODES = ("renormalized", "literal")
+FLOOR = 1e-12  # forward probabilities are clamped here; a point all under it fails
 
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Iteration count, normalization mode, probability floor, initial vector.
-
-    ``early_stop_tol`` halts once no component moves by more than the
-    tolerance in one step.  It is off by default: a fixed iteration budget is
-    the reference behaviour, and over-iterating is a real failure mode worth
-    observing rather than hiding.
-    """
+    """Iteration count, normalization mode and initial vector."""
 
     n_iterations: int = 1000
     normalization: str = "renormalized"
-    floor_epsilon: float = 1e-12
     init: tuple[float, ...] | None = None  # None -> uniform 1/N
-    early_stop_tol: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be non-negative")
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
-        if not 0.0 < self.floor_epsilon <= 1e-6:
-            raise ValueError("floor_epsilon must lie in (0, 1e-6]")
         if self.init is not None:
             arr = np.asarray(self.init, dtype=float)
             if arr.ndim != 1 or np.any(arr <= 0.0):
                 raise ValueError("custom init must be a strictly positive vector")
-        if self.early_stop_tol is not None and self.early_stop_tol <= 0.0:
-            raise ValueError("early_stop_tol must be positive when set")
 
 
-def _loglik_rows(
-    p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray", floor: float
-) -> np.ndarray:
-    pc = np.clip(p, floor, 1.0 - floor)
+def _loglik_rows(p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray") -> np.ndarray:
+    pc = np.clip(p, FLOOR, 1.0 - FLOOR)
     return (noclick * np.log(pc) + (n_runs - noclick) * np.log1p(-pc)).sum(axis=1)
 
 
@@ -95,9 +86,7 @@ class EMBatchResult:
 
     values: np.ndarray  # (P, N); failed rows are NaN
     final_loglik: np.ndarray  # (P,)
-    final_residuals: np.ndarray  # (P, M)
     failed: np.ndarray  # (P,) bool
-    trace_loglik: np.ndarray | None = None  # (iterations, P) when traced
 
 
 def _normalize(r: np.ndarray, sums: np.ndarray, failed: np.ndarray) -> None:
@@ -116,7 +105,6 @@ def run_em_batch(
     cfg: EMConfig,
     noclick: np.ndarray | None = None,
     n_runs: "int | np.ndarray | None" = None,
-    record_trace: bool = False,
 ) -> EMBatchResult:
     """Run the iteration for P independent points sharing one efficiency set.
 
@@ -128,12 +116,11 @@ def run_em_batch(
         cfg: iteration configuration.
         noclick / n_runs: (P, M) counts and their runs (scalar or (P, M)) for
             the likelihood; frequencies are used with unit weight when omitted.
-        record_trace: also keep the likelihood after every iteration.
 
     Returns:
         EMBatchResult. Rows whose forward probabilities all collapse under
-        the floor are marked failed and carry NaN instead of raising, so a
-        grid scan can keep going.
+        the floor are marked failed and carry NaN instead of raising, so the
+        other rows run on.
     """
     freqs = np.asarray(freqs, dtype=float)
     p_count, m = freqs.shape
@@ -165,24 +152,18 @@ def run_em_batch(
     # Points that meet the static bound take the bare step.  A guarded step skips
     # the floor only if e^y q / sum provably stays above it (sums count from the second
     # renormalized step on), else it normalizes, clamps and fails as tests/oracles.py does.
-    floor = cfg.floor_epsilon
     renormalize = cfg.normalization == "renormalized"
-    watch = record_trace or cfg.early_stop_tol is not None
     reach = np.minimum(1.0, r.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
-    guarded = np.flatnonzero(~(renormalize & (reach >= 2.0 * floor)))
+    guarded = np.flatnonzero(~(renormalize & (reach >= 2.0 * FLOOR)))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
     e_min = np.min(ey[guarded], initial=np.inf)
     failed = np.zeros(p_count, dtype=bool)
-    trace: list[np.ndarray] = []
     q = np.empty((m + 1, p_count))  # forward products and sums
     ratios = q[:m]  # then the ratios, in place
     gain = np.empty((n_trunc, p_count))
-    previous = None if cfg.early_stop_tol is None else np.empty_like(r)
     # a bare step on a zero iterate divides 0 by 0; the final normalization fails the point
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(cfg.n_iterations):
-            if previous is not None:
-                np.copyto(previous, r)
             clamp = False
             if not guarded.size:
                 np.matmul(a, r, out=ratios)
@@ -191,40 +172,28 @@ def run_em_batch(
                 q_g, scaled = q[:, cols], renormalize and step > 0
                 scale = np.maximum.reduce(q_g[m], initial=0.0) if scaled else 1.0
                 q_min = np.minimum.reduce(q_g, axis=None, initial=np.inf)
-                clamp = not (q_min > 0.0 and q_min * e_min >= floor * scale)
+                clamp = not (q_min > 0.0 and q_min * e_min >= FLOOR * scale)
             np.divide(scaled_freqs, ratios, out=ratios)
             if clamp:
                 r_g, dead = r[:, cols], failed[cols]
                 if scaled:
                     _normalize(r_g, q_g[m], dead)
                 p = ey.T[:, cols] * (a @ r_g)
-                dead |= np.all(p < floor, axis=0)
+                dead |= np.all(p < FLOOR, axis=0)
                 r_g[:, dead] = np.nan
                 r[:, cols], failed[cols] = r_g, dead
-                ratios[:, cols] = freqs.T[:, cols] / np.maximum(p, floor)
+                ratios[:, cols] = freqs.T[:, cols] / np.maximum(p, FLOOR)
                 if dead.any():  # a failed point leaves the guard
                     guarded = cols = guarded[~dead]
                     e_min = np.min(ey[guarded], initial=np.inf)
             np.matmul(back, ratios, out=gain)
             np.multiply(r, gain, out=r)
-            # per-step observers see normalized iterates; otherwise normalize once
-            if renormalize and (watch or step == cfg.n_iterations - 1):
-                _normalize(r, r.sum(axis=0), failed)
-            if record_trace:
-                trace.append(_loglik_rows(ey * (a @ r).T, noclick, n_runs, floor))
-            if previous is not None:
-                moved = np.abs(r[:, ~failed] - previous[:, ~failed])
-                if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
-                    break
+        if renormalize and cfg.n_iterations > 0:  # zero iterations return init as given
+            _normalize(r, r.sum(axis=0), failed)
 
     r = np.ascontiguousarray(r.T)
-    p_final = ey * (r @ a.T)
     return EMBatchResult(
         values=r,
-        final_loglik=_loglik_rows(p_final, noclick, n_runs, floor),
-        final_residuals=np.abs(p_final - freqs),
+        final_loglik=_loglik_rows(ey * (r @ a.T), noclick, n_runs),
         failed=failed,
-        trace_loglik=(
-            np.array(trace).reshape(len(trace), p_count) if record_trace else None
-        ),
     )

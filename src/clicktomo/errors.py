@@ -19,7 +19,3 @@ class DataError(ClicktomoError, ValueError):
 
 class NumericalError(ClicktomoError, RuntimeError):
     """A computation left its validated numerical envelope."""
-
-
-class DegenerateModelError(NumericalError):
-    """Forward model collapsed (all probabilities at the floor)."""

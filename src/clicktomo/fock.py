@@ -21,7 +21,6 @@ __all__ = [
     "TruncationConfig",
     "PureState",
     "DensityMatrix",
-    "DiagonalDistribution",
     "coherent_state",
     "squeezed_vacuum",
     "fock_state",
@@ -156,30 +155,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.elements)[0])
-
-
-@dataclass(frozen=True, eq=False)
-class DiagonalDistribution:
-    """Diagonal of the displaced state, R_n = <n|D^dag(gamma) rho D(gamma)|n>.
-
-    At gamma = 0 this is the photon-number distribution.
-    """
-
-    gamma: complex
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty vector")
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-            raise ValueError("diagonal values must be finite and non-negative")
-        object.__setattr__(self, "gamma", complex(self.gamma))
-        object.__setattr__(self, "values", _readonly(vals))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
 
 
 def coherent_state(amplitude: complex, cfg: TruncationConfig) -> PureState:

@@ -1,10 +1,12 @@
-"""Phase-plane orchestration: simulate, reconstruct and map Wigner values.
+"""Phase-plane grid, Wigner read-off, map error and reference maps.
 
-Each grid node gets an independent simulate -> reconstruct pipeline; nodes
-share nothing but the efficiency schedule, so the scan vectorizes the EM
-across points and stays deterministic under a fixed seed.  Cell-centered
-nodes with the spacing recorded on the grid let the density-matrix recovery
-reuse the same grid as a midpoint quadrature rule.
+``reconstruct_clicks`` runs the batched EM on every point of a click table
+and reads W(gamma) = (2/pi) sum_n (-1)^n R_n off each displaced diagonal.
+Cell-centered nodes with the spacing recorded on the grid let the
+density-matrix recovery reuse the same grid as a midpoint quadrature rule.
+``delta_w`` is the mean absolute deviation between two maps; the exact map
+(from the displaced diagonals themselves) and the analytic Wigner functions
+are the references it is measured against.
 """
 from __future__ import annotations
 
@@ -15,29 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import EMConfig, run_em_batch
-from .errors import DataError, DegenerateModelError
-from .fock import (
-    DensityMatrix,
-    DiagonalDistribution,
-    TruncationConfig,
-    displaced_diagonals,
-)
-from .measurement import ClickArrays, Recipe, simulate
+from .errors import DataError
+from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
+from .measurement import ClickArrays
 
 __all__ = [
     "PhaseGrid",
     "WignerEstimate",
-    "ErrorReport",
     "wigner_from_values",
     "reconstruct_clicks",
-    "reconstruct_point",
-    "scan_grid",
     "delta_w",
-    "variance_map",
     "exact_wigner_map",
-    "truncation_error_map",
-    "recommend_truncation",
-    "wigner_map_from_function",
     "coherent_wigner",
     "squeezed_wigner",
     "fock_wigner",
@@ -104,14 +94,10 @@ class PhaseGrid:
 
 @dataclass(frozen=True, eq=False)
 class WignerEstimate:
-    """Reconstructed Wigner map plus optional diagnostics."""
+    """A Wigner map on its grid."""
 
     grid: PhaseGrid
     w_values: np.ndarray  # (n_im, n_re)
-    w_variance: np.ndarray | None = None
-    r_tables: np.ndarray | None = None  # (n_points, n_trunc)
-    final_loglik: np.ndarray | None = None  # (n_points,)
-    failures: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w_values, dtype=float)
@@ -124,15 +110,6 @@ class WignerEstimate:
                 float(np.max(np.abs(finite))),
             )
         object.__setattr__(self, "w_values", w)
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorReport:
-    """Mean absolute Wigner deviation over the compared points."""
-
-    delta_w: float
-    n_points: int
-    abs_differences: np.ndarray
 
 
 def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":
@@ -157,106 +134,13 @@ def reconstruct_clicks(
     return w, result.values, result.final_loglik, result.failed
 
 
-def reconstruct_point(
-    rho: DensityMatrix,
-    gamma: complex,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    em_cfg: EMConfig,
-    n_runs: int = 10_000,
-    seed: "int | tuple[int, ...]" = 0,
-    exact: bool = False,
-    point_index: int = 0,
-    repetition: int = 0,
-) -> tuple[DiagonalDistribution, float]:
-    """Simulate one schedule at ``gamma`` and reconstruct (R, W(gamma))."""
-    clicks = simulate(
-        rho, [gamma], recipe, trunc, n_runs, seed, repetition, exact, offset=point_index
-    )
-    w, values, _, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)
-    if failed[0]:
-        raise DegenerateModelError(
-            "every forward probability fell below the floor; model and data are incompatible"
-        )
-    return DiagonalDistribution(gamma=complex(gamma), values=values[0]), w[0]
-
-
-def scan_grid(
-    rho: DensityMatrix,
-    grid: PhaseGrid,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    em_cfg: EMConfig,
-    n_runs: int = 10_000,
-    seed: "int | tuple[int, ...]" = 0,
-    exact: bool = False,
-    repetition: int = 0,
-    keep_r: bool = False,
-) -> WignerEstimate:
-    """Reconstruct the Wigner function on every grid node.
-
-    Randomness is keyed by (seed, repetition, point_index), so points
-    share no state and scans reproduce bit-for-bit for a fixed seed.  A
-    failed node is recorded and left NaN; the scan continues.
-    """
-    clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, repetition, exact)
-    w, values, loglik, failed = reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)
-    failures = tuple(
-        (int(i), "forward probabilities collapsed below the floor")
-        for i in np.flatnonzero(failed)
-    )
-    if failures:
-        log.warning("%d of %d grid points failed to reconstruct", len(failures), w.size)
-    return WignerEstimate(
-        grid=grid,
-        w_values=w.reshape(grid.n_im, grid.n_re),
-        r_tables=values if keep_r else None,
-        final_loglik=loglik,
-        failures=failures,
-    )
-
-
-def delta_w(exact: WignerEstimate, rec: WignerEstimate) -> ErrorReport:
-    """Mean absolute deviation between two maps on the same grid."""
-    if exact.grid != rec.grid:
-        raise DataError("Wigner maps live on different grids")
-    diff = np.abs(exact.w_values - rec.w_values).ravel()
-    valid = np.isfinite(diff)
-    if not np.any(valid):
-        raise DataError("no finite points to compare")
-    return ErrorReport(
-        delta_w=float(diff[valid].mean()),
-        n_points=int(valid.sum()),
-        abs_differences=diff,
-    )
-
-
-def variance_map(
-    rho: DensityMatrix,
-    grid: PhaseGrid,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    em_cfg: EMConfig,
-    n_runs: int = 10_000,
-    n_repetitions: int = 2,
-    seed: "int | tuple[int, ...]" = 0,
-    exact: bool = False,
-) -> np.ndarray:
-    """Per-point population variance of W over independent repetitions.
-
-    With two repetitions this equals the squared half-difference of the two
-    maps; in exact-probability mode it is identically zero.
-    """
-    if n_repetitions < 2:
-        raise ValueError("variance needs at least two repetitions")
-    maps = [
-        scan_grid(
-            rho, grid, recipe, trunc, em_cfg,
-            n_runs=n_runs, seed=seed, exact=exact, repetition=rep,
-        ).w_values
-        for rep in range(n_repetitions)
-    ]
-    return np.var(np.stack(maps), axis=0)
+def delta_w(w_ref: np.ndarray, w_rec: np.ndarray) -> float:
+    """Mean |w_rec - w_ref| over the entries where both maps are finite (NaN if none)."""
+    w_ref, w_rec = np.asarray(w_ref, dtype=float), np.asarray(w_rec, dtype=float)
+    if w_ref.shape != w_rec.shape:
+        raise DataError(f"Wigner maps of shapes {w_ref.shape} and {w_rec.shape} cannot be compared")
+    finite = np.isfinite(w_rec) & np.isfinite(w_ref)
+    return float(np.mean(np.abs(w_rec - w_ref)[finite])) if finite.any() else math.nan
 
 
 def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfig) -> WignerEstimate:
@@ -269,42 +153,6 @@ def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfi
     diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
     w = wigner_from_values(diag[:, : trunc.n_trunc])
     return WignerEstimate(grid=grid, w_values=w.reshape(grid.n_im, grid.n_re))
-
-
-def truncation_error_map(
-    rho: DensityMatrix,
-    grid: PhaseGrid,
-    trunc: TruncationConfig,
-    reference=None,
-) -> np.ndarray:
-    """|W_reference - W_truncated| per node.
-
-    ``reference`` is a vectorized analytic Wigner function; when omitted the
-    padded-dimension numeric value stands in for it.
-    """
-    gammas = grid.flat_gammas()
-    diag = displaced_diagonals(rho, gammas, trunc)
-    w_trunc = wigner_from_values(diag[:, : trunc.n_trunc])
-    w_pad = wigner_from_values(diag)
-    ref = np.asarray(reference(gammas), dtype=float) if reference is not None else w_pad
-    return np.abs(ref - w_trunc).reshape(grid.n_im, grid.n_re)
-
-
-def recommend_truncation(rho: DensityMatrix, threshold: float = 1e-4) -> int:
-    """Smallest retained dimension holding all but ``threshold`` of the mass.
-
-    Running this on a reconstructed photon-number distribution (the gamma=0
-    diagonal) is the practical way to size a scan before committing to it.
-    """
-    occupation = np.real(np.diag(rho.elements))
-    cumulative = np.cumsum(occupation)
-    hits = np.flatnonzero(cumulative >= 1.0 - threshold)
-    return int(hits[0]) + 1 if hits.size else rho.dim
-
-
-def wigner_map_from_function(grid: PhaseGrid, fn) -> WignerEstimate:
-    """Wrap a vectorized analytic Wigner function into an estimate."""
-    return WignerEstimate(grid=grid, w_values=np.asarray(fn(grid.gammas()), dtype=float))
 
 
 def coherent_wigner(alpha0: complex):

@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own construction paths:
 displacement operators come from a matrix exponential of the truncated
 generator, state amplitudes from direct per-term formulas, and no-click
 probabilities from beam-splitter output amplitudes in closed form.  The
-exception is the block of dense displacement functions at the end: the
-per-point code the batched kernel replaced, kept as its reference, and the
-block of scalar schedule builders the array derivation replaced.
+exceptions are ``wigner_scan`` (a grid map through the package's own
+simulate-and-reconstruct path, for the pipeline tests), the block of dense
+displacement functions at the end (the per-point code the batched kernel
+replaced, kept as its reference) and the block of scalar schedule builders
+the array derivation replaced.
 """
 import math
 from collections import namedtuple
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from clicktomo.em import FLOOR
 from clicktomo.errors import NumericalError
 from clicktomo.fock import (
     NEGATIVE_NOISE_TOL,
@@ -23,7 +26,8 @@ from clicktomo.fock import (
     TruncationConfig,
     log_factorials,
 )
-from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair
+from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, simulate
+from clicktomo.wigner import reconstruct_clicks
 
 
 def displacement_expm(gamma: complex, dim: int) -> np.ndarray:
@@ -91,10 +95,15 @@ def displaced_diagonal_expm(rho: np.ndarray, gamma: complex, dim: int) -> np.nda
     return np.real(np.diag(d.conj().T @ rho_p @ d))
 
 
-def em_batch_reference(
-    freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=None, record_trace=False
-):
-    """The batched EM loop exactly as first written, one fresh array per step.
+def wigner_scan(rho, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
+    """W on every node of ``grid`` by the CLI's path, ``simulate`` then
+    ``reconstruct_clicks``, as an (n_im, n_re) map; failed nodes are NaN."""
+    clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
+    return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0].reshape(grid.n_im, grid.n_re)
+
+
+def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=None):
+    """The batched EM loop as first written, one fresh array per step.
 
     It renormalizes after every step and multiplies by e^y and divides by
     the sensitivity each time.  ``clicktomo.em.run_em_batch`` normalizes once
@@ -131,8 +140,7 @@ def em_batch_reference(
         r = np.tile(np.asarray(cfg.init, dtype=float), (p_count, 1))
 
     failed = np.zeros(p_count, dtype=bool)
-    trace = []
-    floor = cfg.floor_epsilon
+    floor = FLOOR
     for _ in range(cfg.n_iterations):
         p = ey * (r @ a.T)
         newly_dead = ~failed & np.all(p < floor, axis=1)
@@ -143,7 +151,6 @@ def em_batch_reference(
         gain = ratio @ weighted
         np.divide(gain, sensitivity, out=gain, where=live)
         gain[:, ~live] = 0.0
-        previous = r
         r = r * gain
         if cfg.normalization == "renormalized":
             s = r.sum(axis=1, keepdims=True)
@@ -153,22 +160,11 @@ def em_batch_reference(
                 r[dead] = np.nan
                 s[dead] = 1.0
             r = r / s
-        if record_trace:
-            trace.append(_loglik_rows(ey * (r @ a.T), noclick, n_runs, floor))
-        if cfg.early_stop_tol is not None:
-            moved = np.abs(r[~failed] - previous[~failed])
-            if moved.size == 0 or float(moved.max()) < cfg.early_stop_tol:
-                break
 
-    p_final = ey * (r @ a.T)
     return SimpleNamespace(
         values=r,
-        final_loglik=_loglik_rows(p_final, noclick, n_runs, floor),
-        final_residuals=np.abs(p_final - freqs),
+        final_loglik=_loglik_rows(ey * (r @ a.T), noclick, n_runs, floor),
         failed=failed,
-        trace_loglik=(
-            np.array(trace).reshape(len(trace), p_count) if record_trace else None
-        ),
     )
 
 

@@ -51,12 +51,12 @@ def one_step(values, freqs, nu_bar, normalization="renormalized"):
 
 
 def run_one(freqs, nu_bar, cfg, n_runs=10_000, n_trunc=12):
-    """One point with counts ``freqs * n_runs`` -> (values, loglik per step, loglik of the start)."""
+    """One point with counts ``freqs * n_runs`` -> (values, final loglik, loglik of the start)."""
     freqs = np.atleast_2d(freqs)
     counts = {"noclick": freqs * n_runs, "n_runs": np.full(freqs.shape, float(n_runs))}
-    out = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, record_trace=True, **counts)
+    out = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, **counts)
     start = run_em_batch(freqs, nu_bar, 1.0, n_trunc, replace(cfg, n_iterations=0), **counts)
-    return out.values[0], out.trace_loglik[:, 0], start.final_loglik[0]
+    return out.values[0], out.final_loglik[0], start.final_loglik[0]
 
 
 def nu_bar_of(nu):
@@ -135,26 +135,35 @@ class TestRunEm:
         occupation = np.real(np.diag(rho.elements))
         nu_bar = np.linspace(0.1, 0.9, 30)
         freqs = kernel(nu_bar, CFG.n_pad) @ occupation
-        values, trace, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=1000))
+        values, final, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=1000))
         assert np.max(np.abs(values - poisson_pmf(1.0, 12))) <= 1e-2
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
-        assert trace.size == 1000
-        assert trace[-1] >= initial
+        assert final >= initial
 
     def test_monotone_on_exact_data(self):
+        # 400 steps of the shipped step map, each one started from the last
+        # one's iterate: the log-likelihood never falls
         values = poisson_pmf(1.0, 12)
         values /= values.sum()
         nu_bar = np.linspace(0.1, 0.9, 30)
-        _, trace, initial = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=400))
-        steps = np.diff(np.concatenate(([initial], trace)))
-        assert np.all(steps >= -1e-9)
+        freqs = kernel(nu_bar) @ values
+        r, _, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=0))
+        trace = [initial]
+        for _ in range(400):
+            init = tuple(np.maximum(r, np.finfo(float).tiny))
+            r, loglik, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=1, init=init))
+            trace.append(loglik)
+        assert np.all(np.diff(trace) >= -1e-9)
 
     def test_zero_iterations_returns_init(self):
         values = np.full(12, 1.0 / 12)
         nu_bar = np.linspace(0.1, 0.9, 14)
-        out, trace, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0))
+        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0))
         np.testing.assert_allclose(out, values, atol=1e-16)
-        assert trace.size == 0
+        # a custom init is returned as given, not normalized
+        init = tuple(np.linspace(0.1, 1.2, 12))
+        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0, init=init))
+        assert np.array_equal(out, init)
 
     def test_custom_init(self):
         target = poisson_pmf(1.0, 12)
@@ -183,29 +192,9 @@ class TestRunEm:
         b, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=300))
         assert np.array_equal(a, b)
 
-    def test_early_stop_shortens_trace(self):
-        # starting on the fixed point, the first step moves nothing and the
-        # stopping rule fires immediately
-        target = poisson_pmf(1.0, 12)
-        target /= target.sum()
-        nu_bar = np.linspace(0.1, 0.9, 30)
-        cfg = EMConfig(n_iterations=5000, early_stop_tol=1e-10, init=tuple(target))
-        values, trace, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
-        assert trace.size == 1
-        np.testing.assert_allclose(values, target, atol=1e-12)
-
-    def test_early_stop_off_by_default(self):
-        target = poisson_pmf(1.0, 12)
-        target /= target.sum()
-        nu_bar = np.linspace(0.1, 0.9, 30)
-        cfg = EMConfig(n_iterations=120, init=tuple(target))
-        _, trace, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
-        assert trace.size == 120
-
     def test_degenerate_model_raises(self):
         # a probe so bright that every forward probability underflows: the
-        # point is marked failed and left NaN (reconstruct_point raises
-        # DegenerateModelError on it)
+        # point is marked failed and left NaN (``reconstruct`` then exits 4)
         sched = DualDetectorRecipe(DetectorPair(0.5, 0.9), tuple(np.linspace(0.3, 1.2, 12))).build(20.0)
         out = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, EMConfig(n_iterations=5))
         assert out.failed[0]
@@ -238,20 +227,20 @@ class TestLogLikelihood:
     def test_direct_value(self):
         # forward p = 0.5 + 0.5 * 0.5 = 0.75; pick counts giving freq = p
         p = kernel([0.5]) @ np.array([0.5, 0.5] + [0.0] * 10)
-        assert _loglik_rows(p[None, :], np.array([[3.0]]), np.array([[4.0]]), 1e-12)[0] == pytest.approx(
+        assert _loglik_rows(p[None, :], np.array([[3.0]]), np.array([[4.0]]))[0] == pytest.approx(
             3 * math.log(0.75) + 1 * math.log(0.25), rel=1e-12
         )
 
     def test_two_trials_half(self):
         p = kernel([1.0], 2) @ np.array([0.5, 0.5])
-        assert _loglik_rows(p[None, :], np.array([[1.0]]), np.array([[2.0]]), 1e-12)[0] == pytest.approx(
+        assert _loglik_rows(p[None, :], np.array([[1.0]]), np.array([[2.0]]))[0] == pytest.approx(
             2.0 * math.log(0.5), rel=1e-14
         )
 
     def test_saturated_frequencies_finite(self):
         p = kernel([0.3]) @ np.eye(12)[0]
-        assert np.isfinite(_loglik_rows(p[None, :], np.array([[10.0]]), np.array([[10.0]]), 1e-12)[0])
-        assert np.isfinite(_loglik_rows(p[None, :], np.array([[0.0]]), np.array([[10.0]]), 1e-12)[0])
+        assert np.isfinite(_loglik_rows(p[None, :], np.array([[10.0]]), np.array([[10.0]]))[0])
+        assert np.isfinite(_loglik_rows(p[None, :], np.array([[0.0]]), np.array([[10.0]]))[0])
 
     def test_em_beats_uniform_init_across_seeds(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
@@ -345,12 +334,13 @@ def _em_batch_case(name):
         cfg = EMConfig(n_iterations=50, normalization="renormalized" if name == "blind" else "literal")
         return noclick[:5, :12] / n_runs[:5, :12], np.ones(12), 1.0, cfg, {}
     if name == "early_stop_trace_init":
-        cfg = EMConfig(n_iterations=2000, early_stop_tol=1e-4, init=tuple(rows[0]))
-        extra = {"noclick": noclick[:8], "n_runs": n_runs[:8], "record_trace": True}
+        # a custom init over 8 rows
+        cfg = EMConfig(n_iterations=2000, init=tuple(rows[0]))
+        extra = {"noclick": noclick[:8], "n_runs": n_runs[:8]}
         return noclick[:8] / n_runs[:8], nu_bar, ey[:8], cfg, extra
     if name == "single_row":
-        cfg = EMConfig(n_iterations=2000, early_stop_tol=1e-4)
-        extra = {"noclick": noclick[:1], "n_runs": n_runs[:1], "record_trace": True}
+        cfg = EMConfig(n_iterations=2000)
+        extra = {"noclick": noclick[:1], "n_runs": n_runs[:1]}
         return noclick[:1] / n_runs[:1], nu_bar, ey[:1], cfg, extra
     raise KeyError(name)
 
@@ -389,18 +379,10 @@ class TestBatchBitIdentity:
         assert np.array_equal(got.failed, want.failed)
         # values near one owe tol absolute; the literal floor case's iterates
         # grow to 3e11, where tol is below one ulp, so they owe tol relative
-        for field in ("values", "final_residuals"):
-            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=tol, atol=tol, err_msg=field)
+        np.testing.assert_allclose(got.values, want.values, rtol=tol, atol=tol)
         np.testing.assert_allclose(got.final_loglik, want.final_loglik, rtol=tol, atol=0.0)
-        if want.trace_loglik is None:
-            assert got.trace_loglik is None
-        else:
-            assert got.trace_loglik.shape == want.trace_loglik.shape
-            np.testing.assert_allclose(got.trace_loglik, want.trace_loglik, rtol=tol, atol=0.0)
         if name.startswith(("floor", "mixed")):
             assert 0 < want.failed.sum() < want.failed.size
-        if cfg.early_stop_tol is not None:
-            assert want.trace_loglik.shape[0] < cfg.n_iterations
 
 
 @st.composite
@@ -488,7 +470,7 @@ def test_shipped_configs_take_the_bare_step_everywhere(path):
     # benchmark runs fall back to the guarded step
     cfg = load_config(path)
     sched = build_recipe(cfg).build(cfg.grid.flat_gammas())
-    assert np.all(_static_bound(sched.nu_bar, sched.y, cfg.trunc.n_trunc) >= 2.0 * EMConfig().floor_epsilon)
+    assert np.all(_static_bound(sched.nu_bar, sched.y, cfg.trunc.n_trunc) >= 2.0 * em_module.FLOOR)
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from clicktomo import (
     integrate_rho,
     squeezed_vacuum,
     squeezed_wigner,
-    wigner_map_from_function,
 )
 from clicktomo.config import build_state, load_config
 
@@ -97,7 +96,7 @@ class TestIntegrateRho:
 
     def test_vacuum_quadrature(self):
         grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 80, 80)
-        est = wigner_map_from_function(grid, coherent_wigner(0.0))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(0.0)(grid.gammas()))
         rec = integrate_rho(est, 6)
         assert rec.elements[0, 0].real == pytest.approx(1.0, abs=1e-3)
         off = np.abs(rec.elements).copy()
@@ -114,8 +113,8 @@ class TestIntegrateRho:
 
     def test_linearity(self):
         grid = PhaseGrid(-3.0, 3.0, -3.0, 3.0, 30, 30)
-        w1 = wigner_map_from_function(grid, coherent_wigner(0.5))
-        w2 = wigner_map_from_function(grid, coherent_wigner(-0.3j))
+        w1 = WignerEstimate(grid=grid, w_values=coherent_wigner(0.5)(grid.gammas()))
+        w2 = WignerEstimate(grid=grid, w_values=coherent_wigner(-0.3j)(grid.gammas()))
         both = WignerEstimate(grid=grid, w_values=w1.w_values + w2.w_values)
         lhs = integrate_rho(both, 6).elements
         rhs = integrate_rho(w1, 6).elements + integrate_rho(w2, 6).elements
@@ -126,7 +125,7 @@ class TestIntegrateRho:
         # must come back as itself, not its transpose or parity twin
         alpha0 = 0.6 + 0.4j
         grid = PhaseGrid(-3.5, 3.5, -3.5, 3.5, 70, 70)
-        est = wigner_map_from_function(grid, coherent_wigner(alpha0))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(alpha0)(grid.gammas()))
         rec = integrate_rho(est, 10)
         exact = density_from_pure(coherent_state(alpha0, TruncationConfig(10, 40)))
         comp = compare_states(rec, exact.elements[:10, :10])
@@ -139,7 +138,7 @@ class TestIntegrateRho:
         prev = None
         for n in (20, 40, 80):
             grid = PhaseGrid(-3.5, 3.5, -3.5, 3.5, n, n)
-            rec = integrate_rho(wigner_map_from_function(grid, coherent_wigner(0.5)), 8).elements
+            rec = integrate_rho(WignerEstimate(grid=grid, w_values=coherent_wigner(0.5)(grid.gammas())), 8).elements
             if prev is not None:
                 diffs.append(np.max(np.abs(rec - prev)))
             prev = rec
@@ -206,7 +205,7 @@ class TestCompareStates:
 
     def test_coherent_roundtrip_fidelity(self):
         grid = PhaseGrid(-2.5, 4.5, -3.5, 3.5, 70, 70)
-        est = wigner_map_from_function(grid, coherent_wigner(1.0))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(1.0)(grid.gammas()))
         rec = integrate_rho(est, 12)
         exact = density_from_pure(coherent_state(1.0, CFG)).elements[:12, :12]
         assert compare_states(rec, exact).fidelity >= 0.99

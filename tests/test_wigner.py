@@ -17,19 +17,17 @@ from clicktomo import (
     fock_state,
     fock_wigner,
     homogeneous_efficiencies,
-    recommend_truncation,
-    reconstruct_point,
-    scan_grid,
+    io_csv,
     simulate,
     squeezed_vacuum,
     squeezed_wigner,
-    truncation_error_map,
-    variance_map,
     wigner_from_values,
-    wigner_map_from_function,
 )
+from clicktomo.cli import main
 from clicktomo.errors import DataError
 from clicktomo.wigner import laguerre, reconstruct_clicks
+
+from oracles import wigner_scan
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
@@ -40,6 +38,17 @@ EM_FAST = EMConfig(n_iterations=300)
 def wigner_exact(rho, gamma: complex, cfg: TruncationConfig) -> float:
     """Truncated Wigner value at one point, from a one-point batch of displaced diagonals."""
     return wigner_from_values(displaced_diagonals(rho, [gamma], cfg)[0, : cfg.n_trunc])
+
+
+def reconstruct_at(rho, gamma, em_cfg, n_runs=10_000, seed=0, exact=False, offset=0):
+    """(R, W) at one point by the CLI's path: ``simulate`` then ``reconstruct_clicks``.
+
+    ``offset`` is the point's index in a grid run, which keys its generator.
+    """
+    clicks = simulate(rho, [gamma], RECIPE, CFG, n_runs, seed, 0, exact, offset=offset)
+    w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, em_cfg)
+    assert not failed[0]
+    return values[0], w[0]
 
 
 class TestPhaseGrid:
@@ -102,62 +111,60 @@ class TestReconstructPoint:
     # shrinks by roughly 10x.
     def test_vacuum_origin_exact_mode(self):
         rho = density_from_pure(fock_state(0, CFG))
-        _, w = reconstruct_point(rho, 0.0, RECIPE, CFG, EM, exact=True)
+        _, w = reconstruct_at(rho, 0.0, EM, exact=True)
         assert w == pytest.approx(2.0 / math.pi, abs=2e-2)
         assert w <= 2.0 / math.pi + 1e-12
 
     def test_coherent_at_its_peak(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
-        _, w = reconstruct_point(rho, 1.0, RECIPE, CFG, EM, exact=True)
+        _, w = reconstruct_at(rho, 1.0, EM, exact=True)
         assert w == pytest.approx(2.0 / math.pi, abs=2e-2)
 
     def test_sampled_reproducibility(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
-        a = reconstruct_point(rho, 0.5, RECIPE, CFG, EM_FAST, n_runs=2000, seed=3)
-        b = reconstruct_point(rho, 0.5, RECIPE, CFG, EM_FAST, n_runs=2000, seed=3)
-        assert np.array_equal(a[0].values, b[0].values) and a[1] == b[1]
+        a = reconstruct_at(rho, 0.5, EM_FAST, n_runs=2000, seed=3)
+        b = reconstruct_at(rho, 0.5, EM_FAST, n_runs=2000, seed=3)
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 class TestScanGrid:
     def test_single_node_equals_reconstruct_point(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(0.0, 1.0, -0.5, 0.5, 1, 1)
-        est = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=2000, seed=11)
-        _, w = reconstruct_point(
-            rho, grid.flat_gammas()[0], RECIPE, CFG, EM_FAST, n_runs=2000, seed=11
-        )
-        assert est.w_values[0, 0] == w
+        w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=2000, seed=11)
+        _, w = reconstruct_at(rho, grid.flat_gammas()[0], EM_FAST, n_runs=2000, seed=11)
+        assert w_map[0, 0] == w
 
     def test_determinism(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 3)
-        a = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
-        b = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
-        assert np.array_equal(a.w_values, b.w_values)
+        a = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
+        b = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
+        assert np.array_equal(a, b)
 
     def test_matches_per_point_runs(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
-        est = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
+        w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
         for k, g in enumerate(grid.flat_gammas()):
-            _, w = reconstruct_point(
-                rho, g, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5, point_index=k
-            )
-            assert abs(est.w_values.ravel()[k] - w) < 1e-12
+            _, w = reconstruct_at(rho, g, EM_FAST, n_runs=1500, seed=5, offset=k)
+            assert abs(w_map.ravel()[k] - w) < 1e-12
 
     def test_keep_r_tables(self):
+        # reconstruct_clicks returns the R table of every point beside W
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-0.5, 0.5, -0.5, 0.5, 2, 2)
-        est = scan_grid(rho, grid, RECIPE, CFG, EM_FAST, exact=True, keep_r=True)
-        assert est.r_tables.shape == (4, 12)
-        np.testing.assert_allclose(est.r_tables.sum(axis=1), 1.0, atol=1e-12)
+        clicks = simulate(rho, grid.flat_gammas(), RECIPE, CFG, 10_000, 0, 0, True)
+        _, r_tables, _, _ = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        assert r_tables.shape == (4, 12)
+        np.testing.assert_allclose(r_tables.sum(axis=1), 1.0, atol=1e-12)
 
     def test_photon_number_mode_at_origin(self):
         # gamma = 0 reconstructs the photon-number distribution itself
         rho = density_from_pure(coherent_state(1.0, CFG))
-        dist, _ = reconstruct_point(rho, 0.0, RECIPE, CFG, EM, exact=True)
+        values, _ = reconstruct_at(rho, 0.0, EM, exact=True)
         occupation = np.real(np.diag(rho.elements))[:12]
-        assert np.max(np.abs(dist.values - occupation)) <= 1e-2
+        assert np.max(np.abs(values - occupation)) <= 1e-2
 
 
 class TestReconstructClicks:
@@ -191,25 +198,20 @@ class TestScanFailures:
         )
         rho = density_from_pure(coherent_state(0.3, CFG))
         grid = PhaseGrid(0.0, 2.0, -0.25, 0.25, 4, 1)
-        est = scan_grid(rho, grid, recipe, CFG, EM_FAST, exact=True)
-        flat = est.w_values.ravel()
-        assert len(est.failures) > 0
-        failed_idx = {i for i, _ in est.failures}
-        assert all(np.isnan(flat[i]) for i in failed_idx)
-        ok_idx = set(range(flat.size)) - failed_idx
-        assert ok_idx and all(np.isfinite(flat[i]) for i in ok_idx)
+        clicks = simulate(rho, grid.flat_gammas(), recipe, CFG, 10_000, 0, 0, True)
+        w, _, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        assert failed.any() and not failed.all()
+        assert np.all(np.isnan(w[failed])) and np.all(np.isfinite(w[~failed]))
 
 
 class TestExactVersusSampled:
     def test_exact_pipeline_never_worse(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6)
-        analytic = wigner_map_from_function(grid, coherent_wigner(1.0))
-        exact_d = delta_w(analytic, scan_grid(rho, grid, RECIPE, CFG, EM, exact=True)).delta_w
+        analytic = coherent_wigner(1.0)(grid.gammas())
+        exact_d = delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=10_000, exact=True))
         sampled = [
-            delta_w(
-                analytic, scan_grid(rho, grid, RECIPE, CFG, EM, n_runs=1000, seed=s)
-            ).delta_w
+            delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=1000, seed=s))
             for s in range(3)
         ]
         assert exact_d <= np.median(sampled)
@@ -218,61 +220,108 @@ class TestExactVersusSampled:
 class TestDeltaW:
     def test_identical_maps(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-        est = wigner_map_from_function(grid, coherent_wigner(0.0))
-        report = delta_w(est, est)
-        assert report.delta_w == 0.0
-        assert report.n_points == 25
+        w = coherent_wigner(0.0)(grid.gammas())
+        assert delta_w(w, w) == 0.0
 
     def test_constant_offset(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-        a = wigner_map_from_function(grid, coherent_wigner(0.0))
-        from clicktomo import WignerEstimate
-
-        b = WignerEstimate(grid=grid, w_values=a.w_values + 0.01)
-        assert delta_w(a, b).delta_w == pytest.approx(0.01, abs=1e-15)
+        a = coherent_wigner(0.0)(grid.gammas())
+        assert delta_w(a, a + 0.01) == pytest.approx(0.01, abs=1e-15)
 
     def test_grid_mismatch(self):
-        a = wigner_map_from_function(PhaseGrid(-1, 1, -1, 1, 5, 5), coherent_wigner(0.0))
-        b = wigner_map_from_function(PhaseGrid(-1, 1, -1, 1, 4, 4), coherent_wigner(0.0))
+        a = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 5, 5).gammas())
+        b = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 4, 4).gammas())
         with pytest.raises(DataError):
             delta_w(a, b)
+        with pytest.raises(DataError):
+            delta_w(a, a.ravel())
+
+    def test_only_finite_entries_count(self):
+        # NaN in either map (a failed node, a missing reference) drops the entry
+        ref = np.array([0.1, 0.2, np.nan, 0.4])
+        rec = np.array([0.2, np.nan, 0.3, 0.1])
+        assert delta_w(ref, rec) == pytest.approx(0.2, abs=1e-15)
+        assert math.isnan(delta_w(ref, np.full(4, np.nan)))
+
+
+REP_RUN = """
+[state]
+kind = coherent
+re_amplitude = 1.0
+
+[truncation]
+n_trunc = 12
+
+[detectors]
+mode = single
+alpha = 0.15
+n_efficiencies = 30
+
+[grid]
+re_min = -0.5
+re_max = 1.5
+im_min = -1.0
+im_max = 1.0
+n_re = 2
+n_im = 2
+
+[run]
+n_runs = 500
+n_iterations = 300
+seed = 4
+repetitions = {repetitions}
+"""
+
+
+def reconstructed_variance(tmp_path, repetitions, exact=False):
+    """The ``w_variance`` column that ``reconstruct`` writes over every repetition of REP_RUN."""
+    cfg = tmp_path / "rep.ini"
+    cfg.write_text(REP_RUN.format(repetitions=repetitions))
+    out = tmp_path / "art"
+    flags = ["--exact"] * exact
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    records = sorted(map(str, out.glob("clicks*.csv")))
+    assert len(records) == repetitions
+    assert main(["reconstruct", "--config", str(cfg), "--records", *records, "--out", str(out), *flags]) == 0
+    return io_csv.read_wigner_csv(out / "wigner.csv")[2]["w_variance"]
 
 
 class TestVarianceMap:
-    def test_exact_mode_is_zero(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
-        var = variance_map(rho, grid, RECIPE, CFG, EM_FAST, n_repetitions=2, exact=True)
-        assert np.all(var == 0.0)
+    # the variance map is the w_variance column of ``reconstruct`` over repetitions
+    def test_exact_mode_is_zero(self, tmp_path):
+        assert np.all(reconstructed_variance(tmp_path, 2, exact=True) == 0.0)
 
-    def test_two_repetitions_equal_half_difference_squared(self):
+    def test_two_repetitions_equal_half_difference_squared(self, tmp_path):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
         maps = [
-            scan_grid(rho, grid, RECIPE, CFG, EM_FAST, n_runs=500, seed=4, repetition=r).w_values
+            reconstruct_clicks(simulate(rho, grid.flat_gammas(), RECIPE, CFG, 500, 4, r, False), CFG.n_trunc, EM_FAST)[0]
             for r in (0, 1)
         ]
-        var = variance_map(rho, grid, RECIPE, CFG, EM_FAST, n_runs=500, n_repetitions=2, seed=4)
+        var = reconstructed_variance(tmp_path, 2)
         np.testing.assert_allclose(var, ((maps[0] - maps[1]) / 2.0) ** 2, atol=1e-16)
 
-    def test_needs_two_repetitions(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
-        with pytest.raises(ValueError):
-            variance_map(rho, grid, RECIPE, CFG, EM_FAST, n_repetitions=1)
+    def test_needs_two_repetitions(self, tmp_path):
+        # one repetition has no variance: the column is NaN, not zero
+        assert np.all(np.isnan(reconstructed_variance(tmp_path, 1)))
+
+
+def truncation_error(rho, grid, trunc, reference):
+    """|W_reference - W_truncated| per node, W_truncated being ``exact_wigner_map``."""
+    return np.abs(reference - exact_wigner_map(rho, grid, trunc).w_values)
 
 
 class TestTruncationErrorMap:
     def test_small_at_coherent_peak(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(0.96, 1.04, -0.04, 0.04, 1, 1)
-        err = truncation_error_map(rho, grid, CFG, reference=coherent_wigner(1.0))
+        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
         assert err[0, 0] < 1e-8
 
     def test_grows_toward_corners(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 11, 11)
-        err = truncation_error_map(rho, grid, CFG, reference=coherent_wigner(1.0))
+        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
         corner = max(err[0, 0], err[0, -1], err[-1, 0], err[-1, -1])
         peak = err[6, 6]  # node nearest gamma = 1
         assert corner > peak
@@ -280,15 +329,18 @@ class TestTruncationErrorMap:
     def test_nested_truncation_never_worse(self):
         rho = density_from_pure(coherent_state(1.0, TruncationConfig(12, 64)))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 8, 8)
-        coarse = truncation_error_map(rho, grid, TruncationConfig(12, 64), reference=coherent_wigner(1.0))
-        fine = truncation_error_map(rho, grid, TruncationConfig(24, 64), reference=coherent_wigner(1.0))
+        analytic = coherent_wigner(1.0)(grid.gammas())
+        coarse = truncation_error(rho, grid, TruncationConfig(12, 64), analytic)
+        fine = truncation_error(rho, grid, TruncationConfig(24, 64), analytic)
         assert np.all(fine <= coarse + 1e-12)
 
     def test_numeric_reference_default(self):
+        # the map over the whole working dimension stands in for the analytic one
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 5, 5)
-        numeric = truncation_error_map(rho, grid, CFG)
-        analytic = truncation_error_map(rho, grid, CFG, reference=coherent_wigner(1.0))
+        padded = exact_wigner_map(rho, grid, TruncationConfig(CFG.n_pad, CFG.n_pad)).w_values
+        numeric = truncation_error(rho, grid, CFG, padded)
+        analytic = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
         np.testing.assert_allclose(numeric, analytic, atol=1e-6)
 
 
@@ -299,13 +351,3 @@ class TestExactWignerMap:
         est = exact_wigner_map(rho, grid, CFG)
         for k, g in enumerate(grid.flat_gammas()):
             assert est.w_values.ravel()[k] == pytest.approx(wigner_exact(rho, g, CFG), abs=1e-14)
-
-
-class TestRecommendTruncation:
-    def test_coherent_one(self):
-        rho = density_from_pure(coherent_state(1.0, TruncationConfig(12, 64)))
-        assert recommend_truncation(rho) == 7
-
-    def test_fock_state(self):
-        rho = density_from_pure(fock_state(3, CFG))
-        assert recommend_truncation(rho) == 4
