@@ -69,33 +69,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _nodes_match(gammas: np.ndarray, grid) -> bool:
+    """Whether ``gammas`` are the grid's nodes, in order, to 1e-9."""
+    return gammas.size == grid.n_points and np.max(np.abs(gammas - grid.flat_gammas())) <= 1e-9
+
+
 def cmd_reconstruct(args) -> int:
     """The wigner.csv header is the click files' embedded config; ``--config``
     (default: that config) sets only the EM keys and ``analytic_reference``."""
     cfg = None if args.config is None else _load(args)
-    em_cfg = None
-    maps = []
-    logliks = []
-    n_failed = 0
-    first_cfg = gammas_ref = None
+    em_cfg = first_cfg = None
+    maps, logliks, n_failed = [], [], 0
+    seen: dict[int, str] = {}  # repetition -> path
     for path in args.records:
-        file_cfg, _, clicks = io_csv.read_click_csv(path)
+        file_cfg, rep, clicks = io_csv.read_click_csv(path)
         cfg = file_cfg if cfg is None else cfg
         em_cfg = em_cfg or EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
         if file_cfg.state != cfg.state:
             raise DataError(f"{path}: [state] differs from the run config")
-        if first_cfg is None:
-            first_cfg, gammas_ref = file_cfg, clicks.gammas
-        elif file_cfg != first_cfg:
+        first_cfg = first_cfg or file_cfg
+        if file_cfg != first_cfg:
             raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
+        if rep in seen:  # the records share one config, so only the repetition tells them apart
+            raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
+        seen[rep] = path
         w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg)
         maps.append(w)
         logliks.append(ll)
         n_failed += int(failed.sum())
-    expected = cfg.grid.flat_gammas()
-    if gammas_ref.size != expected.size or np.max(np.abs(gammas_ref - expected)) > 1e-9:
+    if not _nodes_match(first_cfg.grid.flat_gammas(), cfg.grid):
         raise DataError("records do not cover the configured grid")
     header = replace(
         first_cfg,
@@ -104,17 +108,13 @@ def cmd_reconstruct(args) -> int:
         analytic_reference=cfg.analytic_reference,
     )
 
-    w_rec = maps[0]
     w_var = np.var(np.stack(maps), axis=0) if len(maps) > 1 else None
-    w_exact = None
-    if header.analytic_reference:
-        w_exact = analytic_wigner_fn(header)(gammas_ref)
+    w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas()) if header.analytic_reference else None
     out = _out_dir(args)
     io_csv.write_wigner_csv(
-        out / "wigner.csv", header, gammas_ref, w_rec,
-        w_exact=w_exact, w_variance=w_var, loglik=logliks[0],
+        out / "wigner.csv", header, maps[0], w_exact=w_exact, w_variance=w_var, loglik=logliks[0]
     )
-    print(f"wrote {out / 'wigner.csv'} ({w_rec.size} points, {n_failed} failed)")
+    print(f"wrote {out / 'wigner.csv'} ({maps[0].size} points, {n_failed} failed)")
     if n_failed:
         print(f"{n_failed} points failed to reconstruct", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -127,13 +127,10 @@ def cmd_recover_rho(args) -> int:
     file_cfg, gammas, cols = io_csv.read_wigner_csv(args.wigner)
     if cfg is not None and (file_cfg.trunc.n_trunc != cfg.trunc.n_trunc or file_cfg.state != cfg.state):
         raise DataError(f"{args.wigner}: n_trunc or [state] differs from the run config")
-    grid = file_cfg.grid
-    expected = grid.flat_gammas()
-    if gammas.size != expected.size or np.max(np.abs(gammas - expected)) > 1e-9:
+    if not _nodes_match(gammas, file_cfg.grid):
         raise DataError(f"{args.wigner}: points do not match the embedded grid")
-    estimate = WignerEstimate(grid=grid, w_values=cols["w_rec"].reshape(grid.n_im, grid.n_re))
     n_trunc = file_cfg.trunc.n_trunc
-    recovered = integrate_rho(estimate, n_trunc)
+    recovered = integrate_rho(WignerEstimate(grid=file_cfg.grid, w_values=cols["w_rec"]), n_trunc)
 
     exact = build_state(file_cfg).elements[:n_trunc, :n_trunc]
     comparison = compare_states(recovered, exact)
@@ -193,9 +190,7 @@ def cmd_report(args) -> int:
             f"{r['delta_w']:>12.6g} {r['mean_variance']:>12.6g}"
         )
     out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    io_csv.write_json(out / "report.json", payload)
     print(f"wrote {out / 'report.json'}")
     return EXIT_OK
 

@@ -46,6 +46,7 @@ STATE_KINDS = ("coherent", "squeezed", "fock")
 DETECTOR_MODES = ("single", "dual")
 # numpy draws the binomial counts as 64-bit integers
 MAX_RUNS = 2**63 - 1
+MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 
 
 @dataclass(frozen=True)
@@ -195,8 +196,10 @@ def parse_config(text: str) -> RunConfig:
         grid = PhaseGrid(**values["grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if grid.n_points > MAX_POINTS:
+        raise ConfigError(f"[grid] n_re x n_im = {grid.n_points} exceeds {MAX_POINTS} nodes")
     try:
-        displacement_r2([grid.farthest_node()], trunc.n_pad)
+        displacement_r2(grid.flat_gammas(), trunc.n_pad)
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}; shrink the grid or raise n_pad") from exc
     # the EM needs at least as many detector settings per point as unknowns

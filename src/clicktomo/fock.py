@@ -237,8 +237,10 @@ def power_table(z: np.ndarray, dim: int) -> np.ndarray:
 def displacement_r2(gammas: np.ndarray, dim: int) -> np.ndarray:
     """|gamma|^2 of every displacement, after checking that each is at most dim / 2.
 
-    The ValueError names the worst point; the config check on a grid calls
-    this too, so both draw the line at the same bit.
+    The ValueError names the worst point.  numpy's complex abs is not
+    correctly rounded, so the largest |gamma|^2 need not sit at the node with
+    the largest parts; ``parse_config`` therefore runs this on every node of
+    the grid's ``flat_gammas()``, the array the stages displace.
     """
     g = np.asarray(gammas, dtype=np.complex128).ravel()
     r2 = np.abs(g) ** 2

@@ -30,6 +30,7 @@ __all__ = [
     "write_rho_csv",
     "read_rho_csv",
     "write_metrics_json",
+    "write_json",
     "embedded_config",
 ]
 
@@ -63,41 +64,29 @@ def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "d
 
 
 def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
-    """-> (embedded config text, extras, column names, data rows)."""
+    """-> (embedded config text, extras, column names, data rows) of the layout
+    ``_write_table`` writes; every line after the column names is a data row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            raw = fh.read().split("\n")
+            lines = fh.read().split("\n")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    config_rows: list[str] = []
-    extras: dict[str, str] = {}
-    body: list[str] = []
-    in_config = False
-    seen_config = False
-    for line in raw:
-        if line == _CONFIG_BEGIN:
-            in_config, seen_config = True, True
-            continue
-        if line == _CONFIG_END:
-            in_config = False
-            continue
-        if in_config:
-            config_rows.append(line[2:] if line.startswith("# ") else line.lstrip("#"))
-            continue
-        if line.startswith("#"):
-            text = line[1:].strip()
-            if "=" in text:
-                key, _, value = text.partition("=")
-                extras[key.strip()] = value.strip()
-            continue
-        if line:
-            body.append(line)
-    if not seen_config:
+    if lines[0] != _CONFIG_BEGIN or _CONFIG_END not in lines:
         raise DataError(f"{path}: missing embedded config header")
-    if not body:
+    if lines[-1] == "":  # the newline that ends the last row
+        lines.pop()
+    end = lines.index(_CONFIG_END)
+    head = next((k for k in range(end + 1, len(lines)) if not lines[k].startswith("#")), len(lines))
+    if head + 1 >= len(lines):
         raise DataError(f"{path}: no data rows")
-    columns = body[0].split(",")
-    return "\n".join(config_rows) + "\n", extras, columns, body[1:]
+    config_rows = [line[2:] if line.startswith("# ") else line.lstrip("#") for line in lines[1:end]]
+    extras = {}
+    for line in lines[end + 1 : head]:
+        key, eq, value = line[1:].partition("=")
+        if not eq:
+            raise DataError(f"{path}: header line {line!r} is not '# key = value'")
+        extras[key.strip()] = value.strip()
+    return "\n".join(config_rows) + "\n", extras, lines[head].split(","), lines[head + 1 :]
 
 
 def _parse_embedded(path, config_text: str) -> RunConfig:
@@ -138,8 +127,6 @@ def _read_table(
     if tuple(found) != columns:
         raise DataError(f"{path}: unexpected columns {found}")
     cfg = _parse_embedded(path, config_text)
-    if not body:
-        raise DataError(f"{path}: no data rows")
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if data.shape == (len(body), len(columns)):
@@ -169,6 +156,17 @@ def _integers(path, column: np.ndarray, name: str, least: int = 0) -> np.ndarray
     return column.astype(np.int64)
 
 
+def _check_order(path, i: np.ndarray, j: np.ndarray, n_i: int, n_j: int, order: str) -> None:
+    """DataError naming the first row whose (i, j) leaves the row-major order
+    of n_i x n_j, or the first missing or extra row."""
+    k = min(len(i), n_i * n_j)
+    # n_j may exceed every row count (and int64); below k + 1 it divides the same way
+    expected_i, expected_j = np.divmod(np.arange(k), min(n_j, k + 1))
+    _reject(path, (i[:k] != expected_i) | (j[:k] != expected_j), f"out of {order}")
+    if len(i) != n_i * n_j:
+        raise DataError(f"{path}: row {k + 1}: {'missing' if k < n_i * n_j else 'extra'} in {order}")
+
+
 def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     """Read a format-2 click file; every field but the counts comes from its embedded config."""
     cfg, extras, data = _read_table(path, CLICK_COLUMNS, CLICK_FORMAT)
@@ -179,13 +177,8 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     point = _integers(path, data[:, 0], "point_index")
     setting = _integers(path, data[:, 1], "setting_index")
     p, m = cfg.grid.n_points, cfg.detectors.n_settings
-    k = min(len(data), p * m)
-    # m may exceed every row count (and int64); below k + 1 it divides the same way
-    expected_point, expected_setting = np.divmod(np.arange(k), min(m, k + 1))
     order = f"the point-major order of the {p} points x {m} settings the embedded config declares"
-    _reject(path, (point[:k] != expected_point) | (setting[:k] != expected_setting), f"out of {order}")
-    if len(data) != p * m:
-        raise DataError(f"{path}: row {k + 1}: {'missing' if k < p * m else 'extra'} in {order}")
+    _check_order(path, point, setting, p, m, order)
     noclick = data[:, 2]
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)), "n_noclick outside [0, n_runs]")
     gammas = cfg.grid.flat_gammas()
@@ -200,20 +193,17 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
 def write_wigner_csv(
     path,
     cfg: RunConfig,
-    grid_gammas: np.ndarray,
     w_rec: np.ndarray,
     w_exact: "np.ndarray | None" = None,
     w_variance: "np.ndarray | None" = None,
     loglik: "np.ndarray | None" = None,
 ) -> None:
-    flat_g = np.asarray(grid_gammas).ravel()
-    flat_w = np.asarray(w_rec, dtype=float).ravel()
-    nan = np.full(flat_w.size, np.nan)
-    ex = nan if w_exact is None else np.asarray(w_exact, dtype=float).ravel()
-    var = nan if w_variance is None else np.asarray(w_variance, dtype=float).ravel()
-    ll = nan if loglik is None else np.asarray(loglik, dtype=float).ravel()
+    """One row per node of ``cfg.grid``, in ``flat_gammas()`` order; a column not given is NaN."""
+    gammas = cfg.grid.flat_gammas()
+    nan = np.full(gammas.size, np.nan)
+    optional = (nan if c is None else c for c in (w_exact, w_variance, loglik))
     template = ",".join(["{:.17g}"] * len(WIGNER_COLUMNS))
-    table = np.column_stack([flat_g.real, flat_g.imag, flat_w, ex, var, ll]).tolist()
+    table = np.column_stack([gammas.real, gammas.imag, w_rec, *optional]).tolist()
     _write_table(path, cfg, WIGNER_COLUMNS, (template.format(*row) for row in table))
 
 
@@ -236,15 +226,23 @@ def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
 
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:
+    """The n_trunc x n_trunc matrix of the embedded config, from its rows in row-major order."""
     cfg, _, data = _read_table(path, RHO_COLUMNS)
     m, n = _integers(path, data[:, 0], "m"), _integers(path, data[:, 1], "n")
-    rho = np.zeros((max(m.max(), n.max()) + 1,) * 2, dtype=complex)
-    rho[m, n] = complex_array(data[:, 2], data[:, 3])
-    return cfg, rho
+    dim = cfg.trunc.n_trunc
+    order = f"the row-major order of the {dim} x {dim} elements the embedded config declares"
+    _check_order(path, m, n, dim, dim, order)
+    return cfg, complex_array(data[:, 2], data[:, 3]).reshape(dim, dim)
+
+
+def write_json(path, payload: dict) -> None:
+    """``payload`` as strict JSON, indented by 2: every non-finite float is written as null."""
+    # a round trip through the C codec maps NaN and +-Infinity at any depth json.load accepts
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(strict, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def write_metrics_json(path, cfg: RunConfig, metrics: dict) -> None:
-    payload = {"config": dump_config(cfg), **metrics}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    write_json(path, {"config": dump_config(cfg), **metrics})

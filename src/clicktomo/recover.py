@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError
 from .fock import DensityMatrix, displacement_coefficients, power_table
-from .wigner import PhaseGrid, WignerEstimate
+from .wigner import WignerEstimate
 
 __all__ = [
     "integrate_rho",
@@ -48,13 +48,8 @@ class RecoveredDensity:
     """
 
     elements: np.ndarray
-    grid: PhaseGrid
     hermitization_residual: float
     trace_warning: bool = False
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[0]
 
     @property
     def trace(self) -> float:
@@ -74,8 +69,7 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
     """
     grid = wigner.grid
     area = grid.d_re * grid.d_im
-    gammas = grid.flat_gammas()
-    w = np.asarray(wigner.w_values, dtype=float).ravel()
+    gammas, w = grid.flat_gammas(), wigner.w_values
     good = np.isfinite(w)
     if not np.all(good):
         log.warning("skipping %d non-finite Wigner nodes in the quadrature", int((~good).sum()))
@@ -100,9 +94,7 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
         log.warning(
             "recovered trace %.4f is far from 1; grid coverage or resolution is suspect", trace
         )
-    return RecoveredDensity(
-        elements=sym, grid=grid, hermitization_residual=residual, trace_warning=warn
-    )
+    return RecoveredDensity(elements=sym, hermitization_residual=residual, trace_warning=warn)
 
 
 @dataclass(frozen=True)

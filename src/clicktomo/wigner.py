@@ -19,7 +19,7 @@ import numpy as np
 from .em import EMConfig, run_em_batch
 from .errors import DataError
 from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
-from .measurement import ClickArrays
+from .measurement import ClickArrays, complex_array
 
 __all__ = [
     "PhaseGrid",
@@ -75,33 +75,21 @@ class PhaseGrid:
     def n_points(self) -> int:
         return self.n_re * self.n_im
 
-    def gammas(self) -> np.ndarray:
-        """(n_im, n_re) complex nodes; flattening is row-major in (im, re)."""
-        return self.re_centers[None, :] + 1j * self.im_centers[:, None]
-
     def flat_gammas(self) -> np.ndarray:
-        return self.gammas().ravel()
-
-    def farthest_node(self) -> complex:
-        """The node farthest from the origin, computed as ``gammas()`` computes
-        it; |gamma| grows with |re| and |im|, so it is a corner of the nodes."""
-
-        def edge(lo: float, step: float, n: int) -> float:
-            return max(lo + 0.5 * step, lo + (n - 0.5) * step, key=abs)
-
-        return complex(edge(self.re_min, self.d_re, self.n_re), edge(self.im_min, self.d_im, self.n_im))
+        """The (n_points,) complex nodes, row-major in (im, re): re runs fastest."""
+        return complex_array(np.tile(self.re_centers, self.n_im), np.repeat(self.im_centers, self.n_re))
 
 
 @dataclass(frozen=True, eq=False)
 class WignerEstimate:
-    """A Wigner map on its grid."""
+    """A Wigner map on its grid, one value per node of ``grid.flat_gammas()``."""
 
     grid: PhaseGrid
-    w_values: np.ndarray  # (n_im, n_re)
+    w_values: np.ndarray  # (n_points,)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w_values, dtype=float)
-        if w.shape != (self.grid.n_im, self.grid.n_re):
+        if w.shape != (self.grid.n_points,):
             raise ValueError(f"w_values shape {w.shape} does not match the grid")
         finite = w[np.isfinite(w)]
         if finite.size and float(np.max(np.abs(finite))) > 2.0 / math.pi + W_BOUND_SLACK:
@@ -152,7 +140,7 @@ def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfi
     """
     diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
     w = wigner_from_values(diag[:, : trunc.n_trunc])
-    return WignerEstimate(grid=grid, w_values=w.reshape(grid.n_im, grid.n_re))
+    return WignerEstimate(grid=grid, w_values=w)
 
 
 def coherent_wigner(alpha0: complex):

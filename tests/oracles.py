@@ -97,9 +97,10 @@ def displaced_diagonal_expm(rho: np.ndarray, gamma: complex, dim: int) -> np.nda
 
 def wigner_scan(rho, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
     """W on every node of ``grid`` by the CLI's path, ``simulate`` then
-    ``reconstruct_clicks``, as an (n_im, n_re) map; failed nodes are NaN."""
+    ``reconstruct_clicks``, one value per node of ``grid.flat_gammas()``;
+    failed nodes are NaN."""
     clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
-    return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0].reshape(grid.n_im, grid.n_re)
+    return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0]
 
 
 def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=None):

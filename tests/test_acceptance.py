@@ -117,7 +117,7 @@ def test_criterion_4_coherent_map_replication():
     structure: noisier where several comparable diagonal entries matter."""
     rho = density_from_pure(coherent_state(1.0, CFG))
     grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 50, 50)
-    analytic = coherent_wigner(1.0)(grid.gammas())
+    analytic = coherent_wigner(1.0)(grid.flat_gammas())
 
     exact_map = wigner_scan(rho, grid, RECIPE, CFG, EM_1000, n_runs=10_000, exact=True)
     d_exact = delta_w(analytic, exact_map)
@@ -131,7 +131,7 @@ def test_criterion_4_coherent_map_replication():
     d_sampled = float(np.median(deltas))
 
     variance = np.var(np.stack(maps), axis=0)
-    dist_to_peak = np.abs(grid.gammas() - 1.0)
+    dist_to_peak = np.abs(grid.flat_gammas() - 1.0)
     var_peak = float(np.median(variance[dist_to_peak <= 0.5]))
     var_ring = float(np.median(variance[(dist_to_peak >= 1.0) & (dist_to_peak <= 1.5)]))
 
@@ -150,7 +150,7 @@ def test_criterion_5_error_decreases_with_more_runs():
     """Fixed iteration budget: more measurements per point, smaller error."""
     rho = density_from_pure(coherent_state(1.0, CFG))
     grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 10, 10)
-    analytic = coherent_wigner(1.0)(grid.gammas())
+    analytic = coherent_wigner(1.0)(grid.flat_gammas())
     medians = []
     for n_runs in (10**3, 10**4, 10**5):
         deltas = [
@@ -207,7 +207,7 @@ def test_criterion_6_squeezed_state_recovery():
 
 def test_criterion_7_vacuum_quadrature_roundtrip():
     grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 80, 80)
-    est = WignerEstimate(grid=grid, w_values=coherent_wigner(0.0)(grid.gammas()))
+    est = WignerEstimate(grid=grid, w_values=coherent_wigner(0.0)(grid.flat_gammas()))
     recovered = integrate_rho(est, N_TRUNC)
     rho00 = float(recovered.elements[0, 0].real)
     trace = recovered.trace
@@ -246,7 +246,7 @@ def test_criterion_8_property_suites():
 
     # error-metric axioms: zero on identical maps, exact shift under offset
     grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 6, 6)
-    base = coherent_wigner(0.0)(grid.gammas())
+    base = coherent_wigner(0.0)(grid.flat_gammas())
     shifted = base + 0.01
     checks.append(("delta_w zero on identical", delta_w(base, base) == 0.0))
     checks.append(("delta_w shift by constant", abs(delta_w(base, shifted) - 0.01) < 1e-15))

@@ -418,6 +418,15 @@ SCHEDULE_EDITS = {
         _header("re_max", 7.0),
         "embedded config: [grid] |gamma|^2 = 26.516 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
     ),
+    # far beyond what numpy can index, so a missing check fails at once instead of filling memory
+    "grid_too_many_nodes": (
+        _header("n_re", 10**20), f"embedded config: [grid] n_re x n_im = {2 * 10**20} exceeds"
+    ),
+    # the reader takes only the layout the writer writes
+    "header_after_rows": (lambda head, body: (body, head), "missing embedded config header"),
+    "key_value_after_rows": (
+        lambda head, body: (head, body + ["# repetition = 0"]), "row 57: expected 3 fields, found 1"
+    ),
 }
 
 
@@ -460,6 +469,21 @@ RUNS_THAT_DO_NOT_FIT = {
         ("n_runs = 400", f"n_runs = {10**29}"),
         f"config error: [run] n_runs = {10**29} exceeds 2**63 - 1 = {2**63 - 1}",
     ),
+    # the corner with the largest parts has |gamma|^2 = 22.0, but numpy's abs gives
+    # 22.00000000000001 at the opposite corner, which simulate then displaces
+    "grid_beyond_n_pad_by_rounding": (
+        (
+            "re_min = -0.5\nre_max = 1.5\nim_min = -1.0\nim_max = 1.0\nn_re = 2\nn_im = 2",
+            "re_min = -3.434244706369118\nre_max = 3.434244706369118\n"
+            "im_min = -3.4343862896295136\nim_max = 3.4343862896295136\nn_re = 35\nn_im = 25",
+        ),
+        "config error: [grid] |gamma|^2 = 22.000 at gamma = (-3.336123429044286-3.2970108380443333j) "
+        "exceeds n_pad/2 = 22.0",
+    ),
+    "grid_too_many_nodes": (
+        ("n_re = 2", f"n_re = {10**20}"),  # as above: a missing check fails at once
+        f"config error: [grid] n_re x n_im = {2 * 10**20} exceeds {2**24} nodes",
+    ),
 }
 
 
@@ -468,7 +492,8 @@ def test_run_that_does_not_fit_is_a_config_error(tmp_path, capsys, edit, message
     path = tmp_path / "run.ini"
     path.write_text(SMALL.replace(*edit))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "clicks.csv").exists()
 
 
@@ -576,6 +601,22 @@ def test_reconstruct_rejects_records_of_another_run(small_cfg, tmp_path, capsys)
     assert not (tmp_path / "wigner.csv").exists()
 
 
+def test_reconstruct_rejects_a_repeated_record(small_cfg, tmp_path, capsys):
+    # records of one run share one embedded config; only the repetition tells them apart
+    out = tmp_path / "a"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes((out / "clicks.csv").read_bytes())
+    for records in ([out / "clicks.csv"] * 2, [out / "clicks.csv", copy]):
+        capsys.readouterr()
+        code = main(["reconstruct", "--records", *map(str, records), "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repetition 0" in err
+        assert str(records[0]) in err and str(records[1]) in err
+        assert not (tmp_path / "wigner.csv").exists()
+
+
 def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
@@ -597,13 +638,26 @@ def test_report_identical_inputs_zero_delta(small_cfg, tmp_path):
         ["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)]
     )
     # overwrite the exact column with the reconstruction itself
-    cfg, gammas, cols = io_csv.read_wigner_csv(out / "wigner.csv")
-    io_csv.write_wigner_csv(
-        out / "same.csv", cfg, gammas, cols["w_rec"], w_exact=cols["w_rec"]
-    )
+    cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
+    io_csv.write_wigner_csv(out / "same.csv", cfg, cols["w_rec"], w_exact=cols["w_rec"])
     assert main(["report", "--wigner", str(out / "same.csv"), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["maps"][0]["delta_w"] == 0.0
+
+
+def test_report_json_is_strict_json(small_wigner, tmp_path):
+    # one record has no variance, and a metric carried in may be non-finite: both are written as null
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text('{"trace": NaN, "nested": {"fidelity": -Infinity, "big": 1e400}, "ok": 0.5}\n')
+    argv = ["report", "--wigner", str(small_wigner), "--metrics", str(metrics), "--out", str(tmp_path)]
+    assert main(argv) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite constant {token}")
+
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    assert report["maps"][0]["mean_variance"] is None
+    assert report["rho_metrics"] == {"trace": None, "nested": {"fidelity": None, "big": None}, "ok": 0.5}
 
 
 def test_reconstruct_is_deterministic(small_cfg, tmp_path):

@@ -39,7 +39,7 @@ def integrate_rho_reference(wigner: WignerEstimate, n_trunc: int) -> np.ndarray:
     """The element-by-element quadrature that the moment matrix replaced, before hermitization."""
     grid = wigner.grid
     gammas = grid.flat_gammas()
-    w = np.asarray(wigner.w_values, dtype=float).ravel()
+    w = wigner.w_values
     raw = np.empty((n_trunc, n_trunc), dtype=complex)
     for mm in range(n_trunc):
         for nn in range(n_trunc):
@@ -96,7 +96,7 @@ class TestIntegrateRho:
 
     def test_vacuum_quadrature(self):
         grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 80, 80)
-        est = WignerEstimate(grid=grid, w_values=coherent_wigner(0.0)(grid.gammas()))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(0.0)(grid.flat_gammas()))
         rec = integrate_rho(est, 6)
         assert rec.elements[0, 0].real == pytest.approx(1.0, abs=1e-3)
         off = np.abs(rec.elements).copy()
@@ -107,14 +107,14 @@ class TestIntegrateRho:
 
     def test_zero_map_gives_zero_matrix(self):
         grid = PhaseGrid(-2.0, 2.0, -2.0, 2.0, 20, 20)
-        est = WignerEstimate(grid=grid, w_values=np.zeros((20, 20)))
+        est = WignerEstimate(grid=grid, w_values=np.zeros(grid.n_points))
         rec = integrate_rho(est, 5)
         assert np.all(rec.elements == 0.0)
 
     def test_linearity(self):
         grid = PhaseGrid(-3.0, 3.0, -3.0, 3.0, 30, 30)
-        w1 = WignerEstimate(grid=grid, w_values=coherent_wigner(0.5)(grid.gammas()))
-        w2 = WignerEstimate(grid=grid, w_values=coherent_wigner(-0.3j)(grid.gammas()))
+        w1 = WignerEstimate(grid=grid, w_values=coherent_wigner(0.5)(grid.flat_gammas()))
+        w2 = WignerEstimate(grid=grid, w_values=coherent_wigner(-0.3j)(grid.flat_gammas()))
         both = WignerEstimate(grid=grid, w_values=w1.w_values + w2.w_values)
         lhs = integrate_rho(both, 6).elements
         rhs = integrate_rho(w1, 6).elements + integrate_rho(w2, 6).elements
@@ -125,7 +125,7 @@ class TestIntegrateRho:
         # must come back as itself, not its transpose or parity twin
         alpha0 = 0.6 + 0.4j
         grid = PhaseGrid(-3.5, 3.5, -3.5, 3.5, 70, 70)
-        est = WignerEstimate(grid=grid, w_values=coherent_wigner(alpha0)(grid.gammas()))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(alpha0)(grid.flat_gammas()))
         rec = integrate_rho(est, 10)
         exact = density_from_pure(coherent_state(alpha0, TruncationConfig(10, 40)))
         comp = compare_states(rec, exact.elements[:10, :10])
@@ -138,7 +138,8 @@ class TestIntegrateRho:
         prev = None
         for n in (20, 40, 80):
             grid = PhaseGrid(-3.5, 3.5, -3.5, 3.5, n, n)
-            rec = integrate_rho(WignerEstimate(grid=grid, w_values=coherent_wigner(0.5)(grid.gammas())), 8).elements
+            w = coherent_wigner(0.5)(grid.flat_gammas())
+            rec = integrate_rho(WignerEstimate(grid=grid, w_values=w), 8).elements
             if prev is not None:
                 diffs.append(np.max(np.abs(rec - prev)))
             prev = rec
@@ -148,7 +149,7 @@ class TestIntegrateRho:
         grid = PhaseGrid(-3.0, 3.0, -3.0, 3.0, 40, 40)
         rng = np.random.default_rng(0)
         noisy = WignerEstimate(
-            grid=grid, w_values=0.02 * rng.standard_normal((40, 40))
+            grid=grid, w_values=0.02 * rng.standard_normal(grid.n_points)
         )
         rec = integrate_rho(noisy, 6)
         assert rec.hermitization_residual >= 0.0
@@ -156,13 +157,13 @@ class TestIntegrateRho:
 
     def test_trace_warning_flag(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 10, 10)
-        est = WignerEstimate(grid=grid, w_values=np.zeros((10, 10)))
+        est = WignerEstimate(grid=grid, w_values=np.zeros(grid.n_points))
         assert integrate_rho(est, 4).trace_warning
 
     def test_skips_non_finite_nodes(self):
         grid = PhaseGrid(-4.0, 4.0, -4.0, 4.0, 80, 80)
-        w = coherent_wigner(0.0)(grid.gammas())
-        w[0, 0] = np.nan
+        w = coherent_wigner(0.0)(grid.flat_gammas())
+        w[0] = np.nan
         rec = integrate_rho(WignerEstimate(grid=grid, w_values=w), 4)
         assert rec.elements[0, 0].real == pytest.approx(1.0, abs=2e-3)
 
@@ -174,7 +175,7 @@ class TestIntegrateRho:
         grid = PhaseGrid(-1.0, 1.0, -3.0, 3.0, 50, 50)
         est = exact_wigner_map(rho, grid, CFG)
         full = integrate_rho(est, 5).elements
-        gam = grid.gammas()
+        gam = grid.flat_gammas()
         outer = (np.abs(gam.real) > 0.8) & (np.abs(gam.imag) > 2.4)
         w_inner = est.w_values.copy()
         w_inner[outer] = 0.0
@@ -205,7 +206,7 @@ class TestCompareStates:
 
     def test_coherent_roundtrip_fidelity(self):
         grid = PhaseGrid(-2.5, 4.5, -3.5, 3.5, 70, 70)
-        est = WignerEstimate(grid=grid, w_values=coherent_wigner(1.0)(grid.gammas()))
+        est = WignerEstimate(grid=grid, w_values=coherent_wigner(1.0)(grid.flat_gammas()))
         rec = integrate_rho(est, 12)
         exact = density_from_pure(coherent_state(1.0, CFG)).elements[:12, :12]
         assert compare_states(rec, exact).fidelity >= 0.99

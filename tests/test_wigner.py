@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from clicktomo import (
     PhaseGrid,
     SingleDetectorRecipe,
     TruncationConfig,
+    WignerEstimate,
     coherent_state,
     coherent_wigner,
     delta_w,
@@ -65,6 +67,14 @@ class TestPhaseGrid:
         assert flat[0] == complex(-0.5, 0.5)
         assert flat[1] == complex(0.5, 0.5)
         assert flat[2] == complex(-0.5, 1.5)
+
+    def test_flat_nodes_equal_the_outer_sum_bit_for_bit(self):
+        # the nodes the (n_im, n_re) outer sum gave, so every node column stays byte for byte
+        for grid in (PhaseGrid(-1.2, 2.5, -1.2, 2.5, 50, 50), PhaseGrid(-3.0, 3.0, -1.0, 1.0, 7, 5)):
+            outer = (grid.re_centers[None, :] + 1j * grid.im_centers[:, None]).ravel()
+            flat = grid.flat_gammas()
+            assert flat.shape == (grid.n_points,)
+            assert np.array_equal(flat.view(np.uint64), outer.view(np.uint64))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,7 +143,7 @@ class TestScanGrid:
         grid = PhaseGrid(0.0, 1.0, -0.5, 0.5, 1, 1)
         w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=2000, seed=11)
         _, w = reconstruct_at(rho, grid.flat_gammas()[0], EM_FAST, n_runs=2000, seed=11)
-        assert w_map[0, 0] == w
+        assert w_map[0] == w
 
     def test_determinism(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
@@ -148,7 +158,7 @@ class TestScanGrid:
         w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
         for k, g in enumerate(grid.flat_gammas()):
             _, w = reconstruct_at(rho, g, EM_FAST, n_runs=1500, seed=5, offset=k)
-            assert abs(w_map.ravel()[k] - w) < 1e-12
+            assert abs(w_map[k] - w) < 1e-12
 
     def test_keep_r_tables(self):
         # reconstruct_clicks returns the R table of every point beside W
@@ -208,7 +218,7 @@ class TestExactVersusSampled:
     def test_exact_pipeline_never_worse(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6)
-        analytic = coherent_wigner(1.0)(grid.gammas())
+        analytic = coherent_wigner(1.0)(grid.flat_gammas())
         exact_d = delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=10_000, exact=True))
         sampled = [
             delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=1000, seed=s))
@@ -220,21 +230,21 @@ class TestExactVersusSampled:
 class TestDeltaW:
     def test_identical_maps(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-        w = coherent_wigner(0.0)(grid.gammas())
+        w = coherent_wigner(0.0)(grid.flat_gammas())
         assert delta_w(w, w) == 0.0
 
     def test_constant_offset(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-        a = coherent_wigner(0.0)(grid.gammas())
+        a = coherent_wigner(0.0)(grid.flat_gammas())
         assert delta_w(a, a + 0.01) == pytest.approx(0.01, abs=1e-15)
 
     def test_grid_mismatch(self):
-        a = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 5, 5).gammas())
-        b = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 4, 4).gammas())
+        a = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 5, 5).flat_gammas())
+        b = coherent_wigner(0.0)(PhaseGrid(-1, 1, -1, 1, 4, 4).flat_gammas())
         with pytest.raises(DataError):
             delta_w(a, b)
         with pytest.raises(DataError):
-            delta_w(a, a.ravel())
+            delta_w(a, a.reshape(5, 5))
 
     def test_only_finite_entries_count(self):
         # NaN in either map (a failed node, a missing reference) drops the entry
@@ -315,13 +325,13 @@ class TestTruncationErrorMap:
     def test_small_at_coherent_peak(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(0.96, 1.04, -0.04, 0.04, 1, 1)
-        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
-        assert err[0, 0] < 1e-8
+        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
+        assert err[0] < 1e-8
 
     def test_grows_toward_corners(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 11, 11)
-        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
+        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas())).reshape(11, 11)
         corner = max(err[0, 0], err[0, -1], err[-1, 0], err[-1, -1])
         peak = err[6, 6]  # node nearest gamma = 1
         assert corner > peak
@@ -329,7 +339,7 @@ class TestTruncationErrorMap:
     def test_nested_truncation_never_worse(self):
         rho = density_from_pure(coherent_state(1.0, TruncationConfig(12, 64)))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 8, 8)
-        analytic = coherent_wigner(1.0)(grid.gammas())
+        analytic = coherent_wigner(1.0)(grid.flat_gammas())
         coarse = truncation_error(rho, grid, TruncationConfig(12, 64), analytic)
         fine = truncation_error(rho, grid, TruncationConfig(24, 64), analytic)
         assert np.all(fine <= coarse + 1e-12)
@@ -340,8 +350,25 @@ class TestTruncationErrorMap:
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 5, 5)
         padded = exact_wigner_map(rho, grid, TruncationConfig(CFG.n_pad, CFG.n_pad)).w_values
         numeric = truncation_error(rho, grid, CFG, padded)
-        analytic = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.gammas()))
+        analytic = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
         np.testing.assert_allclose(numeric, analytic, atol=1e-6)
+
+
+class TestWignerEstimate:
+    def test_one_value_per_node(self):
+        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
+        assert WignerEstimate(grid, np.zeros(6)).w_values.shape == (6,)
+        with pytest.raises(ValueError, match="does not match the grid"):
+            WignerEstimate(grid, np.zeros((2, 3)))
+
+    def test_warns_above_two_over_pi(self, caplog):
+        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
+        with caplog.at_level(logging.WARNING, logger="clicktomo.wigner"):
+            WignerEstimate(grid, np.full(6, 0.5))
+        assert not caplog.text
+        with caplog.at_level(logging.WARNING, logger="clicktomo.wigner"):
+            WignerEstimate(grid, np.full(6, 0.7))
+        assert "exceeds 2/pi" in caplog.text
 
 
 class TestExactWignerMap:
@@ -350,4 +377,4 @@ class TestExactWignerMap:
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 2)
         est = exact_wigner_map(rho, grid, CFG)
         for k, g in enumerate(grid.flat_gammas()):
-            assert est.w_values.ravel()[k] == pytest.approx(wigner_exact(rho, g, CFG), abs=1e-14)
+            assert est.w_values[k] == pytest.approx(wigner_exact(rho, g, CFG), abs=1e-14)
