@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -25,9 +28,9 @@ from .config import (
     build_state,
     load_config,
 )
-from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
+from .em import EMConfig, bare_points, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
-from .measurement import simulate
+from .measurement import ClickArrays, simulate
 from .recover import compare_states, integrate_rho
 from .wigner import WignerEstimate, delta_w, reconstruct_clicks
 
@@ -35,6 +38,118 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# A forked block costs 5-10 ms (fork, copy-on-write faults, pickling), so it needs
+# enough points: 256 for the EM, 1024 for the forward model and sampling, which
+# take 20-60 us a point
+EM_BLOCK_MIN = 256
+SIMULATE_BLOCK_MIN = 1024
+# Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical
+# to its rows of the whole batch's, provided the EM's (M, N) @ (N, P) products are not
+# cut from above BLAS_SMALL multiply-adds to at most that: OpenBLAS computes those
+# with its small-matrix kernel, which rounds otherwise
+BLOCK_ALIGN = 64
+BLAS_SMALL = 10**6
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _blocks(n_points: int, min_points: int, madds: int = 0) -> list[slice]:
+    """Split P points into at most one block per CPU, cut at multiples of BLOCK_ALIGN.
+
+    Every block holds at least ``min_points`` points.  ``madds`` is the
+    multiply-adds per point of the stage's products that OpenBLAS computes with
+    its small-matrix kernel at or under BLAS_SMALL: no block takes that kernel
+    unless the whole batch does.  A process that runs other threads is not
+    forked, so it gets one block.
+    """
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    k = max(1, min(_cpu_count(), n_points // min_points)) if forkable else 1
+    while k > 1 and BLOCK_ALIGN * (n_points // (BLOCK_ALIGN * k)) * madds <= BLAS_SMALL < n_points * madds:
+        k -= 1  # the smallest block would cross BLAS_SMALL
+    cuts = [BLOCK_ALIGN * (i * n_points // (BLOCK_ALIGN * k)) for i in range(k)] + [n_points]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def _map_blocks(fn, blocks: list[slice]) -> list:
+    """``[fn(block) for block in blocks]``, block 0 in this process and each other block in a forked child.
+
+    A child pickles ``("ok", result)`` or ``("err", exception)`` to its pipe and
+    leaves through ``os._exit``; a block whose fork fails runs here.  Each pipe
+    is read to its end before its child is reaped, and once every block is
+    done the first error in block order is raised.  A child that ends without
+    an outcome is an OSError.  Leaving early (an interrupt) kills and reaps
+    every child still running.
+    """
+    outcomes: list = [None] * len(blocks)
+    children: list[tuple[int, int, int]] = []  # (block index, pid, read end)
+    local = [0]  # the blocks this process runs
+    try:
+        for i in range(1, len(blocks)):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                local.append(i)
+                continue
+            if pid == 0:
+                _run_child(fn, blocks[i], rfd, wfd)
+            os.close(wfd)
+            children.append((i, pid, rfd))
+        for i in local:
+            try:
+                outcomes[i] = ("ok", fn(blocks[i]))
+            except Exception as exc:  # raised below, in block order
+                outcomes[i] = ("err", exc)
+        while children:
+            i, pid, rfd = children[0]
+            with os.fdopen(rfd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(rfd)
+            if status:  # killed, or failed to send its outcome
+                lost = OSError(
+                    f"point block {i} (points {blocks[i].start} to {blocks[i].stop - 1}) "
+                    f"ended without a result (wait status {status})"
+                )
+                outcomes[i] = ("err", lost)
+            else:
+                outcomes[i] = pickle.loads(data)
+    finally:
+        for _, pid, rfd in children:
+            os.close(rfd)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    for kind, value in outcomes:
+        if kind == "err":
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _run_child(fn, block: slice, rfd: int, wfd: int) -> None:
+    """Run one block in a forked child, pickle its outcome to ``wfd`` and leave without cleanup."""
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            outcome = ("ok", fn(block))
+        except Exception as exc:  # the parent raises it
+            outcome = ("err", exc)
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _blocks_text(blocks: list[slice]) -> str:
+    return f"{len(blocks)} block{'s' if len(blocks) > 1 else ''}"
 
 
 def _load(args) -> RunConfig:
@@ -54,15 +169,28 @@ def cmd_simulate(args) -> int:
     recipe = build_recipe(cfg)
     gammas = cfg.grid.flat_gammas()
     out = _out_dir(args)
+    blocks = _blocks(gammas.size, SIMULATE_BLOCK_MIN)
     for rep in range(cfg.repetitions):
-        clicks = simulate(
-            rho, gammas, recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities
+        parts = _map_blocks(
+            lambda b: simulate(
+                rho, gammas[b], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities, offset=b.start
+            ),
+            blocks,
+        )
+        clicks = ClickArrays(
+            gammas,
+            parts[0].nu_bar,
+            np.concatenate([part.y for part in parts]),
+            np.concatenate([part.noclick for part in parts]),
+            parts[0].n_runs,
+            np.concatenate([part.truncation_leak for part in parts]),
         )
         name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
         io_csv.write_click_csv(out / name, cfg, rep, clicks)
         worst = int(np.argmax(clicks.truncation_leak))
         print(
-            f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings; "
+            f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings "
+            f"in {_blocks_text(blocks)}; "
             f"largest truncation leak {clicks.truncation_leak[worst]:.6e} "
             f"at gamma = {complex(gammas[worst])})"
         )
@@ -95,7 +223,17 @@ def cmd_reconstruct(args) -> int:
         if rep in seen:  # the records share one config, so only the repetition tells them apart
             raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
         seen[rep] = path
-        w, _, ll, failed = reconstruct_clicks(clicks, cfg.trunc.n_trunc, em_cfg)
+        n_trunc, n_points = cfg.trunc.n_trunc, clicks.gammas.size
+        # the guard clamps all its points as one, so a batch with a guarded point stays whole
+        bare = bare_points(clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg).all()
+        blocks = _blocks(n_points, EM_BLOCK_MIN, clicks.nu_bar.size * n_trunc) if bare else [slice(0, n_points)]
+
+        def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            block = replace(clicks, gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
+            w, _, ll, failed = reconstruct_clicks(block, n_trunc, em_cfg)
+            return w, ll, failed
+
+        w, ll, failed = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
         maps.append(w)
         logliks.append(ll)
         n_failed += int(failed.sum())
@@ -114,7 +252,7 @@ def cmd_reconstruct(args) -> int:
     io_csv.write_wigner_csv(
         out / "wigner.csv", header, maps[0], w_exact=w_exact, w_variance=w_var, loglik=logliks[0]
     )
-    print(f"wrote {out / 'wigner.csv'} ({maps[0].size} points, {n_failed} failed)")
+    print(f"wrote {out / 'wigner.csv'} ({maps[0].size} points in {_blocks_text(blocks)}, {n_failed} failed)")
     if n_failed:
         print(f"{n_failed} points failed to reconstruct", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -29,11 +29,12 @@ Whether the floor can bind is decided once per point.  As p_j(R) >=
 e^{y_j} (min_n A_jn) sum_n R_n and the normalized iterate sums to 1 (to the
 init's sum on the first step), a ``renormalized`` point with min(1, sum init)
 min_j e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and
-takes the bare step: forward product, divide, back product, multiply.  Other
-points, and all points in the ``literal`` mode (whose iterate sum the bound
-does not know), are guarded: each step checks on their columns whether the
-floor could bind and, if so, normalizes and clamps them.  A point that fails
-leaves the guard, so it sends no other point to the clamped step.
+takes the bare step: forward product, divide, back product, multiply
+(``bare_points`` makes this decision).  Other points, and all points in the
+``literal`` mode (whose iterate sum the bound does not know), are guarded:
+each step checks on their columns whether the floor could bind and, if so,
+normalizes and clamps them.  A point that fails leaves the guard, so it
+sends no other point to the clamped step.
 
 The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
@@ -49,6 +50,7 @@ from .measurement import no_click_powers
 __all__ = [
     "EMConfig",
     "EMBatchResult",
+    "bare_points",
     "run_em_batch",
 ]
 
@@ -97,6 +99,31 @@ def _normalize(r: np.ndarray, sums: np.ndarray, failed: np.ndarray) -> None:
     r /= np.where(dead, 1.0, sums)
 
 
+def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
+    """The initial iterate, component-major (N, P): the faster layout for both GEMMs."""
+    if cfg.init is None:
+        return np.full((n_trunc, p_count), 1.0 / n_trunc)
+    init = np.asarray(cfg.init, dtype=float)
+    if init.size != n_trunc:
+        raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
+    return np.repeat(init[:, None], p_count, axis=1)
+
+
+def bare_points(nu_bar: np.ndarray, ey: np.ndarray, n_trunc: int, cfg: EMConfig) -> np.ndarray:
+    """(P,) whether each point of ``ey`` (P, M) meets the static bound and takes the bare step.
+
+    A ``renormalized`` point's probabilities never fall below min(1, sum init)
+    min_j e^{y_j} min_n A_jn; the bare step needs that to be at least twice
+    the floor (2 for rounding).  No ``literal`` point takes it.
+    """
+    ey = np.asarray(ey, dtype=float)
+    if cfg.normalization != "renormalized":
+        return np.zeros(len(ey), dtype=bool)
+    a = no_click_powers(nu_bar, n_trunc)
+    reach = np.minimum(1.0, _start(cfg, n_trunc, len(ey)).sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
+    return reach >= 2.0 * FLOOR
+
+
 def run_em_batch(
     freqs: np.ndarray,
     nu_bar: np.ndarray,
@@ -131,14 +158,7 @@ def run_em_batch(
     if noclick is None or n_runs is None:
         noclick, n_runs = freqs, 1
 
-    # The iterate is component-major, (N, P): the faster layout for both GEMMs.
-    if cfg.init is None:
-        r = np.full((n_trunc, p_count), 1.0 / n_trunc)
-    else:
-        init = np.asarray(cfg.init, dtype=float)
-        if init.size != n_trunc:
-            raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
-        r = np.repeat(init[:, None], p_count, axis=1)
+    r = _start(cfg, n_trunc, p_count)
 
     # A step is r * W'(G / q) with q = A r, G = F / e^y and W' the weighted
     # kernel over the sensitivity (zero for a component no setting sees).
@@ -153,8 +173,7 @@ def run_em_batch(
     # the floor only if e^y q / sum provably stays above it (sums count from the second
     # renormalized step on), else it normalizes, clamps and fails as tests/oracles.py does.
     renormalize = cfg.normalization == "renormalized"
-    reach = np.minimum(1.0, r.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
-    guarded = np.flatnonzero(~(renormalize & (reach >= 2.0 * FLOOR)))
+    guarded = np.flatnonzero(~bare_points(nu_bar, ey, n_trunc, cfg))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
     e_min = np.min(ey[guarded], initial=np.inf)
     failed = np.zeros(p_count, dtype=bool)

@@ -247,7 +247,7 @@ def displacement_r2(gammas: np.ndarray, dim: int) -> np.ndarray:
     worst = int(np.argmax(r2))
     if r2[worst] > 0.5 * dim:
         raise ValueError(
-            f"|gamma|^2 = {r2[worst]:.3f} at gamma = {complex(g[worst])} exceeds n_pad/2 = {0.5 * dim}"
+            f"|gamma|^2 = {float(r2[worst])!r} at gamma = {complex(g[worst])} exceeds n_pad/2 = {0.5 * dim}"
         )
     return r2
 

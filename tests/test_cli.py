@@ -2,17 +2,23 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clicktomo import io_csv
+from clicktomo import cli, io_csv
 from clicktomo.cli import main
 from clicktomo.config import build_state, parse_config
+from clicktomo.errors import ConfigError, DataError, NumericalError
+from clicktomo.measurement import simulate
+from clicktomo.wigner import reconstruct_clicks
 
 from oracles import displaced_diagonal_padded
 
@@ -416,7 +422,7 @@ SCHEDULE_EDITS = {
     "runs_above_int64": (_header("n_runs", 10**29), f"embedded config: [run] n_runs = {10**29} exceeds"),
     "grid_beyond_n_pad": (
         _header("re_max", 7.0),
-        "embedded config: [grid] |gamma|^2 = 26.516 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
+        "embedded config: [grid] |gamma|^2 = 26.515624999999996 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
     ),
     # far beyond what numpy can index, so a missing check fails at once instead of filling memory
     "grid_too_many_nodes": (
@@ -463,7 +469,7 @@ def test_state_that_does_not_fit_is_a_config_error(tmp_path, capsys, state):
 RUNS_THAT_DO_NOT_FIT = {
     "grid_beyond_n_pad": (
         ("re_max = 1.5", "re_max = 7"),
-        "config error: [grid] |gamma|^2 = 26.516 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
+        "config error: [grid] |gamma|^2 = 26.515624999999996 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
     ),
     "runs_above_int64": (
         ("n_runs = 400", f"n_runs = {10**29}"),
@@ -477,7 +483,7 @@ RUNS_THAT_DO_NOT_FIT = {
             "re_min = -3.434244706369118\nre_max = 3.434244706369118\n"
             "im_min = -3.4343862896295136\nim_max = 3.4343862896295136\nn_re = 35\nn_im = 25",
         ),
-        "config error: [grid] |gamma|^2 = 22.000 at gamma = (-3.336123429044286-3.2970108380443333j) "
+        "config error: [grid] |gamma|^2 = 22.00000000000001 at gamma = (-3.336123429044286-3.2970108380443333j) "
         "exceeds n_pad/2 = 22.0",
     ),
     "grid_too_many_nodes": (
@@ -538,12 +544,13 @@ def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, ed
 
 
 def test_cli_import_loads_no_scipy():
-    # nor a thread pool: points run as one batch
+    # nor a process or thread pool: point blocks run in children forked with os.fork,
+    # and importing multiprocessing or concurrent.futures would slow every stage
     src = str(Path(io_csv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, clicktomo.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
@@ -822,3 +829,245 @@ def test_outputs_match_golden_digests(tmp_path, case):
     assert main(["recover-rho", "--config", str(cfg), *wigner, "--out", str(out), *flags]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def run_stage(argv) -> int:
+    """``main(argv)``, after which no child process may be left, reaped or not."""
+    try:
+        return main(argv)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def wide(text: str) -> str:
+    """The config on a 28 x 28 grid: 784 points, enough for 3 blocks of at least 256."""
+    return text.replace("n_re = 2\nn_im = 2", "n_re = 28\nn_im = 28")
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Let simulate split the test grids too: how small a block may be changes no output byte."""
+    monkeypatch.setattr(cli, "SIMULATE_BLOCK_MIN", cli.EM_BLOCK_MIN)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every ``os.fork`` call, in call order."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+EM, SIM = cli.EM_BLOCK_MIN, cli.SIMULATE_BLOCK_MIN
+
+
+@pytest.mark.parametrize(
+    "cpus, n_points, min_points, madds, cuts",
+    [
+        (1, 2500, EM, 0, [0, 2500]),
+        (2, 511, EM, 0, [0, 511]),
+        (2, 512, EM, 0, [0, 256, 512]),
+        (2, 576, EM, 288, [0, 256, 576]),  # fock_em_long's EM
+        (2, 576, SIM, 0, [0, 576]),  # and its simulate
+        (2, 2500, EM, 360, [0, 1216, 2500]),  # coherent_sampled's EM
+        (2, 2500, SIM, 0, [0, 1216, 2500]),  # and its simulate
+        (3, 784, EM, 0, [0, 256, 512, 784]),
+        (8, 784, EM, 0, [0, 256, 512, 784]),
+        (4, 4, EM, 0, [0, 4]),
+        (3, 3071, SIM, 0, [0, 1472, 3071]),
+        (3, 3072, SIM, 0, [0, 1024, 2048, 3072]),
+        # above BLAS_SMALL as a whole: 3 blocks of 832 would fall under it, 2 of 1216 not
+        (3, 2500, EM, 1000, [0, 1216, 2500]),
+        (3, 2500, EM, 600, [0, 2500]),
+        (3, 2500, EM, 400, [0, 832, 1664, 2500]),  # under it as a whole
+    ],
+)
+def test_blocks_cut_at_multiples_of_64(monkeypatch, cpus, n_points, min_points, madds, cuts):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    blocks = cli._blocks(n_points, min_points, madds)
+    assert blocks == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    assert len(blocks) == 1 or min(b.stop - b.start for b in blocks) >= min_points
+
+
+def test_a_process_with_threads_gets_one_block(monkeypatch):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert cli._blocks(784, EM) == [slice(0, 784)]
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert cli._blocks(784, EM) == [slice(0, 384), slice(384, 784)]
+
+
+def settings(text: str, count: int) -> str:
+    """The single-detector config with ``count`` efficiencies on a 50 x 50 grid: 2500 points."""
+    text = text.replace("n_efficiencies = 14", f"n_efficiencies = {count}")
+    return text.replace("n_re = 2\nn_im = 2", "n_re = 50\nn_im = 50")
+
+
+CHAIN_FILES = ("clicks.csv", "wigner.csv", "rho.csv")
+
+
+def chain_digests(cfg, out) -> dict[str, str]:
+    """Run the three stages on ``cfg`` into ``out`` and hash their outputs."""
+    assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+    assert run_stage(["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES}
+
+
+# config, simulate flags, blocks of simulate and of reconstruct for 1, 2 and 3 CPUs
+BLOCK_CASES = {
+    "sampled": (SMALL, [], (1, 2, 3), (1, 2, 3)),
+    "exact": (SMALL, ["--exact"], (1, 2, 3), (1, 2, 3)),
+    # 8 of its 784 points are guarded, and the guard clamps its points as one
+    "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), [], (1, 2, 3), (1, 1, 1)),
+    "fock": (FOCK, [], (1, 2, 3), (1, 2, 3)),
+    "literal": (SMALL + "normalization = literal\n", [], (1, 2, 3), (1, 1, 1)),
+    # the no-click series, 2500 x 44 x 17 multiply-adds, is above BLAS_SMALL, and its blocks
+    # are not: its transposed operand keeps OpenBLAS's kernel
+    "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3)),
+    # the EM's 2500 x 34 x 12 is above BLAS_SMALL, and its blocks would not be
+    "em_at_blas_small": (settings(SMALL, 34), [], (1, 2, 3), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("text, flags, simulated, reconstructed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+def test_outputs_do_not_depend_on_the_cpu_count(
+    tmp_path, monkeypatch, capsys, small_blocks, forks, text, flags, simulated, reconstructed
+):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(text))
+    n_points = parse_config(wide(text)).grid.n_points
+    digests = []
+    for cpus, sim_blocks, rec_blocks in zip((1, 2, 3), simulated, reconstructed):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        forks.clear()
+        assert run_stage(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        printed = capsys.readouterr().out
+        assert f"({n_points} points x " in printed and f" settings in {sim_blocks} block" in printed
+        assert len(forks) == sim_blocks - 1
+        forks.clear()
+        assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+        assert f"({n_points} points in {rec_blocks} block" in capsys.readouterr().out
+        assert len(forks) == rec_blocks - 1
+        assert run_stage(["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES})
+    assert digests[0] == digests[1] == digests[2]
+
+
+FAULTY_POINT = 500  # in the last block for 2 and for 3 CPUs, never in this process's
+STAGES = ["simulate", "reconstruct"]
+
+
+def fail_at_point(monkeypatch, stage, fault, points=(FAULTY_POINT,)):
+    """Make ``stage``'s per-point function call ``fault()`` on a block holding one of ``points``."""
+    targets = parse_config(wide(SMALL)).grid.flat_gammas()[list(points)]
+    if stage == "simulate":
+        def faulty(rho, gammas, *args, offset=0):
+            if any(offset <= p < offset + len(gammas) for p in points):
+                fault()
+            return simulate(rho, gammas, *args, offset=offset)
+
+        monkeypatch.setattr(cli, "simulate", faulty)
+    else:
+        def faulty(clicks, *args):
+            if np.isin(targets, clicks.gammas).any():
+                fault()
+            return reconstruct_clicks(clicks, *args)
+
+        monkeypatch.setattr(cli, "reconstruct_clicks", faulty)
+
+
+def stage_argv(stage, cfg, out):
+    if stage == "simulate":
+        return ["simulate", "--config", str(cfg), "--out", str(out)]
+    main(["simulate", "--config", str(cfg), "--out", str(out)])
+    return ["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]
+
+
+FAULTS = {"config": (ConfigError, 2), "data": (DataError, 3), "io": (OSError, 3), "numerical": (NumericalError, 4)}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("error, code", FAULTS.values(), ids=FAULTS.keys())
+def test_a_failing_block_exits_as_one_block_would(tmp_path, monkeypatch, capsys, small_blocks, stage, error, code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        argv = stage_argv(stage, cfg, tmp_path / f"cpus{cpus}")
+        capsys.readouterr()
+
+        def fault():
+            raise error(f"point {FAULTY_POINT} is bad")
+
+        with monkeypatch.context() as patch:
+            fail_at_point(patch, stage, fault)
+            assert run_stage(argv) == code
+        err = capsys.readouterr().err
+        assert f"point {FAULTY_POINT} is bad" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_killed_block_is_an_io_error(tmp_path, monkeypatch, capsys, small_blocks, stage):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    argv = stage_argv(stage, cfg, tmp_path)
+    capsys.readouterr()
+    fail_at_point(monkeypatch, stage, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    assert run_stage(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: point block 1 (points 384 to 783) ended without a result")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_an_interrupt_kills_and_reaps_every_block(tmp_path, monkeypatch, small_blocks, stage):
+    # this process's block is interrupted while the forked one would run for a minute
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    argv = stage_argv(stage, cfg, tmp_path)
+    parent = os.getpid()
+
+    def fault():
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    fail_at_point(monkeypatch, stage, fault, points=(0, FAULTY_POINT))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_stage(argv)
+    assert time.monotonic() - start < 30
+
+
+def test_a_block_whose_fork_fails_runs_here(tmp_path, monkeypatch, capsys, small_blocks):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    whole = chain_digests(cfg, tmp_path / "one")
+    capsys.readouterr()
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert chain_digests(cfg, tmp_path / "three") == whole
+    printed = capsys.readouterr().out
+    assert "settings in 3 blocks" in printed and "points in 3 blocks" in printed

@@ -323,7 +323,7 @@ class TestDisplace:
         assert np.array_equal(shared, displace(gammas, np.broadcast_to(vecs[0], vecs.shape)))
 
     def test_precondition_names_the_worst_point(self):
-        with pytest.raises(ValueError, match=r"\|gamma\|\^2 = 25.000 at gamma = \(3-4j\)"):
+        with pytest.raises(ValueError, match=r"\|gamma\|\^2 = 25.0 at gamma = \(3-4j\)"):
             displace([0.5, 3.0 - 4.0j, 1.0], np.eye(44)[0])
 
 
