@@ -15,6 +15,7 @@ import pickle
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .config import (
     build_state,
     load_config,
 )
-from .em import EMConfig, bare_points, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
+from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
 from .measurement import ClickArrays, simulate
 from .recover import compare_states, integrate_rho
@@ -91,7 +92,9 @@ def _map_blocks(fn, blocks: list[slice]) -> list:
         for i in range(1, len(blocks)):
             rfd, wfd = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():  # 3.12+ warns in the parent of a process with threads
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
             except OSError:
                 os.close(rfd)
                 os.close(wfd)
@@ -224,9 +227,7 @@ def cmd_reconstruct(args) -> int:
             raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
         seen[rep] = path
         n_trunc, n_points = cfg.trunc.n_trunc, clicks.gammas.size
-        # the guard clamps all its points as one, so a batch with a guarded point stays whole
-        bare = bare_points(clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg).all()
-        blocks = _blocks(n_points, EM_BLOCK_MIN, clicks.nu_bar.size * n_trunc) if bare else [slice(0, n_points)]
+        blocks = _blocks(n_points, EM_BLOCK_MIN, clicks.nu_bar.size * n_trunc)
 
         def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             block = replace(clicks, gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])

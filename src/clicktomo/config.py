@@ -46,6 +46,7 @@ STATE_KINDS = ("coherent", "squeezed", "fock")
 DETECTOR_MODES = ("single", "dual")
 # numpy draws the binomial counts as 64-bit integers
 MAX_RUNS = 2**63 - 1
+NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 
 
@@ -258,7 +259,7 @@ def build_state(cfg: RunConfig) -> DensityMatrix:
 
 
 def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":
-    """The configured recipe; one whose schedule cannot be built is a ConfigError."""
+    """The configured recipe; a schedule that cannot be built or has under n_trunc distinct nu_bar is a ConfigError."""
     det = cfg.detectors
     try:
         if det.mode == "single":
@@ -272,7 +273,11 @@ def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":
                 for k in range(det.n_angles)
             )
             recipe = DualDetectorRecipe(detectors=DetectorPair(det.nu_c, det.nu_d), angles=angles)
-        recipe.build(0.0)
+        # the EM's model is rank-deficient unless n_trunc settings differ in nu_bar
+        nu_bar = sorted(recipe.build(0.0).nu_bar.tolist())
+        distinct = 1 + sum(b - a > NU_BAR_RESOLUTION for a, b in zip(nu_bar, nu_bar[1:]))
+        if distinct < cfg.trunc.n_trunc:
+            raise ValueError(f"the schedule has {distinct} distinct nu_bar values, below n_trunc = {cfg.trunc.n_trunc}")
     except ValueError as exc:
         raise ConfigError(f"[detectors] mode = {det.mode}: {exc}") from exc
     return recipe

@@ -25,16 +25,17 @@ after the last step.  In the ``literal`` mode the unit sum emerges only at
 convergence.  Only the probability floor, ``FLOOR``, breaks the scale
 invariance.
 
-Whether the floor can bind is decided once per point.  As p_j(R) >=
-e^{y_j} (min_n A_jn) sum_n R_n and the normalized iterate sums to 1 (to the
-init's sum on the first step), a ``renormalized`` point with min(1, sum init)
-min_j e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and
-takes the bare step: forward product, divide, back product, multiply
-(``bare_points`` makes this decision).  Other points, and all points in the
-``literal`` mode (whose iterate sum the bound does not know), are guarded:
-each step checks on their columns whether the floor could bind and, if so,
-normalizes and clamps them.  A point that fails leaves the guard, so it
-sends no other point to the clamped step.
+Each point meets the floor on its own: with q = A R and s the iterate's sum
+(1 on the first step and in the ``literal`` mode), the clamp of e^{y_j} q_j / s
+to the floor is q_j <- max(q_j, floor s / e^{y_j}).  As p_j(R) >= e^{y_j}
+(min_n A_jn) sum_n R_n, a ``renormalized`` point with min(1, sum init) min_j
+e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and takes the
+bare step: forward product, divide, back product, multiply.  Other points,
+and all ``literal`` points (whose sum the bound does not know), are guarded:
+each step raises their q to their floors unless the group's smallest q
+provably clears every floor.  A point whose q all fall under its floor, or
+whose sum is not positive, fails and leaves the guard.  No point's values
+depend on another's, so a batch split at the same products keeps its bits.
 
 The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
@@ -50,7 +51,6 @@ from .measurement import no_click_powers
 __all__ = [
     "EMConfig",
     "EMBatchResult",
-    "bare_points",
     "run_em_batch",
 ]
 
@@ -91,14 +91,6 @@ class EMBatchResult:
     failed: np.ndarray  # (P,) bool
 
 
-def _normalize(r: np.ndarray, sums: np.ndarray, failed: np.ndarray) -> None:
-    """Divide each point's column of r by its sum; a point whose sum is not positive fails (NaN)."""
-    dead = ~failed & ~(sums > 0.0)
-    failed |= dead
-    r[:, dead] = np.nan
-    r /= np.where(dead, 1.0, sums)
-
-
 def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
     """The initial iterate, component-major (N, P): the faster layout for both GEMMs."""
     if cfg.init is None:
@@ -109,18 +101,16 @@ def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
     return np.repeat(init[:, None], p_count, axis=1)
 
 
-def bare_points(nu_bar: np.ndarray, ey: np.ndarray, n_trunc: int, cfg: EMConfig) -> np.ndarray:
+def _bare_points(a: np.ndarray, ey: np.ndarray, start: np.ndarray, renormalize: bool) -> np.ndarray:
     """(P,) whether each point of ``ey`` (P, M) meets the static bound and takes the bare step.
 
-    A ``renormalized`` point's probabilities never fall below min(1, sum init)
-    min_j e^{y_j} min_n A_jn; the bare step needs that to be at least twice
-    the floor (2 for rounding).  No ``literal`` point takes it.
+    A ``renormalized`` point's probabilities never fall below min(1, sum
+    start) min_j e^{y_j} min_n A_jn; the bare step needs that to be at least
+    twice the floor (2 for rounding).  No ``literal`` point takes it.
     """
-    ey = np.asarray(ey, dtype=float)
-    if cfg.normalization != "renormalized":
+    if not renormalize:
         return np.zeros(len(ey), dtype=bool)
-    a = no_click_powers(nu_bar, n_trunc)
-    reach = np.minimum(1.0, _start(cfg, n_trunc, len(ey)).sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
+    reach = np.minimum(1.0, start.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
     return reach >= 2.0 * FLOOR
 
 
@@ -166,49 +156,50 @@ def run_em_batch(
     sensitivity = weighted.sum(axis=0)
     back = np.zeros((n_trunc, m))
     np.divide(weighted.T, sensitivity[:, None], out=back, where=(sensitivity > 0.0)[:, None])
-    forward = np.vstack([a, np.ones(n_trunc)])  # puts each point's sum in q's last row
     scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
 
-    # Points that meet the static bound take the bare step.  A guarded step skips
-    # the floor only if e^y q / sum provably stays above it (sums count from the second
-    # renormalized step on), else it normalizes, clamps and fails as tests/oracles.py does.
+    # Points that meet the static bound take the bare step.  A guarded step raises each
+    # point's q to FLOOR s / e^y (sums count from the second renormalized step on),
+    # unless the smallest q times the smallest e^y clears FLOOR times the largest sum.
     renormalize = cfg.normalization == "renormalized"
-    guarded = np.flatnonzero(~bare_points(nu_bar, ey, n_trunc, cfg))
+    guarded = np.flatnonzero(~_bare_points(a, ey, r, renormalize))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
+    with np.errstate(divide="ignore"):
+        floors = FLOOR / ey[guarded].T  # (M, G); inf where e^y = 0
     e_min = np.min(ey[guarded], initial=np.inf)
+    unit = np.ones(1)  # the sum of a first-step or literal iterate
     failed = np.zeros(p_count, dtype=bool)
-    q = np.empty((m + 1, p_count))  # forward products and sums
-    ratios = q[:m]  # then the ratios, in place
+    q = np.empty((m, p_count))  # forward products, then the ratios in place
     gain = np.empty((n_trunc, p_count))
-    # a bare step on a zero iterate divides 0 by 0; the final normalization fails the point
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a bare step on a zero iterate divides 0 by 0 (the final normalization fails the point),
+    # and a floor over a vanishing e^y may overflow to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(cfg.n_iterations):
-            clamp = False
-            if not guarded.size:
-                np.matmul(a, r, out=ratios)
-            else:
-                np.matmul(forward, r, out=q)
+            np.matmul(a, r, out=q)
+            if guarded.size:
                 q_g, scaled = q[:, cols], renormalize and step > 0
-                scale = np.maximum.reduce(q_g[m], initial=0.0) if scaled else 1.0
+                sums = np.add.reduce(r[:, cols], axis=0) if scaled else unit
                 q_min = np.minimum.reduce(q_g, axis=None, initial=np.inf)
-                clamp = not (q_min > 0.0 and q_min * e_min >= FLOOR * scale)
-            np.divide(scaled_freqs, ratios, out=ratios)
-            if clamp:
-                r_g, dead = r[:, cols], failed[cols]
-                if scaled:
-                    _normalize(r_g, q_g[m], dead)
-                p = ey.T[:, cols] * (a @ r_g)
-                dead |= np.all(p < FLOOR, axis=0)
-                r_g[:, dead] = np.nan
-                r[:, cols], failed[cols] = r_g, dead
-                ratios[:, cols] = freqs.T[:, cols] / np.maximum(p, FLOOR)
-                if dead.any():  # a failed point leaves the guard
-                    guarded = cols = guarded[~dead]
-                    e_min = np.min(ey[guarded], initial=np.inf)
-            np.matmul(back, ratios, out=gain)
+                s_max = np.maximum.reduce(sums) if scaled else 1.0
+                if not (q_min > 0.0 and q_min * e_min >= FLOOR * s_max):
+                    bound = floors * sums if scaled else floors
+                    dead = ~(sums > 0.0) | ~np.any(q_g >= bound, axis=0)  # a NaN point fails too
+                    q[:, cols] = np.maximum(q_g, bound)
+                    if dead.any():  # a failed point leaves the guard
+                        r[:, guarded[dead]] = np.nan
+                        failed[guarded[dead]] = True
+                        guarded = cols = guarded[~dead]
+                        floors = floors[:, ~dead]
+                        e_min = np.min(ey[guarded], initial=np.inf)
+            np.divide(scaled_freqs, q, out=q)
+            np.matmul(back, q, out=gain)
             np.multiply(r, gain, out=r)
         if renormalize and cfg.n_iterations > 0:  # zero iterations return init as given
-            _normalize(r, r.sum(axis=0), failed)
+            sums = r.sum(axis=0)
+            dead = ~failed & ~(sums > 0.0)  # a vanished iterate fails (NaN)
+            failed |= dead
+            r[:, dead] = np.nan
+            r /= np.where(dead, 1.0, sums)
 
     r = np.ascontiguousarray(r.T)
     return EMBatchResult(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -373,6 +374,16 @@ def test_fewer_settings_than_n_trunc_in_config_exit_code(tmp_path, capsys):
     assert "n_efficiencies = 5 is below n_trunc = 12" in capsys.readouterr().err
 
 
+def test_equal_efficiencies_exit_code(tmp_path, capsys):
+    # every setting has the same nu_bar: the EM cannot tell the 12 components apart
+    cfg = tmp_path / "equal.ini"
+    cfg.write_text(SMALL.replace("alpha = 0.15", "alpha = 0.15\nefficiency_min = 0.5\nefficiency_max = 0.5"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [detectors] mode = single: the schedule has 1 distinct nu_bar values, below n_trunc = 12\n"
+    )
+
+
 def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, capsys):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
@@ -417,6 +428,10 @@ SCHEDULE_EDITS = {
     "duplicate_last_row": (_repeat_row(55), "row 57: extra in the point-major order of the 4 points x 14"),
     "degenerate_header_alpha": (_header("alpha", 0.0), "declares no valid schedule"),
     "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
+    "equal_efficiencies": (
+        _header("efficiency_max", 0.1),
+        "declares no valid schedule: [detectors] mode = single: the schedule has 1 distinct nu_bar values",
+    ),
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
     "fractional_runs": (_header("n_runs", 400.5), "[run] n_runs: cannot parse '400.5' as int"),
     "runs_above_int64": (_header("n_runs", 10**29), f"embedded config: [run] n_runs = {10**29} exceeds"),
@@ -927,25 +942,30 @@ def chain_digests(cfg, out) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES}
 
 
-# config, simulate flags, blocks of simulate and of reconstruct for 1, 2 and 3 CPUs
+# config, simulate flags, blocks of simulate and of reconstruct for 1, 2 and 3 CPUs,
+# and reconstruct's exit code and failed points
 BLOCK_CASES = {
-    "sampled": (SMALL, [], (1, 2, 3), (1, 2, 3)),
-    "exact": (SMALL, ["--exact"], (1, 2, 3), (1, 2, 3)),
-    # 8 of its 784 points are guarded, and the guard clamps its points as one
-    "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), [], (1, 2, 3), (1, 1, 1)),
-    "fock": (FOCK, [], (1, 2, 3), (1, 2, 3)),
-    "literal": (SMALL + "normalization = literal\n", [], (1, 2, 3), (1, 1, 1)),
+    "sampled": (SMALL, [], (1, 2, 3), (1, 2, 3), 0, 0),
+    "exact": (SMALL, ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),
+    # 8 of its 784 points are guarded
+    "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), [], (1, 2, 3), (1, 2, 3), 0, 0),
+    # 192 of its 784 points are guarded, 154 of them reach the floor and 66 fail
+    "dual_floor": (DUAL, [], (1, 2, 3), (1, 2, 3), 4, 66),
+    "fock": (FOCK, [], (1, 2, 3), (1, 2, 3), 0, 0),
+    "literal": (SMALL + "normalization = literal\n", [], (1, 2, 3), (1, 2, 3), 0, 0),
     # the no-click series, 2500 x 44 x 17 multiply-adds, is above BLAS_SMALL, and its blocks
     # are not: its transposed operand keeps OpenBLAS's kernel
-    "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3)),
+    "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),
     # the EM's 2500 x 34 x 12 is above BLAS_SMALL, and its blocks would not be
-    "em_at_blas_small": (settings(SMALL, 34), [], (1, 2, 3), (1, 1, 1)),
+    "em_at_blas_small": (settings(SMALL, 34), [], (1, 2, 3), (1, 1, 1), 0, 0),
 }
 
 
-@pytest.mark.parametrize("text, flags, simulated, reconstructed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+@pytest.mark.parametrize(
+    "text, flags, simulated, reconstructed, code, n_failed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys()
+)
 def test_outputs_do_not_depend_on_the_cpu_count(
-    tmp_path, monkeypatch, capsys, small_blocks, forks, text, flags, simulated, reconstructed
+    tmp_path, monkeypatch, capsys, small_blocks, forks, text, flags, simulated, reconstructed, code, n_failed
 ):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(text))
@@ -960,8 +980,9 @@ def test_outputs_do_not_depend_on_the_cpu_count(
         assert f"({n_points} points x " in printed and f" settings in {sim_blocks} block" in printed
         assert len(forks) == sim_blocks - 1
         forks.clear()
-        assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
-        assert f"({n_points} points in {rec_blocks} block" in capsys.readouterr().out
+        assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == code
+        printed = capsys.readouterr().out
+        assert f"({n_points} points in {rec_blocks} block" in printed and f", {n_failed} failed)" in printed
         assert len(forks) == rec_blocks - 1
         assert run_stage(["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES})
@@ -1071,3 +1092,26 @@ def test_a_block_whose_fork_fails_runs_here(tmp_path, monkeypatch, capsys, small
     assert chain_digests(cfg, tmp_path / "three") == whole
     printed = capsys.readouterr().out
     assert "settings in 3 blocks" in printed and "points in 3 blocks" in printed
+
+
+def test_a_fork_that_warns_keeps_its_child(tmp_path, monkeypatch, capsys, small_blocks):
+    # Python 3.12 and later warn in the parent when a process with other OS threads
+    # (OpenBLAS's pool) forks; under warnings-as-errors that warning takes the pid's place
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    whole = chain_digests(cfg, tmp_path / "one")
+    capsys.readouterr()
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert chain_digests(cfg, tmp_path / "two") == whole
+    printed = capsys.readouterr().out
+    assert "settings in 2 blocks" in printed and "points in 2 blocks" in printed

@@ -93,6 +93,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="n_angles = 11 is below n_trunc = 12"):
             parse_config(BASE.replace("mode = single", "mode = dual\nn_angles = 11"))
 
+    def test_fewer_distinct_nu_bar_than_n_trunc_rejected(self):
+        # equal efficiencies give every setting one nu_bar, so the EM's model has rank 1;
+        # angles symmetric about pi/2 give 15 of 30 settings the nu_bar of the other 15, to a few ulps
+        equal = BASE.replace("n_efficiencies = 30", "n_efficiencies = 30\nefficiency_min = 0.5\nefficiency_max = 0.5")
+        with pytest.raises(ConfigError, match="single: the schedule has 1 distinct nu_bar values, below n_trunc = 12"):
+            build_recipe(parse_config(equal))
+        symmetric = BASE.replace("mode = single", f"mode = dual\nangle_min = 0.2\nangle_max = {math.pi - 0.2!r}")
+        with pytest.raises(ConfigError, match="dual: the schedule has 15 distinct nu_bar values, below n_trunc = 16"):
+            build_recipe(parse_config(symmetric.replace("n_trunc = 12", "n_trunc = 16")))
+        build_recipe(parse_config(symmetric))
+
     def test_overrides(self):
         cfg = parse_config(BASE).with_overrides(seed=9, exact=True)
         assert cfg.seed == 9 and cfg.exact_probabilities

@@ -473,56 +473,38 @@ def test_shipped_configs_take_the_bare_step_everywhere(path):
     assert np.all(_static_bound(sched.nu_bar, sched.y, cfg.trunc.n_trunc) >= 2.0 * em_module.FLOOR)
 
 
-@pytest.fixture
-def normalized_widths(monkeypatch):
-    """The number of points each call of ``em._normalize`` divides, in call order."""
-    widths = []
-    normalize = em_module._normalize
-
-    def spy(r, sums, failed):
-        widths.append(r.shape[1])
-        return normalize(r, sums, failed)
-
-    monkeypatch.setattr(em_module, "_normalize", spy)
-    return widths
-
-
-def test_points_under_twice_the_floor_are_guarded(normalized_widths):
-    # point 0 clears the floor itself but not twice it, point 1 has e^y = 1e-13
-    # on all settings but one (so it clamps every step and never fails), and
-    # point 2 is far above the floor: each clamped step normalizes points 0
-    # and 1, and only the final normalization sees point 2
+def _guarded_batch(ey_1, first=1):
+    """Three points on nu_bar <= 1/2 with consistent frequencies: point 0's static bound
+    is 1.5 floors, point 1 has e^y = ``ey_1`` from setting ``first`` on, point 2 is bare."""
     nu_bar = np.linspace(0.1, 0.5, 14)
     ey = np.ones((3, 14))
     ey[0] = 1.5e-12 / 0.5**11
-    ey[1, 1:] = 1e-13
+    ey[1, first:] = ey_1
     freqs = ey * (kernel(nu_bar) @ poisson_pmf(1.0, 12))
+    return freqs, nu_bar, ey
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "literal"])
+@pytest.mark.parametrize("ey_1, first", [(1e-13, 1), (1e-20, 0)], ids=["clamped", "failed"])
+def test_a_guarded_point_moves_no_other_point(mode, ey_1, first):
+    # point 1 either clamps every step and never fails (e^y = 1e-13 on every setting
+    # but the first) or fails on the first step (1e-20 on all); points 0 and 2 must
+    # keep the bits of the batch in which point 1 is bare
+    freqs, nu_bar, ey = _guarded_batch(ey_1, first)
     bound = _static_bound(nu_bar, np.log(ey), 12)
     assert 1e-12 <= bound[0] < 2e-12 and bound[1] < 1e-12 and bound[2] >= 2e-12
-    result = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=20))
-    assert not result.failed.any()
-    assert normalized_widths == [2] * 19 + [3]
+    cfg = EMConfig(n_iterations=20, normalization=mode)
+    spoiled = run_em_batch(freqs, nu_bar, ey, 12, cfg)
+    clean = run_em_batch(*_guarded_batch(1.0), 12, cfg)
+    assert spoiled.failed.tolist() == [False, first == 0, False] and not clean.failed.any()
+    assert np.array_equal(spoiled.values[[0, 2]], clean.values[[0, 2]])
+    assert np.array_equal(spoiled.final_loglik[[0, 2]], clean.final_loglik[[0, 2]])
 
 
-def test_failed_point_stops_clamping_the_other_guarded_points(normalized_widths):
-    # point 0 is guarded (its bound is 1.5 floors) but its probabilities stay far
-    # above the floor; point 1 has e^y = 1e-20 and fails on the first step.  Once
-    # it has left the guard, point 0 takes no clamped step, so only the final
-    # normalization runs
-    nu_bar = np.linspace(0.1, 0.5, 14)
-    ey = np.ones((3, 14))
-    ey[0] = 1.5e-12 / 0.5**11
-    ey[1] = 1e-20
-    freqs = ey * (kernel(nu_bar) @ poisson_pmf(1.0, 12))
-    result = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=20))
-    assert result.failed.tolist() == [False, True, False]
-    assert normalized_widths == [3]
-
-
-def test_failed_point_leaves_the_others_on_the_bare_step(normalized_widths):
+def test_failed_point_leaves_the_others_on_the_bare_step():
     # on the fock_em_long inputs, a point whose e^y is 1e-20 fails on the first
-    # step and leaves the guard, so only the final normalization runs; every
-    # other point must keep the bits of the run without it
+    # step and leaves the guard; every other point must keep the bits of the run
+    # without it
     cfg = load_config(REPO / "bench" / "configs" / "fock_em_long.ini")
     clicks = simulate(
         build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
@@ -532,9 +514,7 @@ def test_failed_point_leaves_the_others_on_the_bare_step(normalized_widths):
     dim = cfg.trunc.n_trunc
     clean = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
     ey[17] = 1e-20
-    normalized_widths.clear()
     spoiled = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
-    assert normalized_widths == [len(freqs)]
     others = np.arange(len(freqs)) != 17
     assert np.flatnonzero(spoiled.failed).tolist() == [17] and not clean.failed.any()
     assert np.array_equal(spoiled.values[others], clean.values[others])
