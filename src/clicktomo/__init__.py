@@ -6,7 +6,7 @@ diagonal at each phase-space point by expectation-maximization, read off the
 Wigner value, and recover the density matrix by quadrature over the map.
 """
 
-from .em import EMBatchResult, EMConfig, run_em_batch
+from .em import EMConfig, run_em_batch
 from .errors import ClicktomoError, ConfigError, DataError, NumericalError
 from .fock import (
     DensityMatrix,
@@ -31,7 +31,7 @@ from .measurement import (
     no_click_probabilities,
     simulate,
 )
-from .recover import RecoveredDensity, StateComparison, compare_states, integrate_rho
+from .recover import RecoveredDensity, compare_states, integrate_rho
 from .wigner import (
     PhaseGrid,
     WignerEstimate,

@@ -6,17 +6,13 @@ map into a density matrix, and ``report`` condenses one or more artifacts
 into a tidy summary.  Exit codes: 0 success, 2 config error, 3 data or I/O
 error, 4 numerical failure.
 """
-from __future__ import annotations
-
 import argparse
-import json
 import os
 import pickle
 import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +42,11 @@ EXIT_NUMERICAL = 4
 EM_BLOCK_MIN = 256
 SIMULATE_BLOCK_MIN = 1024
 # Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical
-# to its rows of the whole batch's, provided the EM's (M, N) @ (N, P) products are not
-# cut from above BLAS_SMALL multiply-adds to at most that: OpenBLAS computes those
-# with its small-matrix kernel, which rounds otherwise
-BLOCK_ALIGN = 64
+# to its rows of the whole batch's (tests try every such cut on the shipped shapes),
+# provided the EM's (M, N) @ (N, P) products are not cut from above BLAS_SMALL
+# multiply-adds to at most that: OpenBLAS computes those with its small-matrix kernel,
+# which rounds otherwise
+BLOCK_ALIGN = 8
 BLAS_SMALL = 10**6
 
 
@@ -230,7 +227,7 @@ def cmd_reconstruct(args) -> int:
         blocks = _blocks(n_points, EM_BLOCK_MIN, clicks.nu_bar.size * n_trunc)
 
         def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            block = replace(clicks, gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
+            block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
             w, _, ll, failed = reconstruct_clicks(block, n_trunc, em_cfg)
             return w, ll, failed
 
@@ -240,8 +237,7 @@ def cmd_reconstruct(args) -> int:
         n_failed += int(failed.sum())
     if not _nodes_match(first_cfg.grid.flat_gammas(), cfg.grid):
         raise DataError("records do not cover the configured grid")
-    header = replace(
-        first_cfg,
+    header = first_cfg._replace(
         n_iterations=cfg.n_iterations,
         normalization=cfg.normalization,
         analytic_reference=cfg.analytic_reference,
@@ -269,7 +265,16 @@ def cmd_recover_rho(args) -> int:
     if not _nodes_match(gammas, file_cfg.grid):
         raise DataError(f"{args.wigner}: points do not match the embedded grid")
     n_trunc = file_cfg.trunc.n_trunc
-    recovered = integrate_rho(WignerEstimate(grid=file_cfg.grid, w_values=cols["w_rec"]), n_trunc)
+    estimate = WignerEstimate(file_cfg.grid, cols["w_rec"])
+    if estimate.bound_warning:
+        print(estimate.bound_warning, file=sys.stderr)
+    skipped = int(np.count_nonzero(~np.isfinite(estimate.w_values)))
+    if skipped:
+        print(f"skipping {skipped} non-finite Wigner nodes in the quadrature", file=sys.stderr)
+    recovered = integrate_rho(estimate, n_trunc)
+    if recovered.trace_warning:
+        suspect = "grid coverage or resolution is suspect"
+        print(f"recovered trace {recovered.trace:.4f} is far from 1; {suspect}", file=sys.stderr)
 
     exact = build_state(file_cfg).elements[:n_trunc, :n_trunc]
     comparison = compare_states(recovered, exact)
@@ -280,9 +285,9 @@ def cmd_recover_rho(args) -> int:
         "hermitization_residual": recovered.hermitization_residual,
         "min_eigenvalue": recovered.min_eigenvalue(),
         "trace_warning": recovered.trace_warning,
-        "fidelity_vs_configured_state": comparison.fidelity,
-        "max_abs_diff_vs_configured_state": comparison.max_abs_diff,
-        "trace_distance_vs_configured_state": comparison.trace_distance,
+        "fidelity_vs_configured_state": comparison["fidelity"],
+        "max_abs_diff_vs_configured_state": comparison["max_abs_diff"],
+        "trace_distance_vs_configured_state": comparison["trace_distance"],
     }
     io_csv.write_metrics_json(out / "metrics.json", file_cfg, metrics)
     print(f"wrote {out / 'rho.csv'} and {out / 'metrics.json'}")
@@ -312,6 +317,8 @@ def cmd_report(args) -> int:
     rows.sort(key=lambda r: (r["n_iterations"], r["n_runs"], r["seed"]))
     payload: dict = {"maps": rows}
     if args.metrics:
+        import json
+
         with open(args.metrics, "r", encoding="utf-8") as fh:
             try:
                 payload["rho_metrics"] = json.load(fh)

@@ -5,11 +5,9 @@ so configs diff cleanly and survive being embedded in CSV comment headers.
 Unknown sections or keys are rejected outright; ``parse -> dump -> parse``
 is the identity on the resolved configuration.
 """
-from __future__ import annotations
-
 import configparser
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from typing import NamedTuple, get_type_hints
 
 from .em import NORMALIZATION_MODES
 from .errors import ConfigError
@@ -50,8 +48,7 @@ NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(NamedTuple):
     kind: str
     re_amplitude: float = 0.0
     im_amplitude: float = 0.0
@@ -63,8 +60,7 @@ class StateSpec:
         return complex(self.re_amplitude, self.im_amplitude)
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(NamedTuple):
     mode: str
     # single-detector sweep
     alpha: float = 0.15
@@ -84,8 +80,7 @@ class DetectorSpec:
         return self.n_efficiencies if self.mode == "single" else self.n_angles
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     state: StateSpec
     detectors: DetectorSpec
     trunc: TruncationConfig
@@ -105,9 +100,9 @@ class RunConfig:
         if seed is not None:
             if seed < 0:
                 raise ConfigError(f"seed must be non-negative, got {seed}")
-            cfg = replace(cfg, seed=int(seed))
+            cfg = cfg._replace(seed=int(seed))
         if exact:
-            cfg = replace(cfg, exact_probabilities=True)
+            cfg = cfg._replace(exact_probabilities=True)
         return cfg
 
 
@@ -119,7 +114,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# section -> (RunConfig attribute, dataclass); [run] holds RunConfig's own scalar fields
+# section -> (RunConfig attribute, record); [run] holds RunConfig's own scalar fields
 _SECTIONS = {
     "state": ("state", StateSpec),
     "truncation": ("trunc", TruncationConfig),
@@ -127,15 +122,17 @@ _SECTIONS = {
     "grid": ("grid", PhaseGrid),
     "run": (None, RunConfig),
 }
-_SCALARS = {"str": str, "float": float, "int": int, "bool": bool}
+_SCALARS = (str, float, int, bool)
+_MISSING = object()  # the default of a required key
 
 
 def _keys(cls) -> dict[str, tuple]:
-    """key -> (type, default or MISSING) for each scalar field of ``cls``, in field order."""
+    """key -> (type, default or _MISSING) for each scalar field of ``cls``, in field order."""
+    types = get_type_hints(cls)
     return {
-        f.name: (_SCALARS[kind], f.default)
-        for f in fields(cls)
-        if (kind := getattr(f.type, "__name__", f.type)) in _SCALARS
+        name: (types[name], cls._field_defaults.get(name, _MISSING))
+        for name in cls._fields
+        if types[name] in _SCALARS
     }
 
 
@@ -182,7 +179,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing section [{section}]")
         for key, (_, default) in keys.items():
             if key not in values[section]:
-                if default is MISSING:
+                if default is _MISSING:
                     raise ConfigError(f"missing required key {key!r} in section [{section}]")
                 values[section][key] = default
 

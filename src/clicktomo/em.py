@@ -40,9 +40,7 @@ depend on another's, so a batch split at the same products keeps its bits.
 The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +48,6 @@ from .measurement import no_click_powers
 
 __all__ = [
     "EMConfig",
-    "EMBatchResult",
     "run_em_batch",
 ]
 
@@ -58,37 +55,27 @@ NORMALIZATION_MODES = ("renormalized", "literal")
 FLOOR = 1e-12  # forward probabilities are clamped here; a point all under it fails
 
 
-@dataclass(frozen=True)
-class EMConfig:
-    """Iteration count, normalization mode and initial vector."""
+class EMConfig(NamedTuple("EMConfig", [("n_iterations", int), ("normalization", str), ("init", tuple | None)])):
+    """Iteration count, normalization mode and initial vector (a tuple of floats, or None: uniform 1/N)."""
 
-    n_iterations: int = 1000
-    normalization: str = "renormalized"
-    init: tuple[float, ...] | None = None  # None -> uniform 1/N
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        if self.n_iterations < 0:
+    def __new__(cls, n_iterations: int = 1000, normalization: str = "renormalized", init=None):
+        if n_iterations < 0:
             raise ValueError("n_iterations must be non-negative")
-        if self.normalization not in NORMALIZATION_MODES:
+        if normalization not in NORMALIZATION_MODES:
             raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
-        if self.init is not None:
-            arr = np.asarray(self.init, dtype=float)
+        if init is not None:
+            arr = np.asarray(init, dtype=float)
             if arr.ndim != 1 or np.any(arr <= 0.0):
                 raise ValueError("custom init must be a strictly positive vector")
+        return super().__new__(cls, n_iterations, normalization, init)
 
 
 def _loglik_rows(p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray") -> np.ndarray:
     pc = np.clip(p, FLOOR, 1.0 - FLOOR)
     return (noclick * np.log(pc) + (n_runs - noclick) * np.log1p(-pc)).sum(axis=1)
-
-
-@dataclass(frozen=True, eq=False)
-class EMBatchResult:
-    """Row-wise EM output for a batch of independent inverse problems."""
-
-    values: np.ndarray  # (P, N); failed rows are NaN
-    final_loglik: np.ndarray  # (P,)
-    failed: np.ndarray  # (P,) bool
 
 
 def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
@@ -122,7 +109,7 @@ def run_em_batch(
     cfg: EMConfig,
     noclick: np.ndarray | None = None,
     n_runs: "int | np.ndarray | None" = None,
-) -> EMBatchResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the iteration for P independent points sharing one efficiency set.
 
     Args:
@@ -135,9 +122,9 @@ def run_em_batch(
             the likelihood; frequencies are used with unit weight when omitted.
 
     Returns:
-        EMBatchResult. Rows whose forward probabilities all collapse under
-        the floor are marked failed and carry NaN instead of raising, so the
-        other rows run on.
+        (values (P, N), final log-likelihood (P,), failed (P,) bool).  Rows
+        whose forward probabilities all collapse under the floor are marked
+        failed and carry NaN values instead of raising, so the other rows run on.
     """
     freqs = np.asarray(freqs, dtype=float)
     p_count, m = freqs.shape
@@ -156,7 +143,6 @@ def run_em_batch(
     sensitivity = weighted.sum(axis=0)
     back = np.zeros((n_trunc, m))
     np.divide(weighted.T, sensitivity[:, None], out=back, where=(sensitivity > 0.0)[:, None])
-    scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
 
     # Points that meet the static bound take the bare step.  A guarded step raises each
     # point's q to FLOOR s / e^y (sums count from the second renormalized step on),
@@ -164,7 +150,8 @@ def run_em_batch(
     renormalize = cfg.normalization == "renormalized"
     guarded = np.flatnonzero(~_bare_points(a, ey, r, renormalize))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a subnormal e^y takes either quotient to inf
+        scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
         floors = FLOOR / ey[guarded].T  # (M, G); inf where e^y = 0
     e_min = np.min(ey[guarded], initial=np.inf)
     unit = np.ones(1)  # the sum of a first-step or literal iterate
@@ -202,8 +189,4 @@ def run_em_batch(
             r /= np.where(dead, 1.0, sums)
 
     r = np.ascontiguousarray(r.T)
-    return EMBatchResult(
-        values=r,
-        final_loglik=_loglik_rows(ey * (r @ a.T), noclick, n_runs),
-        failed=failed,
-    )
+    return r, _loglik_rows(ey * (r @ a.T), noclick, n_runs), failed

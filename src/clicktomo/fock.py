@@ -7,11 +7,9 @@ the displacement series; the forward model and the density-matrix quadrature
 both build on its coefficient and power tables.  Every function is pure, and
 states and cached tables are read-only, so values can be shared freely.
 """
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +74,12 @@ def log_factorials(dim: int) -> np.ndarray:
     return _readonly(np.array([_log_factorial(k) for k in range(dim)], dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class _Truncation(NamedTuple):  # TruncationConfig's fields: a NamedTuple body may not define __new__
+    n_trunc: int
+    n_pad: int = 0
+
+
+class TruncationConfig(_Truncation):
     """Fock dimensions: ``n_trunc`` is exposed, ``n_pad`` is the working dimension.
 
     ``n_pad = 0`` resolves to the default padding ``2 * n_trunc + 20``, which
@@ -85,32 +87,33 @@ class TruncationConfig:
     the tolerances used anywhere in the pipeline.
     """
 
-    n_trunc: int
-    n_pad: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        if self.n_trunc < 2:
+    def __new__(cls, n_trunc: int, n_pad: int = 0):
+        if n_trunc < 2:
             raise ValueError("n_trunc must be at least 2")
-        if self.n_pad == 0:
-            object.__setattr__(self, "n_pad", 2 * self.n_trunc + 20)
-        if self.n_pad < self.n_trunc:
+        n_pad = n_pad or 2 * n_trunc + 20
+        if n_pad < n_trunc:
             raise ValueError("n_pad must be >= n_trunc")
+        return super().__new__(cls, n_trunc, n_pad)
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """State vector in the working Fock basis."""
+class PureState(NamedTuple("PureState", [("amplitudes", np.ndarray)])):
+    """State vector in the working Fock basis (read-only; compared by identity)."""
 
-    amplitudes: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+    def __new__(cls, amplitudes: np.ndarray):
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a vector of length >= 2")
         norm2 = float(np.real(np.vdot(amps, amps)))
         if norm2 > 1.0 + SUM_TOL:
             raise ValueError(f"squared norm {norm2} exceeds 1")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        return super().__new__(cls, _readonly(amps))
 
     @property
     def dim(self) -> int:
@@ -122,15 +125,16 @@ class PureState:
         return 1.0 - float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(NamedTuple("DensityMatrix", [("elements", np.ndarray)])):
     """Hermitian density matrix in the Fock basis (trace may fall slightly
     below 1 for truncated states; the deficit is reported, never hidden)."""
 
-    elements: np.ndarray
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        rho = np.ascontiguousarray(self.elements, dtype=np.complex128)
+    def __new__(cls, elements: np.ndarray):
+        rho = np.ascontiguousarray(elements, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density matrix must be square")
         herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -139,7 +143,7 @@ class DensityMatrix:
         tr = complex(np.trace(rho))
         if abs(tr.imag) > SUM_TOL or tr.real > 1.0 + SUM_TOL or tr.real <= 0.0:
             raise ValueError(f"trace {tr} outside (0, 1]")
-        object.__setattr__(self, "elements", _readonly(rho))
+        return super().__new__(cls, _readonly(rho))
 
     @property
     def dim(self) -> int:

@@ -9,10 +9,6 @@ A click file (``# format = 2``) stores only the no-click count of each
 (point, setting); the embedded config is the authority for everything else,
 and the reader rebuilds the settings from it.
 """
-from __future__ import annotations
-
-import json
-
 import numpy as np
 
 from .config import RunConfig, build_recipe, dump_config, parse_config
@@ -237,6 +233,8 @@ def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:
 
 def write_json(path, payload: dict) -> None:
     """``payload`` as strict JSON, indented by 2: every non-finite float is written as null."""
+    import json  # imported on first use: most stages write no JSON
+
     # a round trip through the C codec maps NaN and +-Infinity at any depth json.load accepts
     strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -16,10 +16,8 @@ probability factorises exactly into the per-detector coherent no-click
 factors exp(-nu_c |beta sin a|^2 - nu_d |beta cos a|^2), and it vanishes when
 either detector is blind.  Both identities are pinned by tests.
 """
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +40,17 @@ __all__ = [
 GAMMA_MATCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DetectorPair:
+class DetectorPair(NamedTuple("DetectorPair", [("nu_c", float), ("nu_d", float)])):
     """Efficiencies of the two on/off detectors; either may be zero."""
 
-    nu_c: float
-    nu_d: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
-        for name, nu in (("nu_c", self.nu_c), ("nu_d", self.nu_d)):
+    def __new__(cls, nu_c: float, nu_d: float):
+        for name, nu in (("nu_c", nu_c), ("nu_d", nu_d)):
             if not 0.0 <= nu <= 1.0:
                 raise ValueError(f"{name} = {nu} outside [0, 1]")
+        return super().__new__(cls, nu_c, nu_d)
 
 
 def derive_settings(alpha, beta, nu_c, nu_d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,13 +77,17 @@ def derive_settings(alpha, beta, nu_c, nu_d) -> tuple[np.ndarray, np.ndarray, np
     return nu_bar, gamma, y
 
 
-@dataclass(frozen=True, eq=False)
 class Schedule:
     """M settings at each of P points: ``nu_bar`` (M,) is shared, ``beta`` and ``y`` are (P, M)."""
 
-    nu_bar: np.ndarray
-    beta: np.ndarray
-    y: np.ndarray
+    __slots__ = ("nu_bar", "beta", "y")
+
+    def __init__(self, nu_bar: np.ndarray, beta: np.ndarray, y: np.ndarray) -> None:
+        for name, value in (("nu_bar", nu_bar), ("beta", beta), ("y", y)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __len__(self) -> int:
         return self.nu_bar.size
@@ -101,8 +103,7 @@ def _schedule(gammas: np.ndarray, alpha, beta: np.ndarray, nu_c, nu_d) -> Schedu
     return Schedule(nu_bar, np.broadcast_to(beta, y.shape), y)
 
 
-@dataclass(frozen=True)
-class SingleDetectorRecipe:
+class SingleDetectorRecipe(NamedTuple):
     """Blind second detector: gamma = -beta tan(alpha), no attenuation.
 
     The effective displacement does not depend on the efficiency, so one
@@ -129,8 +130,7 @@ class SingleDetectorRecipe:
         return _schedule(g, [a] * len(effs), beta, effs, 0.0)
 
 
-@dataclass(frozen=True)
-class DualDetectorRecipe:
+class DualDetectorRecipe(NamedTuple):
     """Two live detectors: the probe amplitude is retuned per angle."""
 
     detectors: DetectorPair
@@ -167,16 +167,16 @@ def homogeneous_efficiencies(count: int, lo: float = 0.1, hi: float = 0.9) -> tu
 Recipe = SingleDetectorRecipe | DualDetectorRecipe
 
 
-@dataclass(frozen=True, eq=False)
-class ClickArrays:
+class ClickArrays(NamedTuple):
     """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` and ``noclick`` (P, M).
 
     In exact mode ``noclick`` holds the expected counts ``p * n_runs``.
     ``truncation_leak`` (P,) is each point's 1 - sum_{n < n_trunc} R_n(gamma),
     the mass the EM's retained block cannot hold: known to :func:`simulate`,
-    None for clicks read from a file.
+    None for clicks read from a file.  Compared by identity.
     """
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     gammas: np.ndarray
     nu_bar: np.ndarray
     y: np.ndarray

@@ -15,10 +15,7 @@ exp(-2|gamma|^2), so corners of the grid - exactly where the truncated
 Wigner map is least trustworthy - contribute almost nothing; a test
 quantifies this.
 """
-from __future__ import annotations
-
-import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,23 +27,20 @@ __all__ = [
     "integrate_rho",
     "compare_states",
     "RecoveredDensity",
-    "StateComparison",
 ]
-
-log = logging.getLogger(__name__)
 
 TRACE_WARN_TOL = 0.05
 
 
-@dataclass(frozen=True, eq=False)
-class RecoveredDensity:
-    """Quadrature-recovered matrix with its bookkeeping.
+class RecoveredDensity(NamedTuple):
+    """Quadrature-recovered matrix with its bookkeeping (compared by identity).
 
     Hermitized after integration; positivity is reported through
     ``min_eigenvalue`` rather than enforced, so reconstruction error stays
     visible instead of being projected away.
     """
 
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
     elements: np.ndarray
     hermitization_residual: float
     trace_warning: bool = False
@@ -63,17 +57,15 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
     """Midpoint quadrature of the Wigner map against the recovery kernel,
     as one moment matrix over the grid points (see the module docstring).
 
-    Failed (non-finite) nodes are skipped with a warning; a trace further
-    than 0.05 from 1 flags the result (grid too small or too coarse) without
-    failing it.
+    Failed (non-finite) nodes are skipped; a trace further than 0.05 from 1
+    sets ``trace_warning`` (grid too small or too coarse) without failing the
+    result.
     """
     grid = wigner.grid
     area = grid.d_re * grid.d_im
     gammas, w = grid.flat_gammas(), wigner.w_values
     good = np.isfinite(w)
-    if not np.all(good):
-        log.warning("skipping %d non-finite Wigner nodes in the quadrature", int((~good).sum()))
-        gammas, w = gammas[good], w[good]
+    gammas, w = gammas[good], w[good]
     if w.size == 0:
         raise DataError("Wigner map holds no finite values")
 
@@ -89,19 +81,7 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
     residual = float(np.max(np.abs(raw - raw.conj().T)))
     sym = 0.5 * (raw + raw.conj().T)
     trace = float(np.real(np.trace(sym)))
-    warn = abs(trace - 1.0) > TRACE_WARN_TOL
-    if warn:
-        log.warning(
-            "recovered trace %.4f is far from 1; grid coverage or resolution is suspect", trace
-        )
-    return RecoveredDensity(elements=sym, hermitization_residual=residual, trace_warning=warn)
-
-
-@dataclass(frozen=True)
-class StateComparison:
-    max_abs_diff: float
-    trace_distance: float
-    fidelity: float
+    return RecoveredDensity(sym, residual, abs(trace - 1.0) > TRACE_WARN_TOL)
 
 
 def _as_matrix(state) -> np.ndarray:
@@ -117,8 +97,8 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def compare_states(a, b) -> StateComparison:
-    """Elementwise distance, trace distance and Uhlmann fidelity.
+def compare_states(a, b) -> dict[str, float]:
+    """``max_abs_diff`` (elementwise), ``trace_distance`` and ``fidelity`` (Uhlmann) of two states.
 
     Inputs may be DensityMatrix, RecoveredDensity or bare arrays; negative
     eigenvalues from reconstruction noise are clipped inside the fidelity
@@ -135,4 +115,4 @@ def compare_states(a, b) -> StateComparison:
     inner = sq @ mb @ sq
     eigs = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
     fidelity = float(np.sum(np.sqrt(eigs)) ** 2)
-    return StateComparison(max_abs_diff=max_abs, trace_distance=trace_dist, fidelity=fidelity)
+    return {"max_abs_diff": max_abs, "trace_distance": trace_dist, "fidelity": fidelity}

@@ -8,11 +8,8 @@ density-matrix recovery reuse the same grid as a midpoint quadrature rule.
 (from the displaced diagonals themselves) and the analytic Wigner functions
 are the references it is measured against.
 """
-from __future__ import annotations
-
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +30,10 @@ __all__ = [
     "fock_wigner",
 ]
 
-log = logging.getLogger(__name__)
-
 W_BOUND_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Uniform cell-centered grid on a phase-plane rectangle."""
-
+class _Grid(NamedTuple):  # PhaseGrid's fields: a NamedTuple body may not define __new__
     re_min: float
     re_max: float
     im_min: float
@@ -49,11 +41,19 @@ class PhaseGrid:
     n_re: int
     n_im: int
 
-    def __post_init__(self) -> None:
-        if not (self.re_min < self.re_max and self.im_min < self.im_max):
+
+class PhaseGrid(_Grid):
+    """Uniform cell-centered grid on a phase-plane rectangle."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
+
+    def __new__(cls, re_min: float, re_max: float, im_min: float, im_max: float, n_re: int, n_im: int):
+        if not (re_min < re_max and im_min < im_max):
             raise ValueError("grid bounds must satisfy min < max")
-        if self.n_re < 1 or self.n_im < 1:
+        if n_re < 1 or n_im < 1:
             raise ValueError("grid needs at least one node per axis")
+        return super().__new__(cls, re_min, re_max, im_min, im_max, n_re, n_im)
 
     @property
     def d_re(self) -> float:
@@ -80,24 +80,27 @@ class PhaseGrid:
         return complex_array(np.tile(self.re_centers, self.n_im), np.repeat(self.im_centers, self.n_re))
 
 
-@dataclass(frozen=True, eq=False)
-class WignerEstimate:
-    """A Wigner map on its grid, one value per node of ``grid.flat_gammas()``."""
+class WignerEstimate(NamedTuple("WignerEstimate", [("grid", PhaseGrid), ("w_values", np.ndarray)])):
+    """A Wigner map on its grid, one value per node of ``grid.flat_gammas()`` (compared by identity)."""
 
-    grid: PhaseGrid
-    w_values: np.ndarray  # (n_points,)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w_values, dtype=float)
-        if w.shape != (self.grid.n_points,):
+    def __new__(cls, grid: PhaseGrid, w_values: np.ndarray):
+        w = np.asarray(w_values, dtype=float)
+        if w.shape != (grid.n_points,):
             raise ValueError(f"w_values shape {w.shape} does not match the grid")
-        finite = w[np.isfinite(w)]
-        if finite.size and float(np.max(np.abs(finite))) > 2.0 / math.pi + W_BOUND_SLACK:
-            log.warning(
-                "Wigner magnitude %.6f exceeds 2/pi; leaving values unclamped",
-                float(np.max(np.abs(finite))),
-            )
-        object.__setattr__(self, "w_values", w)
+        return super().__new__(cls, grid, w)
+
+    @property
+    def bound_warning(self) -> str | None:
+        """The warning for a finite |W| above 2/pi, which is left unclamped; None within the bound."""
+        finite = self.w_values[np.isfinite(self.w_values)]
+        peak = float(np.max(np.abs(finite))) if finite.size else 0.0
+        if peak > 2.0 / math.pi + W_BOUND_SLACK:
+            return f"Wigner magnitude {peak:.6f} exceeds 2/pi; leaving values unclamped"
+        return None
 
 
 def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":
@@ -114,12 +117,11 @@ def reconstruct_clicks(
 
     Failed points get W = NaN.
     """
-    result = run_em_batch(
+    values, loglik, failed = run_em_batch(
         clicks.noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg,
         noclick=clicks.noclick, n_runs=clicks.n_runs,
     )
-    w = np.where(result.failed, math.nan, wigner_from_values(result.values))
-    return w, result.values, result.final_loglik, result.failed
+    return np.where(failed, math.nan, wigner_from_values(values)), values, loglik, failed
 
 
 def delta_w(w_ref: np.ndarray, w_rec: np.ndarray) -> float:

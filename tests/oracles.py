@@ -109,10 +109,9 @@ def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=Non
     It renormalizes after every step and multiplies by e^y and divides by
     the sensitivity each time.  ``clicktomo.em.run_em_batch`` normalizes once
     at the end and folds both into constants, so tests hold it to this loop
-    within a tolerance fixed from the dtype.  Returns a namespace with the
-    fields of ``EMBatchResult``.
+    within a tolerance fixed from the dtype.  Returns (values, final
+    log-likelihood, failed), as ``run_em_batch`` does.
     """
-    from types import SimpleNamespace
 
     def _kernel(nu_bar, n_trunc):
         x = 1.0 - np.asarray(nu_bar, dtype=float)
@@ -162,11 +161,7 @@ def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=Non
                 s[dead] = 1.0
             r = r / s
 
-    return SimpleNamespace(
-        values=r,
-        final_loglik=_loglik_rows(ey * (r @ a.T), noclick, n_runs, floor),
-        failed=failed,
-    )
+    return r, _loglik_rows(ey * (r @ a.T), noclick, n_runs, floor), failed
 
 
 # Dense displacement references: the per-point displacement matrix, displaced

@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +267,23 @@ def small_wigner(tmp_path_factory):
     main(["simulate", "--config", str(cfg), "--out", str(out)])
     main(["reconstruct", "--config", str(cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
     return out / "wigner.csv"
+
+
+def test_recover_rho_prints_its_warnings_on_stderr(small_wigner, tmp_path, capsys):
+    cfg, _, cols = io_csv.read_wigner_csv(small_wigner)
+    w_rec = cols["w_rec"].copy()
+    w_rec[1], w_rec[2] = np.nan, 0.9
+    path = tmp_path / "wigner.csv"
+    io_csv.write_wigner_csv(path, cfg, w_rec)
+    capsys.readouterr()
+    assert main(["recover-rho", "--wigner", str(path), "--out", str(tmp_path)]) == 0
+    trace = json.loads((tmp_path / "metrics.json").read_text())["trace"]
+    assert abs(trace - 1.0) > 0.05
+    assert capsys.readouterr().err.splitlines() == [
+        "Wigner magnitude 0.900000 exceeds 2/pi; leaving values unclamped",
+        "skipping 1 non-finite Wigner nodes in the quadrature",
+        f"recovered trace {trace:.4f} is far from 1; grid coverage or resolution is suspect",
+    ]
 
 
 # route -> (arguments, the path at fault, exit code)
@@ -560,12 +576,14 @@ def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, ed
 
 def test_cli_import_loads_no_scipy():
     # nor a process or thread pool: point blocks run in children forked with os.fork,
-    # and importing multiprocessing or concurrent.futures would slow every stage
+    # and importing multiprocessing or concurrent.futures would slow every stage; nor
+    # dataclasses, logging or json, which every stage would pay for at start-up
     src = str(Path(io_csv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    refused = ("scipy", "multiprocessing", "dataclasses", "logging", "json")
     probe = (
-        "import sys, clicktomo.cli; print(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'multiprocessing') or m.startswith('concurrent.futures')))"
+        f"import sys, clicktomo.cli; print(sorted(m for m in sys.modules"
+        f" if m.split('.')[0] in {refused!r} or m.startswith('concurrent.futures')))"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
@@ -595,9 +613,7 @@ def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path):
     click_cfg, _, _ = io_csv.read_click_csv(out / "clicks.csv")
     wigner_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
     assert (wigner_cfg.seed, wigner_cfg.exact_probabilities) == (5, False)
-    assert wigner_cfg == replace(
-        click_cfg, n_iterations=70, normalization="literal", analytic_reference=False
-    )
+    assert wigner_cfg == click_cfg._replace(n_iterations=70, normalization="literal", analytic_reference=False)
     assert np.all(np.isnan(cols["w_exact"]))
 
 
@@ -905,10 +921,29 @@ EM, SIM = cli.EM_BLOCK_MIN, cli.SIMULATE_BLOCK_MIN
     ],
 )
 def test_blocks_cut_at_multiples_of_64(monkeypatch, cpus, n_points, min_points, madds, cuts):
+    # the cut rule at an alignment of 64; test_blocks_cut_at_multiples_of_8 pins the shipped one
+    monkeypatch.setattr(cli, "BLOCK_ALIGN", 64)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
     blocks = cli._blocks(n_points, min_points, madds)
     assert blocks == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     assert len(blocks) == 1 or min(b.stop - b.start for b in blocks) >= min_points
+
+
+@pytest.mark.parametrize(
+    "cpus, n_points, min_points, madds, cuts",
+    [
+        (2, 576, EM, 288, [0, 288, 576]),  # fock_em_long's EM
+        (2, 2500, EM, 360, [0, 1248, 2500]),  # coherent_sampled's EM
+        (2, 2500, SIM, 0, [0, 1248, 2500]),  # and its simulate
+        (3, 784, EM, 0, [0, 256, 520, 784]),
+        (3, 2500, EM, 1000, [0, 1248, 2500]),  # 3 blocks of 832 would fall under BLAS_SMALL
+        (3, 2500, EM, 400, [0, 832, 1664, 2500]),
+    ],
+)
+def test_blocks_cut_at_multiples_of_8(monkeypatch, cpus, n_points, min_points, madds, cuts):
+    assert cli.BLOCK_ALIGN == 8
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    assert cli._blocks(n_points, min_points, madds) == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def test_a_process_with_threads_gets_one_block(monkeypatch):
@@ -922,7 +957,7 @@ def test_a_process_with_threads_gets_one_block(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._blocks(784, EM) == [slice(0, 384), slice(384, 784)]
+    assert cli._blocks(784, EM) == [slice(0, 392), slice(392, 784)]
 
 
 def settings(text: str, count: int) -> str:
@@ -958,6 +993,8 @@ BLOCK_CASES = {
     "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),
     # the EM's 2500 x 34 x 12 is above BLAS_SMALL, and its blocks would not be
     "em_at_blas_small": (settings(SMALL, 34), [], (1, 2, 3), (1, 1, 1), 0, 0),
+    # 812 points: cuts at 400 for 2 CPUs and at 264 and 536 for 3, multiples of 8 but not of 64
+    "cuts_off_64": (SMALL.replace("n_re = 2\nn_im = 2", "n_re = 29\nn_im = 28"), [], (1, 2, 3), (1, 2, 3), 0, 0),
 }
 
 
@@ -989,7 +1026,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(
     assert digests[0] == digests[1] == digests[2]
 
 
-FAULTY_POINT = 500  # in the last block for 2 and for 3 CPUs, never in this process's
+FAULTY_POINT = 600  # in the last block for 2 and for 3 CPUs, never in this process's
 STAGES = ["simulate", "reconstruct"]
 
 
@@ -1052,7 +1089,7 @@ def test_a_killed_block_is_an_io_error(tmp_path, monkeypatch, capsys, small_bloc
     fail_at_point(monkeypatch, stage, lambda: os.kill(os.getpid(), signal.SIGKILL))
     assert run_stage(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("I/O error: point block 1 (points 384 to 783) ended without a result")
+    assert err.startswith("I/O error: point block 1 (points 392 to 783) ended without a result")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

@@ -8,7 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clicktomo import TruncationConfig, coherent_state, density_from_pure, displaced_diagonals, simulate
+from clicktomo import (
+    DetectorPair,
+    EMConfig,
+    PhaseGrid,
+    TruncationConfig,
+    WignerEstimate,
+    coherent_state,
+    density_from_pure,
+    displaced_diagonals,
+    simulate,
+)
 from clicktomo.config import (
     analytic_wigner_fn,
     build_recipe,
@@ -208,6 +218,38 @@ def test_grid_the_config_accepts_the_kernel_accepts(n_trunc, n_re, n_im, angle):
         assert "[grid] |gamma|^2" in str(exc)
         return
     displaced_diagonals(build_state(cfg), cfg.grid.flat_gammas(), cfg.trunc)
+
+
+def test_records_compare_by_value_and_refuse_assignment():
+    cfg = parse_config(BASE)
+    assert parse_config(dump_config(cfg)) == cfg and cfg._replace(seed=6) != cfg
+    assert EMConfig() == EMConfig(1000, "renormalized", None) and TruncationConfig(12) == TruncationConfig(12, 44)
+    schedule = build_recipe(cfg).build(cfg.grid.flat_gammas())
+    assert len(schedule) == cfg.detectors.n_settings == 30
+    rho = density_from_pure(coherent_state(1.0, cfg.trunc))
+    assert rho != density_from_pure(coherent_state(1.0, cfg.trunc))  # array records compare by identity
+    for record, field in [
+        (cfg, "seed"), (cfg.state, "kind"), (cfg.detectors, "alpha"), (cfg.trunc, "n_pad"), (cfg.grid, "n_re"),
+        (EMConfig(), "init"), (DetectorPair(0.3, 0.6), "nu_c"), (build_recipe(cfg), "alpha"), (schedule, "y"),
+        (rho, "elements"), (WignerEstimate(cfg.grid, np.zeros(cfg.grid.n_points)), "w_values"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+
+@pytest.mark.parametrize(
+    "record, field, bad",
+    [
+        (TruncationConfig(12), "n_pad", 11),
+        (PhaseGrid(-1.0, 1.0, -1.0, 1.0, 2, 2), "n_re", 0),
+        (EMConfig(), "n_iterations", -1),
+        (DetectorPair(0.3, 0.6), "nu_c", 1.2),
+    ],
+    ids=["truncation", "grid", "em", "detectors"],
+)
+def test_replace_runs_the_constructor_checks(record, field, bad):
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
 
 
 class TestBuilders:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from clicktomo import (
     run_em_batch,
     simulate,
 )
+from clicktomo import cli
 from clicktomo import em as em_module
 from clicktomo.config import build_recipe, build_state, load_config
 from clicktomo.em import _loglik_rows
@@ -47,16 +47,16 @@ def one_step(values, freqs, nu_bar, normalization="renormalized"):
     """One iteration from ``values``; zero components start at the smallest normal float."""
     init = tuple(np.maximum(values, np.finfo(float).tiny))
     cfg = EMConfig(n_iterations=1, normalization=normalization, init=init)
-    return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), cfg).values[0]
+    return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), cfg)[0][0]
 
 
 def run_one(freqs, nu_bar, cfg, n_runs=10_000, n_trunc=12):
     """One point with counts ``freqs * n_runs`` -> (values, final loglik, loglik of the start)."""
     freqs = np.atleast_2d(freqs)
     counts = {"noclick": freqs * n_runs, "n_runs": np.full(freqs.shape, float(n_runs))}
-    out = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, **counts)
-    start = run_em_batch(freqs, nu_bar, 1.0, n_trunc, replace(cfg, n_iterations=0), **counts)
-    return out.values[0], out.final_loglik[0], start.final_loglik[0]
+    values, loglik, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, **counts)
+    _, start, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg._replace(n_iterations=0), **counts)
+    return values[0], loglik[0], start[0]
 
 
 def nu_bar_of(nu):
@@ -196,9 +196,9 @@ class TestRunEm:
         # a probe so bright that every forward probability underflows: the
         # point is marked failed and left NaN (``reconstruct`` then exits 4)
         sched = DualDetectorRecipe(DetectorPair(0.5, 0.9), tuple(np.linspace(0.3, 1.2, 12))).build(20.0)
-        out = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, EMConfig(n_iterations=5))
-        assert out.failed[0]
-        assert np.all(np.isnan(out.values[0]))
+        values, _, failed = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, EMConfig(n_iterations=5))
+        assert failed[0]
+        assert np.all(np.isnan(values[0]))
 
 
 class TestSensitivityNormalization:
@@ -250,9 +250,9 @@ class TestLogLikelihood:
         rngs = [np.random.default_rng(seed) for seed in range(100)]
         noclick = np.array([[rng.binomial(500, p) for p in probs] for rng in rngs], dtype=float)
         counts = {"noclick": noclick, "n_runs": np.full(noclick.shape, 500.0)}
-        fitted = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=60), **counts)
-        uniform = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=0), **counts)
-        wins = int(np.sum(fitted.final_loglik >= uniform.final_loglik))
+        _, fitted, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=60), **counts)
+        _, uniform, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=0), **counts)
+        wins = int(np.sum(fitted >= uniform))
         assert wins == 100
 
 
@@ -265,10 +265,10 @@ class TestBatchConsistency:
         rng = np.random.default_rng(3)
         freqs = np.vstack([rng.binomial(1000, probs) / 1000.0 for _ in range(4)])
         cfg = EMConfig(n_iterations=250)
-        batch = run_em_batch(freqs, nu_bar, np.ones_like(freqs), 12, cfg)
+        batch, _, _ = run_em_batch(freqs, nu_bar, np.ones_like(freqs), 12, cfg)
         for row in range(4):
             single, _, _ = run_one(freqs[row], nu_bar, cfg, 1000)
-            np.testing.assert_allclose(batch.values[row], single, atol=1e-12)
+            np.testing.assert_allclose(batch[row], single, atol=1e-12)
 
 
 def em_tolerance(n_iterations):
@@ -373,16 +373,16 @@ class TestBatchBitIdentity:
     )
     def test_matches_reference_loop(self, name):
         freqs, nu_bar, ey, cfg, extra = _em_batch_case(name)
-        got = run_em_batch(freqs, nu_bar, ey, 12, cfg, **extra)
-        want = em_batch_reference(freqs, nu_bar, ey, 12, cfg, **extra)
+        values, loglik, failed = run_em_batch(freqs, nu_bar, ey, 12, cfg, **extra)
+        want_values, want_loglik, want_failed = em_batch_reference(freqs, nu_bar, ey, 12, cfg, **extra)
         tol = em_tolerance(cfg.n_iterations)
-        assert np.array_equal(got.failed, want.failed)
+        assert np.array_equal(failed, want_failed)
         # values near one owe tol absolute; the literal floor case's iterates
         # grow to 3e11, where tol is below one ulp, so they owe tol relative
-        np.testing.assert_allclose(got.values, want.values, rtol=tol, atol=tol)
-        np.testing.assert_allclose(got.final_loglik, want.final_loglik, rtol=tol, atol=0.0)
+        np.testing.assert_allclose(values, want_values, rtol=tol, atol=tol)
+        np.testing.assert_allclose(loglik, want_loglik, rtol=tol, atol=0.0)
         if name.startswith(("floor", "mixed")):
-            assert 0 < want.failed.sum() < want.failed.size
+            assert 0 < want_failed.sum() < want_failed.size
 
 
 @st.composite
@@ -402,11 +402,11 @@ def em_problems(draw):
 @given(problem=em_problems())
 def test_batch_stays_positive_and_normalized(problem):
     freqs, nu_bar, ey, n_trunc, iterations = problem
-    result = run_em_batch(freqs, nu_bar, ey, n_trunc, EMConfig(n_iterations=iterations))
-    live = ~result.failed
-    assert np.all(result.values[live] >= 0.0)
-    np.testing.assert_allclose(result.values[live].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
-    assert np.all(np.isnan(result.values[result.failed]))
+    values, _, failed = run_em_batch(freqs, nu_bar, ey, n_trunc, EMConfig(n_iterations=iterations))
+    live = ~failed
+    assert np.all(values[live] >= 0.0)
+    np.testing.assert_allclose(values[live].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(np.isnan(values[failed]))
 
 
 @st.composite
@@ -434,13 +434,13 @@ def test_renormalized_iterates_are_the_normalized_literal_ones(problem):
     # loop) and normalizing the literal iterate once agree to rounding
     freqs, nu_bar, ey, n_trunc, iterations = problem
     cfg = EMConfig(n_iterations=iterations)
-    literal = run_em_batch(freqs, nu_bar, ey, n_trunc, replace(cfg, normalization="literal")).values
+    literal, _, _ = run_em_batch(freqs, nu_bar, ey, n_trunc, cfg._replace(normalization="literal"))
     normalized = literal / literal.sum(axis=1, keepdims=True)
     tol = em_tolerance(iterations)
-    stepwise = em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg)
-    assert not stepwise.failed.any()
-    np.testing.assert_allclose(normalized, stepwise.values, rtol=0.0, atol=tol)
-    np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, cfg).values, stepwise.values, rtol=0.0, atol=tol)
+    stepwise, _, stepwise_failed = em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg)
+    assert not stepwise_failed.any()
+    np.testing.assert_allclose(normalized, stepwise, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, cfg)[0], stepwise, rtol=0.0, atol=tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -450,9 +450,9 @@ def test_bounded_point_with_zero_frequencies_fails_quietly(mode):
     # zero row's iterate vanishes after one step and must end NaN and failed
     nu_bar = np.linspace(0.1, 0.5, 14)
     freqs = np.vstack([kernel(nu_bar) @ poisson_pmf(0.7, 12), np.zeros(14), kernel(nu_bar) @ poisson_pmf(1.5, 12)])
-    result = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50, normalization=mode))
-    assert result.failed.tolist() == [False, True, False]
-    assert np.all(np.isnan(result.values[1])) and np.all(np.isfinite(result.values[[0, 2]]))
+    values, _, failed = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50, normalization=mode))
+    assert failed.tolist() == [False, True, False]
+    assert np.all(np.isnan(values[1])) and np.all(np.isfinite(values[[0, 2]]))
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -494,11 +494,11 @@ def test_a_guarded_point_moves_no_other_point(mode, ey_1, first):
     bound = _static_bound(nu_bar, np.log(ey), 12)
     assert 1e-12 <= bound[0] < 2e-12 and bound[1] < 1e-12 and bound[2] >= 2e-12
     cfg = EMConfig(n_iterations=20, normalization=mode)
-    spoiled = run_em_batch(freqs, nu_bar, ey, 12, cfg)
-    clean = run_em_batch(*_guarded_batch(1.0), 12, cfg)
-    assert spoiled.failed.tolist() == [False, first == 0, False] and not clean.failed.any()
-    assert np.array_equal(spoiled.values[[0, 2]], clean.values[[0, 2]])
-    assert np.array_equal(spoiled.final_loglik[[0, 2]], clean.final_loglik[[0, 2]])
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, nu_bar, ey, 12, cfg)
+    clean, clean_loglik, clean_failed = run_em_batch(*_guarded_batch(1.0), 12, cfg)
+    assert spoiled_failed.tolist() == [False, first == 0, False] and not clean_failed.any()
+    assert np.array_equal(spoiled[[0, 2]], clean[[0, 2]])
+    assert np.array_equal(spoiled_loglik[[0, 2]], clean_loglik[[0, 2]])
 
 
 def test_failed_point_leaves_the_others_on_the_bare_step():
@@ -512,10 +512,56 @@ def test_failed_point_leaves_the_others_on_the_bare_step():
     freqs, ey = clicks.noclick / clicks.n_runs, np.exp(clicks.y)
     em_cfg = EMConfig(n_iterations=cfg.n_iterations)
     dim = cfg.trunc.n_trunc
-    clean = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    clean, clean_loglik, clean_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
     ey[17] = 1e-20
-    spoiled = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
     others = np.arange(len(freqs)) != 17
-    assert np.flatnonzero(spoiled.failed).tolist() == [17] and not clean.failed.any()
-    assert np.array_equal(spoiled.values[others], clean.values[others])
-    assert np.array_equal(spoiled.final_loglik[others], clean.final_loglik[others])
+    assert np.flatnonzero(spoiled_failed).tolist() == [17] and not clean_failed.any()
+    assert np.array_equal(spoiled[others], clean[others])
+    assert np.array_equal(spoiled_loglik[others], clean_loglik[others])
+
+
+def _overflow_batch(ey_1):
+    """Two points on 14 settings with consistent frequencies; point 1 has e^y = ``ey_1``
+    and frequency 0.5 on setting 3."""
+    nu_bar = np.linspace(0.1, 0.5, 14)
+    freqs = np.tile(kernel(nu_bar) @ poisson_pmf(1.0, 12), (2, 1))
+    ey = np.ones((2, 14))
+    ey[1, 3], freqs[1, 3] = ey_1, 0.5
+    return freqs, nu_bar, ey
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "literal"])
+def test_a_subnormal_attenuation_fails_its_point_quietly(mode):
+    # 0.5 / 1e-320 overflows: under this suite's warnings-as-errors that used to raise
+    # RuntimeWarning; now point 1 fails and point 0 keeps the bits of the batch without it
+    cfg = EMConfig(n_iterations=20, normalization=mode)
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(*_overflow_batch(1e-320), 12, cfg)
+    clean, clean_loglik, clean_failed = run_em_batch(*_overflow_batch(1.0), 12, cfg)
+    assert spoiled_failed.tolist() == [False, True] and not clean_failed.any()
+    assert np.array_equal(spoiled[0], clean[0]) and spoiled_loglik[0] == clean_loglik[0]
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.relative_to(REPO).as_posix() for p in SHIPPED_CONFIGS])
+def test_every_aligned_cut_keeps_the_bits(path):
+    # reconstruct cuts its batch at multiples of cli.BLOCK_ALIGN points (none of these
+    # batches is above BLAS_SMALL); on the shipped shapes every such cut must leave each
+    # point's values and log-likelihood bit-equal to those of the whole batch
+    cfg = load_config(path)
+    clicks = simulate(
+        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, False
+    )
+    n_points, dim = len(clicks.gammas), cfg.trunc.n_trunc
+    assert n_points * clicks.nu_bar.size * dim <= cli.BLAS_SMALL
+    em_cfg = EMConfig(n_iterations=3, normalization=cfg.normalization)
+
+    def run(part):
+        noclick = clicks.noclick[part]
+        return run_em_batch(noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y[part]), dim, em_cfg,
+                            noclick=noclick, n_runs=clicks.n_runs)
+
+    whole = run(slice(None))
+    for cut in range(cli.BLOCK_ALIGN, n_points, cli.BLOCK_ALIGN):
+        for part in (slice(0, cut), slice(cut, None)):
+            for got, want in zip(run(part), whole):
+                assert got.tobytes() == want[part].tobytes(), (cut, part)

@@ -129,8 +129,8 @@ class TestIntegrateRho:
         rec = integrate_rho(est, 10)
         exact = density_from_pure(coherent_state(alpha0, TruncationConfig(10, 40)))
         comp = compare_states(rec, exact.elements[:10, :10])
-        assert comp.fidelity > 0.999
-        assert comp.max_abs_diff < 1e-3
+        assert comp["fidelity"] > 0.999
+        assert comp["max_abs_diff"] < 1e-3
 
     def test_grid_refinement_cauchy(self):
         exact = density_from_pure(coherent_state(0.5, TruncationConfig(8, 40))).elements[:8, :8]
@@ -188,17 +188,17 @@ class TestCompareStates:
     def test_identical(self):
         rho = density_from_pure(coherent_state(1.0, CFG))
         comp = compare_states(rho, rho)
-        assert comp.max_abs_diff == 0.0
-        assert comp.trace_distance == pytest.approx(0.0, abs=1e-12)
+        assert comp["max_abs_diff"] == 0.0
+        assert comp["trace_distance"] == pytest.approx(0.0, abs=1e-12)
         # the eigh-based Uhlmann chain carries a few 1e-8 of rounding
-        assert comp.fidelity == pytest.approx(1.0, abs=1e-6)
+        assert comp["fidelity"] == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_states(self):
         a = density_from_pure(fock_state(0, CFG))
         b = density_from_pure(fock_state(1, CFG))
         comp = compare_states(a, b)
-        assert comp.fidelity == pytest.approx(0.0, abs=1e-12)
-        assert comp.trace_distance == pytest.approx(1.0, abs=1e-12)
+        assert comp["fidelity"] == pytest.approx(0.0, abs=1e-12)
+        assert comp["trace_distance"] == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -209,4 +209,4 @@ class TestCompareStates:
         est = WignerEstimate(grid=grid, w_values=coherent_wigner(1.0)(grid.flat_gammas()))
         rec = integrate_rho(est, 12)
         exact = density_from_pure(coherent_state(1.0, CFG)).elements[:12, :12]
-        assert compare_states(rec, exact).fidelity >= 0.99
+        assert compare_states(rec, exact)["fidelity"] >= 0.99

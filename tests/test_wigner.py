@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -361,14 +360,12 @@ class TestWignerEstimate:
         with pytest.raises(ValueError, match="does not match the grid"):
             WignerEstimate(grid, np.zeros((2, 3)))
 
-    def test_warns_above_two_over_pi(self, caplog):
+    def test_warns_above_two_over_pi(self):
         grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
-        with caplog.at_level(logging.WARNING, logger="clicktomo.wigner"):
-            WignerEstimate(grid, np.full(6, 0.5))
-        assert not caplog.text
-        with caplog.at_level(logging.WARNING, logger="clicktomo.wigner"):
-            WignerEstimate(grid, np.full(6, 0.7))
-        assert "exceeds 2/pi" in caplog.text
+        assert WignerEstimate(grid, np.full(6, 0.5)).bound_warning is None
+        above = WignerEstimate(grid, np.full(6, 0.7))
+        assert above.bound_warning == "Wigner magnitude 0.700000 exceeds 2/pi; leaving values unclamped"
+        assert np.all(above.w_values == 0.7)
 
 
 class TestExactWignerMap:
