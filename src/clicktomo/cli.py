@@ -27,8 +27,7 @@ from .config import (
 )
 from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
-from .measurement import ClickArrays, simulate
-from .recover import compare_states, integrate_rho
+from .measurement import simulate
 from .wigner import WignerEstimate, delta_w, reconstruct_clicks
 
 EXIT_OK = 0
@@ -37,8 +36,8 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 # A forked block costs 5-10 ms (fork, copy-on-write faults, pickling), so it needs
-# enough points: 256 for the EM, 1024 for the forward model and sampling, which
-# take 20-60 us a point
+# enough points: 256 for the EM, 1024 for simulate, whose forward model, counts and
+# row formatting take 30-45 us a point on the shipped configs
 EM_BLOCK_MIN = 256
 SIMULATE_BLOCK_MIN = 1024
 # Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical
@@ -171,28 +170,21 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     blocks = _blocks(gammas.size, SIMULATE_BLOCK_MIN)
     for rep in range(cfg.repetitions):
-        parts = _map_blocks(
-            lambda b: simulate(
+
+        def run_block(b: slice) -> tuple[str, np.ndarray]:
+            clicks = simulate(
                 rho, gammas[b], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities, offset=b.start
-            ),
-            blocks,
-        )
-        clicks = ClickArrays(
-            gammas,
-            parts[0].nu_bar,
-            np.concatenate([part.y for part in parts]),
-            np.concatenate([part.noclick for part in parts]),
-            parts[0].n_runs,
-            np.concatenate([part.truncation_leak for part in parts]),
-        )
+            )
+            return io_csv.click_rows(clicks.noclick, b.start), clicks.truncation_leak
+
+        texts, leaks = zip(*_map_blocks(run_block, blocks))
+        leak = np.concatenate(leaks)
         name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
-        io_csv.write_click_csv(out / name, cfg, rep, clicks)
-        worst = int(np.argmax(clicks.truncation_leak))
+        io_csv.write_click_csv(out / name, cfg, rep, texts)
+        worst = int(np.argmax(leak))
         print(
-            f"wrote {out / name} ({gammas.size} points x {clicks.noclick.shape[1]} settings "
-            f"in {_blocks_text(blocks)}; "
-            f"largest truncation leak {clicks.truncation_leak[worst]:.6e} "
-            f"at gamma = {complex(gammas[worst])})"
+            f"wrote {out / name} ({gammas.size} points x {cfg.detectors.n_settings} settings "
+            f"in {_blocks_text(blocks)}; largest truncation leak {leak[worst]:.6e} at gamma = {complex(gammas[worst])})"
         )
     return EXIT_OK
 
@@ -258,6 +250,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recover_rho(args) -> int:
     """rho.csv and metrics.json carry the Wigner file's embedded config."""
+    from .recover import compare_states, integrate_rho  # imported here: no other stage needs it
     cfg = None if args.config is None else _load(args)
     file_cfg, gammas, cols = io_csv.read_wigner_csv(args.wigner)
     if cfg is not None and (file_cfg.trunc.n_trunc != cfg.trunc.n_trunc or file_cfg.state != cfg.state):

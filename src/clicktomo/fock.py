@@ -309,15 +309,16 @@ def displaced_diagonals(rho: DensityMatrix, gammas: np.ndarray, cfg: TruncationC
     psi = np.zeros(cfg.n_pad, dtype=np.complex128)
     for lam_k, vec in zip(lam[keep], vecs.T[keep]):
         psi[: rho.dim] = vec
-        amps = displace(g, psi)
-        diag += lam_k * (amps.real**2 + amps.imag**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as NaN, refused below
+            amps = displace(g, psi)
+            diag += lam_k * (amps.real**2 + amps.imag**2)
     lowest = float(diag.min())
-    if lowest < -NEGATIVE_NOISE_TOL:
-        raise NumericalError(f"displaced diagonal entry {lowest:.3e} below the noise tolerance")
+    if not lowest >= -NEGATIVE_NOISE_TOL:  # NaN too
+        raise NumericalError(f"displaced diagonal entry {lowest:.3e} below the noise tolerance or not a number")
     np.clip(diag, 0.0, None, out=diag)
     totals = diag.sum(axis=1)
     worst = int(np.argmax(totals))
-    if totals[worst] > 1.0 + SUM_TOL:
+    if not totals[worst] <= 1.0 + SUM_TOL:
         raise NumericalError(
             f"displaced diagonal sums to {totals[worst]} > 1 at gamma = {complex(-g[worst])}"
         )

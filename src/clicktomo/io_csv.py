@@ -19,6 +19,7 @@ __all__ = [
     "CLICK_COLUMNS",
     "WIGNER_COLUMNS",
     "RHO_COLUMNS",
+    "click_rows",
     "write_click_csv",
     "read_click_csv",
     "write_wigner_csv",
@@ -39,12 +40,12 @@ _CONFIG_BEGIN = "# config-begin"
 _CONFIG_END = "# config-end"
 
 
-def _indexed_rows(values: np.ndarray):
-    """``i,j,v_0,...`` rows of an (I, J, K) table, one ``str.format`` per i on a prebuilt J-row template."""
+def _indexed_rows(values: np.ndarray, start: int = 0):
+    """``i,j,v_0,...`` rows of an (I, J, K) table from i = ``start``, one ``str.format`` per i on a J-row template."""
     n_i, n_j, n_k = values.shape
     cells = [",".join(f"{{{j * n_k + k + 1}:.17g}}" for k in range(n_k)) for j in range(n_j)]
     template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
-    return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist()))
+    return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist(), start))
 
 
 def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "dict | None" = None) -> None:
@@ -98,13 +99,18 @@ def embedded_config(path) -> str:
     return _split_file(path)[0]
 
 
-def write_click_csv(path, cfg: RunConfig, repetition: int, clicks: ClickArrays) -> None:
+def click_rows(noclick: np.ndarray, start: int = 0) -> str:
+    """The rows of the (P, M) counts ``noclick`` of points ``start``, ``start + 1``, ..., as one text."""
+    return "\n".join(_indexed_rows(np.asarray(noclick, dtype=float)[:, :, None], start))
+
+
+def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str]") -> None:
     """Counts only: one ``point_index,setting_index,n_noclick`` row per record, point-major.
 
+    ``blocks`` are the :func:`click_rows` texts of consecutive point blocks.
     The embedded config fixes every other field of a record, so none is stored.
     """
-    rows = _indexed_rows(np.asarray(clicks.noclick, dtype=float)[:, :, None])
-    _write_table(path, cfg, CLICK_COLUMNS, rows, {"repetition": repetition, "format": CLICK_FORMAT})
+    _write_table(path, cfg, CLICK_COLUMNS, blocks, {"repetition": repetition, "format": CLICK_FORMAT})
 
 
 def _read_table(

@@ -8,29 +8,25 @@ import math
 import numpy as np
 import pytest
 
-from clicktomo import (
-    DetectorPair,
-    EMConfig,
-    PhaseGrid,
-    SingleDetectorRecipe,
+from clicktomo.em import EMConfig, run_em_batch
+from clicktomo.fock import (
     TruncationConfig,
-    WignerEstimate,
-    binomial_counts,
     coherent_state,
-    coherent_wigner,
-    compare_states,
-    delta_w,
     density_from_pure,
-    derive_settings,
     displace,
-    exact_wigner_map,
     fock_state,
-    homogeneous_efficiencies,
-    integrate_rho,
-    no_click_probabilities,
-    run_em_batch,
     squeezed_vacuum,
 )
+from clicktomo.measurement import (
+    DetectorPair,
+    SingleDetectorRecipe,
+    binomial_counts,
+    derive_settings,
+    homogeneous_efficiencies,
+    no_click_probabilities,
+)
+from clicktomo.recover import compare_states, integrate_rho
+from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, delta_w, exact_wigner_map
 from clicktomo.config import dump_config, parse_config
 
 from oracles import poisson_pmf, wigner_scan

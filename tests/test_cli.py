@@ -15,7 +15,7 @@ import pytest
 
 from clicktomo import cli, io_csv
 from clicktomo.cli import main
-from clicktomo.config import build_state, parse_config
+from clicktomo.config import build_recipe, build_state, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
@@ -551,6 +551,19 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, edit):
     assert not (tmp_path / "clicks.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--exact"], []], ids=["exact", "sampled"])
+def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, capsys, flags):
+    # nodes at |gamma|^2 = 56.5, within n_pad/2 = 200, overflow the displacement's power
+    # tables to NaN: reported, with no warning (an error here) and no file
+    path = tmp_path / "run.ini"
+    text = SMALL.replace("n_trunc = 12", "n_trunc = 12\nn_pad = 400")
+    path.write_text(text.replace("re_min = -0.5\nre_max = 1.5", "re_min = -15\nre_max = 15"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path), *flags]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: displaced diagonal entry nan") and err.count("\n") == 1
+    assert not (tmp_path / "clicks.csv").exists()
+
+
 def test_schedule_that_cannot_be_built_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "run.ini"
     path.write_text(SMALL.replace("alpha = 0.15", "alpha = 0"))
@@ -577,13 +590,14 @@ def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, ed
 def test_cli_import_loads_no_scipy():
     # nor a process or thread pool: point blocks run in children forked with os.fork,
     # and importing multiprocessing or concurrent.futures would slow every stage; nor
-    # dataclasses, logging or json, which every stage would pay for at start-up
+    # dataclasses, logging or json, which every stage would pay for at start-up; nor
+    # clicktomo.recover, which only recover-rho uses
     src = str(Path(io_csv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     refused = ("scipy", "multiprocessing", "dataclasses", "logging", "json")
     probe = (
-        f"import sys, clicktomo.cli; print(sorted(m for m in sys.modules"
-        f" if m.split('.')[0] in {refused!r} or m.startswith('concurrent.futures')))"
+        f"import sys, clicktomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {refused!r}"
+        f" or m.startswith('concurrent.futures') or m == 'clicktomo.recover'))"
     )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
@@ -1024,6 +1038,28 @@ def test_outputs_do_not_depend_on_the_cpu_count(
         assert run_stage(["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES})
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys, small_blocks):
+    # every block formats its own rows, for each repetition
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL) + "repetitions = 2\n")
+    run_cfg = parse_config(wide(SMALL))
+    rho, gammas, recipe = build_state(run_cfg), run_cfg.grid.flat_gammas(), build_recipe(run_cfg)
+    names = ("clicks_rep0.csv", "clicks_rep1.csv")
+    files = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count(f" settings in {cpus} block") == 2
+        files.append([(out / name).read_bytes() for name in names])
+        for rep, name in enumerate(names):
+            _, read_rep, clicks = io_csv.read_click_csv(out / name)
+            whole = simulate(rho, gammas, recipe, run_cfg.trunc, run_cfg.n_runs, run_cfg.seed, rep, exact=False)
+            assert read_rep == rep and clicks.noclick.tolist() == whole.noclick.tolist()
+    assert files[0] == files[1] == files[2]
+    assert files[0][0] != files[0][1]
 
 
 FAULTY_POINT = 600  # in the last block for 2 and for 3 CPUs, never in this process's

@@ -8,17 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clicktomo import (
-    DetectorPair,
-    EMConfig,
-    PhaseGrid,
-    TruncationConfig,
-    WignerEstimate,
-    coherent_state,
-    density_from_pure,
-    displaced_diagonals,
-    simulate,
-)
+from clicktomo.em import EMConfig, NORMALIZATION_MODES
+from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, displaced_diagonals
+from clicktomo.measurement import DetectorPair, SingleDetectorRecipe, complex_array, derive_settings, simulate
+from clicktomo.wigner import PhaseGrid, WignerEstimate
 from clicktomo.config import (
     analytic_wigner_fn,
     build_recipe,
@@ -26,10 +19,14 @@ from clicktomo.config import (
     dump_config,
     parse_config,
 )
-from clicktomo.em import NORMALIZATION_MODES
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
-from clicktomo.measurement import SingleDetectorRecipe, complex_array, derive_settings
+
+
+def write_clicks(path, cfg, repetition, clicks):
+    """A click file holding ``clicks`` as one block of rows."""
+    io_csv.write_click_csv(path, cfg, repetition, [io_csv.click_rows(clicks.noclick)])
+
 
 BASE = """
 [state]
@@ -296,7 +293,7 @@ class TestClickCsv:
         cfg = parse_config(BASE)
         clicks = self._records(cfg)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, clicks)
+        write_clicks(path, cfg, 0, clicks)
         cfg2, rep, back = io_csv.read_click_csv(path)
         assert cfg2 == cfg and rep == 0
         assert back.gammas.size == clicks.gammas.size
@@ -308,13 +305,13 @@ class TestClickCsv:
     def test_embedded_config_extraction(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, 0, self._records(cfg))
         assert io_csv.embedded_config(path) == dump_config(cfg)
 
     def test_malformed_row_names_line(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, 0, self._records(cfg))
         lines = path.read_text().splitlines()
         lines[len(lines) - 1] = "oops"
         path.write_text("\n".join(lines) + "\n")
@@ -327,7 +324,7 @@ class TestClickCsv:
         # every line after the column names is a data row, so a header line there is not read as one
         cfg = parse_config(BASE)
         path = tmp_path / "clicks_rep1.csv"
-        io_csv.write_click_csv(path, cfg, 1, self._records(cfg))
+        write_clicks(path, cfg, 1, self._records(cfg))
         lines = path.read_text().splitlines()
         n_head = lines.index(",".join(io_csv.CLICK_COLUMNS)) + 1
         at = len(lines) if where is None else n_head + where
@@ -339,7 +336,7 @@ class TestClickCsv:
     def test_header_after_rows_rejected(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, 0, self._records(cfg))
         lines = path.read_text().splitlines()
         n_head = lines.index(",".join(io_csv.CLICK_COLUMNS))
         path.write_text("\n".join(lines[n_head:] + lines[:n_head]) + "\n")
@@ -349,7 +346,7 @@ class TestClickCsv:
     def test_header_line_that_is_not_key_value_rejected(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, 0, self._records(cfg))
         text = path.read_text().replace("# config-end\n", "# config-end\n# a note\n")
         path.write_text(text)
         with pytest.raises(DataError, match="header line '# a note' is not '# key = value'"):
@@ -359,7 +356,7 @@ class TestClickCsv:
         # format 1 had no format line and stored every derived field per row
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, 0, self._records(cfg))
         head = [line for line in path.read_text().splitlines() if line[:1] == "#" and line != "# format = 2"]
         columns = "point_index,re_gamma,im_gamma,alpha,re_beta,im_beta,nu_c,nu_d,nu_bar,y,n_runs,n_noclick"
         row = "0,-0.7375,-0.7375,0.15,4.9,4.9,0.1,0,0.0978,0,500,480"
@@ -384,7 +381,7 @@ def click_bytes(tmp_path_factory):
         cfg.n_runs, cfg.seed, 0, exact=False,
     )
     path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
-    io_csv.write_click_csv(path, cfg, 0, clicks)
+    write_clicks(path, cfg, 0, clicks)
     return path.read_bytes()
 
 

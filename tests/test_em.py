@@ -7,24 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clicktomo import (
-    DensityMatrix,
+from clicktomo.em import EMConfig, _loglik_rows, run_em_batch
+from clicktomo.fock import DensityMatrix, TruncationConfig, coherent_state, density_from_pure
+from clicktomo.measurement import (
     DetectorPair,
-    EMConfig,
-    TruncationConfig,
-    coherent_state,
     DualDetectorRecipe,
-    density_from_pure,
     derive_settings,
+    no_click_powers,
     no_click_probabilities,
-    run_em_batch,
     simulate,
 )
 from clicktomo import cli
 from clicktomo import em as em_module
 from clicktomo.config import build_recipe, build_state, load_config
-from clicktomo.em import _loglik_rows
-from clicktomo.measurement import no_click_powers
 
 from oracles import em_batch_reference, poisson_pmf
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clicktomo import (
+from clicktomo.fock import (
     DensityMatrix,
     TruncationConfig,
     coherent_state,
@@ -13,11 +13,11 @@ from clicktomo import (
     displace,
     displaced_diagonals,
     fock_state,
+    log_factorials,
     squeezed_vacuum,
-    wigner_from_values,
 )
+from clicktomo.wigner import wigner_from_values
 from clicktomo.errors import NumericalError
-from clicktomo.fock import log_factorials
 
 from oracles import (
     coherent_amps_direct,

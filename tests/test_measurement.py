@@ -2,19 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from clicktomo import (
+from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, fock_state
+from clicktomo.measurement import (
     DetectorPair,
-    TruncationConfig,
-    coherent_state,
-    density_from_pure,
     DualDetectorRecipe,
     SingleDetectorRecipe,
     binomial_counts,
     derive_settings,
-    fock_state,
     homogeneous_efficiencies,
     no_click_probabilities,
     simulate,
@@ -331,6 +329,25 @@ class TestKeyedBinomial:
             got = binomial_counts(10_000, p, key, offset)
             ref = [np.random.default_rng(key + (offset + i,)).binomial(10_000, row) for i, row in enumerate(p)]
             assert got.tolist() == np.array(ref).tolist()
+
+
+# offsets just below 2**32 and 2**64, where the row index gains a uint32 word within one call
+OFFSETS = st.sampled_from([2**32, 2**64]).flatmap(lambda edge: st.integers(edge - 6, edge - 1)) | st.integers(0, 2**70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.lists(st.integers(0, 2**70), min_size=1, max_size=6).map(tuple),
+    offset=OFFSETS,
+    probs=arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 4)), elements=st.floats(0.0, 1.0)),
+    n_runs=st.integers(0, 10**6),
+)
+@example(key=(1,), offset=2**32 - 2, probs=np.zeros((0, 3)), n_runs=10)
+def test_binomial_counts_match_default_rng_bit_for_bit(key, offset, probs, n_runs):
+    got = binomial_counts(n_runs, probs, key, offset)
+    ref = [np.random.default_rng(key + (offset + i,)).binomial(n_runs, row).tolist() for i, row in enumerate(probs)]
+    assert got.dtype == np.int64 and got.shape == probs.shape
+    assert got.tolist() == ref
 
 
 # real parts with both signed zeros among them

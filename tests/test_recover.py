@@ -4,21 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clicktomo import (
-    PhaseGrid,
+from clicktomo.fock import (
     TruncationConfig,
-    WignerEstimate,
     coherent_state,
-    coherent_wigner,
-    compare_states,
     density_from_pure,
     displace,
-    exact_wigner_map,
     fock_state,
-    integrate_rho,
     squeezed_vacuum,
-    squeezed_wigner,
 )
+from clicktomo.recover import compare_states, integrate_rho
+from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, exact_wigner_map, squeezed_wigner
 from clicktomo.config import build_state, load_config
 
 from oracles import displacement_expm, dmn_kernel as dmn_kernel_reference

@@ -3,30 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from clicktomo import (
-    EMConfig,
-    PhaseGrid,
-    SingleDetectorRecipe,
+from clicktomo import io_csv
+from clicktomo.em import EMConfig
+from clicktomo.fock import (
     TruncationConfig,
-    WignerEstimate,
     coherent_state,
-    coherent_wigner,
-    delta_w,
     density_from_pure,
     displaced_diagonals,
-    exact_wigner_map,
     fock_state,
-    fock_wigner,
-    homogeneous_efficiencies,
-    io_csv,
-    simulate,
     squeezed_vacuum,
+)
+from clicktomo.measurement import SingleDetectorRecipe, homogeneous_efficiencies, simulate
+from clicktomo.wigner import (
+    PhaseGrid,
+    WignerEstimate,
+    coherent_wigner,
+    delta_w,
+    exact_wigner_map,
+    fock_wigner,
+    laguerre,
+    reconstruct_clicks,
     squeezed_wigner,
     wigner_from_values,
 )
 from clicktomo.cli import main
 from clicktomo.errors import DataError
-from clicktomo.wigner import laguerre, reconstruct_clicks
 
 from oracles import wigner_scan
 
@@ -181,7 +182,7 @@ class TestReconstructClicks:
     def test_batched_read_off_matches_the_per_point_sum(self, failing):
         # W comes from one batched dot over every point; it must agree with the
         # per-point sum to rounding, and failed points must read NaN
-        from clicktomo import DetectorPair, DualDetectorRecipe
+        from clicktomo.measurement import DetectorPair, DualDetectorRecipe
 
         rho = density_from_pure(coherent_state(0.3 if failing else 1.0, CFG))
         if failing:  # far nodes sit at e^y below the floor, as in TestScanFailures
@@ -200,7 +201,7 @@ class TestScanFailures:
     def test_failed_points_recorded_and_scan_continues(self):
         # nearly equal efficiencies need a huge probe; far nodes then sit at
         # e^y below the floor and collapse, near nodes still reconstruct
-        from clicktomo import DetectorPair, DualDetectorRecipe
+        from clicktomo.measurement import DetectorPair, DualDetectorRecipe
 
         recipe = DualDetectorRecipe(
             detectors=DetectorPair(0.4, 0.5), angles=tuple(np.linspace(0.3, 1.2, 14))
