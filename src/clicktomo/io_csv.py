@@ -104,7 +104,7 @@ def click_rows(noclick: np.ndarray, start: int = 0) -> str:
     return "\n".join(_indexed_rows(np.asarray(noclick, dtype=float)[:, :, None], start))
 
 
-def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str]") -> None:
+def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str] | tuple[str, ...]") -> None:
     """Counts only: one ``point_index,setting_index,n_noclick`` row per record, point-major.
 
     ``blocks`` are the :func:`click_rows` texts of consecutive point blocks.
