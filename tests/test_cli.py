@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -587,20 +588,109 @@ def test_recover_rho_rejects_another_runs_config(small_cfg, tmp_path, capsys, ed
     assert not (out / "rho.csv").exists()
 
 
+def src_env(**changes) -> dict:
+    """This process's environment with the package's source first on PYTHONPATH, then ``changes``
+    (a value of None removes its variable)."""
+    src = str(Path(io_csv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(changes)
+    return {key: value for key, value in env.items() if value is not None}
+
+
 def test_cli_import_loads_no_scipy():
     # nor a process or thread pool: point blocks run in children forked with os.fork,
     # and importing multiprocessing or concurrent.futures would slow every stage; nor
     # dataclasses, logging or json, which every stage would pay for at start-up; nor
     # clicktomo.recover, which only recover-rho uses
-    src = str(Path(io_csv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     refused = ("scipy", "multiprocessing", "dataclasses", "logging", "json")
     probe = (
         f"import sys, clicktomo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {refused!r}"
         f" or m.startswith('concurrent.futures') or m == 'clicktomo.recover'))"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_main_leaves_the_collector_as_it_found_it(small_cfg, tmp_path):
+    # only the process entry freezes the heap, so tests and in-process chains never get a frozen one
+    probe = (
+        "import gc, sys, clicktomo.cli; code = clicktomo.cli.main(sys.argv[1:]);"
+        " print(code, gc.isenabled(), gc.get_freeze_count())"
+    )
+    argv = [sys.executable, "-c", probe, "simulate", "--config", str(small_cfg), "--out", str(tmp_path)]
+    result = subprocess.run(argv, env=src_env(), capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "0 True 0"
+
+
+@pytest.mark.parametrize("status", [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERICAL])
+def test_run_freezes_the_heap_once_main_returns(monkeypatch, status):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or status)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert events == ["main", "freeze"]
+    assert exc.value.code == status
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"clicktomo": "clicktomo.cli:run"}
+
+
+def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
+    names = ("clicks.csv", "wigner.csv", "rho.csv", "metrics.json")
+    written = {}
+    for side in ("process", "main"):
+        out = tmp_path / side
+        chain = [
+            ["simulate", "--config", str(small_cfg), "--out", str(out)],
+            ["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)],
+            ["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)],
+        ]
+        for argv in chain:
+            if side == "process":
+                stage = subprocess.run([sys.executable, "-m", "clicktomo", *argv], env=src_env(), capture_output=True)
+                code = stage.returncode
+            else:
+                code = main(argv)
+            assert code == 0, (side, argv[0])
+        written[side] = {name: (out / name).read_bytes() for name in names}
+    assert written["process"] == written["main"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "command, copies", [("report", 1), ("recover-rho", 1), ("report", 200)],
+    ids=["report", "recover-rho", "report-long"],
+)
+def test_a_closed_standard_output_is_one_io_error_line(small_wigner, tmp_path, command, copies, unbuffered):
+    # block-buffered, a short output fails only in the final flush (once exit 120 and a traceback at
+    # shutdown); 200 rows of report overflow the buffer, so their write fails inside main, and the
+    # final flush must not report it again
+    wigner = [str(small_wigner)] * copies
+    argv = [sys.executable, "-m", "clicktomo", command, "--wigner", *wigner, "--out", str(tmp_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            argv, stdout=write_end, stderr=subprocess.PIPE, env=src_env(PYTHONUNBUFFERED=unbuffered), text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr.endswith("I/O error: [Errno 32] Broken pipe\n")
+    assert result.stderr.count("Broken pipe") == 1, result.stderr
+
+
+def test_a_process_started_without_standard_output_exits_0(small_wigner, tmp_path):
+    # a process started with fd 1 closed has sys.stdout None, and print writes nothing
+    argv = [sys.executable, "-m", "clicktomo", "report", "--wigner", str(small_wigner), "--out", str(tmp_path)]
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=src_env(), capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(
