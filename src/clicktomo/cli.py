@@ -40,7 +40,7 @@ EXIT_NUMERICAL = 4
 
 # A forked block costs 5-10 ms (fork, copy-on-write faults, pickling), so it needs
 # enough points: 256 for the EM, 1024 for simulate, whose forward model, counts and
-# row formatting take 30-45 us a point on the shipped configs
+# row formatting take 17-21 us a point on the shipped configs
 EM_BLOCK_MIN = 256
 SIMULATE_BLOCK_MIN = 1024
 # Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical

@@ -42,8 +42,8 @@ __all__ = [
 
 STATE_KINDS = ("coherent", "squeezed", "fock")
 DETECTOR_MODES = ("single", "dual")
-# numpy draws the binomial counts as 64-bit integers
-MAX_RUNS = 2**63 - 1
+# counts pass through float64 (the EM, the click reader), exact up to 2**53
+MAX_RUNS = 2**53
 NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 
@@ -215,7 +215,7 @@ def parse_config(text: str) -> RunConfig:
         if run[key] < 1:
             raise ConfigError(f"[run] {key} must be positive")
     if run["n_runs"] > MAX_RUNS:
-        raise ConfigError(f"[run] n_runs = {run['n_runs']} exceeds 2**63 - 1 = {MAX_RUNS}")
+        raise ConfigError(f"[run] n_runs = {run['n_runs']} exceeds 2**53 = {MAX_RUNS}")
     for key in ("n_iterations", "seed"):
         if run[key] < 0:
             raise ConfigError(f"[run] {key} must be non-negative")

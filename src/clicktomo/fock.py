@@ -231,10 +231,10 @@ def displacement_coefficients(dim: int) -> np.ndarray:
 
 
 def power_table(z: np.ndarray, dim: int) -> np.ndarray:
-    """(P, dim) powers z_p^j for j < dim, by cumulative products."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1, 1)
-    out = np.ones((z.shape[0], dim), dtype=np.complex128)
-    np.cumprod(np.broadcast_to(z, (z.shape[0], dim - 1)), axis=1, out=out[:, 1:])
+    """(dim, P) powers z_p^j for j < dim, component-major, by cumulative products."""
+    z = np.asarray(z, dtype=np.complex128).ravel()
+    out = np.ones((dim, z.size), dtype=np.complex128)
+    np.cumprod(np.broadcast_to(z, (dim - 1, z.size)), axis=0, out=out[1:])
     return out
 
 
@@ -268,26 +268,36 @@ def displace(gammas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     factors exactly into D = e^{-|g|^2/2} L U, with L[k+d, k] = g^d c[d, k]
     and U[k, k+d] = (-g*)^d c[d, k] from :func:`displacement_coefficients`.
     Each factor is applied one diagonal offset d at a time, as one
-    (P, dim - d) multiply-add, so no (P, dim, dim) array is built.
+    (dim - d, P) multiply-add on component-major arrays (the points on the
+    contiguous axis), so no (P, dim, dim) array is built.  numpy's complex
+    multiply takes a fused or a plain loop by its operands' strides, so one
+    point runs as two copies of itself, the two-column rule: alone, it would
+    round differently in the last bit than in a batch.
 
     Every |gamma|^2 must be at most dim / 2, otherwise the displaced vacuum
     itself would not fit the basis (see :func:`displacement_r2`).
     """
     g = np.asarray(gammas, dtype=np.complex128).ravel()
     v = np.asarray(vectors, dtype=np.complex128)
-    dim = v.shape[-1]
+    dim, n_points = v.shape[-1], g.size
     r2 = displacement_r2(g, dim)
-    coeff = displacement_coefficients(dim)
-    up = np.array(np.broadcast_to(v, (g.size, dim)))
+    if n_points == 1:  # the two-column rule
+        g, r2, v = np.repeat(g, 2), np.repeat(r2, 2), v if v.ndim == 1 else np.repeat(v, 2, axis=0)
+    coeff = displacement_coefficients(dim)[:, :, None]
+    vt = np.ascontiguousarray(v.T) if v.ndim == 2 else v[:, None]
+    up = np.array(np.broadcast_to(vt, (dim, g.size)))
+    term = np.empty_like(up)  # each offset's product, pow * (coeff * x): the operand order fixes the rounding
     pow_mg = power_table(-np.conj(g), dim)
     for d in range(1, dim):
-        up[:, : dim - d] += pow_mg[:, d, None] * (coeff[d, : dim - d] * v[..., d:])
+        np.multiply(pow_mg[d], coeff[d, : dim - d] * vt[d:], out=term[: dim - d])
+        up[: dim - d] += term[: dim - d]
     out = up.copy()
     pow_g = power_table(g, dim)
     for d in range(1, dim):
-        out[:, d:] += pow_g[:, d, None] * (coeff[d, : dim - d] * up[:, : dim - d])
-    out *= np.exp(-0.5 * r2)[:, None]
-    return out
+        np.multiply(pow_g[d], coeff[d, : dim - d] * up[: dim - d], out=term[: dim - d])
+        out[d:] += term[: dim - d]
+    out *= np.exp(-0.5 * r2)
+    return out.T[:n_points]
 
 
 def displaced_diagonals(rho: DensityMatrix, gammas: np.ndarray, cfg: TruncationConfig) -> np.ndarray:

@@ -41,11 +41,13 @@ _CONFIG_END = "# config-end"
 
 
 def _indexed_rows(values: np.ndarray, start: int = 0):
-    """``i,j,v_0,...`` rows of an (I, J, K) table from i = ``start``, one ``str.format`` per i on a J-row template."""
+    """``i,j,v_0,...`` rows of an (I, J, K) table from i = ``start``, one ``str.format`` per i on a J-row template;
+    integers are written as integers, floats with 17 significant digits."""
     n_i, n_j, n_k = values.shape
-    cells = [",".join(f"{{{j * n_k + k + 1}:.17g}}" for k in range(n_k)) for j in range(n_j)]
+    spec = "" if values.dtype.kind in "iu" else ":.17g"
+    cells = [",".join(f"{{{j * n_k + k + 1}{spec}}}" for k in range(n_k)) for j in range(n_j)]
     template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
-    return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist(), start))
+    return (template.format(i, *row.tolist()) for i, row in enumerate(values.reshape(n_i, -1), start))
 
 
 def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "dict | None" = None) -> None:
@@ -100,8 +102,8 @@ def embedded_config(path) -> str:
 
 
 def click_rows(noclick: np.ndarray, start: int = 0) -> str:
-    """The rows of the (P, M) counts ``noclick`` of points ``start``, ``start + 1``, ..., as one text."""
-    return "\n".join(_indexed_rows(np.asarray(noclick, dtype=float)[:, :, None], start))
+    """Rows of the (P, M) counts ``noclick`` (int64 if sampled) of points ``start``, ``start + 1``, ..., as one text."""
+    return "\n".join(_indexed_rows(np.asarray(noclick)[:, :, None], start))
 
 
 def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str] | tuple[str, ...]") -> None:

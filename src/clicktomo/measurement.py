@@ -170,7 +170,8 @@ Recipe = SingleDetectorRecipe | DualDetectorRecipe
 class ClickArrays(NamedTuple):
     """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` and ``noclick`` (P, M).
 
-    In exact mode ``noclick`` holds the expected counts ``p * n_runs``.
+    Sampled counts are the int64 that were drawn; in exact mode ``noclick``
+    holds the expected counts ``p * n_runs``.
     ``truncation_leak`` (P,) is each point's 1 - sum_{n < n_trunc} R_n(gamma),
     the mass the EM's retained block cannot hold: known to :func:`simulate`,
     None for clicks read from a file.  Compared by identity.
@@ -315,6 +316,6 @@ def simulate(
         noclick = probs * n_runs
     else:
         key = _seed_key(seed) + (int(repetition),)
-        noclick = binomial_counts(int(n_runs), probs, key, offset).astype(float)
+        noclick = binomial_counts(int(n_runs), probs, key, offset)
     leak = 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)
     return ClickArrays(g, sched.nu_bar, sched.y, noclick, int(n_runs), leak)

@@ -70,8 +70,10 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
         raise DataError("Wigner map holds no finite values")
 
     b = 2.0 * gammas
-    weighted = (w * np.exp(-0.5 * np.abs(b) ** 2))[:, None] * power_table(b, n_trunc)
-    moments = weighted.T @ power_table(-np.conj(b), n_trunc)
+    # (P, n_trunc) copies of the component-major tables: the moment product keeps its operand layout
+    pow_b, pow_mb = (np.ascontiguousarray(power_table(z, n_trunc).T) for z in (b, -np.conj(b)))
+    weighted = (w * np.exp(-0.5 * np.abs(b) ** 2))[:, None] * pow_b
+    moments = weighted.T @ pow_mb
     coeff = displacement_coefficients(n_trunc)
     raw = np.zeros((n_trunc, n_trunc), dtype=complex)
     for l in range(n_trunc):

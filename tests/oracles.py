@@ -7,8 +7,10 @@ probabilities from beam-splitter output amplitudes in closed form.  The
 exceptions are ``wigner_scan`` (a grid map through the package's own
 simulate-and-reconstruct path, for the pipeline tests), the block of dense
 displacement functions at the end (the per-point code the batched kernel
-replaced, kept as its reference) and the block of scalar schedule builders
-the array derivation replaced.
+replaced, kept as its reference), the row-major displacement kernel and
+row formatter that the component-major kernel and the integer click rows
+replaced, and the block of scalar schedule builders the array derivation
+replaced.
 """
 import math
 from collections import namedtuple
@@ -24,6 +26,8 @@ from clicktomo.fock import (
     SUM_TOL,
     DensityMatrix,
     TruncationConfig,
+    displacement_coefficients,
+    displacement_r2,
     log_factorials,
 )
 from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, simulate
@@ -275,6 +279,46 @@ def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
         total += math.exp(log_coeff) * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
     out = np.exp(-0.5 * np.abs(g) ** 2) * total
     return complex(out[0]) if scalar else out
+
+
+# Row-major references: the (P, dim) displacement kernel and the float-only
+# row formatter that ``fock.displace`` (component-major) and
+# ``io_csv._indexed_rows`` (integers as integers, one point at a time)
+# replaced, kept verbatim to pin the new code bit for bit and byte for byte.
+def _power_table_row_major(z: np.ndarray, dim: int) -> np.ndarray:
+    """(P, dim) powers z_p^j for j < dim, by cumulative products."""
+    z = np.asarray(z, dtype=np.complex128).reshape(-1, 1)
+    out = np.ones((z.shape[0], dim), dtype=np.complex128)
+    np.cumprod(np.broadcast_to(z, (z.shape[0], dim - 1)), axis=1, out=out[:, 1:])
+    return out
+
+
+def displace_row_major(gammas: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """D(gamma_p) applied to vectors[p] (or one shared vector), as a (P, dim) array, one
+    (P, dim - d) multiply-add per diagonal offset d of the triangular factors."""
+    g = np.asarray(gammas, dtype=np.complex128).ravel()
+    v = np.asarray(vectors, dtype=np.complex128)
+    dim = v.shape[-1]
+    r2 = displacement_r2(g, dim)
+    coeff = displacement_coefficients(dim)
+    up = np.array(np.broadcast_to(v, (g.size, dim)))
+    pow_mg = _power_table_row_major(-np.conj(g), dim)
+    for d in range(1, dim):
+        up[:, : dim - d] += pow_mg[:, d, None] * (coeff[d, : dim - d] * v[..., d:])
+    out = up.copy()
+    pow_g = _power_table_row_major(g, dim)
+    for d in range(1, dim):
+        out[:, d:] += pow_g[:, d, None] * (coeff[d, : dim - d] * up[:, : dim - d])
+    out *= np.exp(-0.5 * r2)[:, None]
+    return out
+
+
+def indexed_rows_float(values: np.ndarray, start: int = 0):
+    """``i,j,v_0,...`` rows of an (I, J, K) table from i = ``start``, every value as a float with ``.17g``."""
+    n_i, n_j, n_k = values.shape
+    cells = [",".join(f"{{{j * n_k + k + 1}:.17g}}" for k in range(n_k)) for j in range(n_j)]
+    template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
+    return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist(), start))
 
 
 # Scalar schedule references: the per-setting objects and builders that the

@@ -452,6 +452,7 @@ SCHEDULE_EDITS = {
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
     "fractional_runs": (_header("n_runs", 400.5), "[run] n_runs: cannot parse '400.5' as int"),
     "runs_above_int64": (_header("n_runs", 10**29), f"embedded config: [run] n_runs = {10**29} exceeds"),
+    "runs_above_2_53": (_header("n_runs", 2**53 + 1), f"embedded config: [run] n_runs = {2**53 + 1} exceeds 2**53"),
     "grid_beyond_n_pad": (
         _header("re_max", 7.0),
         "embedded config: [grid] |gamma|^2 = 26.515624999999996 at gamma = (5.125-0.5j) exceeds n_pad/2 = 22.0",
@@ -505,7 +506,12 @@ RUNS_THAT_DO_NOT_FIT = {
     ),
     "runs_above_int64": (
         ("n_runs = 400", f"n_runs = {10**29}"),
-        f"config error: [run] n_runs = {10**29} exceeds 2**63 - 1 = {2**63 - 1}",
+        f"config error: [run] n_runs = {10**29} exceeds 2**53 = {2**53}",
+    ),
+    # counts pass through float64, which holds every integer up to 2**53 and no further
+    "runs_above_2_53": (
+        ("n_runs = 400", f"n_runs = {2**53 + 1}"),
+        f"config error: [run] n_runs = {2**53 + 1} exceeds 2**53 = {2**53}",
     ),
     # the corner with the largest parts has |gamma|^2 = 22.0, but numpy's abs gives
     # 22.00000000000001 at the opposite corner, which simulate then displaces
@@ -533,6 +539,16 @@ def test_run_that_does_not_fit_is_a_config_error(tmp_path, capsys, edit, message
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "clicks.csv").exists()
+
+
+def test_runs_at_the_bound_write_integer_counts(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(SMALL.replace("n_runs = 400", f"n_runs = {2**53}"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    counts = [line.rsplit(",", 1)[1] for line in (tmp_path / "clicks.csv").read_text().split("\n")[-4:-1]]
+    assert all(c.isdigit() and 0 < int(c) <= 2**53 for c in counts), counts
+    cfg, _, clicks = io_csv.read_click_csv(tmp_path / "clicks.csv")
+    assert cfg.n_runs == 2**53 and clicks.noclick[-1, -1] == int(counts[-1])
 
 
 NON_FINITE = {

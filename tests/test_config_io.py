@@ -22,6 +22,8 @@ from clicktomo.config import (
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
 
+from oracles import indexed_rows_float
+
 
 def write_clicks(path, cfg, repetition, clicks):
     """A click file holding ``clicks`` as one block of rows."""
@@ -484,6 +486,51 @@ def test_wigner_csv_floats_survive_bit_for_bit(rows):
     assert same_bits(gammas.real, nodes.real) and same_bits(gammas.imag, nodes.imag)
     for name, want in zip(io_csv.WIGNER_COLUMNS[2:], (w_rec, w_exact, w_variance, loglik)):
         assert same_bits(cols[name], want), name
+
+
+# sampled counts are int64 in [0, n_runs], n_runs <= 2**53, where float64 holds every integer;
+# 10**15 is where they reach 16 digits
+COUNTS = arrays(
+    np.int64,
+    st.tuples(st.integers(1, 5), st.integers(1, 4)),
+    elements=st.one_of(
+        st.integers(0, 2**53), st.sampled_from([0, 1, 2**53 - 1, 2**53]), st.integers(10**15 - 9, 10**15 + 9)
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=COUNTS, start=st.integers(0, 2**40))
+@example(counts=np.array([[0, 2**53], [10**15 - 1, 10**15 + 1]]), start=0)
+def test_integer_click_rows_are_the_float_rows(counts, start):
+    rows = io_csv.click_rows(counts, start)
+    assert rows == "\n".join(indexed_rows_float(counts.astype(float)[:, :, None], start))
+    assert "e" not in rows and "." not in rows
+
+
+def test_counts_above_2_53_would_be_rounded_as_floats():
+    # why n_runs stops at 2**53: the float rows the integer rows replaced round such counts
+    counts = np.array([[2**53 + 1, 10**16 + 1]])
+    assert io_csv.click_rows(counts) == f"0,0,{2**53 + 1}\n0,1,{10**16 + 1}"
+    assert "\n".join(indexed_rows_float(counts.astype(float)[:, :, None])) == f"0,0,{2**53}\n0,1,{10**16}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 2)), elements=st.floats()))
+def test_float_rows_are_unchanged(values):
+    assert list(io_csv._indexed_rows(values, 7)) == list(indexed_rows_float(values, 7))
+    if values.shape[2] == 1:  # exact-mode counts
+        assert io_csv.click_rows(values[:, :, 0], 7) == "\n".join(indexed_rows_float(values, 7))
+
+
+def test_rho_rows_are_unchanged(tmp_path):
+    rng = np.random.default_rng(3)
+    cfg = parse_config(BASE)
+    n = cfg.trunc.n_trunc
+    elements = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    io_csv.write_rho_csv(tmp_path / "rho.csv", cfg, elements)
+    rows = (tmp_path / "rho.csv").read_text().split(",".join(io_csv.RHO_COLUMNS) + "\n")[1]
+    assert rows == "\n".join(indexed_rows_float(np.stack([elements.real, elements.imag], axis=-1))) + "\n"
 
 
 # n_trunc is at least 2

@@ -24,6 +24,7 @@ from oracles import (
     displaced_diagonal_expm,
     displaced_diagonal_padded,
     displacement_expm,
+    displace_row_major,
     poisson_pmf,
     squeezed_amps_direct,
 )
@@ -295,6 +296,22 @@ GAMMAS = st.lists(
 )
 
 
+@st.composite
+def displacements(draw, min_points: int, max_points: int):
+    """(gammas, vectors) of ``min_points`` to ``max_points`` points in 2 to 80 dimensions,
+    |gamma|^2 <= dim / 2, with one vector per point or one vector shared by all."""
+    dim = draw(st.integers(2, 80))
+    n_points = draw(st.integers(min_points, max_points))
+    polar = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi))
+    gammas = np.array(
+        [math.sqrt(u * 0.5 * dim) * 0.999999 * complex(math.cos(t), math.sin(t))
+         for u, t in draw(st.lists(polar, min_size=n_points, max_size=n_points))]
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (dim,) if draw(st.booleans()) else (n_points, dim)
+    return gammas, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestDisplace:
     @settings(max_examples=150, deadline=None)
     @given(rho=STATES, gammas=GAMMAS)
@@ -321,6 +338,25 @@ class TestDisplace:
             assert np.array_equal(displace([g], v)[0], row)
         shared = displace(gammas, vecs[0])
         assert np.array_equal(shared, displace(gammas, np.broadcast_to(vecs[0], vecs.shape)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=displacements(1, 40))
+    def test_a_point_alone_equals_its_row_in_the_batch(self, case):
+        # numpy's complex multiply picks a fused (FMA) loop or a plain one by the operands'
+        # strides; a one-point call runs on two copies of the point, so it takes the batch's loop
+        gammas, vecs = case
+        batch = displace(gammas, vecs)
+        for p, g in enumerate(gammas):
+            assert np.array_equal(displace([g], vecs if vecs.ndim == 1 else vecs[p])[0], batch[p])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=displacements(2, 300))
+    def test_component_major_kernel_equals_the_row_major_one(self, case):
+        # every multiply and add, and its operand order, is the row-major kernel's: writing
+        # (coeff * x) * pow for pow * (coeff * x) changed the bits in every one of 1,000 random
+        # cases, since the fused loop rounds a different product of each complex multiply
+        gammas, vecs = case
+        assert np.array_equal(displace(gammas, vecs), displace_row_major(gammas, vecs))
 
     def test_precondition_names_the_worst_point(self):
         with pytest.raises(ValueError, match=r"\|gamma\|\^2 = 25.0 at gamma = \(3-4j\)"):
