@@ -38,11 +38,11 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# A forked block costs 5-10 ms (fork, copy-on-write faults, pickling), so it needs
-# enough points: 256 for the EM, 1024 for simulate, whose forward model, counts and
-# row formatting take 17-21 us a point on the shipped configs
-EM_BLOCK_MIN = 256
-SIMULATE_BLOCK_MIN = 1024
+# A forked block costs 4-10 ms (fork, copy-on-write faults, pickling), so it needs
+# enough points.  One minimum serves both stages: an EM point costs far more than
+# a simulate point, whose forward model, counts and rows take 17-21 us on the
+# shipped configs, and two simulate blocks of 200-300 points tie with one
+BLOCK_MIN = 256
 # Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical
 # to its rows of the whole batch's (tests try every such cut on the shipped shapes),
 # provided the EM's (M, N) @ (N, P) products are not cut from above BLAS_SMALL
@@ -57,17 +57,17 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _blocks(n_points: int, min_points: int, madds: int = 0) -> list[slice]:
+def _blocks(n_points: int, madds: int = 0) -> list[slice]:
     """Split P points into at most one block per CPU, cut at multiples of BLOCK_ALIGN.
 
-    Every block holds at least ``min_points`` points.  ``madds`` is the
+    Every block holds at least BLOCK_MIN points.  ``madds`` is the
     multiply-adds per point of the stage's products that OpenBLAS computes with
     its small-matrix kernel at or under BLAS_SMALL: no block takes that kernel
     unless the whole batch does.  A process that runs other threads is not
     forked, so it gets one block.
     """
     forkable = hasattr(os, "fork") and threading.active_count() == 1
-    k = max(1, min(_cpu_count(), n_points // min_points)) if forkable else 1
+    k = max(1, min(_cpu_count(), n_points // BLOCK_MIN)) if forkable else 1
     while k > 1 and BLOCK_ALIGN * (n_points // (BLOCK_ALIGN * k)) * madds <= BLAS_SMALL < n_points * madds:
         k -= 1  # the smallest block would cross BLAS_SMALL
     cuts = [BLOCK_ALIGN * (i * n_points // (BLOCK_ALIGN * k)) for i in range(k)] + [n_points]
@@ -171,7 +171,7 @@ def cmd_simulate(args) -> int:
     recipe = build_recipe(cfg)
     gammas = cfg.grid.flat_gammas()
     out = _out_dir(args)
-    blocks = _blocks(gammas.size, SIMULATE_BLOCK_MIN)
+    blocks = _blocks(gammas.size)
     for rep in range(cfg.repetitions):
 
         def run_block(b: slice) -> tuple[str, np.ndarray]:
@@ -219,7 +219,7 @@ def cmd_reconstruct(args) -> int:
             raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
         seen[rep] = path
         n_trunc, n_points = cfg.trunc.n_trunc, clicks.gammas.size
-        blocks = _blocks(n_points, EM_BLOCK_MIN, clicks.nu_bar.size * n_trunc)
+        blocks = _blocks(n_points, clicks.nu_bar.size * n_trunc)
 
         def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])

@@ -11,7 +11,7 @@ and the reader rebuilds the settings from it.
 """
 import numpy as np
 
-from .config import RunConfig, build_recipe, dump_config, parse_config
+from .config import RunConfig, build_recipe, build_state, dump_config, parse_config
 from .errors import ConfigError, DataError
 from .measurement import ClickArrays, complex_array
 
@@ -89,11 +89,17 @@ def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
 
 
 def _parse_embedded(path, config_text: str) -> RunConfig:
-    """The file's own configuration; a broken header is a data error."""
+    """The file's own configuration, whose state and schedule must build; a broken header is a data error."""
     try:
-        return parse_config(config_text)
+        cfg = parse_config(config_text)
+        build_state(cfg)
     except ConfigError as exc:
         raise DataError(f"{path}: embedded config: {exc}") from exc
+    try:
+        build_recipe(cfg)
+    except ConfigError as exc:
+        raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
+    return cfg
 
 
 def embedded_config(path) -> str:

@@ -1,21 +1,24 @@
 """Independent reference implementations used to pin expected test values.
 
-Everything here deliberately avoids the package's own construction paths:
-displacement operators come from a matrix exponential of the truncated
-generator, state amplitudes from direct per-term formulas, and no-click
-probabilities from beam-splitter output amplitudes in closed form.  The
-exceptions are ``wigner_scan`` (a grid map through the package's own
-simulate-and-reconstruct path, for the pipeline tests), the block of dense
-displacement functions at the end (the per-point code the batched kernel
-replaced, kept as its reference), the row-major displacement kernel and
-row formatter that the component-major kernel and the integer click rows
-replaced, and the block of scalar schedule builders the array derivation
-replaced.
+Most of these avoid the package's own construction paths: displacement
+operators come from a matrix exponential of the truncated generator or from
+exact rational coefficients, state amplitudes from direct per-term formulas,
+and no-click probabilities from beam-splitter output amplitudes in closed
+form.  The exceptions are ``wigner_scan`` (a grid map through the package's
+own simulate-and-reconstruct path, for the pipeline tests), the row-major
+displacement kernel, which reads the package's coefficient table so as to pin
+the component-major kernel bit for bit, and the row formatter and the block
+of scalar schedule builders that the integer click rows and the array
+derivation replaced.  The block of dense displacement functions (the
+per-point code the batched kernel replaced) shares no table with the kernel.
 """
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -28,7 +31,6 @@ from clicktomo.fock import (
     TruncationConfig,
     displacement_coefficients,
     displacement_r2,
-    log_factorials,
 )
 from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, simulate
 from clicktomo.wigner import reconstruct_clicks
@@ -170,8 +172,21 @@ def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=Non
 
 # Dense displacement references: the per-point displacement matrix, displaced
 # diagonal and quadrature kernel that the batched ``fock.displace`` replaced,
-# kept verbatim (with the names they use) to cross-check the batched code.
+# kept (with the names they use) to cross-check the batched code.  Their
+# coefficients come from exact rationals, so they share no rounding with it.
 DisplacementMatrix = namedtuple("DisplacementMatrix", "gamma elements")
+
+
+@functools.lru_cache(maxsize=None)
+def exact_coefficients(dim: int) -> np.ndarray:
+    """Read-only coeff[m, k] = sqrt(m!/k!) / (m-k)! = sqrt(C(m, k) / (m-k)!) for k <= m < dim,
+    zero above the diagonal: the square root of each exact rational, correctly rounded twice."""
+    coeff = np.zeros((dim, dim))
+    for m in range(dim):
+        for k in range(m + 1):
+            coeff[m, k] = math.sqrt(Fraction(math.comb(m, k), math.factorial(m - k)))
+    coeff.setflags(write=False)
+    return coeff
 
 
 def _displacement_elements(gamma: complex, dim: int) -> np.ndarray:
@@ -185,24 +200,45 @@ def _displacement_elements(gamma: complex, dim: int) -> np.ndarray:
     factors exactly into a product of two triangular matrices,
     L[m,k] = g^{m-k} sqrt(m!/k!) / (m-k)!  and
     U[k,n] = (-g*)^{n-k} sqrt(n!/k!) / (n-k)!, with the l-sum realised by the
-    matrix product.  Factorials are handled in log space so dimensions of a
-    few hundred stay finite.
+    matrix product.  The coefficients are :func:`exact_coefficients`.
     """
     g = complex(gamma)
     if g == 0:
         return np.eye(dim, dtype=np.complex128)
     idx = np.arange(dim)
-    logfac = log_factorials(dim)
     diff = idx[:, None] - idx[None, :]
     lower = diff >= 0
     dclip = np.where(lower, diff, 0)
-    # coeff[m, k] = sqrt(m!/k!) / (m-k)!  on the lower triangle
-    coeff = np.exp(0.5 * (logfac[:, None] - logfac[None, :]) - logfac[dclip])
+    coeff = exact_coefficients(dim)
     pow_g = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(dim - 1, g))))
     pow_mg = np.concatenate(([1.0 + 0.0j], np.cumprod(np.full(dim - 1, -np.conjugate(g)))))
     lo = np.where(lower, pow_g[dclip] * coeff, 0.0)
     up = np.where(lower, pow_mg[dclip] * coeff, 0.0).T
     return math.exp(-0.5 * abs(g) ** 2) * (lo @ up)
+
+
+def displaced_diagonal_mp(amplitudes: np.ndarray, gamma: complex, digits: int = 60) -> np.ndarray:
+    """R_n = |<n|D(-gamma)|psi>|^2 of the dim-level product, for n < dim = len(amplitudes).
+
+    The matrix elements come from the column recurrence
+    <m|D|0> = g <m-1|D|0> / sqrt(m),
+    <m|D|n> = (-g* <m|D|n-1> + sqrt(m) <m-1|D|n-1>) / sqrt(n)
+    with g = -gamma, in ``digits``-digit arithmetic; only the result is rounded to floats.
+    """
+    with mpmath.workdps(digits):
+        g = -mpmath.mpc(complex(gamma))
+        psi = [mpmath.mpc(complex(a)) for a in amplitudes]
+        dim = len(psi)
+        col = [mpmath.exp(-abs(g) ** 2 / 2)]
+        for m in range(1, dim):
+            col.append(col[-1] * g / mpmath.sqrt(m))
+        out = [c * psi[0] for c in col]
+        for n in range(1, dim):
+            col = [-mpmath.conj(g) * col[0] / mpmath.sqrt(n)] + [
+                (-mpmath.conj(g) * col[m] + mpmath.sqrt(m) * col[m - 1]) / mpmath.sqrt(n) for m in range(1, dim)
+            ]
+            out = [o + c * psi[n] for o, c in zip(out, col)]
+        return np.array([float(abs(o) ** 2) for o in out])
 
 
 def displacement_matrix(gamma: complex, cfg: TruncationConfig) -> DisplacementMatrix:
@@ -271,12 +307,11 @@ def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
     scalar = g.ndim == 0
     g = np.atleast_1d(g)
     total = np.zeros(g.shape, dtype=complex)
-    logfac = log_factorials(max(m, n) + 1)
     for l in range(min(m, n) + 1):
-        log_coeff = (
-            0.5 * (logfac[m] + logfac[n]) - logfac[l] - logfac[m - l] - logfac[n - l]
-        )
-        total += math.exp(log_coeff) * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
+        # sqrt(m! n!) / (l! (m-l)! (n-l)!), from the exact rational
+        den = math.factorial(l) * math.factorial(m - l) * math.factorial(n - l)
+        coeff = math.sqrt(Fraction(math.factorial(m) * math.factorial(n), den * den))
+        total += coeff * g ** (m - l) * (-np.conjugate(g)) ** (n - l)
     out = np.exp(-0.5 * np.abs(g) ** 2) * total
     return complex(out[0]) if scalar else out
 

@@ -588,6 +588,50 @@ def test_schedule_that_cannot_be_built_is_a_config_error(tmp_path, capsys):
     assert "config error: [detectors] mode = single: alpha = 0.0 is degenerate" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def narrow_chain(tmp_path_factory):
+    """clicks.csv and wigner.csv of the SMALL run at n_trunc = 4, where n_pad/2 = 14."""
+    out = tmp_path_factory.mktemp("narrow")
+    cfg = out / "run.ini"
+    cfg.write_text(SMALL.replace("n_trunc = 12", "n_trunc = 4"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+    return out
+
+
+# a header edit -> (the key it sets, the error it must raise)
+HEADERS_THAT_DO_NOT_BUILD = {
+    "state": (("re_amplitude", 9), "embedded config: [state] kind = coherent: |amplitude|^2 = 81.000 exceeds"),
+    "schedule": (
+        ("alpha", 0),
+        "embedded config declares no valid schedule: [detectors] mode = single: alpha = 0.0 is degenerate",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key_value, message", HEADERS_THAT_DO_NOT_BUILD.values(), ids=HEADERS_THAT_DO_NOT_BUILD.keys()
+)
+@pytest.mark.parametrize(
+    "name, command",
+    [("clicks.csv", "reconstruct --records"), ("wigner.csv", "recover-rho --wigner"), ("wigner.csv", "report --wigner")],
+    ids=["click-reconstruct", "wigner-recover-rho", "wigner-report"],
+)
+def test_a_header_whose_state_or_schedule_does_not_build_is_a_data_error(
+    narrow_chain, tmp_path, capsys, name, command, key_value, message
+):
+    # every reader builds the embedded run's state and schedule, as simulate does
+    lines = (narrow_chain / name).read_text().splitlines()
+    n_head = sum(1 for line in lines if line.startswith("#"))
+    head, body = _header(*key_value)(lines[:n_head], lines[n_head:])
+    path = tmp_path / name
+    path.write_text("\n".join(head + body) + "\n")
+    capsys.readouterr()
+    assert main([*command.split(), str(path), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "edit", [("re_amplitude = 1.0", "re_amplitude = 0.5"), ("n_trunc = 12", "n_trunc = 10")],
     ids=["state", "n_trunc"],
@@ -941,28 +985,30 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # (its probabilities moved in the last bits), every rho.csv when the
 # quadrature became one moment matrix, and every wigner.csv and rho.csv when
 # the EM began to normalize once after its last step (w_rec moved by at most
-# 5.7e-16, rho by at most 3.5e-13).  The fock case pins the analytic Laguerre
-# column w_exact.
+# 5.7e-16, rho by at most 3.5e-13), and the exact case and every rho.csv when
+# the displacement coefficients came from their recurrence instead of
+# log-factorials (w_rec moved by at most 1.7e-16, rho by at most 1.2e-12).
+# The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
         "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
         "wigner.csv": "901d4bf69e5859390308ee0723b89c654af63e129c1cb0f3abb011c658c60f36",
-        "rho.csv": "1a1f3d06ca4cb3da9c7e20b961ea5e5fa234f9b76ede893116e6cdc52334b9fb",
+        "rho.csv": "83f10d1a610839963ebc2ebe508cfb8546e711131048133b431b5b3d6df04117",
     }),
     "exact": (SMALL, ["--exact"], {
-        "clicks.csv": "05ebdbbaeb4e13f9b6576e18fbe3283c52491ff261ab927ba9884ee1cb2fbd0a",
-        "wigner.csv": "e0e012e72783991fa4e9bcbed21668162511e0b9dd66c2974cb0b54849ce3fb5",
-        "rho.csv": "d23c3ce90bfeda9625addf1dd2209b34df905e7f38a96abedb4a53929f79f8ed",
+        "clicks.csv": "84d0714f45da2a18c60d7c6d1fa43d1d43f7ae1c505bb4a988a4b47fd35a6e2e",
+        "wigner.csv": "768e69eaacc030ed05e539d1697faead879cb340979fba58e538d329b4872423",
+        "rho.csv": "52c4ff1abf8fd5f4816937cbf7412930066a58966d8e9660c184558a6c512c9b",
     }),
     "dual": (DUAL, [], {
         "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",
         "wigner.csv": "6bd60e5508751b946a648d29e564c8238a2338a96dee8f178fffae5c0d538330",
-        "rho.csv": "98a1c0a5c49d7b8ca10390a6486a96c6e5b451df311eac3bb3dadbebe5be59f8",
+        "rho.csv": "53163798774caad22dbd7daafbaa64ae5b8d1da0aaaf99c51aef5f9ea802282d",
     }),
     "fock": (FOCK, [], {
         "clicks.csv": "8f86cbb518de3aeb4fa37c5d66f3a0760d48f7a9f86e46bd7e01f0aa8405dc56",
         "wigner.csv": "b9abab37118ad3813f21981ac0f111b750b7aaa877ec6a8840bb1849cd75fe1e",
-        "rho.csv": "b737e18af94f121248d2c933a4a8d960927dfb3f54bf27d04e3442632df0d413",
+        "rho.csv": "e3eb3bb37b78e07cb38e2cf643bb52dd2302ef439740cec4fe347951211d86f3",
     }),
 }
 
@@ -997,12 +1043,6 @@ def wide(text: str) -> str:
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    """Let simulate split the test grids too: how small a block may be changes no output byte."""
-    monkeypatch.setattr(cli, "SIMULATE_BLOCK_MIN", cli.EM_BLOCK_MIN)
-
-
-@pytest.fixture
 def forks(monkeypatch):
     """The pid of every ``os.fork`` call, in call order."""
     pids, fork = [], os.fork
@@ -1016,35 +1056,37 @@ def forks(monkeypatch):
     return pids
 
 
-EM, SIM = cli.EM_BLOCK_MIN, cli.SIMULATE_BLOCK_MIN
+MIN = cli.BLOCK_MIN
 
 
 @pytest.mark.parametrize(
     "cpus, n_points, min_points, madds, cuts",
     [
-        (1, 2500, EM, 0, [0, 2500]),
-        (2, 511, EM, 0, [0, 511]),
-        (2, 512, EM, 0, [0, 256, 512]),
-        (2, 576, EM, 288, [0, 256, 576]),  # fock_em_long's EM
-        (2, 576, SIM, 0, [0, 576]),  # and its simulate
-        (2, 2500, EM, 360, [0, 1216, 2500]),  # coherent_sampled's EM
-        (2, 2500, SIM, 0, [0, 1216, 2500]),  # and its simulate
-        (3, 784, EM, 0, [0, 256, 512, 784]),
-        (8, 784, EM, 0, [0, 256, 512, 784]),
-        (4, 4, EM, 0, [0, 4]),
-        (3, 3071, SIM, 0, [0, 1472, 3071]),
-        (3, 3072, SIM, 0, [0, 1024, 2048, 3072]),
+        (1, 2500, MIN, 0, [0, 2500]),
+        (2, 511, MIN, 0, [0, 511]),
+        (2, 512, MIN, 0, [0, 256, 512]),
+        (2, 576, MIN, 288, [0, 256, 576]),  # fock_em_long's EM
+        (2, 576, MIN, 0, [0, 256, 576]),  # and its simulate
+        (2, 2500, MIN, 360, [0, 1216, 2500]),  # coherent_sampled's EM
+        (2, 2500, MIN, 0, [0, 1216, 2500]),  # and its simulate
+        (3, 784, MIN, 0, [0, 256, 512, 784]),
+        (8, 784, MIN, 0, [0, 256, 512, 784]),
+        (4, 4, MIN, 0, [0, 4]),
+        (3, 3071, 1024, 0, [0, 1472, 3071]),
+        (3, 3072, 1024, 0, [0, 1024, 2048, 3072]),
         # above BLAS_SMALL as a whole: 3 blocks of 832 would fall under it, 2 of 1216 not
-        (3, 2500, EM, 1000, [0, 1216, 2500]),
-        (3, 2500, EM, 600, [0, 2500]),
-        (3, 2500, EM, 400, [0, 832, 1664, 2500]),  # under it as a whole
+        (3, 2500, MIN, 1000, [0, 1216, 2500]),
+        (3, 2500, MIN, 600, [0, 2500]),
+        (3, 2500, MIN, 400, [0, 832, 1664, 2500]),  # under it as a whole
     ],
 )
 def test_blocks_cut_at_multiples_of_64(monkeypatch, cpus, n_points, min_points, madds, cuts):
-    # the cut rule at an alignment of 64; test_blocks_cut_at_multiples_of_8 pins the shipped one
+    # the cut rule at an alignment of 64 and a minimum of min_points;
+    # test_blocks_cut_at_multiples_of_8 pins the shipped constants
     monkeypatch.setattr(cli, "BLOCK_ALIGN", 64)
+    monkeypatch.setattr(cli, "BLOCK_MIN", min_points)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    blocks = cli._blocks(n_points, min_points, madds)
+    blocks = cli._blocks(n_points, madds)
     assert blocks == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     assert len(blocks) == 1 or min(b.stop - b.start for b in blocks) >= min_points
 
@@ -1052,18 +1094,19 @@ def test_blocks_cut_at_multiples_of_64(monkeypatch, cpus, n_points, min_points, 
 @pytest.mark.parametrize(
     "cpus, n_points, min_points, madds, cuts",
     [
-        (2, 576, EM, 288, [0, 288, 576]),  # fock_em_long's EM
-        (2, 2500, EM, 360, [0, 1248, 2500]),  # coherent_sampled's EM
-        (2, 2500, SIM, 0, [0, 1248, 2500]),  # and its simulate
-        (3, 784, EM, 0, [0, 256, 520, 784]),
-        (3, 2500, EM, 1000, [0, 1248, 2500]),  # 3 blocks of 832 would fall under BLAS_SMALL
-        (3, 2500, EM, 400, [0, 832, 1664, 2500]),
+        (2, 576, MIN, 288, [0, 288, 576]),  # fock_em_long's EM
+        (2, 2500, MIN, 360, [0, 1248, 2500]),  # coherent_sampled's EM
+        (2, 2500, MIN, 0, [0, 1248, 2500]),  # and its simulate
+        (3, 784, MIN, 0, [0, 256, 520, 784]),
+        (3, 2500, MIN, 1000, [0, 1248, 2500]),  # 3 blocks of 832 would fall under BLAS_SMALL
+        (3, 2500, MIN, 400, [0, 832, 1664, 2500]),
+        (2, 576, MIN, 0, [0, 288, 576]),  # fock_em_long's simulate
     ],
 )
 def test_blocks_cut_at_multiples_of_8(monkeypatch, cpus, n_points, min_points, madds, cuts):
-    assert cli.BLOCK_ALIGN == 8
+    assert (cli.BLOCK_ALIGN, cli.BLOCK_MIN) == (8, min_points)
     monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
-    assert cli._blocks(n_points, min_points, madds) == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    assert cli._blocks(n_points, madds) == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def test_a_process_with_threads_gets_one_block(monkeypatch):
@@ -1072,12 +1115,12 @@ def test_a_process_with_threads_gets_one_block(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert cli._blocks(784, EM) == [slice(0, 784)]
+        assert cli._blocks(784) == [slice(0, 784)]
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert cli._blocks(784, EM) == [slice(0, 392), slice(392, 784)]
+    assert cli._blocks(784) == [slice(0, 392), slice(392, 784)]
 
 
 def settings(text: str, count: int) -> str:
@@ -1122,7 +1165,7 @@ BLOCK_CASES = {
     "text, flags, simulated, reconstructed, code, n_failed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys()
 )
 def test_outputs_do_not_depend_on_the_cpu_count(
-    tmp_path, monkeypatch, capsys, small_blocks, forks, text, flags, simulated, reconstructed, code, n_failed
+    tmp_path, monkeypatch, capsys, forks, text, flags, simulated, reconstructed, code, n_failed
 ):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(text))
@@ -1146,7 +1189,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(
     assert digests[0] == digests[1] == digests[2]
 
 
-def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys, small_blocks):
+def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
     # every block formats its own rows, for each repetition
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL) + "repetitions = 2\n")
@@ -1203,7 +1246,7 @@ FAULTS = {"config": (ConfigError, 2), "data": (DataError, 3), "io": (OSError, 3)
 
 @pytest.mark.parametrize("stage", STAGES)
 @pytest.mark.parametrize("error, code", FAULTS.values(), ids=FAULTS.keys())
-def test_a_failing_block_exits_as_one_block_would(tmp_path, monkeypatch, capsys, small_blocks, stage, error, code):
+def test_a_failing_block_exits_as_one_block_would(tmp_path, monkeypatch, capsys, stage, error, code):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL))
     for cpus in (1, 2, 3):
@@ -1222,7 +1265,7 @@ def test_a_failing_block_exits_as_one_block_would(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_a_killed_block_is_an_io_error(tmp_path, monkeypatch, capsys, small_blocks, stage):
+def test_a_killed_block_is_an_io_error(tmp_path, monkeypatch, capsys, stage):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
@@ -1236,7 +1279,7 @@ def test_a_killed_block_is_an_io_error(tmp_path, monkeypatch, capsys, small_bloc
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_an_interrupt_kills_and_reaps_every_block(tmp_path, monkeypatch, small_blocks, stage):
+def test_an_interrupt_kills_and_reaps_every_block(tmp_path, monkeypatch, stage):
     # this process's block is interrupted while the forked one would run for a minute
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL))
@@ -1256,7 +1299,7 @@ def test_an_interrupt_kills_and_reaps_every_block(tmp_path, monkeypatch, small_b
     assert time.monotonic() - start < 30
 
 
-def test_a_block_whose_fork_fails_runs_here(tmp_path, monkeypatch, capsys, small_blocks):
+def test_a_block_whose_fork_fails_runs_here(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
@@ -1273,7 +1316,7 @@ def test_a_block_whose_fork_fails_runs_here(tmp_path, monkeypatch, capsys, small
     assert "settings in 3 blocks" in printed and "points in 3 blocks" in printed
 
 
-def test_a_fork_that_warns_keeps_its_child(tmp_path, monkeypatch, capsys, small_blocks):
+def test_a_fork_that_warns_keeps_its_child(tmp_path, monkeypatch, capsys):
     # Python 3.12 and later warn in the parent when a process with other OS threads
     # (OpenBLAS's pool) forks; under warnings-as-errors that warning takes the pid's place
     cfg = tmp_path / "run.ini"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from clicktomo.fock import (
     density_from_pure,
     displace,
     displaced_diagonals,
+    displacement_coefficients,
     fock_state,
-    log_factorials,
     squeezed_vacuum,
 )
 from clicktomo.wigner import wigner_from_values
@@ -22,6 +23,7 @@ from clicktomo.errors import NumericalError
 from oracles import (
     coherent_amps_direct,
     displaced_diagonal_expm,
+    displaced_diagonal_mp,
     displaced_diagonal_padded,
     displacement_expm,
     displace_row_major,
@@ -45,16 +47,22 @@ def wigner_exact(rho: DensityMatrix, gamma: complex, cfg: TruncationConfig) -> f
     return wigner_from_values(diagonal(rho, gamma, cfg)[: cfg.n_trunc])
 
 
-class TestLogFactorials:
-    def test_matches_scipy_gammaln_bit_for_bit(self):
-        from scipy.special import gammaln
-
-        k = np.arange(100_001)
-        assert np.array_equal(log_factorials(k.size), gammaln(k + 1.0))
+class TestDisplacementCoefficients:
+    @pytest.mark.parametrize("dim", [44, 100])
+    def test_within_4e_15_of_the_exact_values(self, dim):
+        table = displacement_coefficients(dim)
+        worst = Fraction(0)
+        for d in range(dim):
+            assert not table[d, dim - d :].any()  # zero where k + d >= dim
+            for k in range(dim - d):
+                # c = sqrt(R) (1 + e) with R = (k+d)! / (k! d!^2) exactly, so (c^2 / R - 1) / 2 = e + e^2 / 2
+                exact = Fraction(math.comb(k + d, d), math.factorial(d))
+                worst = max(worst, abs(Fraction(float(table[d, k])) ** 2 / exact - 1) / 2)
+        assert worst <= Fraction(4, 10**15)
 
     def test_cached_read_only(self):
-        table = log_factorials(44)
-        assert log_factorials(44) is table
+        table = displacement_coefficients(44)
+        assert displacement_coefficients(44) is table
         assert not table.flags.writeable
 
 
@@ -319,6 +327,22 @@ class TestDisplace:
         ours = displaced_diagonals(rho, gammas, CFG)
         ref = np.array([displaced_diagonal_padded(rho, g, CFG) for g in gammas])
         assert np.max(np.abs(ours - ref)) <= 1e-13
+
+    # state, gamma, and the bound on max |Delta R_n| against 60 digits: the kernel's error
+    # grows with |gamma|^2 and with the state's weight on high levels
+    @pytest.mark.parametrize(
+        "state, gamma, bound",
+        [
+            (coherent_state(1.0, CFG), math.sqrt(22.0) * 0.999999, 1e-13),
+            (squeezed_vacuum(math.atanh(0.5), CFG), 1j * math.sqrt(19.2), 5e-8),
+            (squeezed_vacuum(math.atanh(0.9), CFG), 1j * math.sqrt(15.0), 2e-4),
+            (fock_state(4, CFG), math.sqrt(22.0) * 0.999999, 1e-13),
+        ],
+        ids=["coherent_1_at_22", "squeezed_0.5_at_19.2", "squeezed_0.9_at_15", "fock_4_at_22"],
+    )
+    def test_diagonals_match_60_digits(self, state, gamma, bound):
+        ours = displaced_diagonals(density_from_pure(state), [gamma], CFG)[0]
+        assert np.max(np.abs(ours - displaced_diagonal_mp(state.amplitudes, gamma))) <= bound
 
     def test_mixed_state_is_the_weighted_sum_of_its_components(self):
         rng = np.random.default_rng(4)
