@@ -5,9 +5,9 @@ configuration (and the repetition index for click files), so the exact run
 can be re-issued from the file alone.  Floating-point fields use 17
 significant digits and round-trip bit-for-bit.
 
-A click file (``# format = 2``) stores only the no-click count of each
-(point, setting); the embedded config is the authority for everything else,
-and the reader rebuilds the settings from it.
+A click file (``# format = 3``) stores one ``point_index,n_noclick_0,...``
+row per point: the no-click counts of its M settings.  The embedded config is
+the authority for everything else, and the reader rebuilds the settings from it.
 """
 import numpy as np
 
@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError
 from .measurement import ClickArrays, complex_array
 
 __all__ = [
-    "CLICK_COLUMNS",
+    "click_columns",
     "WIGNER_COLUMNS",
     "RHO_COLUMNS",
     "click_rows",
@@ -31,8 +31,7 @@ __all__ = [
     "embedded_config",
 ]
 
-CLICK_COLUMNS = ("point_index", "setting_index", "n_noclick")
-CLICK_FORMAT = "2"
+CLICK_FORMAT = "3"
 WIGNER_COLUMNS = ("re_gamma", "im_gamma", "w_rec", "w_exact", "w_variance", "em_final_loglik")
 RHO_COLUMNS = ("m", "n", "re", "im")
 
@@ -107,25 +106,32 @@ def embedded_config(path) -> str:
     return _split_file(path)[0]
 
 
+def click_columns(cfg: RunConfig) -> tuple[str, ...]:
+    """``point_index`` and one ``n_noclick_<k>`` column per setting of ``cfg``."""
+    return ("point_index", *(f"n_noclick_{k}" for k in range(cfg.detectors.n_settings)))
+
+
 def click_rows(noclick: np.ndarray, start: int = 0) -> str:
-    """Rows of the (P, M) counts ``noclick`` (int64 if sampled) of points ``start``, ``start + 1``, ..., as one text."""
-    return "\n".join(_indexed_rows(np.asarray(noclick)[:, :, None], start))
+    """One row per point of the (P, M) counts ``noclick`` (int64 if sampled), from point ``start``, as one text;
+    integers are written as integers, floats with 17 significant digits."""
+    counts = np.asarray(noclick)
+    template = "{}" + ("," + ("{}" if counts.dtype.kind in "iu" else "{:.17g}")) * counts.shape[1]
+    return "\n".join(template.format(i, *row) for i, row in enumerate(counts.tolist(), start))
 
 
 def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str] | tuple[str, ...]") -> None:
-    """Counts only: one ``point_index,setting_index,n_noclick`` row per record, point-major.
+    """Counts only: one ``point_index,n_noclick_0,...,n_noclick_{M-1}`` row per point.
 
     ``blocks`` are the :func:`click_rows` texts of consecutive point blocks.
     The embedded config fixes every other field of a record, so none is stored.
     """
-    _write_table(path, cfg, CLICK_COLUMNS, blocks, {"repetition": repetition, "format": CLICK_FORMAT})
+    _write_table(path, cfg, click_columns(cfg), blocks, {"repetition": repetition, "format": CLICK_FORMAT})
 
 
-def _read_table(
-    path, columns: tuple[str, ...], fmt: "str | None" = None
-) -> tuple[RunConfig, dict, np.ndarray]:
+def _read_table(path, columns_of, fmt: "str | None" = None) -> tuple[RunConfig, dict, np.ndarray]:
     """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number.
 
+    ``columns_of(cfg)`` names the columns of the embedded config ``cfg``.
     With ``fmt``, the file must carry a ``# format = <fmt>`` line.
     """
     config_text, extras, found, body = _split_file(path)
@@ -134,9 +140,10 @@ def _read_table(
             f"{path}: old-format click file: expected '# format = {fmt}', "
             f"found {extras.get('format', 'no format line')!r}"
         )
+    cfg = _parse_embedded(path, config_text)
+    columns = columns_of(cfg)
     if tuple(found) != columns:
         raise DataError(f"{path}: unexpected columns {found}")
-    cfg = _parse_embedded(path, config_text)
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if data.shape == (len(body), len(columns)):
@@ -178,26 +185,24 @@ def _check_order(path, i: np.ndarray, j: np.ndarray, n_i: int, n_j: int, order: 
 
 
 def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
-    """Read a format-2 click file; every field but the counts comes from its embedded config."""
-    cfg, extras, data = _read_table(path, CLICK_COLUMNS, CLICK_FORMAT)
-    try:
-        repetition = int(extras.get("repetition", 0))
-    except ValueError as exc:
-        raise DataError(f"{path}: repetition: {exc}") from exc
+    """Read a format-3 click file; every field but the counts comes from its embedded config."""
+    cfg, extras, data = _read_table(path, click_columns, CLICK_FORMAT)
+    rep, n_reps = extras.get("repetition", ""), cfg.repetitions
+    # plain decimal digits only; the length bound keeps int() within its digit limit
+    if not (rep.isascii() and rep.isdigit() and len(rep) <= len(str(n_reps)) and int(rep) < n_reps):
+        raise DataError(f"{path}: repetition {rep!r} is not an integer in [0, {n_reps})")
+    p = cfg.grid.n_points
     point = _integers(path, data[:, 0], "point_index")
-    setting = _integers(path, data[:, 1], "setting_index")
-    p, m = cfg.grid.n_points, cfg.detectors.n_settings
-    order = f"the point-major order of the {p} points x {m} settings the embedded config declares"
-    _check_order(path, point, setting, p, m, order)
-    noclick = data[:, 2]
-    _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)), "n_noclick outside [0, n_runs]")
+    _check_order(path, point, np.zeros_like(point), p, 1, f"the order of the {p} points the embedded config declares")
+    noclick = data[:, 1:]
+    _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)).all(axis=1), "n_noclick outside [0, n_runs]")
     gammas = cfg.grid.flat_gammas()
     try:
         sched = build_recipe(cfg).build(gammas)
     except ValueError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    clicks = ClickArrays(gammas, sched.nu_bar, sched.y, noclick.reshape(p, m), cfg.n_runs)
-    return cfg, repetition, clicks
+    clicks = ClickArrays(gammas, sched.nu_bar, sched.y, noclick, cfg.n_runs)
+    return cfg, int(rep), clicks
 
 
 def write_wigner_csv(
@@ -219,7 +224,7 @@ def write_wigner_csv(
 
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
     """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / loglik)."""
-    cfg, _, data = _read_table(path, WIGNER_COLUMNS)
+    cfg, _, data = _read_table(path, lambda _: WIGNER_COLUMNS)
     gammas = complex_array(data[:, 0], data[:, 1])
     cols = {
         "w_rec": data[:, 2],
@@ -237,7 +242,7 @@ def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:
     """The n_trunc x n_trunc matrix of the embedded config, from its rows in row-major order."""
-    cfg, _, data = _read_table(path, RHO_COLUMNS)
+    cfg, _, data = _read_table(path, lambda _: RHO_COLUMNS)
     m, n = _integers(path, data[:, 0], "m"), _integers(path, data[:, 1], "n")
     dim = cfg.trunc.n_trunc
     order = f"the row-major order of the {dim} x {dim} elements the embedded config declares"

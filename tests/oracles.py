@@ -7,7 +7,7 @@ and no-click probabilities from beam-splitter output amplitudes in closed
 form.  The exceptions are ``wigner_scan`` (a grid map through the package's
 own simulate-and-reconstruct path, for the pipeline tests), the row-major
 displacement kernel, which reads the package's coefficient table so as to pin
-the component-major kernel bit for bit, and the row formatter and the block
+the component-major kernel bit for bit, and the row formatters and the block
 of scalar schedule builders that the integer click rows and the array
 derivation replaced.  The block of dense displacement functions (the
 per-point code the batched kernel replaced) shares no table with the kernel.
@@ -354,6 +354,11 @@ def indexed_rows_float(values: np.ndarray, start: int = 0):
     cells = [",".join(f"{{{j * n_k + k + 1}:.17g}}" for k in range(n_k)) for j in range(n_j)]
     template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
     return (template.format(i, *row) for i, row in enumerate(values.reshape(n_i, -1).tolist(), start))
+
+
+def point_rows_float(values: np.ndarray, start: int = 0):
+    """``i,v_0,...`` rows of a (P, M) table from i = ``start``, every value as a float with ``.17g``."""
+    return (f"{i}," + ",".join(format(float(v), ".17g") for v in row) for i, row in enumerate(values.tolist(), start))
 
 
 # Scalar schedule references: the per-setting objects and builders that the

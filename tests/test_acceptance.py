@@ -266,8 +266,8 @@ def test_criterion_8_property_suites():
 
 
 def test_figure_2_simulation_row_count(tmp_path):
-    """The flagship configuration emits one row per (point, setting):
-    2500 x 30."""
+    """The flagship configuration emits one count per (point, setting):
+    2500 rows of 30 counts."""
     from clicktomo.cli import main
 
     cfg = tmp_path / "fig2.ini"
@@ -281,6 +281,8 @@ def test_figure_2_simulation_row_count(tmp_path):
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "clicks.csv", "r", encoding="utf-8") as fh:
-        n_rows = sum(1 for line in fh if line and not line.startswith("#")) - 1
-    print(f"[figure-2 rows] {n_rows} == 75000")
-    assert n_rows == 2500 * 30
+        rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")][1:]
+    n_counts = sum(len(row) - 1 for row in rows)
+    print(f"[figure-2 rows] {len(rows)} rows, {n_counts} counts == 75000")
+    assert len(rows) == 2500 and all(len(row) == 1 + 30 for row in rows)
+    assert n_counts == 2500 * 30

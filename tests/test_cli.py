@@ -408,16 +408,16 @@ def test_fewer_settings_than_n_trunc_in_records_exit_code(small_cfg, tmp_path, c
     lines = path.read_text().splitlines()
     head = sum(1 for line in lines if line.startswith("#")) + 1
     # keep the first 5 of the 14 settings at every point
-    kept = [line for k, line in enumerate(lines[head:]) if k % 14 < 5]
+    kept = [",".join(line.split(",")[:6]) for line in lines[head:]]
     path.write_text("\n".join(lines[:head] + kept) + "\n")
     code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
     assert code == 3
-    assert "row 6: out of the point-major order of the 4 points x 14 settings" in capsys.readouterr().err
+    assert "row 1: expected 15 fields, found 6" in capsys.readouterr().err
 
 
 def _drop_last_setting(head, body):
     # 13 of the 14 settings at every point still cover n_trunc = 12
-    return head, [line for k, line in enumerate(body) if k % 14 != 13]
+    return head, [line.rpartition(",")[0] for line in body]
 
 
 def _drop_row(k):
@@ -435,14 +435,14 @@ def _header(key, value):
     return edit
 
 
-# an edit of the header or of the row layout -> message; every row's
-# (point, setting) must follow the schedule the header declares
+# an edit of the header or of the row layout -> message; the rows must be the
+# points the header declares, in order, each with a count per declared setting
 SCHEDULE_EDITS = {
-    "drop_last_setting": (_drop_last_setting, "row 14: out of the point-major order"),
-    "missing_row": (_drop_row(19), "row 20: out of the point-major order"),
-    "missing_last_row": (_drop_row(55), "row 56: missing in the point-major order of the 4 points x 14"),
-    "duplicate_row": (_repeat_row(19), "row 21: out of the point-major order"),
-    "duplicate_last_row": (_repeat_row(55), "row 57: extra in the point-major order of the 4 points x 14"),
+    "drop_last_setting": (_drop_last_setting, "row 1: expected 15 fields, found 14"),
+    "missing_row": (_drop_row(1), "row 2: out of the order of the 4 points"),
+    "missing_last_row": (_drop_row(3), "row 4: missing in the order of the 4 points"),
+    "duplicate_row": (_repeat_row(1), "row 3: out of the order of the 4 points"),
+    "duplicate_last_row": (_repeat_row(3), "row 5: extra in the order of the 4 points"),
     "degenerate_header_alpha": (_header("alpha", 0.0), "declares no valid schedule"),
     "nu_bar_vanishes": (_header("efficiency_min", 0.0), "declares no valid schedule"),
     "equal_efficiencies": (
@@ -462,9 +462,12 @@ SCHEDULE_EDITS = {
         _header("n_re", 10**20), f"embedded config: [grid] n_re x n_im = {2 * 10**20} exceeds"
     ),
     # the reader takes only the layout the writer writes
+    "columns_of_13_settings": (
+        lambda head, body: (head[:-1] + [head[-1].rpartition(",")[0]], body), "unexpected columns"
+    ),
     "header_after_rows": (lambda head, body: (body, head), "missing embedded config header"),
     "key_value_after_rows": (
-        lambda head, body: (head, body + ["# repetition = 0"]), "row 57: expected 3 fields, found 1"
+        lambda head, body: (head, body + ["# repetition = 0"]), "row 5: expected 15 fields, found 1"
     ),
 }
 
@@ -947,15 +950,15 @@ def test_negative_seed_in_config_exit_code(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-# column -> replacement text in the last data row (point 3, setting 13)
+# the fields of the last data row (point 3: its index and 14 counts) -> their replacement
 BAD_ROWS = {
-    "noclick_above_runs": {"n_noclick": "401"},
-    "noclick_negative": {"n_noclick": "-1"},
-    "noclick_nan": {"n_noclick": "nan"},
-    "fractional_point_index": {"point_index": "3.5"},
-    "fractional_setting_index": {"setting_index": "13.5"},
-    "point_index_out_of_place": {"point_index": "2"},
-    "setting_index_out_of_place": {"setting_index": "12"},
+    "noclick_above_runs": lambda fields: fields[:-1] + ["401"],
+    "noclick_negative": lambda fields: fields[:-1] + ["-1"],
+    "noclick_nan": lambda fields: fields[:-1] + ["nan"],
+    "fractional_point_index": lambda fields: ["3.5"] + fields[1:],
+    "point_index_out_of_place": lambda fields: ["2"] + fields[1:],
+    "m_fields": lambda fields: fields[:-1],
+    "m_plus_2_fields": lambda fields: fields + ["0"],
 }
 
 
@@ -965,14 +968,46 @@ def test_bad_click_row_is_a_data_error(small_cfg, tmp_path, capsys, edit):
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
     path = out / "clicks.csv"
     lines = path.read_text().splitlines()
-    fields = lines[-1].split(",")
-    for column, text in edit.items():
-        fields[io_csv.CLICK_COLUMNS.index(column)] = text
-    lines[-1] = ",".join(fields)
+    lines[-1] = ",".join(edit(lines[-1].split(",")))
     path.write_text("\n".join(lines) + "\n")
     code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
     assert code == 3
-    assert "row 56" in capsys.readouterr().err
+    assert "row 4" in capsys.readouterr().err
+
+
+def test_format_2_click_file_is_an_old_format_data_error(small_cfg, tmp_path, capsys):
+    # format 2 stored one point_index,setting_index,n_noclick row per (point, setting)
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    path = out / "clicks.csv"
+    lines = path.read_text().splitlines()
+    head = [line.replace("# format = 3", "# format = 2") for line in lines if line.startswith("#")]
+    points = (line.split(",") for line in lines[len(head) + 1 :])
+    rows = [f"{p},{j},{n}" for p, *counts in points for j, n in enumerate(counts)]
+    path.write_text("\n".join(head + ["point_index,setting_index,n_noclick"] + rows) + "\n")
+    capsys.readouterr()
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "old-format click file: expected '# format = 3'" in err
+
+
+# a repetition header that is not a plain decimal in [0, repetitions) of the file's own config (here 1)
+REPETITIONS = {"negative": "-1", "beyond": "7", "underscore": "1_0", "plus": "+0", "arabic_indic_zero": "\u0660", "missing": None}
+
+
+@pytest.mark.parametrize("value", REPETITIONS.values(), ids=REPETITIONS.keys())
+def test_repetition_header_outside_the_runs_repetitions_is_a_data_error(small_cfg, tmp_path, capsys, value):
+    out = tmp_path / "art"
+    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
+    path = out / "clicks.csv"
+    header = "" if value is None else f"# repetition = {value}\n"
+    path.write_text(path.read_text(encoding="utf-8").replace("# repetition = 0\n", header), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and f"{path}: repetition" in err
 
 
 DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_angles = 14")
@@ -987,26 +1022,28 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # the EM began to normalize once after its last step (w_rec moved by at most
 # 5.7e-16, rho by at most 3.5e-13), and the exact case and every rho.csv when
 # the displacement coefficients came from their recurrence instead of
-# log-factorials (w_rec moved by at most 1.7e-16, rho by at most 1.2e-12).
+# log-factorials (w_rec moved by at most 1.7e-16, rho by at most 1.2e-12),
+# and every clicks.csv when click files took one row per point (format 3;
+# the counts read back, and every wigner.csv and rho.csv, kept their bytes).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
-        "clicks.csv": "2764db8739c98929d8cd66a211e03ae3440bb7f97b09c0ddb66debe5aee29cb4",
+        "clicks.csv": "4c44cfdf02feb23767f744cfb1cf524498816f5aef334d21e1d75fb27663116d",
         "wigner.csv": "901d4bf69e5859390308ee0723b89c654af63e129c1cb0f3abb011c658c60f36",
         "rho.csv": "83f10d1a610839963ebc2ebe508cfb8546e711131048133b431b5b3d6df04117",
     }),
     "exact": (SMALL, ["--exact"], {
-        "clicks.csv": "84d0714f45da2a18c60d7c6d1fa43d1d43f7ae1c505bb4a988a4b47fd35a6e2e",
+        "clicks.csv": "1c39f735163d279336b143e996ce52c4cf5ab89b24d5c6acd0c6991fad716be1",
         "wigner.csv": "768e69eaacc030ed05e539d1697faead879cb340979fba58e538d329b4872423",
         "rho.csv": "52c4ff1abf8fd5f4816937cbf7412930066a58966d8e9660c184558a6c512c9b",
     }),
     "dual": (DUAL, [], {
-        "clicks.csv": "0997321e5792bff1971c36ae64d4001460776880c7076ea933182a5ed8817a6e",
+        "clicks.csv": "9757370b861bdf4a165126e3c8faf2fd41657495a0ee48e9db73c60550ca861b",
         "wigner.csv": "6bd60e5508751b946a648d29e564c8238a2338a96dee8f178fffae5c0d538330",
         "rho.csv": "53163798774caad22dbd7daafbaa64ae5b8d1da0aaaf99c51aef5f9ea802282d",
     }),
     "fock": (FOCK, [], {
-        "clicks.csv": "8f86cbb518de3aeb4fa37c5d66f3a0760d48f7a9f86e46bd7e01f0aa8405dc56",
+        "clicks.csv": "af078730939517ac1641139c27ddcb268ae7219c2557b28aa73f7f0e74bf6b51",
         "wigner.csv": "b9abab37118ad3813f21981ac0f111b750b7aaa877ec6a8840bb1849cd75fe1e",
         "rho.csv": "e3eb3bb37b78e07cb38e2cf643bb52dd2302ef439740cec4fe347951211d86f3",
     }),

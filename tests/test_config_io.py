@@ -22,7 +22,7 @@ from clicktomo.config import (
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
 
-from oracles import indexed_rows_float
+from oracles import indexed_rows_float, point_rows_float
 
 
 def write_clicks(path, cfg, repetition, clicks):
@@ -321,18 +321,18 @@ class TestClickCsv:
             io_csv.read_click_csv(path)
 
     @pytest.mark.parametrize("line", ["# repetition = 0", "#", ""], ids=["key_value", "comment", "blank"])
-    @pytest.mark.parametrize("where", [None, 100], ids=["after_rows", "among_rows"])
+    @pytest.mark.parametrize("where", [None, 10], ids=["after_rows", "among_rows"])
     def test_line_among_rows_is_a_bad_row(self, tmp_path, line, where):
         # every line after the column names is a data row, so a header line there is not read as one
-        cfg = parse_config(BASE)
+        cfg = parse_config(BASE.replace("n_runs = 500", "n_runs = 500\nrepetitions = 2"))
         path = tmp_path / "clicks_rep1.csv"
         write_clicks(path, cfg, 1, self._records(cfg))
         lines = path.read_text().splitlines()
-        n_head = lines.index(",".join(io_csv.CLICK_COLUMNS)) + 1
+        n_head = lines.index(",".join(io_csv.click_columns(cfg))) + 1
         at = len(lines) if where is None else n_head + where
         lines.insert(at, line)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"row {at - n_head + 1}: expected 3 fields, found 1"):
+        with pytest.raises(DataError, match=f"row {at - n_head + 1}: expected 31 fields, found 1"):
             io_csv.read_click_csv(path)
 
     def test_header_after_rows_rejected(self, tmp_path):
@@ -340,7 +340,7 @@ class TestClickCsv:
         path = tmp_path / "clicks.csv"
         write_clicks(path, cfg, 0, self._records(cfg))
         lines = path.read_text().splitlines()
-        n_head = lines.index(",".join(io_csv.CLICK_COLUMNS))
+        n_head = lines.index(",".join(io_csv.click_columns(cfg)))
         path.write_text("\n".join(lines[n_head:] + lines[:n_head]) + "\n")
         with pytest.raises(DataError, match="missing embedded config header"):
             io_csv.read_click_csv(path)
@@ -359,16 +359,16 @@ class TestClickCsv:
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
         write_clicks(path, cfg, 0, self._records(cfg))
-        head = [line for line in path.read_text().splitlines() if line[:1] == "#" and line != "# format = 2"]
+        head = [line for line in path.read_text().splitlines() if line[:1] == "#" and line != "# format = 3"]
         columns = "point_index,re_gamma,im_gamma,alpha,re_beta,im_beta,nu_c,nu_d,nu_bar,y,n_runs,n_noclick"
         row = "0,-0.7375,-0.7375,0.15,4.9,4.9,0.1,0,0.0978,0,500,480"
         path.write_text("\n".join(head + [columns, row]) + "\n")
-        with pytest.raises(DataError, match="old-format click file: expected '# format = 2'"):
+        with pytest.raises(DataError, match="old-format click file: expected '# format = 3'"):
             io_csv.read_click_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "clicks.csv"
-        path.write_text(",".join(io_csv.CLICK_COLUMNS) + "\n")
+        path.write_text("point_index,n_noclick_0\n")
         with pytest.raises(DataError, match="config"):
             io_csv.read_click_csv(path)
 
@@ -504,23 +504,52 @@ COUNTS = arrays(
 @example(counts=np.array([[0, 2**53], [10**15 - 1, 10**15 + 1]]), start=0)
 def test_integer_click_rows_are_the_float_rows(counts, start):
     rows = io_csv.click_rows(counts, start)
-    assert rows == "\n".join(indexed_rows_float(counts.astype(float)[:, :, None], start))
+    assert rows == "\n".join(point_rows_float(counts.astype(float), start))
     assert "e" not in rows and "." not in rows
 
 
 def test_counts_above_2_53_would_be_rounded_as_floats():
     # why n_runs stops at 2**53: the float rows the integer rows replaced round such counts
     counts = np.array([[2**53 + 1, 10**16 + 1]])
-    assert io_csv.click_rows(counts) == f"0,0,{2**53 + 1}\n0,1,{10**16 + 1}"
-    assert "\n".join(indexed_rows_float(counts.astype(float)[:, :, None])) == f"0,0,{2**53}\n0,1,{10**16}"
+    assert io_csv.click_rows(counts) == f"0,{2**53 + 1},{10**16 + 1}"
+    assert "\n".join(point_rows_float(counts.astype(float))) == f"0,{2**53},{10**16}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(values=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 2)), elements=st.floats()))
 def test_float_rows_are_unchanged(values):
     assert list(io_csv._indexed_rows(values, 7)) == list(indexed_rows_float(values, 7))
-    if values.shape[2] == 1:  # exact-mode counts
-        assert io_csv.click_rows(values[:, :, 0], 7) == "\n".join(indexed_rows_float(values, 7))
+    counts = values.reshape(len(values), -1)  # exact-mode counts
+    assert io_csv.click_rows(counts, 7) == "\n".join(point_rows_float(counts, 7))
+
+
+# what a config can declare: 1 to 6 points, 2 to 40 settings (n_trunc = 2) and counts up to n_runs = 2**53,
+# sampled (int64) or exact (float)
+CLICK_TABLES = st.tuples(st.integers(1, 6), st.integers(2, 40)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 2**53))
+    | arrays(float, shape, elements=st.floats(0, 2**53))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=CLICK_TABLES, data=st.data())
+def test_click_rows_read_back_bit_equal(counts, data):
+    n_points, n_settings = counts.shape
+    cuts = sorted(data.draw(st.lists(st.integers(1, n_points - 1), unique=True))) if n_points > 1 else []
+    blocks = [io_csv.click_rows(counts[a:b], a) for a, b in zip([0, *cuts], [*cuts, n_points])]
+    assert "\n".join(blocks) == io_csv.click_rows(counts)
+    cfg = parse_config(
+        BASE.replace("n_trunc = 12", "n_trunc = 2")
+        .replace("n_efficiencies = 30", f"n_efficiencies = {n_settings}")
+        .replace("n_re = 4\nn_im = 4", f"n_re = {n_points}\nn_im = 1")
+        .replace("n_runs = 500", f"n_runs = {2**53}")
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clicks.csv"
+        io_csv.write_click_csv(path, cfg, 0, blocks)
+        _, _, back = io_csv.read_click_csv(path)
+    assert back.noclick.shape == (n_points, n_settings)
+    assert same_bits(back.noclick, counts.astype(float))
 
 
 def test_rho_rows_are_unchanged(tmp_path):
