@@ -46,6 +46,7 @@ DETECTOR_MODES = ("single", "dual")
 MAX_RUNS = 2**53
 NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
+MAX_SETTINGS = 4096  # per point: over 100 times the shipped schedules, checked before any is built
 
 
 class StateSpec(NamedTuple):
@@ -200,9 +201,11 @@ def parse_config(text: str) -> RunConfig:
         displacement_r2(grid.flat_gammas(), trunc.n_pad)
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}; shrink the grid or raise n_pad") from exc
+    count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
+    if det.n_settings > MAX_SETTINGS:
+        raise ConfigError(f"[detectors] {count_key} = {det.n_settings} exceeds {MAX_SETTINGS} settings")
     # the EM needs at least as many detector settings per point as unknowns
     if det.n_settings < trunc.n_trunc:
-        count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
         raise ConfigError(
             f"[detectors] {count_key} = {det.n_settings} is below n_trunc = {trunc.n_trunc}; "
             "the EM needs at least n_trunc settings"

@@ -40,6 +40,7 @@ depend on another's, so a batch split at the same products keeps its bits.
 The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
 """
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -78,14 +79,24 @@ def _loglik_rows(p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray")
     return (noclick * np.log(pc) + (n_runs - noclick) * np.log1p(-pc)).sum(axis=1)
 
 
+def _aligned(shape: tuple, value) -> np.ndarray:
+    """float64 ``shape`` set to ``value`` (broadcast) from a 64-byte boundary: numpy promises 16 bytes,
+    and a step whose arrays straddle cache lines takes 7-14% longer, with the same bits."""
+    raw = np.empty(math.prod(shape) + 8)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    out = raw[start : start + raw.size - 8].reshape(shape)
+    out[...] = value
+    return out
+
+
 def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
     """The initial iterate, component-major (N, P): the faster layout for both GEMMs."""
     if cfg.init is None:
-        return np.full((n_trunc, p_count), 1.0 / n_trunc)
+        return _aligned((n_trunc, p_count), 1.0 / n_trunc)
     init = np.asarray(cfg.init, dtype=float)
     if init.size != n_trunc:
         raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
-    return np.repeat(init[:, None], p_count, axis=1)
+    return _aligned((n_trunc, p_count), init[:, None])
 
 
 def _bare_points(a: np.ndarray, ey: np.ndarray, start: np.ndarray, renormalize: bool) -> np.ndarray:
@@ -130,7 +141,7 @@ def run_em_batch(
     p_count, m = freqs.shape
     if m < n_trunc:
         raise ValueError(f"need at least n_trunc = {n_trunc} settings, got {m}")
-    a = no_click_powers(nu_bar, n_trunc)  # A_jn = (1 - nu_bar_j)^n
+    a = _aligned((m, n_trunc), no_click_powers(nu_bar, n_trunc))  # A_jn = (1 - nu_bar_j)^n
     ey = np.broadcast_to(np.asarray(ey, dtype=float), (p_count, m))
     if noclick is None or n_runs is None:
         noclick, n_runs = freqs, 1
@@ -141,7 +152,7 @@ def run_em_batch(
     # kernel over the sensitivity (zero for a component no setting sees).
     weighted = a / a.sum(axis=1)[:, None]
     sensitivity = weighted.sum(axis=0)
-    back = np.zeros((n_trunc, m))
+    back = _aligned((n_trunc, m), 0.0)
     np.divide(weighted.T, sensitivity[:, None], out=back, where=(sensitivity > 0.0)[:, None])
 
     # Points that meet the static bound take the bare step.  A guarded step raises each
@@ -151,18 +162,19 @@ def run_em_batch(
     guarded = np.flatnonzero(~_bare_points(a, ey, r, renormalize))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
     with np.errstate(divide="ignore", over="ignore"):  # a subnormal e^y takes either quotient to inf
-        scaled_freqs = np.divide(freqs.T, ey.T, out=np.zeros((m, p_count)), where=ey.T > 0.0)
+        scaled_freqs = np.divide(freqs.T, ey.T, out=_aligned((m, p_count), 0.0), where=ey.T > 0.0)
         floors = FLOOR / ey[guarded].T  # (M, G); inf where e^y = 0
     e_min = np.min(ey[guarded], initial=np.inf)
     unit = np.ones(1)  # the sum of a first-step or literal iterate
     failed = np.zeros(p_count, dtype=bool)
-    q = np.empty((m, p_count))  # forward products, then the ratios in place
-    gain = np.empty((n_trunc, p_count))
+    q = _aligned((m, p_count), 0.0)  # forward products, then the ratios in place
+    gain = _aligned((n_trunc, p_count), 0.0)
+    matmul, divide, multiply = np.matmul, np.divide, np.multiply  # local, outputs by position: 0.3 us of a 10 us step
     # a bare step on a zero iterate divides 0 by 0 (the final normalization fails the point),
     # and a floor over a vanishing e^y may overflow to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for step in range(cfg.n_iterations):
-            np.matmul(a, r, out=q)
+            matmul(a, r, q)
             if guarded.size:
                 q_g, scaled = q[:, cols], renormalize and step > 0
                 sums = np.add.reduce(r[:, cols], axis=0) if scaled else unit
@@ -178,9 +190,9 @@ def run_em_batch(
                         guarded = cols = guarded[~dead]
                         floors = floors[:, ~dead]
                         e_min = np.min(ey[guarded], initial=np.inf)
-            np.divide(scaled_freqs, q, out=q)
-            np.matmul(back, q, out=gain)
-            np.multiply(r, gain, out=r)
+            divide(scaled_freqs, q, q)
+            matmul(back, q, gain)
+            multiply(r, gain, r)
         if renormalize and cfg.n_iterations > 0:  # zero iterations return init as given
             sums = r.sum(axis=0)
             dead = ~failed & ~(sums > 0.0)  # a vanished iterate fails (NaN)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clicktomo import __main__ as entry
 from clicktomo import cli, io_csv
 from clicktomo.cli import main
 from clicktomo.config import build_recipe, build_state, parse_config
@@ -461,6 +462,9 @@ SCHEDULE_EDITS = {
     "grid_too_many_nodes": (
         _header("n_re", 10**20), f"embedded config: [grid] n_re x n_im = {2 * 10**20} exceeds"
     ),
+    "settings_above_the_limit": (
+        _header("n_efficiencies", 10**8), "embedded config: [detectors] n_efficiencies = 100000000 exceeds 4096"
+    ),
     # the reader takes only the layout the writer writes
     "columns_of_13_settings": (
         lambda head, body: (head[:-1] + [head[-1].rpartition(",")[0]], body), "unexpected columns"
@@ -530,6 +534,10 @@ RUNS_THAT_DO_NOT_FIT = {
     "grid_too_many_nodes": (
         ("n_re = 2", f"n_re = {10**20}"),  # as above: a missing check fails at once
         f"config error: [grid] n_re x n_im = {2 * 10**20} exceeds {2**24} nodes",
+    ),
+    "settings_above_the_limit": (
+        ("n_efficiencies = 14", "n_efficiencies = 100000000"),
+        "config error: [detectors] n_efficiencies = 100000000 exceeds 4096 settings",
     ),
 }
 
@@ -687,12 +695,14 @@ def test_main_leaves_the_collector_as_it_found_it(small_cfg, tmp_path):
 
 @pytest.mark.parametrize("status", [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERICAL])
 def test_run_freezes_the_heap_once_main_returns(monkeypatch, status):
+    # the process entry turns the collector off before it runs main, and freezes the heap after
     events = []
     monkeypatch.setattr(cli, "main", lambda: events.append("main") or status)
+    monkeypatch.setattr(gc, "disable", lambda: events.append("disable"))
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
     with pytest.raises(SystemExit) as exc:
-        cli.run()
-    assert events == ["main", "freeze"]
+        entry.run()
+    assert events == ["disable", "main", "freeze"]
     assert exc.value.code == status
 
 
@@ -700,7 +710,48 @@ def test_console_script_is_the_process_entry():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
-    assert scripts == {"clicktomo": "clicktomo.cli:run"}
+    assert scripts == {"clicktomo": "clicktomo.__main__:run"}
+
+
+def test_a_stage_imports_numpy_and_runs_with_the_collector_off(small_cfg, tmp_path):
+    # runpy.run_module is what ``python -m`` calls; the probe reports the collector's state
+    # when numpy is first imported and at exit, after the stage has run
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            print('numpy', gc.isenabled())\n"
+        "            sys.meta_path.remove(self)\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "atexit.register(lambda: print('exit', gc.isenabled()))\n"
+        "runpy.run_module('clicktomo', run_name='__main__', alter_sys=True)\n"
+    )
+    argv = [sys.executable, "-c", probe, "simulate", "--config", str(small_cfg), "--out", str(tmp_path)]
+    result = subprocess.run(argv, env=src_env(), capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("numpy False", "exit False")
+    assert (tmp_path / "clicks.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # 4096 x 4096 nodes pass parse_config, and simulate's (P, M) tables do not fit in 1.5 GiB;
+    # one CPU makes one block, so the allocation fails in this process, not in a child
+    resource = pytest.importorskip("resource")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL.replace("n_re = 2\nn_im = 2", "n_re = 4096\nn_im = 4096"))
+
+    def limit():
+        os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
+
+    argv = [sys.executable, "-m", "clicktomo", "simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    result = subprocess.run(
+        argv, env=src_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("out of memory: ") and result.stderr.count("\n") == 1, result.stderr
 
 
 def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
@@ -1278,7 +1329,13 @@ def stage_argv(stage, cfg, out):
     return ["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]
 
 
-FAULTS = {"config": (ConfigError, 2), "data": (DataError, 3), "io": (OSError, 3), "numerical": (NumericalError, 4)}
+FAULTS = {
+    "config": (ConfigError, 2),
+    "data": (DataError, 3),
+    "io": (OSError, 3),
+    "numerical": (NumericalError, 4),
+    "memory": (MemoryError, 3),
+}
 
 
 @pytest.mark.parametrize("stage", STAGES)

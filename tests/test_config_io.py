@@ -102,6 +102,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="n_angles = 11 is below n_trunc = 12"):
             parse_config(BASE.replace("mode = single", "mode = dual\nn_angles = 11"))
 
+    def test_more_settings_than_the_limit_rejected(self):
+        # refused before any schedule is built: 10**8 settings once ended in a raw MemoryError
+        assert parse_config(BASE.replace("n_efficiencies = 30", "n_efficiencies = 4096")).detectors.n_settings == 4096
+        with pytest.raises(ConfigError, match="n_efficiencies = 100000000 exceeds 4096 settings"):
+            parse_config(BASE.replace("n_efficiencies = 30", "n_efficiencies = 100000000"))
+        with pytest.raises(ConfigError, match="n_angles = 4097 exceeds 4096 settings"):
+            parse_config(BASE.replace("mode = single", "mode = dual\nn_angles = 4097"))
+
     def test_fewer_distinct_nu_bar_than_n_trunc_rejected(self):
         # equal efficiencies give every setting one nu_bar, so the EM's model has rank 1;
         # angles symmetric about pi/2 give 15 of 30 settings the nu_bar of the other 15, to a few ulps

@@ -560,3 +560,59 @@ def test_every_aligned_cut_keeps_the_bits(path):
         for part in (slice(0, cut), slice(cut, None)):
             for got, want in zip(run(part), whole):
                 assert got.tobytes() == want[part].tobytes(), (cut, part)
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def _at_offset(arr: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``arr`` whose data start ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(arr.nbytes + 64, dtype=np.uint8)
+    start = (offset - _address(raw)) % 64
+    out = raw[start : start + arr.nbytes].view(arr.dtype).reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+def _fock_em_long_inputs():
+    """The fock_em_long batch, with point 17's e^y at 1e-20 so that it fails."""
+    cfg = load_config(REPO / "bench" / "configs" / "fock_em_long.ini")
+    clicks = simulate(
+        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
+    )
+    ey = np.exp(clicks.y)
+    ey[17] = 1e-20
+    return clicks.noclick / clicks.n_runs, clicks.nu_bar, ey, clicks.noclick, clicks.n_runs
+
+
+@pytest.mark.parametrize("mode", ["renormalized", "literal"])
+def test_where_the_inputs_start_moves_no_bit(mode):
+    # the working arrays start on a cache line wherever the inputs do
+    freqs, nu_bar, ey, noclick, n_runs = _fock_em_long_inputs()
+    em_cfg = EMConfig(n_iterations=50, normalization=mode)
+    results = []
+    for offset in (0, 16, 32, 48):
+        moved = [_at_offset(x, offset) for x in (freqs, nu_bar, ey, noclick)]
+        assert [_address(x) % 64 for x in moved] == [offset] * 4
+        values, loglik, failed = run_em_batch(*moved[:3], 12, em_cfg, noclick=moved[3], n_runs=n_runs)
+        results.append((values.tobytes(), loglik.tobytes(), failed.tolist()))
+    assert np.flatnonzero(results[0][2]).tolist() == [17]
+    assert results[1:] == results[:1] * 3
+
+
+def test_the_step_sees_only_cache_line_aligned_arrays(monkeypatch):
+    # every matmul is the step's; the step's divides are the last n_iterations
+    freqs, nu_bar, ey, noclick, n_runs = _fock_em_long_inputs()
+    calls = {"matmul": [], "divide": []}
+    for name, seen in calls.items():
+        def spy(*args, _real=getattr(np, name), _seen=seen, **kwargs):
+            _seen.append([_address(x) % 64 for x in args if isinstance(x, np.ndarray)])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    run_em_batch(
+        _at_offset(freqs, 16), nu_bar, _at_offset(ey, 16), 12, EMConfig(n_iterations=5), noclick=noclick, n_runs=n_runs
+    )
+    assert len(calls["matmul"]) == 10
+    assert calls["matmul"] + calls["divide"][-5:] == [[0, 0, 0]] * 15
