@@ -200,7 +200,7 @@ def _nodes_match(gammas: np.ndarray, grid) -> bool:
 
 def cmd_reconstruct(args) -> int:
     """The wigner.csv header is the click files' embedded config; ``--config``
-    (default: that config) sets only the EM keys and ``analytic_reference``."""
+    (default: that config) sets only ``n_iterations``."""
     cfg = None if args.config is None else _load(args)
     em_cfg = first_cfg = None
     maps, logliks, n_failed = [], [], 0
@@ -208,7 +208,7 @@ def cmd_reconstruct(args) -> int:
     for path in args.records:
         file_cfg, rep, clicks = io_csv.read_click_csv(path)
         cfg = file_cfg if cfg is None else cfg
-        em_cfg = em_cfg or EMConfig(n_iterations=cfg.n_iterations, normalization=cfg.normalization)
+        em_cfg = em_cfg or EMConfig(n_iterations=cfg.n_iterations)
         if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
             raise DataError(f"{path}: truncation differs from the run config")
         if file_cfg.state != cfg.state:
@@ -233,14 +233,10 @@ def cmd_reconstruct(args) -> int:
         n_failed += int(failed.sum())
     if not _nodes_match(first_cfg.grid.flat_gammas(), cfg.grid):
         raise DataError("records do not cover the configured grid")
-    header = first_cfg._replace(
-        n_iterations=cfg.n_iterations,
-        normalization=cfg.normalization,
-        analytic_reference=cfg.analytic_reference,
-    )
+    header = first_cfg._replace(n_iterations=cfg.n_iterations)
 
     w_var = np.var(np.stack(maps), axis=0) if len(maps) > 1 else None
-    w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas()) if header.analytic_reference else None
+    w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas())
     out = _out_dir(args)
     io_csv.write_wigner_csv(
         out / "wigner.csv", header, maps[0], w_exact=w_exact, w_variance=w_var, loglik=logliks[0]

@@ -9,7 +9,6 @@ import configparser
 import math
 from typing import NamedTuple, get_type_hints
 
-from .em import NORMALIZATION_MODES
 from .errors import ConfigError
 from .fock import (
     DensityMatrix,
@@ -91,8 +90,6 @@ class RunConfig(NamedTuple):
     repetitions: int = 1
     seed: int = 0
     exact_probabilities: bool = False
-    normalization: str = "renormalized"
-    analytic_reference: bool = True
 
     def with_overrides(
         self, seed: "int | None" = None, exact: "bool | None" = None
@@ -212,8 +209,6 @@ def parse_config(text: str) -> RunConfig:
         )
 
     run = values["run"]
-    if run["normalization"] not in NORMALIZATION_MODES:
-        raise ConfigError(f"[run] normalization must be one of {NORMALIZATION_MODES}")
     for key in ("n_runs", "repetitions"):
         if run[key] < 1:
             raise ConfigError(f"[run] {key} must be positive")

@@ -18,24 +18,21 @@ sum_j A_jn / f_j decreases strictly with n.
 
 Positivity is preserved by construction.  The update is scale-free: scaling
 R by c scales every p_j(R) by c and the bracketed gain by 1/c, so R' does not
-change.  The ``renormalized`` iterates are therefore the ``literal`` iterates
-divided by their sums, and one loop serves both modes: it iterates without
-rescaling, and the default ``renormalized`` mode divides by the sums once,
-after the last step.  In the ``literal`` mode the unit sum emerges only at
-convergence.  Only the probability floor, ``FLOOR``, breaks the scale
+change.  So the loop iterates without rescaling and divides by the sums
+once, after the last step, which gives the iterates of renormalizing after
+every step.  Only the probability floor, ``FLOOR``, breaks the scale
 invariance.
 
 Each point meets the floor on its own: with q = A R and s the iterate's sum
-(1 on the first step and in the ``literal`` mode), the clamp of e^{y_j} q_j / s
-to the floor is q_j <- max(q_j, floor s / e^{y_j}).  As p_j(R) >= e^{y_j}
-(min_n A_jn) sum_n R_n, a ``renormalized`` point with min(1, sum init) min_j
-e^{y_j} min_n A_jn >= 2 floor (2 for rounding) never reaches it and takes the
-bare step: forward product, divide, back product, multiply.  Other points,
-and all ``literal`` points (whose sum the bound does not know), are guarded:
-each step raises their q to their floors unless the group's smallest q
-provably clears every floor.  A point whose q all fall under its floor, or
-whose sum is not positive, fails and leaves the guard.  No point's values
-depend on another's, so a batch split at the same products keeps its bits.
+(1 on the first step), the clamp of e^{y_j} q_j / s to the floor is
+q_j <- max(q_j, floor s / e^{y_j}).  As p_j(R) >= e^{y_j} (min_n A_jn) sum_n R_n,
+a point with min(1, sum init) min_j e^{y_j} min_n A_jn >= 2 floor (2 for
+rounding) never reaches it and takes the bare step: forward product, divide,
+back product, multiply.  Other points are guarded: each step raises their q
+to their floors unless the group's smallest q provably clears every floor.
+A point whose q all fall under its floor, or whose sum is not positive,
+fails and leaves the guard.  No point's values depend on another's, so a
+batch split at the same products keeps its bits.
 
 The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
@@ -52,26 +49,23 @@ __all__ = [
     "run_em_batch",
 ]
 
-NORMALIZATION_MODES = ("renormalized", "literal")
 FLOOR = 1e-12  # forward probabilities are clamped here; a point all under it fails
 
 
-class EMConfig(NamedTuple("EMConfig", [("n_iterations", int), ("normalization", str), ("init", tuple | None)])):
-    """Iteration count, normalization mode and initial vector (a tuple of floats, or None: uniform 1/N)."""
+class EMConfig(NamedTuple("EMConfig", [("n_iterations", int), ("init", tuple | None)])):
+    """Iteration count and initial vector (a tuple of floats, or None: uniform 1/N)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __new__(cls, n_iterations: int = 1000, normalization: str = "renormalized", init=None):
+    def __new__(cls, n_iterations: int = 1000, init=None):
         if n_iterations < 0:
             raise ValueError("n_iterations must be non-negative")
-        if normalization not in NORMALIZATION_MODES:
-            raise ValueError(f"normalization must be one of {NORMALIZATION_MODES}")
         if init is not None:
             arr = np.asarray(init, dtype=float)
             if arr.ndim != 1 or np.any(arr <= 0.0):
                 raise ValueError("custom init must be a strictly positive vector")
-        return super().__new__(cls, n_iterations, normalization, init)
+        return super().__new__(cls, n_iterations, init)
 
 
 def _loglik_rows(p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray") -> np.ndarray:
@@ -99,15 +93,13 @@ def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
     return _aligned((n_trunc, p_count), init[:, None])
 
 
-def _bare_points(a: np.ndarray, ey: np.ndarray, start: np.ndarray, renormalize: bool) -> np.ndarray:
+def _bare_points(a: np.ndarray, ey: np.ndarray, start: np.ndarray) -> np.ndarray:
     """(P,) whether each point of ``ey`` (P, M) meets the static bound and takes the bare step.
 
-    A ``renormalized`` point's probabilities never fall below min(1, sum
-    start) min_j e^{y_j} min_n A_jn; the bare step needs that to be at least
-    twice the floor (2 for rounding).  No ``literal`` point takes it.
+    A point's probabilities never fall below min(1, sum start) min_j e^{y_j}
+    min_n A_jn; the bare step needs that to be at least twice the floor (2 for
+    rounding).
     """
-    if not renormalize:
-        return np.zeros(len(ey), dtype=bool)
     reach = np.minimum(1.0, start.sum(axis=0)) * np.min(ey * a.min(axis=1), axis=1)
     return reach >= 2.0 * FLOOR
 
@@ -156,16 +148,15 @@ def run_em_batch(
     np.divide(weighted.T, sensitivity[:, None], out=back, where=(sensitivity > 0.0)[:, None])
 
     # Points that meet the static bound take the bare step.  A guarded step raises each
-    # point's q to FLOOR s / e^y (sums count from the second renormalized step on),
+    # point's q to FLOOR s / e^y (sums count from the second step on),
     # unless the smallest q times the smallest e^y clears FLOOR times the largest sum.
-    renormalize = cfg.normalization == "renormalized"
-    guarded = np.flatnonzero(~_bare_points(a, ey, r, renormalize))
+    guarded = np.flatnonzero(~_bare_points(a, ey, r))
     cols = slice(None) if guarded.size == p_count else guarded  # a view is faster to reduce
     with np.errstate(divide="ignore", over="ignore"):  # a subnormal e^y takes either quotient to inf
         scaled_freqs = np.divide(freqs.T, ey.T, out=_aligned((m, p_count), 0.0), where=ey.T > 0.0)
         floors = FLOOR / ey[guarded].T  # (M, G); inf where e^y = 0
     e_min = np.min(ey[guarded], initial=np.inf)
-    unit = np.ones(1)  # the sum of a first-step or literal iterate
+    unit = np.ones(1)  # the sum of a first-step iterate
     failed = np.zeros(p_count, dtype=bool)
     q = _aligned((m, p_count), 0.0)  # forward products, then the ratios in place
     gain = _aligned((n_trunc, p_count), 0.0)
@@ -176,12 +167,12 @@ def run_em_batch(
         for step in range(cfg.n_iterations):
             matmul(a, r, q)
             if guarded.size:
-                q_g, scaled = q[:, cols], renormalize and step > 0
-                sums = np.add.reduce(r[:, cols], axis=0) if scaled else unit
+                q_g = q[:, cols]
+                sums = np.add.reduce(r[:, cols], axis=0) if step else unit
                 q_min = np.minimum.reduce(q_g, axis=None, initial=np.inf)
-                s_max = np.maximum.reduce(sums) if scaled else 1.0
+                s_max = np.maximum.reduce(sums)
                 if not (q_min > 0.0 and q_min * e_min >= FLOOR * s_max):
-                    bound = floors * sums if scaled else floors
+                    bound = floors * sums
                     dead = ~(sums > 0.0) | ~np.any(q_g >= bound, axis=0)  # a NaN point fails too
                     q[:, cols] = np.maximum(q_g, bound)
                     if dead.any():  # a failed point leaves the guard
@@ -193,7 +184,7 @@ def run_em_batch(
             divide(scaled_freqs, q, q)
             matmul(back, q, gain)
             multiply(r, gain, r)
-        if renormalize and cfg.n_iterations > 0:  # zero iterations return init as given
+        if cfg.n_iterations > 0:  # zero iterations return init as given
             sums = r.sum(axis=0)
             dead = ~failed & ~(sums > 0.0)  # a vanished iterate fails (NaN)
             failed |= dead

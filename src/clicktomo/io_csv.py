@@ -39,16 +39,6 @@ _CONFIG_BEGIN = "# config-begin"
 _CONFIG_END = "# config-end"
 
 
-def _indexed_rows(values: np.ndarray, start: int = 0):
-    """``i,j,v_0,...`` rows of an (I, J, K) table from i = ``start``, one ``str.format`` per i on a J-row template;
-    integers are written as integers, floats with 17 significant digits."""
-    n_i, n_j, n_k = values.shape
-    spec = "" if values.dtype.kind in "iu" else ":.17g"
-    cells = [",".join(f"{{{j * n_k + k + 1}{spec}}}" for k in range(n_k)) for j in range(n_j)]
-    template = "\n".join(f"{{0}},{j},{c}" for j, c in enumerate(cells))
-    return (template.format(i, *row.tolist()) for i, row in enumerate(values.reshape(n_i, -1), start))
-
-
 def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "dict | None" = None) -> None:
     """The embedded config, one ``# key = value`` line per extra, the column names, then the rows."""
     lines = [_CONFIG_BEGIN]
@@ -236,8 +226,10 @@ def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]
 
 
 def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
-    rho = np.asarray(elements)
-    _write_table(path, cfg, RHO_COLUMNS, _indexed_rows(np.stack([rho.real, rho.imag], axis=-1)))
+    """One ``m,n,re,im`` row per element, in row-major order, with 17 significant digits."""
+    rows = np.asarray(elements).tolist()
+    lines = (f"{m},{n},{v.real:.17g},{v.imag:.17g}" for m, row in enumerate(rows) for n, v in enumerate(row))
+    _write_table(path, cfg, RHO_COLUMNS, lines)
 
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:

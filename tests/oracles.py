@@ -158,14 +158,13 @@ def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=Non
         np.divide(gain, sensitivity, out=gain, where=live)
         gain[:, ~live] = 0.0
         r = r * gain
-        if cfg.normalization == "renormalized":
-            s = r.sum(axis=1, keepdims=True)
-            dead = ~failed & ~(s[:, 0] > 0.0)
-            if np.any(dead):
-                failed |= dead
-                r[dead] = np.nan
-                s[dead] = 1.0
-            r = r / s
+        s = r.sum(axis=1, keepdims=True)
+        dead = ~failed & ~(s[:, 0] > 0.0)
+        if np.any(dead):
+            failed |= dead
+            r[dead] = np.nan
+            s[dead] = 1.0
+        r = r / s
 
     return r, _loglik_rows(ey * (r @ a.T), noclick, n_runs, floor), failed
 
@@ -317,9 +316,9 @@ def dmn_kernel(m: int, n: int, gamma) -> "complex | np.ndarray":
 
 
 # Row-major references: the (P, dim) displacement kernel and the float-only
-# row formatter that ``fock.displace`` (component-major) and
-# ``io_csv._indexed_rows`` (integers as integers, one point at a time)
-# replaced, kept verbatim to pin the new code bit for bit and byte for byte.
+# row formatter that ``fock.displace`` (component-major) and the row writers
+# of ``io_csv`` replaced, kept verbatim to pin the new code bit for bit and
+# byte for byte.
 def _power_table_row_major(z: np.ndarray, dim: int) -> np.ndarray:
     """(P, dim) powers z_p^j for j < dim, by cumulative products."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1, 1)

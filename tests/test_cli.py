@@ -354,9 +354,9 @@ def test_config_syntax_error_is_one_line(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("flags", [[], ["--seed", "9", "--exact"]], ids=["plain", "run_flags"])
 def test_downstream_stages_default_to_the_embedded_config(tmp_path, flags):
-    # EM keys off their defaults: without --config they must come from the
+    # n_iterations off its default: without --config it must come from the
     # click file's header, and the outputs match a run that passes the config
-    text = SMALL.replace("n_iterations = 60", "n_iterations = 35\nnormalization = literal\nanalytic_reference = false")
+    text = SMALL.replace("n_iterations = 60", "n_iterations = 35")
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     outputs = {}
@@ -367,7 +367,7 @@ def test_downstream_stages_default_to_the_embedded_config(tmp_path, flags):
         assert main(["recover-rho", *config, *flags, "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
         outputs[name] = [(out / f).read_bytes() for f in ("wigner.csv", "rho.csv", "metrics.json")]
     assert outputs["with"] == outputs["without"]
-    assert b"# n_iterations = 35" in outputs["without"][0] and b"# analytic_reference = false" in outputs["without"][0]
+    assert b"# n_iterations = 35" in outputs["without"][0]
 
 
 def test_simulate_still_needs_a_config(tmp_path, capsys):
@@ -436,6 +436,15 @@ def _header(key, value):
     return edit
 
 
+def _deleted_keys(*lines):
+    """Puts back ``[run]`` lines that headers carried until their keys were deleted."""
+    def edit(head, body):
+        at = next(k for k, row in enumerate(head) if row.startswith("# exact_probabilities = ")) + 1
+        return head[:at] + list(lines) + head[at:], body
+
+    return edit
+
+
 # an edit of the header or of the row layout -> message; the rows must be the
 # points the header declares, in order, each with a count per declared setting
 SCHEDULE_EDITS = {
@@ -451,6 +460,11 @@ SCHEDULE_EDITS = {
         "declares no valid schedule: [detectors] mode = single: the schedule has 1 distinct nu_bar values",
     ),
     "runs_below_one": (_header("n_runs", 0), "embedded config: [run] n_runs must be positive"),
+    # the header every run wrote until normalization and analytic_reference were deleted
+    "deleted_keys": (
+        _deleted_keys("# normalization = renormalized", "# analytic_reference = true"),
+        "embedded config: unknown key 'normalization' in section [run]",
+    ),
     "fractional_runs": (_header("n_runs", 400.5), "[run] n_runs: cannot parse '400.5' as int"),
     "runs_above_int64": (_header("n_runs", 10**29), f"embedded config: [run] n_runs = {10**29} exceeds"),
     "runs_above_2_53": (_header("n_runs", 2**53 + 1), f"embedded config: [run] n_runs = {2**53 + 1} exceeds 2**53"),
@@ -539,6 +553,15 @@ RUNS_THAT_DO_NOT_FIT = {
         ("n_efficiencies = 14", "n_efficiencies = 100000000"),
         "config error: [detectors] n_efficiencies = 100000000 exceeds 4096 settings",
     ),
+    # keys that older versions accepted
+    "normalization": (
+        ("seed = 5", "seed = 5\nnormalization = renormalized"),
+        "config error: unknown key 'normalization' in section [run]",
+    ),
+    "analytic_reference": (
+        ("seed = 5", "seed = 5\nanalytic_reference = true"),
+        "config error: unknown key 'analytic_reference' in section [run]",
+    ),
 }
 
 
@@ -610,31 +633,38 @@ def narrow_chain(tmp_path_factory):
     return out
 
 
-# a header edit -> (the key it sets, the error it must raise)
+# a header edit -> the error it must raise
 HEADERS_THAT_DO_NOT_BUILD = {
-    "state": (("re_amplitude", 9), "embedded config: [state] kind = coherent: |amplitude|^2 = 81.000 exceeds"),
+    "state": (_header("re_amplitude", 9), "embedded config: [state] kind = coherent: |amplitude|^2 = 81.000 exceeds"),
     "schedule": (
-        ("alpha", 0),
+        _header("alpha", 0),
         "embedded config declares no valid schedule: [detectors] mode = single: alpha = 0.0 is degenerate",
+    ),
+    "normalization": (
+        _deleted_keys("# normalization = renormalized"),
+        "embedded config: unknown key 'normalization' in section [run]",
+    ),
+    "analytic_reference": (
+        _deleted_keys("# analytic_reference = true"),
+        "embedded config: unknown key 'analytic_reference' in section [run]",
     ),
 }
 
 
-@pytest.mark.parametrize(
-    "key_value, message", HEADERS_THAT_DO_NOT_BUILD.values(), ids=HEADERS_THAT_DO_NOT_BUILD.keys()
-)
+@pytest.mark.parametrize("edit, message", HEADERS_THAT_DO_NOT_BUILD.values(), ids=HEADERS_THAT_DO_NOT_BUILD.keys())
 @pytest.mark.parametrize(
     "name, command",
     [("clicks.csv", "reconstruct --records"), ("wigner.csv", "recover-rho --wigner"), ("wigner.csv", "report --wigner")],
     ids=["click-reconstruct", "wigner-recover-rho", "wigner-report"],
 )
 def test_a_header_whose_state_or_schedule_does_not_build_is_a_data_error(
-    narrow_chain, tmp_path, capsys, name, command, key_value, message
+    narrow_chain, tmp_path, capsys, name, command, edit, message
 ):
-    # every reader builds the embedded run's state and schedule, as simulate does
+    # every reader builds the embedded run's state and schedule, as simulate does,
+    # and refuses a header written before a key was deleted
     lines = (narrow_chain / name).read_text().splitlines()
     n_head = sum(1 for line in lines if line.startswith("#"))
-    head, body = _header(*key_value)(lines[:n_head], lines[n_head:])
+    head, body = edit(lines[:n_head], lines[n_head:])
     path = tmp_path / name
     path.write_text("\n".join(head + body) + "\n")
     capsys.readouterr()
@@ -822,17 +852,15 @@ def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
     other = tmp_path / "other.ini"
-    other.write_text(
-        SMALL.replace("n_iterations = 60", "n_iterations = 70\nnormalization = literal\nanalytic_reference = false")
-    )
+    other.write_text(SMALL.replace("n_iterations = 60", "n_iterations = 70"))
     code = main(["reconstruct", "--config", str(other), "--exact", "--seed", "99",
                  "--records", str(out / "clicks.csv"), "--out", str(out)])
     assert code == 0
     click_cfg, _, _ = io_csv.read_click_csv(out / "clicks.csv")
     wigner_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
     assert (wigner_cfg.seed, wigner_cfg.exact_probabilities) == (5, False)
-    assert wigner_cfg == click_cfg._replace(n_iterations=70, normalization="literal", analytic_reference=False)
-    assert np.all(np.isnan(cols["w_exact"]))
+    assert wigner_cfg == click_cfg._replace(n_iterations=70)
+    assert np.all(np.isfinite(cols["w_exact"]))
 
 
 def test_reconstruct_rejects_another_runs_state(small_cfg, tmp_path, capsys):
@@ -1075,28 +1103,30 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # the displacement coefficients came from their recurrence instead of
 # log-factorials (w_rec moved by at most 1.7e-16, rho by at most 1.2e-12),
 # and every clicks.csv when click files took one row per point (format 3;
-# the counts read back, and every wigner.csv and rho.csv, kept their bytes).
+# the counts read back, and every wigner.csv and rho.csv, kept their bytes),
+# and every file when the [run] keys normalization and analytic_reference
+# were deleted (each file lost those two header lines and nothing else).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, [], {
-        "clicks.csv": "4c44cfdf02feb23767f744cfb1cf524498816f5aef334d21e1d75fb27663116d",
-        "wigner.csv": "901d4bf69e5859390308ee0723b89c654af63e129c1cb0f3abb011c658c60f36",
-        "rho.csv": "83f10d1a610839963ebc2ebe508cfb8546e711131048133b431b5b3d6df04117",
+        "clicks.csv": "d6715d4db95cb101a4abc108bf36e402fd679c6aacbee0de43f4f037d2aeaa5b",
+        "wigner.csv": "22ef0aee96e5d3effa8d68f315dc38586af002e8d91c1dff94d837e801a26c0d",
+        "rho.csv": "4aaa3e9f70e192dc64b24895cfef2c95dbdca6bf78c1b38e824b946a46830ec2",
     }),
     "exact": (SMALL, ["--exact"], {
-        "clicks.csv": "1c39f735163d279336b143e996ce52c4cf5ab89b24d5c6acd0c6991fad716be1",
-        "wigner.csv": "768e69eaacc030ed05e539d1697faead879cb340979fba58e538d329b4872423",
-        "rho.csv": "52c4ff1abf8fd5f4816937cbf7412930066a58966d8e9660c184558a6c512c9b",
+        "clicks.csv": "85ccdcd04bea688a4ec7b896e84963d53d7336761f4855475f24c3617eec548f",
+        "wigner.csv": "456d170898b8b0fec9333b367a869e9a3db0afb54770fd8b1687bb9bba7dbe62",
+        "rho.csv": "243348d38c7d1f672692e3faf0faac456dd23a53c1b5cb2e32484a6466f91e5d",
     }),
     "dual": (DUAL, [], {
-        "clicks.csv": "9757370b861bdf4a165126e3c8faf2fd41657495a0ee48e9db73c60550ca861b",
-        "wigner.csv": "6bd60e5508751b946a648d29e564c8238a2338a96dee8f178fffae5c0d538330",
-        "rho.csv": "53163798774caad22dbd7daafbaa64ae5b8d1da0aaaf99c51aef5f9ea802282d",
+        "clicks.csv": "d0b50343c2bf9d0966e95fa2d8e643d540bb44b0a9812aa0cb9b6d32186475fe",
+        "wigner.csv": "536b95d972a5b47efc08fa226d9f06c43c2e2b7d94ec1edd95fd5ea060423ee7",
+        "rho.csv": "619029a638af0dffdf890ed615a1ad128747967a666dafd784ce447bfba4aead",
     }),
     "fock": (FOCK, [], {
-        "clicks.csv": "af078730939517ac1641139c27ddcb268ae7219c2557b28aa73f7f0e74bf6b51",
-        "wigner.csv": "b9abab37118ad3813f21981ac0f111b750b7aaa877ec6a8840bb1849cd75fe1e",
-        "rho.csv": "e3eb3bb37b78e07cb38e2cf643bb52dd2302ef439740cec4fe347951211d86f3",
+        "clicks.csv": "9df1d45aee12be6265949605b8cc69f50627b60663dda915ba82269eb56da381",
+        "wigner.csv": "147b5b48dc2574ac97cf7bbfda20b4d660d6bbbe939c37dd46a417c2442d6d2f",
+        "rho.csv": "781cb3345ebb152b4cc1f512f7d954e5b164f9153193abe24dab9015414f69eb",
     }),
 }
 
@@ -1238,7 +1268,6 @@ BLOCK_CASES = {
     # 192 of its 784 points are guarded, 154 of them reach the floor and 66 fail
     "dual_floor": (DUAL, [], (1, 2, 3), (1, 2, 3), 4, 66),
     "fock": (FOCK, [], (1, 2, 3), (1, 2, 3), 0, 0),
-    "literal": (SMALL + "normalization = literal\n", [], (1, 2, 3), (1, 2, 3), 0, 0),
     # the no-click series, 2500 x 44 x 17 multiply-adds, is above BLAS_SMALL, and its blocks
     # are not: its transposed operand keeps OpenBLAS's kernel
     "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clicktomo.em import EMConfig, NORMALIZATION_MODES
+from clicktomo.em import EMConfig
 from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, displaced_diagonals
 from clicktomo.measurement import DetectorPair, SingleDetectorRecipe, complex_array, derive_settings, simulate
 from clicktomo.wigner import PhaseGrid, WignerEstimate
@@ -69,8 +69,6 @@ class TestParse:
         cfg = parse_config(BASE)
         assert cfg.trunc.n_pad == 44
         assert cfg.repetitions == 1
-        assert cfg.normalization == "renormalized"
-        assert cfg.analytic_reference is True
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -180,8 +178,6 @@ def config_texts(draw):
             "repetitions": maybe(st.integers(1, 20)),
             "seed": maybe(st.integers(0, 2**70)),
             "exact_probabilities": maybe(BOOL_TEXTS),
-            "normalization": maybe(st.sampled_from(NORMALIZATION_MODES)),
-            "analytic_reference": maybe(BOOL_TEXTS),
         },
     }
     blocks = []
@@ -230,7 +226,7 @@ def test_grid_the_config_accepts_the_kernel_accepts(n_trunc, n_re, n_im, angle):
 def test_records_compare_by_value_and_refuse_assignment():
     cfg = parse_config(BASE)
     assert parse_config(dump_config(cfg)) == cfg and cfg._replace(seed=6) != cfg
-    assert EMConfig() == EMConfig(1000, "renormalized", None) and TruncationConfig(12) == TruncationConfig(12, 44)
+    assert EMConfig() == EMConfig(1000, None) and TruncationConfig(12) == TruncationConfig(12, 44)
     schedule = build_recipe(cfg).build(cfg.grid.flat_gammas())
     assert len(schedule) == cfg.detectors.n_settings == 30
     rho = density_from_pure(coherent_state(1.0, cfg.trunc))
@@ -526,7 +522,16 @@ def test_counts_above_2_53_would_be_rounded_as_floats():
 @settings(max_examples=100, deadline=None)
 @given(values=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 2)), elements=st.floats()))
 def test_float_rows_are_unchanged(values):
-    assert list(io_csv._indexed_rows(values, 7)) == list(indexed_rows_float(values, 7))
+    rho = values[..., 0]  # one value a cell: real elements; two: their real and imaginary parts
+    if values.shape[-1] == 2:
+        rho = np.empty(rho.shape, dtype=complex)
+        rho.real, rho.imag = values[..., 0], values[..., 1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rho.csv"
+        io_csv.write_rho_csv(path, parse_config(BASE), rho)
+        text = path.read_text()
+    rows = "\n".join(indexed_rows_float(np.stack([rho.real, rho.imag], axis=-1)))
+    assert text.endswith(f"\nm,n,re,im\n{rows}\n")
     counts = values.reshape(len(values), -1)  # exact-mode counts
     assert io_csv.click_rows(counts, 7) == "\n".join(point_rows_float(counts, 7))
 

@@ -38,10 +38,10 @@ def diagonal_state(values):
     return DensityMatrix(rho)
 
 
-def one_step(values, freqs, nu_bar, normalization="renormalized"):
+def one_step(values, freqs, nu_bar):
     """One iteration from ``values``; zero components start at the smallest normal float."""
     init = tuple(np.maximum(values, np.finfo(float).tiny))
-    cfg = EMConfig(n_iterations=1, normalization=normalization, init=init)
+    cfg = EMConfig(n_iterations=1, init=init)
     return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), cfg)[0][0]
 
 
@@ -83,14 +83,13 @@ class TestForwardProbability:
 class TestEmStep:
     def test_fixed_point_on_consistent_data(self):
         # when the model already reproduces the frequencies the update is
-        # the identity, in both normalization modes
+        # the identity
         values = poisson_pmf(1.0, 12)
         values = values / values.sum()
         nu_bar = np.linspace(0.1, 0.9, 30)
         freqs = kernel(nu_bar) @ values
-        for mode in ("renormalized", "literal"):
-            out = one_step(values, freqs, nu_bar, mode)
-            np.testing.assert_allclose(out, values, atol=1e-12)
+        out = one_step(values, freqs, nu_bar)
+        np.testing.assert_allclose(out, values, atol=1e-12)
 
     def test_vacuum_fixed_point(self):
         values = np.zeros(12)
@@ -107,13 +106,13 @@ class TestEmStep:
         zeroed = freqs.copy()
         zeroed[3] = 0.0
         start = values / values.sum()
-        stepped = one_step(start, zeroed, nu_bar, "literal")
+        stepped = one_step(start, zeroed, nu_bar)
         a = kernel(nu_bar)
         f = a.sum(axis=1)
         w = a / f[:, None]
         ratios = zeroed / (a @ start)
         expected = start * (ratios @ w) / w.sum(axis=0)
-        np.testing.assert_allclose(stepped, expected, atol=1e-14)
+        np.testing.assert_allclose(stepped, expected / expected.sum(), atol=1e-14)
 
     def test_requires_enough_settings(self):
         values = np.full(12, 1.0 / 12)
@@ -173,11 +172,9 @@ class TestRunEm:
         # with nu_bar = 1 never sees n > 0
         nu_bar = np.ones(12)
         freqs = np.full(12, 0.7)
-        literal, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200, normalization="literal"), 1000)
-        assert literal[0] == pytest.approx(0.7, abs=1e-12)
-        assert np.all(literal[1:] == 0.0)
-        renorm, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200), 1000)
-        assert renorm[0] == pytest.approx(1.0, abs=1e-12)
+        values, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200), 1000)
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(values[1:] == 0.0)
 
     def test_determinism(self):
         values = poisson_pmf(0.8, 12)
@@ -286,13 +283,10 @@ def _em_batch_case(name):
         return noclick / n_runs, nu_bar, ey, EMConfig(n_iterations=300), sampled
     if name == "exact":
         return probs, nu_bar, ey, EMConfig(n_iterations=300), {}
-    if name == "literal":
-        cfg = EMConfig(n_iterations=300, normalization="literal")
-        return noclick / n_runs, nu_bar, ey, cfg, sampled
-    if name in ("floor_renormalized", "floor_literal"):
+    if name == "floor_renormalized":
         # the tiny-e^y rows fall under the floor on the first step or later
-        # (renormalized: rows fail at steps 1, 2, 4 and 10); the all-zero row
-        # fails through its vanishing sum (renormalized) or the floor (literal)
+        # (rows fail at steps 1, 2, 4 and 10); the all-zero row fails through
+        # its vanishing sum
         nu_bar = np.linspace(0.1, 0.9, 14)
         faint = np.zeros((40, 14))
         faint[:, 0], faint[:, 1] = 0.3, 0.1
@@ -300,8 +294,7 @@ def _em_batch_case(name):
         ey = np.vstack(
             [np.geomspace(1e-13, 1e-10, 40)[:, None] * np.ones((1, 14)), ey[:9, :14]]
         )
-        mode = name.split("_")[1]
-        return freqs, nu_bar, ey, EMConfig(n_iterations=300, normalization=mode), {}
+        return freqs, nu_bar, ey, EMConfig(n_iterations=300), {}
     if name == "bright_data":
         # frequencies far above e^y = 1e-9: the unnormalized iterate sums to
         # about 1e9, and the normalized probabilities of the settings with
@@ -309,24 +302,23 @@ def _em_batch_case(name):
         # do not, so the floor bound must use the sums
         nu_bar = np.linspace(0.1, 0.999, 14)
         return ((1.0 - nu_bar) ** 2)[None, :], nu_bar, 1e-9, EMConfig(n_iterations=300), {}
-    if name in ("mixed_bound", "mixed_bound_literal"):
+    if name == "mixed_bound":
         # exact data on nu_bar <= 1/2, where every point meets the static bound
         # until e^y of the first 24 is scaled by 1e-14 ... 1e-4: those under
         # about 1e-8 are guarded, and the smallest fail
         nu_bar = np.linspace(0.1, 0.5, 24)
         ey = ey * np.concatenate([np.geomspace(1e-14, 1e-4, 24), np.ones(72)])[:, None]
         freqs = np.clip(ey * (rows @ ((1.0 - nu_bar)[:, None] ** np.arange(12)).T), 0.0, 1.0)
-        mode = "literal" if name.endswith("literal") else "renormalized"
-        return freqs, nu_bar, ey, EMConfig(n_iterations=300, normalization=mode), {}
+        return freqs, nu_bar, ey, EMConfig(n_iterations=300), {}
     if name == "small_init":
         # a custom init summing to 1.2e-11 puts the first step's probabilities
         # near the floor, which clamps some of them although every point meets
         # the static bound on a unit sum
         cfg = EMConfig(n_iterations=300, init=(1e-12,) * 12)
         return noclick / n_runs, nu_bar, ey, cfg, sampled
-    if name in ("blind", "blind_literal"):
+    if name == "blind":
         # nu_bar = 1 everywhere: only the vacuum component is live
-        cfg = EMConfig(n_iterations=50, normalization="renormalized" if name == "blind" else "literal")
+        cfg = EMConfig(n_iterations=50)
         return noclick[:5, :12] / n_runs[:5, :12], np.ones(12), 1.0, cfg, {}
     if name == "early_stop_trace_init":
         # a custom init over 8 rows
@@ -353,15 +345,11 @@ class TestBatchBitIdentity:
         [
             "sampled",
             "exact",
-            "literal",
             "floor_renormalized",
-            "floor_literal",
             "bright_data",
             "mixed_bound",
-            "mixed_bound_literal",
             "small_init",
             "blind",
-            "blind_literal",
             "early_stop_trace_init",
             "single_row",
         ],
@@ -372,9 +360,7 @@ class TestBatchBitIdentity:
         want_values, want_loglik, want_failed = em_batch_reference(freqs, nu_bar, ey, 12, cfg, **extra)
         tol = em_tolerance(cfg.n_iterations)
         assert np.array_equal(failed, want_failed)
-        # values near one owe tol absolute; the literal floor case's iterates
-        # grow to 3e11, where tol is below one ulp, so they owe tol relative
-        np.testing.assert_allclose(values, want_values, rtol=tol, atol=tol)
+        np.testing.assert_allclose(values, want_values, rtol=0.0, atol=tol)
         np.testing.assert_allclose(loglik, want_loglik, rtol=tol, atol=0.0)
         if name.startswith(("floor", "mixed")):
             assert 0 < want_failed.sum() < want_failed.size
@@ -408,10 +394,9 @@ def test_batch_stays_positive_and_normalized(problem):
 def unfloored_problems(draw):
     """Random positive kernels on which no probability can reach the floor.
 
-    With nu_bar <= 1/2, e^y >= 1e-3 and frequencies >= 1e-2, every literal
-    iterate after the first step sums to at least 1e-2 (the weighted kernel
-    over the sensitivity has unit column sums), so each probability stays
-    above 1e-3 * 2**-11 * 1e-2, far over the 1e-12 floor.
+    With nu_bar <= 1/2 and e^y >= 1e-3, each normalized probability stays
+    above 1e-3 * 2**-11, far over the 1e-12 floor, so every point takes the
+    bare step; frequencies >= 1e-2 keep every iterate's sum positive.
     """
     n_trunc = draw(st.integers(2, 12))
     m = draw(st.integers(n_trunc, n_trunc + 8))
@@ -424,28 +409,24 @@ def unfloored_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=unfloored_problems())
-def test_renormalized_iterates_are_the_normalized_literal_ones(problem):
+def test_bare_steps_normalized_once_are_the_reference_iterates(problem):
     # the update is scale-free, so renormalizing every step (the reference
-    # loop) and normalizing the literal iterate once agree to rounding
+    # loop) and normalizing the bare iterate once agree to rounding
     freqs, nu_bar, ey, n_trunc, iterations = problem
     cfg = EMConfig(n_iterations=iterations)
-    literal, _, _ = run_em_batch(freqs, nu_bar, ey, n_trunc, cfg._replace(normalization="literal"))
-    normalized = literal / literal.sum(axis=1, keepdims=True)
-    tol = em_tolerance(iterations)
     stepwise, _, stepwise_failed = em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg)
     assert not stepwise_failed.any()
-    np.testing.assert_allclose(normalized, stepwise, rtol=0.0, atol=tol)
+    tol = em_tolerance(iterations)
     np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, cfg)[0], stepwise, rtol=0.0, atol=tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("mode", ["renormalized", "literal"])
-def test_bounded_point_with_zero_frequencies_fails_quietly(mode):
+def test_bounded_point_with_zero_frequencies_fails_quietly():
     # e^y = 1 and nu_bar <= 1/2 put every point far above the floor; the
     # zero row's iterate vanishes after one step and must end NaN and failed
     nu_bar = np.linspace(0.1, 0.5, 14)
     freqs = np.vstack([kernel(nu_bar) @ poisson_pmf(0.7, 12), np.zeros(14), kernel(nu_bar) @ poisson_pmf(1.5, 12)])
-    values, _, failed = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50, normalization=mode))
+    values, _, failed = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50))
     assert failed.tolist() == [False, True, False]
     assert np.all(np.isnan(values[1])) and np.all(np.isfinite(values[[0, 2]]))
 
@@ -479,16 +460,15 @@ def _guarded_batch(ey_1, first=1):
     return freqs, nu_bar, ey
 
 
-@pytest.mark.parametrize("mode", ["renormalized", "literal"])
 @pytest.mark.parametrize("ey_1, first", [(1e-13, 1), (1e-20, 0)], ids=["clamped", "failed"])
-def test_a_guarded_point_moves_no_other_point(mode, ey_1, first):
+def test_a_guarded_point_moves_no_other_point(ey_1, first):
     # point 1 either clamps every step and never fails (e^y = 1e-13 on every setting
     # but the first) or fails on the first step (1e-20 on all); points 0 and 2 must
     # keep the bits of the batch in which point 1 is bare
     freqs, nu_bar, ey = _guarded_batch(ey_1, first)
     bound = _static_bound(nu_bar, np.log(ey), 12)
     assert 1e-12 <= bound[0] < 2e-12 and bound[1] < 1e-12 and bound[2] >= 2e-12
-    cfg = EMConfig(n_iterations=20, normalization=mode)
+    cfg = EMConfig(n_iterations=20)
     spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, nu_bar, ey, 12, cfg)
     clean, clean_loglik, clean_failed = run_em_batch(*_guarded_batch(1.0), 12, cfg)
     assert spoiled_failed.tolist() == [False, first == 0, False] and not clean_failed.any()
@@ -526,11 +506,10 @@ def _overflow_batch(ey_1):
     return freqs, nu_bar, ey
 
 
-@pytest.mark.parametrize("mode", ["renormalized", "literal"])
-def test_a_subnormal_attenuation_fails_its_point_quietly(mode):
+def test_a_subnormal_attenuation_fails_its_point_quietly():
     # 0.5 / 1e-320 overflows: under this suite's warnings-as-errors that used to raise
     # RuntimeWarning; now point 1 fails and point 0 keeps the bits of the batch without it
-    cfg = EMConfig(n_iterations=20, normalization=mode)
+    cfg = EMConfig(n_iterations=20)
     spoiled, spoiled_loglik, spoiled_failed = run_em_batch(*_overflow_batch(1e-320), 12, cfg)
     clean, clean_loglik, clean_failed = run_em_batch(*_overflow_batch(1.0), 12, cfg)
     assert spoiled_failed.tolist() == [False, True] and not clean_failed.any()
@@ -548,7 +527,7 @@ def test_every_aligned_cut_keeps_the_bits(path):
     )
     n_points, dim = len(clicks.gammas), cfg.trunc.n_trunc
     assert n_points * clicks.nu_bar.size * dim <= cli.BLAS_SMALL
-    em_cfg = EMConfig(n_iterations=3, normalization=cfg.normalization)
+    em_cfg = EMConfig(n_iterations=3)
 
     def run(part):
         noclick = clicks.noclick[part]
@@ -586,11 +565,10 @@ def _fock_em_long_inputs():
     return clicks.noclick / clicks.n_runs, clicks.nu_bar, ey, clicks.noclick, clicks.n_runs
 
 
-@pytest.mark.parametrize("mode", ["renormalized", "literal"])
-def test_where_the_inputs_start_moves_no_bit(mode):
+def test_where_the_inputs_start_moves_no_bit():
     # the working arrays start on a cache line wherever the inputs do
     freqs, nu_bar, ey, noclick, n_runs = _fock_em_long_inputs()
-    em_cfg = EMConfig(n_iterations=50, normalization=mode)
+    em_cfg = EMConfig(n_iterations=50)
     results = []
     for offset in (0, 16, 32, 48):
         moved = [_at_offset(x, offset) for x in (freqs, nu_bar, ey, noclick)]
