@@ -4,20 +4,16 @@ Subcommands cover the pipeline stages: ``simulate`` writes click records,
 ``reconstruct`` turns them into a Wigner map, ``recover-rho`` integrates the
 map into a density matrix, and ``report`` condenses one or more artifacts
 into a tidy summary.  Exit codes: 0 success, 2 config error, 3 data or I/O
-error or out of memory, 4 numerical failure.  ``run`` ends the process that
-``__main__`` starts with the garbage collector off; ``main`` runs one command
-and leaves the collector as it found it.
+error or out of memory, 4 numerical failure.  ``main`` runs one command and
+leaves the garbage collector as it found it.
 """
 import argparse
-import gc
 import os
 import pickle
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -157,7 +153,24 @@ def _blocks_text(blocks: list[slice]) -> str:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    return cfg.with_overrides(seed=args.seed, exact=args.exact)
+    if args.seed is None:
+        return cfg
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    return cfg._replace(seed=args.seed)
+
+
+def _run_config(args, path, file_cfg: RunConfig) -> RunConfig:
+    """``--config``, by default ``file_cfg``, the embedded config of ``path``: a ``--config``
+    whose n_trunc, [state] or [grid] differs from that config is a data error."""
+    cfg = file_cfg if args.config is None else _load(args)
+    if cfg.trunc.n_trunc != file_cfg.trunc.n_trunc:
+        raise DataError(f"{path}: n_trunc differs from the run config")
+    if cfg.state != file_cfg.state:
+        raise DataError(f"{path}: [state] differs from the run config")
+    if cfg.grid != file_cfg.grid:
+        raise DataError(f"{path}: [grid] differs from the run config")
+    return cfg
 
 
 def _out_dir(args) -> Path:
@@ -193,34 +206,24 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _nodes_match(gammas: np.ndarray, grid) -> bool:
-    """Whether ``gammas`` are the grid's nodes, in order, to 1e-9."""
-    return gammas.size == grid.n_points and np.max(np.abs(gammas - grid.flat_gammas())) <= 1e-9
-
-
 def cmd_reconstruct(args) -> int:
     """The wigner.csv header is the click files' embedded config; ``--config``
     (default: that config) sets only ``n_iterations``."""
-    cfg = None if args.config is None else _load(args)
-    em_cfg = first_cfg = None
-    maps, logliks, n_failed = [], [], 0
+    records = [io_csv.read_click_csv(path) for path in args.records]
+    first_cfg = records[0][0]
     seen: dict[int, str] = {}  # repetition -> path
-    for path in args.records:
-        file_cfg, rep, clicks = io_csv.read_click_csv(path)
-        cfg = file_cfg if cfg is None else cfg
-        em_cfg = em_cfg or EMConfig(n_iterations=cfg.n_iterations)
-        if file_cfg.trunc.n_trunc != cfg.trunc.n_trunc:
-            raise DataError(f"{path}: truncation differs from the run config")
-        if file_cfg.state != cfg.state:
-            raise DataError(f"{path}: [state] differs from the run config")
-        first_cfg = first_cfg or file_cfg
+    for path, (file_cfg, rep, _) in zip(args.records, records):
         if file_cfg != first_cfg:
             raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
         if rep in seen:  # the records share one config, so only the repetition tells them apart
             raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
         seen[rep] = path
-        n_trunc, n_points = cfg.trunc.n_trunc, clicks.gammas.size
-        blocks = _blocks(n_points, clicks.nu_bar.size * n_trunc)
+    header = first_cfg._replace(n_iterations=_run_config(args, args.records[0], first_cfg).n_iterations)
+    em_cfg = EMConfig(n_iterations=header.n_iterations)
+    n_trunc = header.trunc.n_trunc
+    maps, logliks, n_failed = [], [], 0
+    for _, _, clicks in records:
+        blocks = _blocks(clicks.gammas.size, clicks.nu_bar.size * n_trunc)
 
         def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
@@ -231,16 +234,11 @@ def cmd_reconstruct(args) -> int:
         maps.append(w)
         logliks.append(ll)
         n_failed += int(failed.sum())
-    if not _nodes_match(first_cfg.grid.flat_gammas(), cfg.grid):
-        raise DataError("records do not cover the configured grid")
-    header = first_cfg._replace(n_iterations=cfg.n_iterations)
 
     w_var = np.var(np.stack(maps), axis=0) if len(maps) > 1 else None
     w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas())
     out = _out_dir(args)
-    io_csv.write_wigner_csv(
-        out / "wigner.csv", header, maps[0], w_exact=w_exact, w_variance=w_var, loglik=logliks[0]
-    )
+    io_csv.write_wigner_csv(out / "wigner.csv", header, maps[0], w_exact, logliks[0], w_var)
     print(f"wrote {out / 'wigner.csv'} ({maps[0].size} points in {_blocks_text(blocks)}, {n_failed} failed)")
     if n_failed:
         print(f"{n_failed} points failed to reconstruct", file=sys.stderr)
@@ -251,12 +249,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_recover_rho(args) -> int:
     """rho.csv and metrics.json carry the Wigner file's embedded config."""
     from .recover import compare_states, integrate_rho  # imported here: no other stage needs it
-    cfg = None if args.config is None else _load(args)
-    file_cfg, gammas, cols = io_csv.read_wigner_csv(args.wigner)
-    if cfg is not None and (file_cfg.trunc.n_trunc != cfg.trunc.n_trunc or file_cfg.state != cfg.state):
-        raise DataError(f"{args.wigner}: n_trunc or [state] differs from the run config")
-    if not _nodes_match(gammas, file_cfg.grid):
-        raise DataError(f"{args.wigner}: points do not match the embedded grid")
+    file_cfg, _, cols = io_csv.read_wigner_csv(args.wigner)
+    _run_config(args, args.wigner, file_cfg)
     n_trunc = file_cfg.trunc.n_trunc
     estimate = WignerEstimate(file_cfg.grid, cols["w_rec"])
     if estimate.bound_warning:
@@ -290,7 +284,6 @@ def cmd_recover_rho(args) -> int:
 
 
 def cmd_report(args) -> int:
-    t0 = time.perf_counter()
     rows = []
     for path in args.wigner:
         cfg, _, cols = io_csv.read_wigner_csv(path)
@@ -319,7 +312,6 @@ def cmd_report(args) -> int:
                 raise DataError(f"{args.metrics}: not a metrics JSON file: {exc}") from exc
         if not isinstance(payload["rho_metrics"], dict):
             raise DataError(f"{args.metrics}: not a metrics JSON file: holds no JSON object")
-    payload["runtime_seconds"] = time.perf_counter() - t0
 
     header = f"{'n_iterations':>12} {'n_runs':>8} {'seed':>6} {'delta_w':>12} {'mean_var':>12}"
     print(header)
@@ -344,7 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, optional=False, config_help="run configuration file"):
         p.add_argument("--config", required=not optional, help=config_help)
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        p.add_argument("--exact", action="store_true", help="exact-probability mode")
         p.add_argument("--out", default=".", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="simulate click records on the configured grid")
@@ -390,27 +381,3 @@ def main(argv=None) -> int:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_DATA
 
-
-def run() -> NoReturn:
-    """Run ``main()`` for the process entry in ``__main__`` and exit with its status.
-
-    Standard output is flushed here, so that a closed pipe is one I/O error
-    line and exit 3, not a traceback from the interpreter's own flush at
-    shutdown and exit 120; fd 1 then points at os.devnull, so that final flush
-    cannot fail again.  ``gc.freeze()`` moves every live object to the
-    collector's permanent generation, which the shutdown collection skips.
-    That collection runs even with the collector disabled, and the freeze
-    takes 7 ms off a stage's exit on a 2-vCPU VM.
-    """
-    status = main()
-    if sys.stdout is not None:  # None when the process started with fd 1 closed
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"I/O error: {exc}", file=sys.stderr)
-            status = EXIT_DATA
-    gc.freeze()
-    sys.exit(status)

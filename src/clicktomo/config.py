@@ -91,18 +91,6 @@ class RunConfig(NamedTuple):
     seed: int = 0
     exact_probabilities: bool = False
 
-    def with_overrides(
-        self, seed: "int | None" = None, exact: "bool | None" = None
-    ) -> "RunConfig":
-        cfg = self
-        if seed is not None:
-            if seed < 0:
-                raise ConfigError(f"seed must be non-negative, got {seed}")
-            cfg = cfg._replace(seed=int(seed))
-        if exact:
-            cfg = cfg._replace(exact_probabilities=True)
-        return cfg
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

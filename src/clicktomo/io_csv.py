@@ -199,30 +199,27 @@ def write_wigner_csv(
     path,
     cfg: RunConfig,
     w_rec: np.ndarray,
-    w_exact: "np.ndarray | None" = None,
+    w_exact: np.ndarray,
+    loglik: np.ndarray,
     w_variance: "np.ndarray | None" = None,
-    loglik: "np.ndarray | None" = None,
 ) -> None:
-    """One row per node of ``cfg.grid``, in ``flat_gammas()`` order; a column not given is NaN."""
+    """One row per node of ``cfg.grid``, in ``flat_gammas()`` order; ``w_variance`` not given is NaN."""
     gammas = cfg.grid.flat_gammas()
-    nan = np.full(gammas.size, np.nan)
-    optional = (nan if c is None else c for c in (w_exact, w_variance, loglik))
+    variance = np.full(gammas.size, np.nan) if w_variance is None else w_variance
     template = ",".join(["{:.17g}"] * len(WIGNER_COLUMNS))
-    table = np.column_stack([gammas.real, gammas.imag, w_rec, *optional]).tolist()
+    table = np.column_stack([gammas.real, gammas.imag, w_rec, w_exact, variance, loglik]).tolist()
     _write_table(path, cfg, WIGNER_COLUMNS, (template.format(*row) for row in table))
 
 
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
-    """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / loglik)."""
+    """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / em_final_loglik);
+    the gammas must be the embedded grid's nodes, in order, to 1e-9."""
     cfg, _, data = _read_table(path, lambda _: WIGNER_COLUMNS)
     gammas = complex_array(data[:, 0], data[:, 1])
-    cols = {
-        "w_rec": data[:, 2],
-        "w_exact": data[:, 3],
-        "w_variance": data[:, 4],
-        "em_final_loglik": data[:, 5],
-    }
-    return cfg, gammas, cols
+    nodes = cfg.grid.flat_gammas()
+    if not (gammas.size == nodes.size and np.max(np.abs(gammas - nodes)) <= 1e-9):
+        raise DataError(f"{path}: points do not match the embedded grid")
+    return cfg, gammas, dict(zip(WIGNER_COLUMNS[2:], data[:, 2:].T))
 
 
 def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:

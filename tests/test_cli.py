@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -50,6 +51,7 @@ n_runs = 400
 n_iterations = 60
 seed = 5
 """
+EXACT = SMALL + "exact_probabilities = true\n"  # the only switch to expected counts
 
 VACUUM_POINT = """
 [state]
@@ -213,9 +215,11 @@ def test_reconstruct_variance_from_repetitions(small_cfg, tmp_path):
     assert np.all(np.isfinite(cols["w_variance"]))
 
 
-def test_exact_flag_writes_expected_counts(small_cfg, tmp_path):
+def test_exact_flag_writes_expected_counts(tmp_path):
+    cfg = tmp_path / "exact.ini"
+    cfg.write_text(EXACT)
     out = tmp_path / "art"
-    main(["simulate", "--config", str(small_cfg), "--exact", "--out", str(out)])
+    main(["simulate", "--config", str(cfg), "--out", str(out)])
     _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
     fracs = clicks.noclick % 1.0
     assert np.any(fracs != 0.0)
@@ -276,7 +280,7 @@ def test_recover_rho_prints_its_warnings_on_stderr(small_wigner, tmp_path, capsy
     w_rec = cols["w_rec"].copy()
     w_rec[1], w_rec[2] = np.nan, 0.9
     path = tmp_path / "wigner.csv"
-    io_csv.write_wigner_csv(path, cfg, w_rec)
+    io_csv.write_wigner_csv(path, cfg, w_rec, cols["w_exact"], cols["em_final_loglik"])
     capsys.readouterr()
     assert main(["recover-rho", "--wigner", str(path), "--out", str(tmp_path)]) == 0
     trace = json.loads((tmp_path / "metrics.json").read_text())["trace"]
@@ -352,7 +356,7 @@ def test_config_syntax_error_is_one_line(tmp_path, capsys, text):
     assert err.startswith("config error: config syntax error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", [[], ["--seed", "9", "--exact"]], ids=["plain", "run_flags"])
+@pytest.mark.parametrize("flags", [[], ["--seed", "9"]], ids=["plain", "run_flags"])
 def test_downstream_stages_default_to_the_embedded_config(tmp_path, flags):
     # n_iterations off its default: without --config it must come from the
     # click file's header, and the outputs match a run that passes the config
@@ -373,14 +377,6 @@ def test_downstream_stages_default_to_the_embedded_config(tmp_path, flags):
 def test_simulate_still_needs_a_config(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "--config" in capsys.readouterr().err
-
-
-def test_report_refuses_run_flags(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--config", str(tmp_path / "none.ini"), "--seed", "3",
-              "--wigner", str(tmp_path / "none.csv"), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "--config" in capsys.readouterr().err
 
@@ -602,14 +598,14 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, edit):
     assert not (tmp_path / "clicks.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [["--exact"], []], ids=["exact", "sampled"])
-def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, capsys, flags):
+@pytest.mark.parametrize("text", [EXACT, SMALL], ids=["exact", "sampled"])
+def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, capsys, text):
     # nodes at |gamma|^2 = 56.5, within n_pad/2 = 200, overflow the displacement's power
     # tables to NaN: reported, with no warning (an error here) and no file
     path = tmp_path / "run.ini"
-    text = SMALL.replace("n_trunc = 12", "n_trunc = 12\nn_pad = 400")
+    text = text.replace("n_trunc = 12", "n_trunc = 12\nn_pad = 400")
     path.write_text(text.replace("re_min = -0.5\nre_max = 1.5", "re_min = -15\nre_max = 15"))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path), *flags]) == 4
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: displaced diagonal entry nan") and err.count("\n") == 1
     assert not (tmp_path / "clicks.csv").exists()
@@ -837,23 +833,68 @@ def test_a_process_started_without_standard_output_exits_0(small_wigner, tmp_pat
     assert (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize(
-    "command", [["simulate"], ["reconstruct", "--records", "clicks.csv"], ["recover-rho", "--wigner", "wigner.csv"]],
-    ids=["simulate", "reconstruct", "recover-rho"],
-)
-def test_threads_flag_is_refused(small_cfg, tmp_path, capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", str(small_cfg), "--threads", "2", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+# the options of each stage, besides --help
+OPTIONS = {
+    "simulate": {"--config", "--seed", "--out"},
+    "reconstruct": {"--config", "--seed", "--out", "--records"},
+    "recover-rho": {"--config", "--seed", "--out", "--wigner"},
+    "report": {"--wigner", "--metrics", "--out"},
+}
+STAGE_ARGV = {
+    "simulate": "simulate --config {cfg} --out {out}",
+    "reconstruct": "reconstruct --records {clicks} --out {out}",
+    "recover-rho": "recover-rho --wigner {wigner} --out {out}",
+    "report": "report --wigner {wigner} --out {out}",
+}
+# argv -> (exit code, what the last error line names); argparse prints its usage before that line
+REFUSALS = {
+    **{f"threads-{stage}": (f"{argv} --threads 2", 2, "--threads") for stage, argv in STAGE_ARGV.items()},
+    **{f"exact-{stage}": (f"{argv} --exact", 2, "--exact") for stage, argv in STAGE_ARGV.items()},
+    "config-report": (STAGE_ARGV["report"] + " --config {cfg}", 2, "--config"),
+    "seed-report": (STAGE_ARGV["report"] + " --seed 3", 2, "--seed"),
+    "another_grid-reconstruct": (STAGE_ARGV["reconstruct"] + " --config {grid}", 3, "{clicks}: [grid] differs"),
+    "another_grid-recover-rho": (STAGE_ARGV["recover-rho"] + " --config {grid}", 3, "{wigner}: [grid] differs"),
+    "edited_node-recover-rho": ("recover-rho --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
+    "edited_node-report": ("report --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
+}
+
+
+def test_each_stage_takes_only_its_documented_options():
+    parser = cli._build_parser()
+    stages = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+    options = {name: {s for a in stage._actions for s in a.option_strings} for name, stage in stages.items()}
+    assert options == {name: documented | {"-h", "--help"} for name, documented in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("argv, code, culprit", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_refused_flag_or_input_is_one_error_line(small_cfg, small_wigner, tmp_path, capsys, argv, code, culprit):
+    paths = {
+        "cfg": small_cfg, "clicks": small_wigner.parent / "clicks.csv", "wigner": small_wigner,
+        "grid": tmp_path / "grid.ini", "edited": tmp_path / "edited.csv", "out": tmp_path / "out",
+    }
+    paths["grid"].write_text(SMALL.replace("n_re = 2", "n_re = 3"))
+    lines = small_wigner.read_text().splitlines()
+    first = lines.index(",".join(io_csv.WIGNER_COLUMNS)) + 1
+    re_gamma, rest = lines[first].split(",", 1)
+    lines[first] = f"{float(re_gamma) + 0.25!r},{rest}"  # off its node by 0.25
+    paths["edited"].write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    try:
+        status = main(argv.format(**paths).split())
+    except SystemExit as exc:  # argparse's refusal
+        status = exc.code
+    err = capsys.readouterr().err
+    assert status == code and culprit.format(**paths) in err.splitlines()[-1]
+    assert code == 2 or err.count("\n") == 1
+    assert not paths["out"].exists()
 
 
 def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
     other = tmp_path / "other.ini"
-    other.write_text(SMALL.replace("n_iterations = 60", "n_iterations = 70"))
-    code = main(["reconstruct", "--config", str(other), "--exact", "--seed", "99",
+    other.write_text(EXACT.replace("n_iterations = 60", "n_iterations = 70"))
+    code = main(["reconstruct", "--config", str(other), "--seed", "99",
                  "--records", str(out / "clicks.csv"), "--out", str(out)])
     assert code == 0
     click_cfg, _, _ = io_csv.read_click_csv(out / "clicks.csv")
@@ -905,7 +946,9 @@ def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
     main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
-    code = main(["recover-rho", "--config", str(small_cfg), "--exact", "--seed", "99",
+    other = tmp_path / "other.ini"
+    other.write_text(EXACT)
+    code = main(["recover-rho", "--config", str(other), "--seed", "99",
                  "--wigner", str(out / "wigner.csv"), "--out", str(out)])
     assert code == 0
     wigner_cfg, _, _ = io_csv.read_wigner_csv(out / "wigner.csv")
@@ -915,15 +958,15 @@ def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path):
     assert metrics["config"] == io_csv.embedded_config(out / "wigner.csv")
 
 
-def test_report_identical_inputs_zero_delta(small_cfg, tmp_path):
+def test_report_identical_inputs_zero_delta(tmp_path):
+    cfg = tmp_path / "exact.ini"
+    cfg.write_text(EXACT)
     out = tmp_path / "art"
-    main(["simulate", "--config", str(small_cfg), "--exact", "--out", str(out)])
-    main(
-        ["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)]
-    )
+    main(["simulate", "--config", str(cfg), "--out", str(out)])
+    main(["reconstruct", "--config", str(cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
     # overwrite the exact column with the reconstruction itself
-    cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
-    io_csv.write_wigner_csv(out / "same.csv", cfg, cols["w_rec"], w_exact=cols["w_rec"])
+    run_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
+    io_csv.write_wigner_csv(out / "same.csv", run_cfg, cols["w_rec"], cols["w_rec"], cols["em_final_loglik"])
     assert main(["report", "--wigner", str(out / "same.csv"), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["maps"][0]["delta_w"] == 0.0
@@ -942,6 +985,15 @@ def test_report_json_is_strict_json(small_wigner, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
     assert report["maps"][0]["mean_variance"] is None
     assert report["rho_metrics"] == {"trace": None, "nested": {"fidelity": None, "big": None}, "ok": 0.5}
+
+
+def test_report_json_is_reproducible(small_wigner, tmp_path):
+    # report.json holds what its inputs say and nothing of the run, such as its time
+    written = []
+    for name in ("a", "b"):
+        assert main(["report", "--wigner", str(small_wigner), "--out", str(tmp_path / name)]) == 0
+        written.append((tmp_path / name / "report.json").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_reconstruct_is_deterministic(small_cfg, tmp_path):
@@ -1108,22 +1160,22 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # were deleted (each file lost those two header lines and nothing else).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
-    "sampled": (SMALL, [], {
+    "sampled": (SMALL, {
         "clicks.csv": "d6715d4db95cb101a4abc108bf36e402fd679c6aacbee0de43f4f037d2aeaa5b",
         "wigner.csv": "22ef0aee96e5d3effa8d68f315dc38586af002e8d91c1dff94d837e801a26c0d",
         "rho.csv": "4aaa3e9f70e192dc64b24895cfef2c95dbdca6bf78c1b38e824b946a46830ec2",
     }),
-    "exact": (SMALL, ["--exact"], {
+    "exact": (EXACT, {
         "clicks.csv": "85ccdcd04bea688a4ec7b896e84963d53d7336761f4855475f24c3617eec548f",
         "wigner.csv": "456d170898b8b0fec9333b367a869e9a3db0afb54770fd8b1687bb9bba7dbe62",
         "rho.csv": "243348d38c7d1f672692e3faf0faac456dd23a53c1b5cb2e32484a6466f91e5d",
     }),
-    "dual": (DUAL, [], {
+    "dual": (DUAL, {
         "clicks.csv": "d0b50343c2bf9d0966e95fa2d8e643d540bb44b0a9812aa0cb9b6d32186475fe",
         "wigner.csv": "536b95d972a5b47efc08fa226d9f06c43c2e2b7d94ec1edd95fd5ea060423ee7",
         "rho.csv": "619029a638af0dffdf890ed615a1ad128747967a666dafd784ce447bfba4aead",
     }),
-    "fock": (FOCK, [], {
+    "fock": (FOCK, {
         "clicks.csv": "9df1d45aee12be6265949605b8cc69f50627b60663dda915ba82269eb56da381",
         "wigner.csv": "147b5b48dc2574ac97cf7bbfda20b4d660d6bbbe939c37dd46a417c2442d6d2f",
         "rho.csv": "781cb3345ebb152b4cc1f512f7d954e5b164f9153193abe24dab9015414f69eb",
@@ -1133,15 +1185,15 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", GOLDEN.values(), ids=GOLDEN.keys())
 def test_outputs_match_golden_digests(tmp_path, case):
-    text, flags, digests = case
+    text, digests = case
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     out = tmp_path / "art"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     records = ["--records", str(out / "clicks.csv")]
-    assert main(["reconstruct", "--config", str(cfg), *records, "--out", str(out), *flags]) == 0
+    assert main(["reconstruct", "--config", str(cfg), *records, "--out", str(out)]) == 0
     wigner = ["--wigner", str(out / "wigner.csv")]
-    assert main(["recover-rho", "--config", str(cfg), *wigner, "--out", str(out), *flags]) == 0
+    assert main(["recover-rho", "--config", str(cfg), *wigner, "--out", str(out)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -1258,31 +1310,31 @@ def chain_digests(cfg, out) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CHAIN_FILES}
 
 
-# config, simulate flags, blocks of simulate and of reconstruct for 1, 2 and 3 CPUs,
+# config, blocks of simulate and of reconstruct for 1, 2 and 3 CPUs,
 # and reconstruct's exit code and failed points
 BLOCK_CASES = {
-    "sampled": (SMALL, [], (1, 2, 3), (1, 2, 3), 0, 0),
-    "exact": (SMALL, ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),
+    "sampled": (SMALL, (1, 2, 3), (1, 2, 3), 0, 0),
+    "exact": (EXACT, (1, 2, 3), (1, 2, 3), 0, 0),
     # 8 of its 784 points are guarded
-    "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), [], (1, 2, 3), (1, 2, 3), 0, 0),
+    "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), (1, 2, 3), (1, 2, 3), 0, 0),
     # 192 of its 784 points are guarded, 154 of them reach the floor and 66 fail
-    "dual_floor": (DUAL, [], (1, 2, 3), (1, 2, 3), 4, 66),
-    "fock": (FOCK, [], (1, 2, 3), (1, 2, 3), 0, 0),
+    "dual_floor": (DUAL, (1, 2, 3), (1, 2, 3), 4, 66),
+    "fock": (FOCK, (1, 2, 3), (1, 2, 3), 0, 0),
     # the no-click series, 2500 x 44 x 17 multiply-adds, is above BLAS_SMALL, and its blocks
     # are not: its transposed operand keeps OpenBLAS's kernel
-    "series_across_blas_small": (settings(SMALL, 17), ["--exact"], (1, 2, 3), (1, 2, 3), 0, 0),
+    "series_across_blas_small": (settings(EXACT, 17), (1, 2, 3), (1, 2, 3), 0, 0),
     # the EM's 2500 x 34 x 12 is above BLAS_SMALL, and its blocks would not be
-    "em_at_blas_small": (settings(SMALL, 34), [], (1, 2, 3), (1, 1, 1), 0, 0),
+    "em_at_blas_small": (settings(SMALL, 34), (1, 2, 3), (1, 1, 1), 0, 0),
     # 812 points: cuts at 400 for 2 CPUs and at 264 and 536 for 3, multiples of 8 but not of 64
-    "cuts_off_64": (SMALL.replace("n_re = 2\nn_im = 2", "n_re = 29\nn_im = 28"), [], (1, 2, 3), (1, 2, 3), 0, 0),
+    "cuts_off_64": (SMALL.replace("n_re = 2\nn_im = 2", "n_re = 29\nn_im = 28"), (1, 2, 3), (1, 2, 3), 0, 0),
 }
 
 
 @pytest.mark.parametrize(
-    "text, flags, simulated, reconstructed, code, n_failed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys()
+    "text, simulated, reconstructed, code, n_failed", BLOCK_CASES.values(), ids=BLOCK_CASES.keys()
 )
 def test_outputs_do_not_depend_on_the_cpu_count(
-    tmp_path, monkeypatch, capsys, forks, text, flags, simulated, reconstructed, code, n_failed
+    tmp_path, monkeypatch, capsys, forks, text, simulated, reconstructed, code, n_failed
 ):
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(text))
@@ -1292,7 +1344,7 @@ def test_outputs_do_not_depend_on_the_cpu_count(
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         forks.clear()
-        assert run_stage(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert f"({n_points} points x " in printed and f" settings in {sim_blocks} block" in printed
         assert len(forks) == sim_blocks - 1

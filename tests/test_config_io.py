@@ -119,10 +119,6 @@ class TestParse:
             build_recipe(parse_config(symmetric.replace("n_trunc = 12", "n_trunc = 16")))
         build_recipe(parse_config(symmetric))
 
-    def test_overrides(self):
-        cfg = parse_config(BASE).with_overrides(seed=9, exact=True)
-        assert cfg.seed == 9 and cfg.exact_probabilities
-
 
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 BOOL_TEXTS = st.sampled_from(["true", "false", "1", "0", "yes", "no", "on", "off", "True", "OFF"])
@@ -423,12 +419,13 @@ class TestWignerCsv:
         gammas = cfg.grid.flat_gammas()
         w = np.linspace(-0.5, 0.6, gammas.size)
         path = tmp_path / "wigner.csv"
-        io_csv.write_wigner_csv(path, cfg, w, w_exact=w + 0.01)
+        io_csv.write_wigner_csv(path, cfg, w, w + 0.01, w - 3.0)
         cfg2, g2, cols = io_csv.read_wigner_csv(path)
         assert cfg2 == cfg
         np.testing.assert_array_equal(g2, gammas)
         np.testing.assert_array_equal(cols["w_rec"], w)
         np.testing.assert_array_equal(cols["w_exact"], w + 0.01)
+        np.testing.assert_array_equal(cols["em_final_loglik"], w - 3.0)
         assert np.all(np.isnan(cols["w_variance"]))
 
 
@@ -484,7 +481,7 @@ def test_wigner_csv_floats_survive_bit_for_bit(rows):
     cfg = parse_config(BASE.replace("n_re = 4\nn_im = 4", f"n_re = {len(rows)}\nn_im = 1"))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "wigner.csv"
-        io_csv.write_wigner_csv(path, cfg, w_rec, w_exact=w_exact, w_variance=w_variance, loglik=loglik)
+        io_csv.write_wigner_csv(path, cfg, w_rec, w_exact, loglik, w_variance)
         _, gammas, cols = io_csv.read_wigner_csv(path)
     nodes = cfg.grid.flat_gammas()
     assert same_bits(gammas.real, nodes.real) and same_bits(gammas.imag, nodes.imag)

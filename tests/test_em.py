@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -594,3 +596,32 @@ def test_the_step_sees_only_cache_line_aligned_arrays(monkeypatch):
     )
     assert len(calls["matmul"]) == 10
     assert calls["matmul"] + calls["divide"][-5:] == [[0, 0, 0]] * 15
+
+
+def test_a_failed_point_leaves_the_guard():
+    # values cannot show it, so the step's lines are counted: once point 17 has failed, no step
+    # clamps; a failed point left in the guard would fail the guard's check on every step
+    # and take every guarded point through the clamp
+    freqs, nu_bar, ey, noclick, n_runs = _fock_em_long_inputs()
+    source, first = inspect.getsourcelines(run_em_batch)
+    number = {line.strip(): first + k for k, line in enumerate(source)}
+    watched = {number["q[:, cols] = np.maximum(q_g, bound)"]: "clamp", number["failed[guarded[dead]] = True"]: "fail"}
+    events = []
+
+    def trace_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in watched:
+            events.append(watched[frame.f_lineno])
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is run_em_batch.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        _, _, failed = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=2000), noclick=noclick, n_runs=n_runs)
+    finally:
+        sys.settrace(previous)
+    assert np.flatnonzero(failed).tolist() == [17] and "fail" in events
+    assert events[events.index("fail") :].count("clamp") == 0
+    assert events.count("fail") == 1

@@ -286,13 +286,12 @@ repetitions = {repetitions}
 def reconstructed_variance(tmp_path, repetitions, exact=False):
     """The ``w_variance`` column that ``reconstruct`` writes over every repetition of REP_RUN."""
     cfg = tmp_path / "rep.ini"
-    cfg.write_text(REP_RUN.format(repetitions=repetitions))
+    cfg.write_text(REP_RUN.format(repetitions=repetitions) + f"exact_probabilities = {exact}\n")
     out = tmp_path / "art"
-    flags = ["--exact"] * exact
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     records = sorted(map(str, out.glob("clicks*.csv")))
     assert len(records) == repetitions
-    assert main(["reconstruct", "--config", str(cfg), "--records", *records, "--out", str(out), *flags]) == 0
+    assert main(["reconstruct", "--config", str(cfg), "--records", *records, "--out", str(out)]) == 0
     return io_csv.read_wigner_csv(out / "wigner.csv")[2]["w_variance"]
 
 
