@@ -44,7 +44,8 @@ BLOCK_MIN = 256
 # to its rows of the whole batch's (tests try every such cut on the shipped shapes),
 # provided the EM's (M, N) @ (N, P) products are not cut from above BLAS_SMALL
 # multiply-adds to at most that: OpenBLAS computes those with its small-matrix kernel,
-# which rounds otherwise
+# which rounds otherwise.  A multiple of measurement.STREAM_POINTS, so every block
+# starts a sampling stream and draws the counts the whole batch draws
 BLOCK_ALIGN = 8
 BLAS_SMALL = 10**6
 
@@ -153,11 +154,7 @@ def _blocks_text(blocks: list[slice]) -> str:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seed is None:
-        return cfg
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
-    return cfg._replace(seed=args.seed)
+    return cfg if args.seed is None else cfg._replace(seed=args.seed)
 
 
 def _run_config(args, path, file_cfg: RunConfig) -> RunConfig:
@@ -364,6 +361,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # report takes no --seed
+            raise ConfigError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

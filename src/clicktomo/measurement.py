@@ -226,68 +226,26 @@ def _seed_key(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
     return (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
 
 
-# numpy's SeedSequence hash constants, and PCG64's multiplier
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(n: int) -> list[int]:
-    """The uint32 words SeedSequence makes of a non-negative integer, least significant first."""
-    if n < 0:
-        raise ValueError(f"seed key value {n} is negative")
-    return [(n >> s) & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hashmix(v: np.ndarray, k: int, init: int, mult: int) -> np.ndarray:
-    """SeedSequence's k-th hash of ``v``, by the hash constants init * mult**k and init * mult**(k + 1)."""
-    v = (v ^ np.uint32(init * pow(mult, k, 1 << 32) & _MASK32)) * np.uint32(init * pow(mult, k + 1, 1 << 32) & _MASK32)
-    return v ^ (v >> np.uint32(16))
-
-
-def _pcg64_states(entropy: np.ndarray) -> list[dict]:
-    """The ``state`` and ``inc`` of ``PCG64(SeedSequence(row))`` for each row of an (R, L) uint32 table:
-    SeedSequence's hash runs on columns, in uint32 arithmetic that wraps; PCG64's seeding on Python ints."""
-    entropy = np.pad(entropy, ((0, 0), (0, max(0, 4 - entropy.shape[1]))))
-    pool = [_hashmix(entropy[:, k], k, _INIT_A, _MULT_A) for k in range(4)]
-    pairs = [(s, d) for s in range(entropy.shape[1]) for d in range(4) if s != d]
-    for k, (src, dst) in enumerate(pairs, 4):
-        v = _hashmix(pool[src] if src < 4 else entropy[:, src], k, _INIT_A, _MULT_A)
-        v = pool[dst] * np.uint32(_MIX_L) - v * np.uint32(_MIX_R)
-        pool[dst] = v ^ (v >> np.uint32(16))
-    words = [_hashmix(pool[k % 4], k, _INIT_B, _MULT_B).tolist() for k in range(8)]
-    states = []
-    # the words are four little-endian uint64, seed then sequence (high, low): PCG64 takes
-    # inc = 2 sequence + 1 and steps its LCG once before and once after adding the seed
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*words):
-        inc = (w5 << 97 | w4 << 65 | w7 << 33 | w6 << 1 | 1) & _MASK128
-        state = ((inc + (w1 << 96 | w0 << 64 | w3 << 32 | w2)) * _PCG_MULT + inc) & _MASK128
-        states.append({"state": state, "inc": inc})
-    return states
+# Points per sampling stream.  A generator and a ``binomial`` call cost about 35 us
+# before their first draw and a draw well under 1 us, so one stream serves a group of
+# points; cli.BLOCK_ALIGN is a multiple of this, so no block splits a group
+STREAM_POINTS = 8
 
 
 def binomial_counts(n_runs: int, probs: np.ndarray, key: "tuple[int, ...]", offset: int = 0) -> np.ndarray:
-    """Binomial(n_runs, probs[i, j]) counts; row i comes from ``np.random.default_rng(key + (offset + i,))``.
+    """Binomial(n_runs, probs[i, j]) counts, STREAM_POINTS rows from each stream.
 
-    One stream per row keeps rows independent, so ``offset`` (the global
-    index of the first row) makes any split of the rows draw the same counts.
-    The rows' stream states are hashed in one pass per word count of the row
-    index, then set in turn on one generator.
+    Rows k to k + STREAM_POINTS - 1, for k a multiple of STREAM_POINTS, are
+    ``np.random.default_rng(key + (offset + k,)).binomial(n_runs, probs[k:k + STREAM_POINTS])``,
+    drawn in row order.  ``offset`` is the global index of the first row, so
+    any split of the rows at multiples of STREAM_POINTS draws the same counts,
+    and a lone row draws what the first row of its group draws.
     """
     probs = np.asarray(probs, dtype=float)
     out = np.empty(probs.shape, dtype=np.int64)
-    head = np.array([w for v in key for w in _words(int(v))], dtype=np.uint32)
-    states, start, stop = [], int(offset), int(offset) + len(probs)
-    while start < stop:
-        shifts = range(0, 32 * len(_words(start)), 32)
-        index = np.arange(start, min(stop, 1 << shifts.stop), dtype=object)
-        entropy = np.column_stack([np.tile(head, (len(index), 1)), *(index >> s & _MASK32 for s in shifts)])
-        states += _pcg64_states(entropy.astype(np.uint32))
-        start += len(index)
-    generator = np.random.Generator(np.random.PCG64(0))  # every row sets its own state
-    for i, state in enumerate(states):
-        generator.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-        out[i] = generator.binomial(n_runs, probs[i])
+    for k in range(0, len(probs), STREAM_POINTS):
+        rows = slice(k, k + STREAM_POINTS)
+        out[rows] = np.random.default_rng(key + (int(offset) + k,)).binomial(n_runs, probs[rows])
     return out
 
 
@@ -304,9 +262,10 @@ def simulate(
 ) -> ClickArrays:
     """Measure every point's schedule: exact probabilities, then (optionally) sampling.
 
-    Point i draws its M counts from the stream keyed (seed, repetition, offset + i),
-    so ``offset`` (the global index of the first point) keeps a point's
-    counts the same however a grid is split.
+    Each group of STREAM_POINTS points draws its counts from one stream, keyed
+    (seed, repetition, offset + index of the group's first point), so
+    ``offset`` (the global index of the first point) keeps the counts the same
+    however a grid is split at multiples of STREAM_POINTS.
     """
     g = np.asarray(gammas, dtype=complex).ravel()
     sched = recipe.build(g)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from clicktomo import __main__ as entry
-from clicktomo import cli, io_csv
+from clicktomo import cli, io_csv, measurement
 from clicktomo.cli import main
 from clicktomo.config import build_recipe, build_state, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
@@ -852,6 +852,10 @@ REFUSALS = {
     **{f"exact-{stage}": (f"{argv} --exact", 2, "--exact") for stage, argv in STAGE_ARGV.items()},
     "config-report": (STAGE_ARGV["report"] + " --config {cfg}", 2, "--config"),
     "seed-report": (STAGE_ARGV["report"] + " --seed 3", 2, "--seed"),
+    **{
+        f"negative_seed-{stage}": (f"{STAGE_ARGV[stage]} --seed -5", 2, "config error: seed must be non-negative, got -5")
+        for stage in ("simulate", "reconstruct", "recover-rho")
+    },
     "another_grid-reconstruct": (STAGE_ARGV["reconstruct"] + " --config {grid}", 3, "{clicks}: [grid] differs"),
     "another_grid-recover-rho": (STAGE_ARGV["recover-rho"] + " --config {grid}", 3, "{wigner}: [grid] differs"),
     "edited_node-recover-rho": ("recover-rho --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
@@ -1157,13 +1161,15 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # and every clicks.csv when click files took one row per point (format 3;
 # the counts read back, and every wigner.csv and rho.csv, kept their bytes),
 # and every file when the [run] keys normalization and analytic_reference
-# were deleted (each file lost those two header lines and nothing else).
+# were deleted (each file lost those two header lines and nothing else),
+# and every sampled file when each group of 8 points began to draw from one
+# stream (the exact case kept its bytes).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, {
-        "clicks.csv": "d6715d4db95cb101a4abc108bf36e402fd679c6aacbee0de43f4f037d2aeaa5b",
-        "wigner.csv": "22ef0aee96e5d3effa8d68f315dc38586af002e8d91c1dff94d837e801a26c0d",
-        "rho.csv": "4aaa3e9f70e192dc64b24895cfef2c95dbdca6bf78c1b38e824b946a46830ec2",
+        "clicks.csv": "e325b1c22a622321491df05823d74f22e59c18e16a11a6c21533bd784710bbbe",
+        "wigner.csv": "1704051b097a7706bd08cfc5dcc61bc8ec47008949c0ba4955aa91747e25ca07",
+        "rho.csv": "8d664f3c076510839675298d55d6b4013ad7bf30995b3dca8efec45f40fdc307",
     }),
     "exact": (EXACT, {
         "clicks.csv": "85ccdcd04bea688a4ec7b896e84963d53d7336761f4855475f24c3617eec548f",
@@ -1171,14 +1177,14 @@ GOLDEN = {
         "rho.csv": "243348d38c7d1f672692e3faf0faac456dd23a53c1b5cb2e32484a6466f91e5d",
     }),
     "dual": (DUAL, {
-        "clicks.csv": "d0b50343c2bf9d0966e95fa2d8e643d540bb44b0a9812aa0cb9b6d32186475fe",
-        "wigner.csv": "536b95d972a5b47efc08fa226d9f06c43c2e2b7d94ec1edd95fd5ea060423ee7",
-        "rho.csv": "619029a638af0dffdf890ed615a1ad128747967a666dafd784ce447bfba4aead",
+        "clicks.csv": "a8ca4b8eb221849e324d34cd16ff527e3289c3d10aeda666245f98d9a664f17d",
+        "wigner.csv": "f71cebadeb81c658f93b13f9064a7711b991b3a646e9fed5d816d88440736e3a",
+        "rho.csv": "946d9a20edc70110e266eb8359d311a766b26fd589dbf73ff654dbe6c81d845b",
     }),
     "fock": (FOCK, {
-        "clicks.csv": "9df1d45aee12be6265949605b8cc69f50627b60663dda915ba82269eb56da381",
-        "wigner.csv": "147b5b48dc2574ac97cf7bbfda20b4d660d6bbbe939c37dd46a417c2442d6d2f",
-        "rho.csv": "781cb3345ebb152b4cc1f512f7d954e5b164f9153193abe24dab9015414f69eb",
+        "clicks.csv": "df4785071ae729399bb176fa1a8702ee6334bfc8ae4858bbc8cc4dcadffebf68",
+        "wigner.csv": "9f6ca66d91e0f34b7ab0f7f656cc467e5d43639b32305c0e8d01222565d57daa",
+        "rho.csv": "5f5993e919bfc735dcc4156dddd5fc0db6464283820a93b697b0ae3cc1dca918",
     }),
 }
 
@@ -1279,6 +1285,11 @@ def test_blocks_cut_at_multiples_of_8(monkeypatch, cpus, n_points, min_points, m
     assert cli._blocks(n_points, madds) == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
+def test_blocks_start_sampling_streams():
+    # every cut of cli._blocks is a multiple of BLOCK_ALIGN, so it starts a stream of STREAM_POINTS points
+    assert cli.BLOCK_ALIGN % measurement.STREAM_POINTS == 0
+
+
 def test_a_process_with_threads_gets_one_block(monkeypatch):
     monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
     stop = threading.Event()
@@ -1317,8 +1328,8 @@ BLOCK_CASES = {
     "exact": (EXACT, (1, 2, 3), (1, 2, 3), 0, 0),
     # 8 of its 784 points are guarded
     "dual": (DUAL.replace("re_max = 1.5", "re_max = 0.8"), (1, 2, 3), (1, 2, 3), 0, 0),
-    # 192 of its 784 points are guarded, 154 of them reach the floor and 66 fail
-    "dual_floor": (DUAL, (1, 2, 3), (1, 2, 3), 4, 66),
+    # 192 of its 784 points are guarded, 152 of them reach the floor and 64 fail
+    "dual_floor": (DUAL, (1, 2, 3), (1, 2, 3), 4, 64),
     "fock": (FOCK, (1, 2, 3), (1, 2, 3), 0, 0),
     # the no-click series, 2500 x 44 x 17 multiply-adds, is above BLAS_SMALL, and its blocks
     # are not: its transposed operand keeps OpenBLAS's kernel

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clicktomo import measurement
 from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, fock_state
 from clicktomo.measurement import (
     DetectorPair,
@@ -25,6 +26,13 @@ CFG = TruncationConfig(12)
 
 def bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def group_draws(n_runs, probs, key, offset):
+    """The sampling contract, spelled out: rows 8k to 8k + 7 of ``probs`` are
+    ``default_rng(key + (offset + 8k,)).binomial(n_runs, probs[8k:8k + 8])``, as nested lists."""
+    groups = [np.random.default_rng(key + (offset + k,)).binomial(n_runs, probs[k : k + 8]) for k in range(0, len(probs), 8)]
+    return [row for group in groups for row in group.tolist()]
 
 
 def derive(alpha, beta, detectors):
@@ -271,16 +279,15 @@ class TestSimulateSchedule:
         assert clicks.noclick[0].tolist() == ref.tolist()
 
     def test_offset_streams_match_default_rng(self):
-        # point i of a slice starting at global index `offset` draws its M
-        # counts from default_rng((seed, repetition, offset + i))
+        # points 8k to 8k + 7 of a slice starting at global index `offset` draw
+        # their counts from default_rng((seed, repetition, offset + 8k))
         rho = density_from_pure(coherent_state(1.0, CFG))
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(6))
-        gammas = np.array([0.3, -0.2 + 0.4j])
+        gammas = np.linspace(-0.5, 0.5, 11) + 0.4j
         clicks = simulate(rho, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
-        for i, g in enumerate(gammas):
-            probs = schedule_noclick(rho, g, recipe.build(g))
-            rng = np.random.default_rng((4, 2, 11 + i))
-            assert clicks.noclick[i].tolist() == rng.binomial(700, probs).tolist()
+        sched = recipe.build(gammas)
+        probs = no_click_probabilities(rho, gammas, sched.nu_bar, sched.y, CFG)
+        assert clicks.noclick.tolist() == group_draws(700, probs, (4, 2), 11)
 
 
 class TestScheduleArrays:
@@ -319,35 +326,58 @@ class TestScheduleArrays:
 
 
 class TestKeyedBinomial:
-    """Row i of ``binomial_counts`` is the generator keyed ``key + (offset + i,)``."""
+    """Rows 8k to 8k + 7 of ``binomial_counts`` are one ``default_rng(key + (offset + 8k,))`` stream's draws."""
 
     @pytest.mark.parametrize("seed", [0, 2**32 + 7, (3, 2**40, 5, 6)], ids=["zero", "wide", "five-words"])
     def test_matches_default_rng_bit_for_bit(self, seed):
         key = (seed,) if isinstance(seed, int) else seed
-        p = np.array([[0.0, 1.0, 0.37], [0.5, 0.999, 1e-3]])
+        p = np.tile([[0.0, 1.0, 0.37], [0.5, 0.999, 1e-3]], (10, 1))[:19]  # two whole groups and three rows
         for offset in (0, 17, 2**32 - 1, 2**45 + 3):
             got = binomial_counts(10_000, p, key, offset)
-            ref = [np.random.default_rng(key + (offset + i,)).binomial(10_000, row) for i, row in enumerate(p)]
-            assert got.tolist() == np.array(ref).tolist()
+            assert got.tolist() == group_draws(10_000, p, key, offset)
+            assert got[:1].tolist() == binomial_counts(10_000, p[:1], key, offset).tolist()
+
+    @pytest.mark.parametrize("n_points", [0, 1, 7, 8, 9, 16, 17, 1248])
+    def test_one_generator_per_group(self, monkeypatch, n_points):
+        keys, default_rng = [], np.random.default_rng
+
+        def spy(key):
+            keys.append(key)
+            return default_rng(key)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        binomial_counts(100, np.full((n_points, 3), 0.5), (1, 0), 5)
+        assert keys == [(1, 0, 5 + k) for k in range(0, n_points, 8)]
+        assert len(keys) == -(-n_points // measurement.STREAM_POINTS)
 
 
-# offsets just below 2**32 and 2**64, where the row index gains a uint32 word within one call
-OFFSETS = st.sampled_from([2**32, 2**64]).flatmap(lambda edge: st.integers(edge - 6, edge - 1)) | st.integers(0, 2**70)
+# offsets just below 2**32 and 2**64, where the group index gains a uint32 word within one call
+OFFSETS = st.sampled_from([2**32, 2**64]).flatmap(lambda edge: st.integers(edge - 20, edge - 1)) | st.integers(0, 2**70)
+PROBS = arrays(float, st.tuples(st.integers(0, 24), st.integers(1, 4)), elements=st.floats(0.0, 1.0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     key=st.lists(st.integers(0, 2**70), min_size=1, max_size=6).map(tuple),
     offset=OFFSETS,
-    probs=arrays(float, st.tuples(st.integers(0, 8), st.integers(1, 4)), elements=st.floats(0.0, 1.0)),
+    probs=PROBS,
     n_runs=st.integers(0, 10**6),
 )
 @example(key=(1,), offset=2**32 - 2, probs=np.zeros((0, 3)), n_runs=10)
 def test_binomial_counts_match_default_rng_bit_for_bit(key, offset, probs, n_runs):
     got = binomial_counts(n_runs, probs, key, offset)
-    ref = [np.random.default_rng(key + (offset + i,)).binomial(n_runs, row).tolist() for i, row in enumerate(probs)]
     assert got.dtype == np.int64 and got.shape == probs.shape
-    assert got.tolist() == ref
+    assert got.tolist() == group_draws(n_runs, probs, key, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(offset=OFFSETS, probs=PROBS, data=st.data())
+def test_cuts_at_multiples_of_8_draw_the_whole_batch(offset, probs, data):
+    # the CLI's blocks start at multiples of cli.BLOCK_ALIGN, a multiple of STREAM_POINTS
+    inner = data.draw(st.lists(st.sampled_from(range(8, len(probs), 8)), unique=True)) if len(probs) > 8 else []
+    cuts = [0, *sorted(inner), len(probs)]
+    pieces = [binomial_counts(1000, probs[a:b], (7, 1), offset + a) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(pieces).tolist() == binomial_counts(1000, probs, (7, 1), offset).tolist()
 
 
 # real parts with both signed zeros among them

@@ -45,7 +45,8 @@ def wigner_exact(rho, gamma: complex, cfg: TruncationConfig) -> float:
 def reconstruct_at(rho, gamma, em_cfg, n_runs=10_000, seed=0, exact=False, offset=0):
     """(R, W) at one point by the CLI's path: ``simulate`` then ``reconstruct_clicks``.
 
-    ``offset`` is the point's index in a grid run, which keys its generator.
+    ``offset`` is the point's index in a grid run, which keys its generator:
+    the point draws what a grid run draws when it is the first of its group.
     """
     clicks = simulate(rho, [gamma], RECIPE, CFG, n_runs, seed, 0, exact, offset=offset)
     w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, em_cfg)
@@ -153,12 +154,21 @@ class TestScanGrid:
         assert np.array_equal(a, b)
 
     def test_matches_per_point_runs(self):
+        # each point reconstructs alone from its row of its own group's draws:
+        # the groups of 8 points start at offsets 0 and 8
         rho = density_from_pure(coherent_state(1.0, CFG))
-        grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
+        grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 3)
+        gammas = grid.flat_gammas()
         w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
-        for k, g in enumerate(grid.flat_gammas()):
-            _, w = reconstruct_at(rho, g, EM_FAST, n_runs=1500, seed=5, offset=k)
-            assert abs(w_map[k] - w) < 1e-12
+        for k in range(gammas.size):
+            start = k - k % 8
+            clicks = simulate(rho, gammas[start : start + 8], RECIPE, CFG, 1500, 5, 0, False, offset=start)
+            row = slice(k - start, k - start + 1)
+            point = clicks._replace(gammas=clicks.gammas[row], y=clicks.y[row], noclick=clicks.noclick[row])
+            w, _, _, failed = reconstruct_clicks(point, CFG.n_trunc, EM_FAST)
+            assert not failed[0] and abs(w_map[k] - w[0]) < 1e-12
+        _, w = reconstruct_at(rho, gammas[8], EM_FAST, n_runs=1500, seed=5, offset=8)  # a group's first point
+        assert abs(w_map[8] - w) < 1e-12
 
     def test_keep_r_tables(self):
         # reconstruct_clicks returns the R table of every point beside W
