@@ -23,6 +23,7 @@ from .config import (
     analytic_wigner_fn,
     build_recipe,
     build_state,
+    dump_config,
     load_config,
 )
 from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
@@ -152,22 +153,16 @@ def _blocks_text(blocks: list[slice]) -> str:
     return f"{len(blocks)} block{'s' if len(blocks) > 1 else ''}"
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    return cfg if args.seed is None else cfg._replace(seed=args.seed)
-
-
 def _run_config(args, path, file_cfg: RunConfig) -> RunConfig:
-    """``--config``, by default ``file_cfg``, the embedded config of ``path``: a ``--config``
-    whose n_trunc, [state] or [grid] differs from that config is a data error."""
-    cfg = file_cfg if args.config is None else _load(args)
-    if cfg.trunc.n_trunc != file_cfg.trunc.n_trunc:
-        raise DataError(f"{path}: n_trunc differs from the run config")
-    if cfg.state != file_cfg.state:
-        raise DataError(f"{path}: [state] differs from the run config")
-    if cfg.grid != file_cfg.grid:
-        raise DataError(f"{path}: [grid] differs from the run config")
-    return cfg
+    """``file_cfg``, the embedded config of ``path``, with ``--config``'s n_iterations: a ``--config``
+    whose text differs from that config's in any ``key = value`` line but n_iterations and seed is a
+    data error (every key is in one section, so its line names it)."""
+    cfg = file_cfg if args.config is None else load_config(args.config)
+    free = {"n_iterations": file_cfg.n_iterations, "seed": file_cfg.seed}
+    for line, run_line in zip(*(dump_config(c._replace(**free)).split("\n") for c in (cfg, file_cfg))):
+        if line != run_line:
+            raise DataError(f"{path}: --config's {line} differs from the run config's {run_line}")
+    return file_cfg._replace(n_iterations=cfg.n_iterations)
 
 
 def _out_dir(args) -> Path:
@@ -177,7 +172,9 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg = cfg._replace(seed=args.seed)
     rho = build_state(cfg)
     recipe = build_recipe(cfg)
     gammas = cfg.grid.flat_gammas()
@@ -204,8 +201,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    """The wigner.csv header is the click files' embedded config; ``--config``
-    (default: that config) sets only ``n_iterations``."""
+    """The wigner.csv header is the click files' embedded config with ``--config``'s ``n_iterations``."""
     records = [io_csv.read_click_csv(path) for path in args.records]
     first_cfg = records[0][0]
     seen: dict[int, str] = {}  # repetition -> path
@@ -215,7 +211,7 @@ def cmd_reconstruct(args) -> int:
         if rep in seen:  # the records share one config, so only the repetition tells them apart
             raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
         seen[rep] = path
-    header = first_cfg._replace(n_iterations=_run_config(args, args.records[0], first_cfg).n_iterations)
+    header = _run_config(args, args.records[0], first_cfg)
     em_cfg = EMConfig(n_iterations=header.n_iterations)
     n_trunc = header.trunc.n_trunc
     maps, logliks, n_failed = [], [], 0

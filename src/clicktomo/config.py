@@ -46,6 +46,7 @@ MAX_RUNS = 2**53
 NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 MAX_SETTINGS = 4096  # per point: over 100 times the shipped schedules, checked before any is built
+MAX_PAD = 2048  # simulate's (n_pad, n_pad) tables and eigh: on a 2 x 2 grid 321 MiB at 2048, 1.16 GiB at 4096
 
 
 class StateSpec(NamedTuple):
@@ -180,6 +181,9 @@ def parse_config(text: str) -> RunConfig:
         grid = PhaseGrid(**values["grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if trunc.n_pad > MAX_PAD:
+        source = "" if values["truncation"]["n_pad"] else f" (2 * n_trunc + 20 for n_trunc = {trunc.n_trunc})"
+        raise ConfigError(f"[truncation] n_pad = {trunc.n_pad}{source} exceeds {MAX_PAD}")
     if grid.n_points > MAX_POINTS:
         raise ConfigError(f"[grid] n_re x n_im = {grid.n_points} exceeds {MAX_POINTS} nodes")
     try:

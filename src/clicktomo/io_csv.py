@@ -11,7 +11,7 @@ the authority for everything else, and the reader rebuilds the settings from it.
 """
 import numpy as np
 
-from .config import RunConfig, build_recipe, build_state, dump_config, parse_config
+from .config import MAX_RUNS, RunConfig, build_recipe, build_state, dump_config, parse_config
 from .errors import ConfigError, DataError
 from .measurement import ClickArrays, complex_array
 
@@ -158,7 +158,7 @@ def _reject(path, bad: np.ndarray, reason: str) -> None:
 
 def _integers(path, column: np.ndarray, name: str, least: int = 0) -> np.ndarray:
     """The column as int64; a DataError names the first row that is not an integer >= least."""
-    bad = ~(column >= least) | (column > 2.0**53) | (column != np.trunc(column))
+    bad = ~(column >= least) | (column > MAX_RUNS) | (column != np.trunc(column))
     _reject(path, bad, f"{name} must be an integer >= {least}")
     return column.astype(np.int64)
 
@@ -186,6 +186,8 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
     _check_order(path, point, np.zeros_like(point), p, 1, f"the order of the {p} points the embedded config declares")
     noclick = data[:, 1:]
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)).all(axis=1), "n_noclick outside [0, n_runs]")
+    if not cfg.exact_probabilities:
+        _reject(path, (noclick != np.trunc(noclick)).any(axis=1), "n_noclick of a sampled run must be an integer")
     gammas = cfg.grid.flat_gammas()
     try:
         sched = build_recipe(cfg).build(gammas)

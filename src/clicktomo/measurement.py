@@ -222,10 +222,6 @@ def _series_probabilities(diag: np.ndarray, nu_bar: np.ndarray, y: np.ndarray) -
     return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
-def _seed_key(seed: "int | tuple[int, ...]") -> tuple[int, ...]:
-    return (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
-
-
 # Points per sampling stream.  A generator and a ``binomial`` call cost about 35 us
 # before their first draw and a draw well under 1 us, so one stream serves a group of
 # points; cli.BLOCK_ALIGN is a multiple of this, so no block splits a group
@@ -255,7 +251,7 @@ def simulate(
     recipe: Recipe,
     trunc: TruncationConfig,
     n_runs: int,
-    seed: "int | tuple[int, ...]",
+    seed: int,
     repetition: int,
     exact: bool,
     offset: int = 0,
@@ -274,7 +270,6 @@ def simulate(
     if exact:
         noclick = probs * n_runs
     else:
-        key = _seed_key(seed) + (int(repetition),)
-        noclick = binomial_counts(int(n_runs), probs, key, offset)
+        noclick = binomial_counts(int(n_runs), probs, (int(seed), int(repetition)), offset)
     leak = 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)
     return ClickArrays(g, sched.nu_bar, sched.y, noclick, int(n_runs), leak)

@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -14,11 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from clicktomo import __main__ as entry
-from clicktomo import cli, io_csv, measurement
+from clicktomo import cli, config, io_csv, measurement
 from clicktomo.cli import main
-from clicktomo.config import build_recipe, build_state, parse_config
+from clicktomo.config import build_recipe, build_state, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
@@ -475,6 +480,11 @@ SCHEDULE_EDITS = {
     "settings_above_the_limit": (
         _header("n_efficiencies", 10**8), "embedded config: [detectors] n_efficiencies = 100000000 exceeds 4096"
     ),
+    "pad_above_the_limit": (_header("n_pad", 100000), "embedded config: [truncation] n_pad = 100000 exceeds 2048"),
+    "defaulted_pad_above_the_limit": (
+        lambda head, body: _header("n_pad", 0)(*_header("n_trunc", 1015)(head, body)),
+        "embedded config: [truncation] n_pad = 2050 (2 * n_trunc + 20 for n_trunc = 1015) exceeds 2048",
+    ),
     # the reader takes only the layout the writer writes
     "columns_of_13_settings": (
         lambda head, body: (head[:-1] + [head[-1].rpartition(",")[0]], body), "unexpected columns"
@@ -548,6 +558,15 @@ RUNS_THAT_DO_NOT_FIT = {
     "settings_above_the_limit": (
         ("n_efficiencies = 14", "n_efficiencies = 100000000"),
         "config error: [detectors] n_efficiencies = 100000000 exceeds 4096 settings",
+    ),
+    # simulate would build (n_pad, n_pad) complex tables: 149 GiB at n_pad = 100000
+    "pad_above_the_limit": (
+        ("n_trunc = 12", "n_trunc = 12\nn_pad = 100000"),
+        "config error: [truncation] n_pad = 100000 exceeds 2048",
+    ),
+    "defaulted_pad_above_the_limit": (
+        ("n_trunc = 12", "n_trunc = 1015"),
+        "config error: [truncation] n_pad = 2050 (2 * n_trunc + 20 for n_trunc = 1015) exceeds 2048",
     ),
     # keys that older versions accepted
     "normalization": (
@@ -760,24 +779,38 @@ def test_a_stage_imports_numpy_and_runs_with_the_collector_off(small_cfg, tmp_pa
     assert (tmp_path / "clicks.csv").exists()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-def test_running_out_of_memory_is_one_error_line(tmp_path):
-    # 4096 x 4096 nodes pass parse_config, and simulate's (P, M) tables do not fit in 1.5 GiB;
-    # one CPU makes one block, so the allocation fails in this process, not in a child
+def simulate_on_one_cpu_in_1_5_gib(cfg: Path, out: Path) -> subprocess.CompletedProcess:
+    """``simulate --config cfg`` in a child limited to one CPU and 1.5 GiB of address space."""
     resource = pytest.importorskip("resource")
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL.replace("n_re = 2\nn_im = 2", "n_re = 4096\nn_im = 4096"))
 
     def limit():
         os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
 
-    argv = [sys.executable, "-m", "clicktomo", "simulate", "--config", str(cfg), "--out", str(tmp_path)]
-    result = subprocess.run(
+    argv = [sys.executable, "-m", "clicktomo", "simulate", "--config", str(cfg), "--out", str(out)]
+    return subprocess.run(
         argv, env=src_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit, capture_output=True, text=True, timeout=60
     )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # 4096 x 4096 nodes pass parse_config, and simulate's (P, M) tables do not fit in 1.5 GiB;
+    # one CPU makes one block, so the allocation fails in this process, not in a child
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL.replace("n_re = 2\nn_im = 2", "n_re = 4096\nn_im = 4096"))
+    result = simulate_on_one_cpu_in_1_5_gib(cfg, tmp_path)
     assert result.returncode == 3
     assert result.stderr.startswith("out of memory: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_the_largest_n_pad_fits_in_1_5_gib(tmp_path):
+    # simulate's (n_pad, n_pad) tables and eigendecomposition are what config.MAX_PAD bounds
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL.replace("n_trunc = 12", f"n_trunc = 12\nn_pad = {config.MAX_PAD}"))
+    result = simulate_on_one_cpu_in_1_5_gib(cfg, tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
@@ -856,8 +889,14 @@ REFUSALS = {
         f"negative_seed-{stage}": (f"{STAGE_ARGV[stage]} --seed -5", 2, "config error: seed must be non-negative, got -5")
         for stage in ("simulate", "reconstruct", "recover-rho")
     },
-    "another_grid-reconstruct": (STAGE_ARGV["reconstruct"] + " --config {grid}", 3, "{clicks}: [grid] differs"),
-    "another_grid-recover-rho": (STAGE_ARGV["recover-rho"] + " --config {grid}", 3, "{wigner}: [grid] differs"),
+    "another_grid-reconstruct": (
+        STAGE_ARGV["reconstruct"] + " --config {grid}", 3,
+        "{clicks}: --config's n_re = 3 differs from the run config's n_re = 2",
+    ),
+    "another_grid-recover-rho": (
+        STAGE_ARGV["recover-rho"] + " --config {grid}", 3,
+        "{wigner}: --config's n_re = 3 differs from the run config's n_re = 2",
+    ),
     "edited_node-recover-rho": ("recover-rho --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
     "edited_node-report": ("report --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
 }
@@ -893,15 +932,23 @@ def test_a_refused_flag_or_input_is_one_error_line(small_cfg, small_wigner, tmp_
     assert not paths["out"].exists()
 
 
-def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path):
+def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path, capsys):
+    # a --config is the click file's run up to n_iterations, which it sets, and the seed
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
-    other = tmp_path / "other.ini"
+    clicks, other = out / "clicks.csv", tmp_path / "other.ini"
+    argv = ["reconstruct", "--config", str(other), "--seed", "99", "--records", str(clicks), "--out", str(out)]
     other.write_text(EXACT.replace("n_iterations = 60", "n_iterations = 70"))
-    code = main(["reconstruct", "--config", str(other), "--seed", "99",
-                 "--records", str(out / "clicks.csv"), "--out", str(out)])
-    assert code == 0
-    click_cfg, _, _ = io_csv.read_click_csv(out / "clicks.csv")
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {clicks}: --config's exact_probabilities = true "
+        "differs from the run config's exact_probabilities = false\n"
+    )
+    assert not (out / "wigner.csv").exists()
+    other.write_text(SMALL.replace("n_iterations = 60", "n_iterations = 70").replace("seed = 5", "seed = 6"))
+    assert main(argv) == 0
+    click_cfg, _, _ = io_csv.read_click_csv(clicks)
     wigner_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
     assert (wigner_cfg.seed, wigner_cfg.exact_probabilities) == (5, False)
     assert wigner_cfg == click_cfg._replace(n_iterations=70)
@@ -915,7 +962,8 @@ def test_reconstruct_rejects_another_runs_state(small_cfg, tmp_path, capsys):
     other.write_text(SMALL.replace("re_amplitude = 1.0", "re_amplitude = 0.5"))
     code = main(["reconstruct", "--config", str(other), "--records", str(out / "clicks.csv"), "--out", str(out)])
     assert code == 3
-    assert "[state] differs from the run config" in capsys.readouterr().err
+    message = "--config's re_amplitude = 0.5 differs from the run config's re_amplitude = 1"
+    assert message in capsys.readouterr().err
     assert not (out / "wigner.csv").exists()
 
 
@@ -946,20 +994,88 @@ def test_reconstruct_rejects_a_repeated_record(small_cfg, tmp_path, capsys):
         assert not (tmp_path / "wigner.csv").exists()
 
 
-def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path):
+def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path, capsys):
     out = tmp_path / "art"
     main(["simulate", "--config", str(small_cfg), "--out", str(out)])
     main(["reconstruct", "--config", str(small_cfg), "--records", str(out / "clicks.csv"), "--out", str(out)])
-    other = tmp_path / "other.ini"
+    wigner, other = out / "wigner.csv", tmp_path / "other.ini"
+    argv = ["recover-rho", "--config", str(other), "--seed", "99", "--wigner", str(wigner), "--out", str(out)]
     other.write_text(EXACT)
-    code = main(["recover-rho", "--config", str(other), "--seed", "99",
-                 "--wigner", str(out / "wigner.csv"), "--out", str(out)])
-    assert code == 0
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {wigner}: --config's exact_probabilities = true "
+        "differs from the run config's exact_probabilities = false\n"
+    )
+    assert not (out / "rho.csv").exists()
+    other.write_text(SMALL.replace("n_iterations = 60", "n_iterations = 70").replace("seed = 5", "seed = 6"))
+    assert main(argv) == 0
     wigner_cfg, _, _ = io_csv.read_wigner_csv(out / "wigner.csv")
     rho_cfg, _ = io_csv.read_rho_csv(out / "rho.csv")
     assert rho_cfg == wigner_cfg and rho_cfg.seed == 5
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["config"] == io_csv.embedded_config(out / "wigner.csv")
+
+
+RESOLVED = dump_config(parse_config(SMALL))  # every key of SMALL's run, n_pad resolved
+FREE_KEYS = ("n_iterations", "seed")  # a downstream --config may differ from its input's run in these
+
+
+def _set_key(key: str, value) -> str:
+    """RESOLVED with ``key`` set to ``value``: every key is in one section, so its line is unique."""
+    old = re.search(rf"^{key} = (.*)$", RESOLVED, re.M)[0]
+    return RESOLVED.replace(f"\n{old}\n", f"\n{key} = {value}\n")
+
+
+@st.composite
+def one_key_edits(draw):
+    """(key, config text): RESOLVED with one key of config._KEYS set to another value that parses."""
+    key, (typ, _) = draw(st.sampled_from([item for keys in config._KEYS.values() for item in keys.items()]))
+    old = re.search(rf"^{key} = (.*)$", RESOLVED, re.M)[1]
+    if typ is bool:
+        value = "true" if old == "false" else "false"
+    elif typ is str:
+        value = draw(st.sampled_from([v for v in config.STATE_KINDS + config.DETECTOR_MODES if v != old]))
+    elif typ is int:
+        value = int(old) + draw(st.sampled_from([-2, -1, 1, 2]))
+    else:
+        value = repr(float(old) + draw(st.sampled_from([-0.25, 0.25])))
+    text = _set_key(key, value)
+    try:
+        parse_config(text)
+    except ConfigError:
+        assume(False)
+    return key, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=one_key_edits())
+@example(edit=("n_iterations", _set_key("n_iterations", 70)))
+@example(edit=("seed", _set_key("seed", 6)))
+def test_a_downstream_config_is_the_inputs_run_up_to_n_iterations_and_the_seed(small_wigner, edit):
+    key, text = edit
+    stages = {
+        "reconstruct": ("--records", small_wigner.parent / "clicks.csv", "wigner.csv"),
+        "recover-rho": ("--wigner", small_wigner, "rho.csv"),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "edited.ini", Path(tmp) / "out"
+        cfg.write_text(text)
+        for stage, (flag, source, name) in stages.items():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([stage, "--config", str(cfg), flag, str(source), "--out", str(out)])
+            if key in FREE_KEYS:
+                assert code == 0, err.getvalue()
+            else:
+                assert code == 3 and not (out / name).exists()
+                assert err.getvalue().count("\n") == 1
+                assert f"data error: {source}: --config's {key} = " in err.getvalue()
+        if key in FREE_KEYS:
+            run_cfg = io_csv.read_wigner_csv(small_wigner)[0]
+            wigner_cfg = io_csv.read_wigner_csv(out / "wigner.csv")[0]
+            assert wigner_cfg == run_cfg._replace(n_iterations=parse_config(text).n_iterations)
+            assert io_csv.read_rho_csv(out / "rho.csv")[0] == run_cfg
 
 
 def test_report_identical_inputs_zero_delta(tmp_path):
@@ -1090,6 +1206,8 @@ BAD_ROWS = {
     "noclick_above_runs": lambda fields: fields[:-1] + ["401"],
     "noclick_negative": lambda fields: fields[:-1] + ["-1"],
     "noclick_nan": lambda fields: fields[:-1] + ["nan"],
+    # within [0, n_runs], but a sampled run draws whole counts
+    "fractional_noclick": lambda fields: fields[:-1] + [fields[-1] + ".5"],
     "fractional_point_index": lambda fields: ["3.5"] + fields[1:],
     "point_index_out_of_place": lambda fields: ["2"] + fields[1:],
     "m_fields": lambda fields: fields[:-1],
