@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing

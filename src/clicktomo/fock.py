@@ -4,8 +4,10 @@ All operator work happens in a padded working dimension (``n_pad``) so that
 the non-unitary edge of a truncated displacement matrix stays away from the
 exposed ``n_trunc`` block.  :func:`displace` is the one place that evaluates
 the displacement series; the forward model and the density-matrix quadrature
-both build on its coefficient and power tables.  Every function is pure, and
-states and cached tables are read-only, so values can be shared freely.
+both build on its coefficient and power tables.  A state builder returns the
+state's complex128 amplitudes over the working dimension.  Every function is
+pure, and states and cached tables are read-only, so values can be shared
+freely.
 """
 import functools
 import math
@@ -17,7 +19,6 @@ from .errors import NumericalError
 
 __all__ = [
     "TruncationConfig",
-    "PureState",
     "DensityMatrix",
     "coherent_state",
     "squeezed_vacuum",
@@ -65,35 +66,9 @@ class TruncationConfig(_Truncation):
         return super().__new__(cls, n_trunc, n_pad)
 
 
-class PureState(NamedTuple("PureState", [("amplitudes", np.ndarray)])):
-    """State vector in the working Fock basis (read-only; compared by identity)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __new__(cls, amplitudes: np.ndarray):
-        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 2:
-            raise ValueError("amplitudes must be a vector of length >= 2")
-        norm2 = float(np.real(np.vdot(amps, amps)))
-        if norm2 > 1.0 + SUM_TOL:
-            raise ValueError(f"squared norm {norm2} exceeds 1")
-        return super().__new__(cls, _readonly(amps))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def norm_deficit(self) -> float:
-        """Probability mass lost to truncation: 1 - sum |amplitudes|^2."""
-        return 1.0 - float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
-
-
 class DensityMatrix(NamedTuple("DensityMatrix", [("elements", np.ndarray)])):
-    """Hermitian density matrix in the Fock basis (trace may fall slightly
-    below 1 for truncated states; the deficit is reported, never hidden)."""
+    """Hermitian density matrix in the Fock basis (its trace may fall slightly
+    below 1 for a truncated state, and is never normalized up)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
@@ -115,19 +90,8 @@ class DensityMatrix(NamedTuple("DensityMatrix", [("elements", np.ndarray)])):
     def dim(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.elements)))
 
-    @property
-    def norm_deficit(self) -> float:
-        return 1.0 - self.trace
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
-
-
-def coherent_state(amplitude: complex, cfg: TruncationConfig) -> PureState:
+def coherent_state(amplitude: complex, cfg: TruncationConfig) -> np.ndarray:
     """Coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!)."""
     a = complex(amplitude)
     if abs(a) ** 2 > 0.5 * cfg.n_pad:
@@ -139,10 +103,10 @@ def coherent_state(amplitude: complex, cfg: TruncationConfig) -> PureState:
     amps[0] = math.exp(-0.5 * abs(a) ** 2)
     for n in range(cfg.n_pad - 1):
         amps[n + 1] = amps[n] * a / math.sqrt(n + 1)
-    return PureState(amps)
+    return _readonly(amps)
 
 
-def squeezed_vacuum(squeeze: float, cfg: TruncationConfig) -> PureState:
+def squeezed_vacuum(squeeze: float, cfg: TruncationConfig) -> np.ndarray:
     """Squeezed vacuum exp{-s (a+^2 - a^2) / 2} |0>.
 
     Only even levels are occupied:
@@ -162,21 +126,21 @@ def squeezed_vacuum(squeeze: float, cfg: TruncationConfig) -> PureState:
         step = -lam * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2.0 * (k + 1))
         amps[2 * k + 2] = amps[2 * k] * step
         k += 1
-    return PureState(amps)
+    return _readonly(amps)
 
 
-def fock_state(n: int, cfg: TruncationConfig) -> PureState:
+def fock_state(n: int, cfg: TruncationConfig) -> np.ndarray:
     """Number state |n> in the working dimension."""
     if not 0 <= n < cfg.n_pad:
         raise ValueError(f"n = {n} outside [0, {cfg.n_pad})")
     amps = np.zeros(cfg.n_pad, dtype=np.complex128)
     amps[n] = 1.0
-    return PureState(amps)
+    return _readonly(amps)
 
 
-def density_from_pure(state: PureState) -> DensityMatrix:
-    """Projector |psi><psi| of a pure state."""
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
+def density_from_pure(amplitudes: np.ndarray) -> DensityMatrix:
+    """Projector |psi><psi| of a state vector; DensityMatrix refuses a squared norm above 1."""
+    return DensityMatrix(np.outer(amplitudes, np.conj(amplitudes)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -28,7 +28,6 @@ __all__ = [
     "read_rho_csv",
     "write_metrics_json",
     "write_json",
-    "embedded_config",
 ]
 
 CLICK_FORMAT = "3"
@@ -89,11 +88,6 @@ def _parse_embedded(path, config_text: str) -> RunConfig:
     except ConfigError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
     return cfg
-
-
-def embedded_config(path) -> str:
-    """Extract the configuration text embedded in an output file."""
-    return _split_file(path)[0]
 
 
 def click_columns(cfg: RunConfig) -> tuple[str, ...]:

@@ -32,7 +32,6 @@ __all__ = [
     "homogeneous_efficiencies",
     "ClickArrays",
     "no_click_powers",
-    "no_click_probabilities",
     "binomial_counts",
     "simulate",
 ]
@@ -193,33 +192,10 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def no_click_probabilities(
-    rho: DensityMatrix,
-    gammas: np.ndarray,
-    nu_bar: np.ndarray,
-    y: np.ndarray,
-    trunc: TruncationConfig,
-) -> np.ndarray:
-    """Exact joint no-click probabilities of P points x M settings, clipped to [0, 1].
-
-    ``nu_bar`` (M,) is shared by every point and ``y`` is (P, M):
-    p[i, j] = e^{y_ij} sum_n (1 - nu_bar_j)^n R_n(gamma_i).  The series runs
-    over the full working dimension, so the values are exact to padding
-    accuracy rather than reconstruction accuracy.
-    """
-    return _series_probabilities(displaced_diagonals(rho, gammas, trunc), nu_bar, y)
-
-
 def no_click_powers(nu_bar: np.ndarray, n: int) -> np.ndarray:
     """(M, n) table (1 - nu_bar_j)^k, k < n: the weights of the no-click series."""
     x = 1.0 - np.asarray(nu_bar, dtype=float)
     return x[:, None] ** np.arange(n, dtype=float)[None, :]
-
-
-def _series_probabilities(diag: np.ndarray, nu_bar: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The no-click series of (P, n_pad) displaced diagonals as one product with the (M, n_pad) powers."""
-    powers = no_click_powers(nu_bar, diag.shape[1])
-    return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
 # Points per sampling stream.  A generator and a ``binomial`` call cost about 35 us
@@ -258,6 +234,8 @@ def simulate(
 ) -> ClickArrays:
     """Measure every point's schedule: exact probabilities, then (optionally) sampling.
 
+    The probabilities are the no-click series over the full working
+    dimension, clipped to [0, 1], so they are exact to padding accuracy.
     Each group of STREAM_POINTS points draws its counts from one stream, keyed
     (seed, repetition, offset + index of the group's first point), so
     ``offset`` (the global index of the first point) keeps the counts the same
@@ -266,7 +244,7 @@ def simulate(
     g = np.asarray(gammas, dtype=complex).ravel()
     sched = recipe.build(g)
     diag = displaced_diagonals(rho, g, trunc)
-    probs = _series_probabilities(diag, sched.nu_bar, sched.y)
+    probs = np.clip(np.exp(sched.y) * (diag @ no_click_powers(sched.nu_bar, trunc.n_pad).T), 0.0, 1.0)
     if exact:
         noclick = probs * n_runs
     else:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .fock import DensityMatrix, displacement_coefficients, power_table
 from .wigner import WignerEstimate
 
@@ -59,7 +59,8 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
 
     Failed (non-finite) nodes are skipped; a trace further than 0.05 from 1
     sets ``trace_warning`` (grid too small or too coarse) without failing the
-    result.
+    result.  Elements that overflow to a non-finite value (the moments grow
+    like |2 gamma|^(2 n_trunc)) are a NumericalError.
     """
     grid = wigner.grid
     area = grid.d_re * grid.d_im
@@ -70,16 +71,19 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
         raise DataError("Wigner map holds no finite values")
 
     b = 2.0 * gammas
-    # (P, n_trunc) copies of the component-major tables: the moment product keeps its operand layout
-    pow_b, pow_mb = (np.ascontiguousarray(power_table(z, n_trunc).T) for z in (b, -np.conj(b)))
-    weighted = (w * np.exp(-0.5 * np.abs(b) ** 2))[:, None] * pow_b
-    moments = weighted.T @ pow_mb
     coeff = displacement_coefficients(n_trunc)
     raw = np.zeros((n_trunc, n_trunc), dtype=complex)
-    for l in range(n_trunc):
-        c = coeff[: n_trunc - l, l]
-        raw[l:, l:] += np.outer(c, c) * moments[: n_trunc - l, : n_trunc - l]
-    raw *= 2.0 * area * (-1.0) ** np.arange(n_trunc)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends as inf or NaN, refused below
+        # (P, n_trunc) copies of the component-major tables: the moment product keeps its operand layout
+        pow_b, pow_mb = (np.ascontiguousarray(power_table(z, n_trunc).T) for z in (b, -np.conj(b)))
+        weighted = (w * np.exp(-0.5 * np.abs(b) ** 2))[:, None] * pow_b
+        moments = weighted.T @ pow_mb
+        for l in range(n_trunc):
+            c = coeff[: n_trunc - l, l]
+            raw[l:, l:] += np.outer(c, c) * moments[: n_trunc - l, : n_trunc - l]
+        raw *= 2.0 * area * (-1.0) ** np.arange(n_trunc)
+    if not np.isfinite(raw).all():
+        raise NumericalError(f"the quadrature at n_trunc = {n_trunc} left elements of rho that are not finite")
     residual = float(np.max(np.abs(raw - raw.conj().T)))
     sym = 0.5 * (raw + raw.conj().T)
     trace = float(np.real(np.trace(sym)))

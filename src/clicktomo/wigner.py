@@ -4,9 +4,8 @@
 and reads W(gamma) = (2/pi) sum_n (-1)^n R_n off each displaced diagonal.
 Cell-centered nodes with the spacing recorded on the grid let the
 density-matrix recovery reuse the same grid as a midpoint quadrature rule.
-``delta_w`` is the mean absolute deviation between two maps; the exact map
-(from the displaced diagonals themselves) and the analytic Wigner functions
-are the references it is measured against.
+``delta_w`` is the mean absolute deviation between two maps; the analytic
+Wigner functions are the reference it is measured against.
 """
 import math
 from typing import NamedTuple
@@ -15,7 +14,6 @@ import numpy as np
 
 from .em import EMConfig, run_em_batch
 from .errors import DataError
-from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
 from .measurement import ClickArrays, complex_array
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "wigner_from_values",
     "reconstruct_clicks",
     "delta_w",
-    "exact_wigner_map",
     "coherent_wigner",
     "squeezed_wigner",
     "fock_wigner",
@@ -131,18 +128,6 @@ def delta_w(w_ref: np.ndarray, w_rec: np.ndarray) -> float:
         raise DataError(f"Wigner maps of shapes {w_ref.shape} and {w_rec.shape} cannot be compared")
     finite = np.isfinite(w_rec) & np.isfinite(w_ref)
     return float(np.mean(np.abs(w_rec - w_ref)[finite])) if finite.any() else math.nan
-
-
-def exact_wigner_map(rho: DensityMatrix, grid: PhaseGrid, trunc: TruncationConfig) -> WignerEstimate:
-    """Truncated Wigner values computed from exact displaced diagonals.
-
-    This is the ideal limit of the exact-probability pipeline: with exact
-    no-click probabilities the displaced diagonals are known outright, so no
-    iterative reconstruction enters.
-    """
-    diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
-    w = wigner_from_values(diag[:, : trunc.n_trunc])
-    return WignerEstimate(grid=grid, w_values=w)
 
 
 def coherent_wigner(alpha0: complex):

@@ -5,10 +5,12 @@ operators come from a matrix exponential of the truncated generator or from
 exact rational coefficients, state amplitudes from direct per-term formulas,
 and no-click probabilities from beam-splitter output amplitudes in closed
 form.  The exceptions are ``wigner_scan`` (a grid map through the package's
-own simulate-and-reconstruct path, for the pipeline tests), the row-major
-displacement kernel, which reads the package's coefficient table so as to pin
-the component-major kernel bit for bit, and the row formatters and the block
-of scalar schedule builders that the integer click rows and the array
+own simulate-and-reconstruct path, for the pipeline tests), the exact
+no-click probabilities and exact Wigner map that no stage needs (both built
+on the package's displaced diagonals), the row-major displacement kernel,
+which reads the package's coefficient table so as to pin the
+component-major kernel bit for bit, and the row formatters and the block of
+scalar schedule builders that the integer click rows and the array
 derivation replaced.  The block of dense displacement functions (the
 per-point code the batched kernel replaced) shares no table with the kernel.
 """
@@ -29,11 +31,12 @@ from clicktomo.fock import (
     SUM_TOL,
     DensityMatrix,
     TruncationConfig,
+    displaced_diagonals,
     displacement_coefficients,
     displacement_r2,
 )
-from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, simulate
-from clicktomo.wigner import reconstruct_clicks
+from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, no_click_powers, simulate
+from clicktomo.wigner import WignerEstimate, reconstruct_clicks, wigner_from_values
 
 
 def displacement_expm(gamma: complex, dim: int) -> np.ndarray:
@@ -107,6 +110,35 @@ def wigner_scan(rho, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
     failed nodes are NaN."""
     clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
     return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0]
+
+
+def no_click_probabilities(rho, gammas, nu_bar, y, trunc: TruncationConfig) -> np.ndarray:
+    """Exact joint no-click probabilities of P points x M settings, clipped to [0, 1]:
+    what ``simulate`` computes before sampling, from the package's public kernels.
+
+    ``nu_bar`` (M,) is shared by every point and ``y`` is (P, M):
+    p[i, j] = e^{y_ij} sum_n (1 - nu_bar_j)^n R_n(gamma_i), the series over the
+    full working dimension.
+    """
+    diag = displaced_diagonals(rho, gammas, trunc)
+    powers = no_click_powers(nu_bar, diag.shape[1])
+    return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
+
+
+def exact_wigner_map(rho: DensityMatrix, grid, trunc: TruncationConfig) -> WignerEstimate:
+    """The truncated Wigner map read off exact displaced diagonals: the ideal
+    limit of the exact-probability pipeline, with no EM."""
+    diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
+    return WignerEstimate(grid, wigner_from_values(diag[:, : trunc.n_trunc]))
+
+
+def embedded_config(path) -> str:
+    """The configuration text between an output file's ``# config-begin`` and
+    ``# config-end`` lines, each line's comment prefix removed."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    rows = lines[lines.index("# config-begin") + 1 : lines.index("# config-end")]
+    return "\n".join(row[2:] if row.startswith("# ") else row.lstrip("#") for row in rows) + "\n"
 
 
 def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=None):

@@ -23,13 +23,12 @@ from clicktomo.measurement import (
     binomial_counts,
     derive_settings,
     homogeneous_efficiencies,
-    no_click_probabilities,
 )
 from clicktomo.recover import compare_states, integrate_rho
-from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, delta_w, exact_wigner_map
+from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, delta_w
 from clicktomo.config import dump_config, parse_config
 
-from oracles import poisson_pmf, wigner_scan
+from oracles import exact_wigner_map, no_click_probabilities, poisson_pmf, wigner_scan
 
 N_TRUNC = 12
 CFG = TruncationConfig(N_TRUNC)

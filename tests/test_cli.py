@@ -21,14 +21,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clicktomo import __main__ as entry
-from clicktomo import cli, config, io_csv, measurement
+from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
 from clicktomo.config import build_recipe, build_state, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
 
-from oracles import displaced_diagonal_padded
+from oracles import displaced_diagonal_padded, embedded_config
 
 SMALL = """
 [state]
@@ -121,7 +121,7 @@ def test_simulate_is_deterministic(small_cfg, tmp_path):
 def test_rerun_from_embedded_header(small_cfg, tmp_path):
     out1 = tmp_path / "a"
     main(["simulate", "--config", str(small_cfg), "--out", str(out1)])
-    embedded = io_csv.embedded_config(out1 / "clicks.csv")
+    embedded = embedded_config(out1 / "clicks.csv")
     cfg2 = tmp_path / "replay.ini"
     cfg2.write_text(embedded)
     out2 = tmp_path / "b"
@@ -630,6 +630,35 @@ def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, caps
     assert not (tmp_path / "clicks.csv").exists()
 
 
+def test_a_quadrature_that_overflows_is_a_numerical_error(tmp_path, capsys):
+    # at n_trunc = 300 on a 4 x 4 grid over [-2, 2]^2 the quadrature's moments overflow:
+    # reported as one line, with no warning (an error here), no traceback and no file
+    text = EXACT.replace("re_amplitude = 1.0", "re_amplitude = 0.5").replace("n_trunc = 12", "n_trunc = 300")
+    text = text.replace("n_efficiencies = 14", "n_efficiencies = 300").replace("n_iterations = 60", "n_iterations = 5")
+    grid = "re_min = -2\nre_max = 2\nim_min = -2\nim_max = 2\nn_re = 4\nn_im = 4"
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace("re_min = -0.5\nre_max = 1.5\nim_min = -1.0\nim_max = 1.0\nn_re = 2\nn_im = 2", grid))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["reconstruct", "--records", str(tmp_path / "clicks.csv"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["recover-rho", "--wigner", str(tmp_path / "wigner.csv"), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: the quadrature at n_trunc = 300 left elements of rho that are not finite\n"
+    )
+    assert not (tmp_path / "rho.csv").exists() and not (tmp_path / "metrics.json").exists()
+
+
+def test_a_linear_algebra_failure_is_a_numerical_error(small_wigner, tmp_path, capsys, monkeypatch):
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(recover, "integrate_rho", no_convergence)
+    capsys.readouterr()
+    assert main(["recover-rho", "--wigner", str(small_wigner), "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+    assert not (tmp_path / "rho.csv").exists()
+
+
 def test_schedule_that_cannot_be_built_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "run.ini"
     path.write_text(SMALL.replace("alpha = 0.15", "alpha = 0"))
@@ -1014,7 +1043,7 @@ def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path, capsys)
     rho_cfg, _ = io_csv.read_rho_csv(out / "rho.csv")
     assert rho_cfg == wigner_cfg and rho_cfg.seed == 5
     metrics = json.loads((out / "metrics.json").read_text())
-    assert metrics["config"] == io_csv.embedded_config(out / "wigner.csv")
+    assert metrics["config"] == embedded_config(out / "wigner.csv")
 
 
 RESOLVED = dump_config(parse_config(SMALL))  # every key of SMALL's run, n_pad resolved

@@ -22,7 +22,7 @@ from clicktomo.config import (
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
 
-from oracles import indexed_rows_float, point_rows_float
+from oracles import embedded_config, indexed_rows_float, point_rows_float
 
 
 def write_clicks(path, cfg, repetition, clicks):
@@ -308,7 +308,7 @@ class TestClickCsv:
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
         write_clicks(path, cfg, 0, self._records(cfg))
-        assert io_csv.embedded_config(path) == dump_config(cfg)
+        assert embedded_config(path) == dump_config(cfg)
 
     def test_malformed_row_names_line(self, tmp_path):
         cfg = parse_config(BASE)

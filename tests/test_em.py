@@ -16,14 +16,13 @@ from clicktomo.measurement import (
     DualDetectorRecipe,
     derive_settings,
     no_click_powers,
-    no_click_probabilities,
     simulate,
 )
 from clicktomo import cli
 from clicktomo import em as em_module
 from clicktomo.config import build_recipe, build_state, load_config
 
-from oracles import em_batch_reference, poisson_pmf
+from oracles import em_batch_reference, no_click_probabilities, poisson_pmf
 
 CFG = TruncationConfig(12)
 

@@ -13,10 +13,10 @@ from clicktomo.fock import (
     squeezed_vacuum,
 )
 from clicktomo.recover import compare_states, integrate_rho
-from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, exact_wigner_map, squeezed_wigner
+from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, squeezed_wigner
 from clicktomo.config import build_state, load_config
 
-from oracles import displacement_expm, dmn_kernel as dmn_kernel_reference
+from oracles import displacement_expm, dmn_kernel as dmn_kernel_reference, exact_wigner_map
 
 CFG = TruncationConfig(12)
 ROOT = Path(__file__).resolve().parent.parent

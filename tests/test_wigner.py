@@ -19,7 +19,6 @@ from clicktomo.wigner import (
     WignerEstimate,
     coherent_wigner,
     delta_w,
-    exact_wigner_map,
     fock_wigner,
     laguerre,
     reconstruct_clicks,
@@ -29,7 +28,7 @@ from clicktomo.wigner import (
 from clicktomo.cli import main
 from clicktomo.errors import DataError
 
-from oracles import wigner_scan
+from oracles import exact_wigner_map, wigner_scan
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
