@@ -21,6 +21,7 @@ from . import io_csv
 from .config import (
     RunConfig,
     analytic_wigner_fn,
+    build_amplitudes,
     build_recipe,
     build_state,
     dump_config,
@@ -175,7 +176,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg._replace(seed=args.seed)
-    rho = build_state(cfg)
+    amplitudes = build_amplitudes(cfg)
     recipe = build_recipe(cfg)
     gammas = cfg.grid.flat_gammas()
     out = _out_dir(args)
@@ -184,7 +185,7 @@ def cmd_simulate(args) -> int:
 
         def run_block(b: slice) -> tuple[str, np.ndarray]:
             clicks = simulate(
-                rho, gammas[b], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities, offset=b.start
+                amplitudes, gammas[b], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities, offset=b.start
             )
             return io_csv.click_rows(clicks.noclick, b.start), clicks.truncation_leak
 

@@ -9,6 +9,8 @@ import configparser
 import math
 from typing import NamedTuple, get_type_hints
 
+import numpy as np
+
 from .errors import ConfigError
 from .fock import (
     DensityMatrix,
@@ -34,6 +36,7 @@ __all__ = [
     "parse_config",
     "load_config",
     "dump_config",
+    "build_amplitudes",
     "build_state",
     "build_recipe",
     "analytic_wigner_fn",
@@ -46,7 +49,9 @@ MAX_RUNS = 2**53
 NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 MAX_SETTINGS = 4096  # per point: over 100 times the shipped schedules, checked before any is built
-MAX_PAD = 2048  # simulate's (n_pad, n_pad) tables and eigh: on a 2 x 2 grid 321 MiB at 2048, 1.16 GiB at 4096
+# simulate's (n_pad, n_pad) coefficient table peaks at 126 MiB on a 2 x 2 grid at 2048 (414 MiB at
+# 4096), and past 2048 the power tables stay finite only for |gamma| below 1.41 (see fock.displace)
+MAX_PAD = 2048
 
 
 class StateSpec(NamedTuple):
@@ -230,19 +235,22 @@ def dump_config(cfg: RunConfig) -> str:
     return "\n".join(blocks)
 
 
-def build_state(cfg: RunConfig) -> DensityMatrix:
-    """The configured state; one that does not fit the working dimension is a ConfigError."""
+def build_amplitudes(cfg: RunConfig) -> np.ndarray:
+    """The configured state's amplitudes over n_pad; one that does not fit the working dimension is a ConfigError."""
     spec = cfg.state
     try:
         if spec.kind == "coherent":
-            pure = coherent_state(spec.amplitude, cfg.trunc)
-        elif spec.kind == "squeezed":
-            pure = squeezed_vacuum(spec.squeeze, cfg.trunc)
-        else:
-            pure = fock_state(spec.n, cfg.trunc)
+            return coherent_state(spec.amplitude, cfg.trunc)
+        if spec.kind == "squeezed":
+            return squeezed_vacuum(spec.squeeze, cfg.trunc)
+        return fock_state(spec.n, cfg.trunc)
     except ValueError as exc:
         raise ConfigError(f"[state] kind = {spec.kind}: {exc}") from exc
-    return density_from_pure(pure)
+
+
+def build_state(cfg: RunConfig) -> DensityMatrix:
+    """The configured state as a density matrix, the reference that ``recover-rho`` compares against."""
+    return density_from_pure(build_amplitudes(cfg))
 
 
 def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":

@@ -11,7 +11,7 @@ the authority for everything else, and the reader rebuilds the settings from it.
 """
 import numpy as np
 
-from .config import MAX_RUNS, RunConfig, build_recipe, build_state, dump_config, parse_config
+from .config import MAX_RUNS, RunConfig, build_amplitudes, build_recipe, dump_config, parse_config
 from .errors import ConfigError, DataError
 from .measurement import ClickArrays, complex_array
 
@@ -80,7 +80,7 @@ def _parse_embedded(path, config_text: str) -> RunConfig:
     """The file's own configuration, whose state and schedule must build; a broken header is a data error."""
     try:
         cfg = parse_config(config_text)
-        build_state(cfg)
+        build_amplitudes(cfg)
     except ConfigError as exc:
         raise DataError(f"{path}: embedded config: {exc}") from exc
     try:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityMatrix, TruncationConfig, displaced_diagonals
+from .fock import TruncationConfig, displaced_diagonals
 
 __all__ = [
     "DetectorPair",
@@ -193,7 +193,7 @@ def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def no_click_powers(nu_bar: np.ndarray, n: int) -> np.ndarray:
-    """(M, n) table (1 - nu_bar_j)^k, k < n: the weights of the no-click series."""
+    """(M, n) table (1 - nu_bar_j)^k, k < n: the coefficients of the no-click series."""
     x = 1.0 - np.asarray(nu_bar, dtype=float)
     return x[:, None] ** np.arange(n, dtype=float)[None, :]
 
@@ -222,7 +222,7 @@ def binomial_counts(n_runs: int, probs: np.ndarray, key: "tuple[int, ...]", offs
 
 
 def simulate(
-    rho: DensityMatrix,
+    amplitudes: np.ndarray,
     gammas: np.ndarray,
     recipe: Recipe,
     trunc: TruncationConfig,
@@ -243,7 +243,7 @@ def simulate(
     """
     g = np.asarray(gammas, dtype=complex).ravel()
     sched = recipe.build(g)
-    diag = displaced_diagonals(rho, g, trunc)
+    diag = displaced_diagonals(amplitudes, g)
     probs = np.clip(np.exp(sched.y) * (diag @ no_click_powers(sched.nu_bar, trunc.n_pad).T), 0.0, 1.0)
     if exact:
         noclick = probs * n_runs

@@ -27,7 +27,6 @@ from scipy.linalg import expm
 from clicktomo.em import FLOOR
 from clicktomo.errors import NumericalError
 from clicktomo.fock import (
-    NEGATIVE_NOISE_TOL,
     SUM_TOL,
     DensityMatrix,
     TruncationConfig,
@@ -104,31 +103,50 @@ def displaced_diagonal_expm(rho: np.ndarray, gamma: complex, dim: int) -> np.nda
     return np.real(np.diag(d.conj().T @ rho_p @ d))
 
 
-def wigner_scan(rho, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
+def _amplitudes(state) -> np.ndarray:
+    """A pure state's amplitudes, given as they are or as ``density_from_pure``'s projector.
+
+    Column k of |psi><psi| is psi conj(psi_k); over |psi_k| = sqrt(rho_kk), at
+    the largest diagonal entry, it is psi up to a global phase, which no
+    displaced diagonal sees.  A mixed state is refused: the forward model
+    has no path for one.
+    """
+    if not isinstance(state, DensityMatrix):
+        return state
+    rho = state.elements
+    k = int(np.argmax(rho.diagonal().real))
+    amps = rho[:, k] / math.sqrt(rho[k, k].real)
+    if np.max(np.abs(np.outer(amps, amps.conj()) - rho)) > 1e-12:
+        raise ValueError("not a pure state")
+    return amps
+
+
+def wigner_scan(state, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
     """W on every node of ``grid`` by the CLI's path, ``simulate`` then
     ``reconstruct_clicks``, one value per node of ``grid.flat_gammas()``;
     failed nodes are NaN."""
-    clicks = simulate(rho, grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
+    clicks = simulate(_amplitudes(state), grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
     return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0]
 
 
-def no_click_probabilities(rho, gammas, nu_bar, y, trunc: TruncationConfig) -> np.ndarray:
+def no_click_probabilities(state, gammas, nu_bar, y, trunc: TruncationConfig) -> np.ndarray:
     """Exact joint no-click probabilities of P points x M settings, clipped to [0, 1]:
     what ``simulate`` computes before sampling, from the package's public kernels.
 
+    ``state`` is the amplitudes over ``trunc.n_pad`` (or their projector).
     ``nu_bar`` (M,) is shared by every point and ``y`` is (P, M):
     p[i, j] = e^{y_ij} sum_n (1 - nu_bar_j)^n R_n(gamma_i), the series over the
     full working dimension.
     """
-    diag = displaced_diagonals(rho, gammas, trunc)
-    powers = no_click_powers(nu_bar, diag.shape[1])
+    diag = displaced_diagonals(_amplitudes(state), gammas)
+    powers = no_click_powers(nu_bar, trunc.n_pad)
     return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
-def exact_wigner_map(rho: DensityMatrix, grid, trunc: TruncationConfig) -> WignerEstimate:
+def exact_wigner_map(state, grid, trunc: TruncationConfig) -> WignerEstimate:
     """The truncated Wigner map read off exact displaced diagonals: the ideal
     limit of the exact-probability pipeline, with no EM."""
-    diag = displaced_diagonals(rho, grid.flat_gammas(), trunc)
+    diag = displaced_diagonals(_amplitudes(state), grid.flat_gammas())
     return WignerEstimate(grid, wigner_from_values(diag[:, : trunc.n_trunc]))
 
 
@@ -290,6 +308,10 @@ def displacement_matrix(gamma: complex, cfg: TruncationConfig) -> DisplacementMa
             f"|gamma|^2 = {abs(g) ** 2:.3f} exceeds n_pad/2 = {0.5 * cfg.n_pad}"
         )
     return DisplacementMatrix(g, _displacement_elements(g, cfg.n_pad))
+
+
+# Diagonal entries below -NEGATIVE_NOISE_TOL are an error, not rounding noise.
+NEGATIVE_NOISE_TOL = 1e-12
 
 
 def _embed(rho: np.ndarray, dim: int) -> np.ndarray:

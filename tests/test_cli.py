@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from clicktomo import __main__ as entry
 from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
-from clicktomo.config import build_recipe, build_state, dump_config, parse_config
+from clicktomo.config import build_amplitudes, build_recipe, build_state, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
@@ -618,6 +618,18 @@ def test_non_finite_float_is_a_config_error(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("text", [EXACT, SMALL], ids=["exact", "sampled"])
+def test_simulate_diagonalizes_nothing(tmp_path, monkeypatch, text):
+    # every configured state is pure, so the forward model displaces its amplitudes
+    def no_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("text", [EXACT, SMALL], ids=["exact", "sampled"])
 def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, capsys, text):
     # nodes at |gamma|^2 = 56.5, within n_pad/2 = 200, overflow the displacement's power
     # tables to NaN: reported, with no warning (an error here) and no file
@@ -835,7 +847,7 @@ def test_running_out_of_memory_is_one_error_line(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_the_largest_n_pad_fits_in_1_5_gib(tmp_path):
-    # simulate's (n_pad, n_pad) tables and eigendecomposition are what config.MAX_PAD bounds
+    # simulate's (n_pad, n_pad) coefficient table, 126 MiB at peak here, is what config.MAX_PAD bounds
     cfg = tmp_path / "run.ini"
     cfg.write_text(SMALL.replace("n_trunc = 12", f"n_trunc = 12\nn_pad = {config.MAX_PAD}"))
     result = simulate_on_one_cpu_in_1_5_gib(cfg, tmp_path)
@@ -1310,7 +1322,10 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # and every file when the [run] keys normalization and analytic_reference
 # were deleted (each file lost those two header lines and nothing else),
 # and every sampled file when each group of 8 points began to draw from one
-# stream (the exact case kept its bytes).
+# stream (the exact case kept its bytes), and the exact case when the
+# forward model began to displace the state's amplitudes instead of the
+# eigenvectors of its density matrix (probabilities moved by at most 2.9e-16,
+# w_rec by at most 2.1e-16, rho by at most 2.6e-14).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, {
@@ -1319,9 +1334,9 @@ GOLDEN = {
         "rho.csv": "8d664f3c076510839675298d55d6b4013ad7bf30995b3dca8efec45f40fdc307",
     }),
     "exact": (EXACT, {
-        "clicks.csv": "85ccdcd04bea688a4ec7b896e84963d53d7336761f4855475f24c3617eec548f",
-        "wigner.csv": "456d170898b8b0fec9333b367a869e9a3db0afb54770fd8b1687bb9bba7dbe62",
-        "rho.csv": "243348d38c7d1f672692e3faf0faac456dd23a53c1b5cb2e32484a6466f91e5d",
+        "clicks.csv": "43b5d875b099c32ea4ad6b80757dd73bc062a469581f713066c02176c9782730",
+        "wigner.csv": "e1ee899ebae45d5fe41b090049acf5ea27c6a03be687d521fe18ffa9d09da256",
+        "rho.csv": "afe159d88beec37a6c1cf897c3e737c39185c5ffe7c0e5a4d17b0086f770ced5",
     }),
     "dual": (DUAL, {
         "clicks.csv": "a8ca4b8eb221849e324d34cd16ff527e3289c3d10aeda666245f98d9a664f17d",
@@ -1521,7 +1536,7 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL) + "repetitions = 2\n")
     run_cfg = parse_config(wide(SMALL))
-    rho, gammas, recipe = build_state(run_cfg), run_cfg.grid.flat_gammas(), build_recipe(run_cfg)
+    amplitudes, gammas, recipe = build_amplitudes(run_cfg), run_cfg.grid.flat_gammas(), build_recipe(run_cfg)
     names = ("clicks_rep0.csv", "clicks_rep1.csv")
     files = []
     for cpus in (1, 2, 3):
@@ -1532,7 +1547,7 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
         files.append([(out / name).read_bytes() for name in names])
         for rep, name in enumerate(names):
             _, read_rep, clicks = io_csv.read_click_csv(out / name)
-            whole = simulate(rho, gammas, recipe, run_cfg.trunc, run_cfg.n_runs, run_cfg.seed, rep, exact=False)
+            whole = simulate(amplitudes, gammas, recipe, run_cfg.trunc, run_cfg.n_runs, run_cfg.seed, rep, exact=False)
             assert read_rep == rep and clicks.noclick.tolist() == whole.noclick.tolist()
     assert files[0] == files[1] == files[2]
     assert files[0][0] != files[0][1]
@@ -1546,10 +1561,10 @@ def fail_at_point(monkeypatch, stage, fault, points=(FAULTY_POINT,)):
     """Make ``stage``'s per-point function call ``fault()`` on a block holding one of ``points``."""
     targets = parse_config(wide(SMALL)).grid.flat_gammas()[list(points)]
     if stage == "simulate":
-        def faulty(rho, gammas, *args, offset=0):
+        def faulty(amplitudes, gammas, *args, offset=0):
             if any(offset <= p < offset + len(gammas) for p in points):
                 fault()
-            return simulate(rho, gammas, *args, offset=offset)
+            return simulate(amplitudes, gammas, *args, offset=offset)
 
         monkeypatch.setattr(cli, "simulate", faulty)
     else:

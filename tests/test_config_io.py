@@ -14,6 +14,7 @@ from clicktomo.measurement import DetectorPair, SingleDetectorRecipe, complex_ar
 from clicktomo.wigner import PhaseGrid, WignerEstimate
 from clicktomo.config import (
     analytic_wigner_fn,
+    build_amplitudes,
     build_recipe,
     build_state,
     dump_config,
@@ -216,7 +217,7 @@ def test_grid_the_config_accepts_the_kernel_accepts(n_trunc, n_re, n_im, angle):
     except ConfigError as exc:
         assert "[grid] |gamma|^2" in str(exc)
         return
-    displaced_diagonals(build_state(cfg), cfg.grid.flat_gammas(), cfg.trunc)
+    displaced_diagonals(build_amplitudes(cfg), cfg.grid.flat_gammas())
 
 
 def test_records_compare_by_value_and_refuse_assignment():
@@ -253,17 +254,18 @@ def test_replace_runs_the_constructor_checks(record, field, bad):
 
 class TestBuilders:
     def test_state_kinds(self):
-        coherent = build_state(parse_config(BASE))
-        assert coherent.elements[0, 0].real == pytest.approx(np.exp(-1.0), rel=1e-12)
+        coherent = build_amplitudes(parse_config(BASE))
+        assert coherent[0].real == pytest.approx(np.exp(-0.5), rel=1e-12)
         squeezed_cfg = parse_config(
             BASE.replace("kind = coherent", "kind = squeezed").replace(
                 "re_amplitude = 1.0", "squeeze = 0.5493061443340549"
             )
         )
-        assert build_state(squeezed_cfg).elements[1, 1] == 0.0
+        assert build_amplitudes(squeezed_cfg)[1] == 0.0
         fock_cfg = parse_config(
             BASE.replace("kind = coherent", "kind = fock").replace("re_amplitude = 1.0", "n = 2")
         )
+        assert build_amplitudes(fock_cfg)[2] == 1.0
         assert build_state(fock_cfg).elements[2, 2] == 1.0
 
     def test_single_recipe(self):
@@ -287,7 +289,7 @@ class TestBuilders:
 class TestClickCsv:
     def _records(self, cfg):
         return simulate(
-            build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
+            build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
             cfg.n_runs, cfg.seed, 0, exact=False,
         )
 
@@ -379,7 +381,7 @@ def click_bytes(tmp_path_factory):
     text = text.replace("n_efficiencies = 30", "n_efficiencies = 3").replace("n_trunc = 12", "n_trunc = 3")
     cfg = parse_config(text)
     clicks = simulate(
-        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
+        build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc,
         cfg.n_runs, cfg.seed, 0, exact=False,
     )
     path = tmp_path_factory.mktemp("clicks") / "clicks.csv"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clicktomo.em import EMConfig, _loglik_rows, run_em_batch
-from clicktomo.fock import DensityMatrix, TruncationConfig, coherent_state, density_from_pure
+from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure
 from clicktomo.measurement import (
     DetectorPair,
     DualDetectorRecipe,
@@ -20,9 +20,9 @@ from clicktomo.measurement import (
 )
 from clicktomo import cli
 from clicktomo import em as em_module
-from clicktomo.config import build_recipe, build_state, load_config
+from clicktomo.config import build_amplitudes, build_recipe, load_config
 
-from oracles import em_batch_reference, no_click_probabilities, poisson_pmf
+from oracles import em_batch_reference, poisson_pmf
 
 CFG = TruncationConfig(12)
 
@@ -30,13 +30,6 @@ CFG = TruncationConfig(12)
 def kernel(nu_bar, n=12):
     """A_jn = (1 - nu_bar_j)^n: the forward model at unit attenuation is ``kernel @ R``."""
     return (1.0 - np.asarray(nu_bar, dtype=float))[:, None] ** np.arange(n)[None, :]
-
-
-def diagonal_state(values):
-    """Density matrix diag(values) on the working dimension of CFG."""
-    rho = np.zeros((CFG.n_pad, CFG.n_pad))
-    rho[range(len(values)), range(len(values))] = values
-    return DensityMatrix(rho)
 
 
 def one_step(values, freqs, nu_bar):
@@ -61,24 +54,22 @@ def nu_bar_of(nu):
 
 
 class TestForwardProbability:
-    # the forward model p = e^y sum_n (1 - nu_bar)^n R_n, evaluated on a
-    # diagonal state at gamma = 0, where the displaced diagonal is R itself
+    # the forward model p = e^y sum_n (1 - nu_bar)^n R_n at gamma = 0 and y = 0,
+    # where the displaced diagonal R is the state's diagonal itself
+    @staticmethod
+    def no_click(diagonal, nu) -> float:
+        return float(no_click_powers([nu_bar_of(nu)], len(diagonal))[0] @ diagonal)
+
     def test_pure_vacuum(self):
-        rho = diagonal_state(np.eye(12)[0])
-        p = no_click_probabilities(rho, [0.0], [nu_bar_of(0.5)], [[0.0]], CFG)
-        assert p[0, 0] == 1.0
+        assert self.no_click(np.eye(12)[0], 0.5) == 1.0
 
     def test_uniform_geometric_sum(self):
         n = 12
-        rho = diagonal_state(np.full(n, 1.0 / n))
-        p = no_click_probabilities(rho, [0.0], [nu_bar_of(0.4)], [[0.0]], CFG)
         expected = (1.0 - 0.6**n) / (0.4 * n)
-        assert p[0, 0] == pytest.approx(expected, rel=1e-14)
+        assert self.no_click(np.full(n, 1.0 / n), 0.4) == pytest.approx(expected, rel=1e-14)
 
     def test_unit_efficiency_sees_vacuum_only(self):
-        rho = diagonal_state(np.full(4, 0.25))
-        p = no_click_probabilities(rho, [0.0], [nu_bar_of(1.0)], [[0.0]], CFG)
-        assert p[0, 0] == 0.25
+        assert self.no_click(np.full(4, 0.25), 1.0) == 0.25
 
 
 class TestEmStep:
@@ -483,7 +474,7 @@ def test_failed_point_leaves_the_others_on_the_bare_step():
     # without it
     cfg = load_config(REPO / "bench" / "configs" / "fock_em_long.ini")
     clicks = simulate(
-        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
+        build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
     )
     freqs, ey = clicks.noclick / clicks.n_runs, np.exp(clicks.y)
     em_cfg = EMConfig(n_iterations=cfg.n_iterations)
@@ -524,7 +515,7 @@ def test_every_aligned_cut_keeps_the_bits(path):
     # point's values and log-likelihood bit-equal to those of the whole batch
     cfg = load_config(path)
     clicks = simulate(
-        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, False
+        build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, False
     )
     n_points, dim = len(clicks.gammas), cfg.trunc.n_trunc
     assert n_points * clicks.nu_bar.size * dim <= cli.BLAS_SMALL
@@ -559,7 +550,7 @@ def _fock_em_long_inputs():
     """The fock_em_long batch, with point 17's e^y at 1e-20 so that it fails."""
     cfg = load_config(REPO / "bench" / "configs" / "fock_em_long.ini")
     clicks = simulate(
-        build_state(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
+        build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
     )
     ey = np.exp(clicks.y)
     ey[17] = 1e-20

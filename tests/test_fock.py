@@ -32,6 +32,7 @@ from oracles import (
 )
 
 CFG = TruncationConfig(12)
+WIDE = TruncationConfig(12, 2048)  # the largest n_pad a config accepts
 
 
 def displacement_matrix(gamma: complex, cfg: TruncationConfig) -> np.ndarray:
@@ -39,12 +40,13 @@ def displacement_matrix(gamma: complex, cfg: TruncationConfig) -> np.ndarray:
     return displace(np.full(cfg.n_pad, gamma), np.eye(cfg.n_pad)).T
 
 
-def diagonal(rho: DensityMatrix, gamma: complex, cfg: TruncationConfig) -> np.ndarray:
-    return displaced_diagonals(rho, [gamma], cfg)[0]
+def diagonal(amps: np.ndarray, gamma: complex) -> np.ndarray:
+    return displaced_diagonals(amps, [gamma])[0]
 
 
-def wigner_exact(rho: DensityMatrix, gamma: complex, cfg: TruncationConfig) -> float:
-    return wigner_from_values(diagonal(rho, gamma, cfg)[: cfg.n_trunc])
+def wigner_exact(amps: np.ndarray, gamma: complex, cfg: TruncationConfig) -> float:
+    """W at gamma from the state zero-padded to ``cfg.n_pad`` levels, its first ``n_trunc`` diagonals."""
+    return wigner_from_values(diagonal(np.pad(amps, (0, cfg.n_pad - amps.size)), gamma)[: cfg.n_trunc])
 
 
 def norm_deficit(amps: np.ndarray) -> float:
@@ -241,41 +243,47 @@ class TestDisplacementMatrix:
 
 class TestDisplacedDiagonal:
     def test_zero_displacement_gives_occupation(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        values = diagonal(rho, 0.0, CFG)[:12]
-        np.testing.assert_allclose(values, np.real(np.diag(rho.elements))[:12], atol=1e-15)
+        state = coherent_state(1.0, CFG)
+        values = diagonal(state, 0.0)[:12]
+        np.testing.assert_allclose(values, np.abs(state[:12]) ** 2, atol=1e-15)
 
     def test_vacuum_gives_poisson(self):
-        rho = density_from_pure(fock_state(0, CFG))
         g = 0.8 + 0.5j
-        values = diagonal(rho, g, CFG)[:12]
+        values = diagonal(fock_state(0, CFG), g)[:12]
         np.testing.assert_allclose(values, poisson_pmf(abs(g) ** 2, 12), atol=1e-13)
 
     @pytest.mark.parametrize("alpha0,gamma", [(1.0, 0.5), (1.0, 1.0), (0.6 + 0.4j, -0.3 + 0.9j)])
     def test_coherent_gives_shifted_poisson(self, alpha0, gamma):
-        rho = density_from_pure(coherent_state(alpha0, CFG))
-        values = diagonal(rho, gamma, CFG)[:12]
+        values = diagonal(coherent_state(alpha0, CFG), gamma)[:12]
         np.testing.assert_allclose(values, poisson_pmf(abs(alpha0 - gamma) ** 2, 12), atol=1e-12)
 
     def test_matches_expm_brute_force(self):
         s = math.atanh(0.5)
-        rho = density_from_pure(squeezed_vacuum(s, CFG))
+        state = squeezed_vacuum(s, CFG)
         g = 0.4 - 1.1j
-        ref = displaced_diagonal_expm(np.asarray(rho.elements), g, CFG.n_pad)
-        ours = diagonal(rho, g, CFG)
+        ref = displaced_diagonal_expm(density_from_pure(state).elements, g, CFG.n_pad)
+        ours = diagonal(state, g)
         np.testing.assert_allclose(ours[:20], ref[:20], atol=1e-10)
 
     def test_sum_bounds(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         for g in (0.0, 0.5, 1.0 + 0.5j):
-            total = diagonal(rho, g, CFG)[:12].sum()
+            total = diagonal(state, g)[:12].sum()
             leak_bound = poisson_pmf(abs(1.0 - g) ** 2, 60)[12:].sum() + 1e-9
             assert 1.0 - leak_bound - 1e-12 <= total <= 1.0 + 1e-9
 
-    def test_unphysical_state_fails_the_noise_check(self):
-        bad = np.diag([0.9, 0.2, -0.1]).astype(complex)
-        with pytest.raises(NumericalError, match="below the noise tolerance"):
-            displaced_diagonals(DensityMatrix(bad), [0.3, 0.5j], CFG)
+    # |gamma|^2047 passes 1.8e308 at |gamma| = 1.4145, the edge of the power tables at n_pad 2048
+    @pytest.mark.parametrize(
+        "state",
+        [coherent_state(1.0, WIDE), fock_state(1, WIDE), squeezed_vacuum(math.atanh(0.5), WIDE)],
+        ids=["coherent_1", "fock_1", "squeezed_0.5"],
+    )
+    def test_finite_up_to_the_edge_of_the_power_tables(self, state):
+        phases = np.exp(0.25j * math.pi * np.arange(4))
+        totals = displaced_diagonals(state, 1.4126 * phases).sum(axis=1)
+        assert np.max(np.abs(totals - 1.0)) <= 1e-14
+        with pytest.raises(NumericalError, match="is not finite"):
+            displaced_diagonals(state, 1.4154 * phases)
 
 
 # States whose displaced diagonals both kernels evaluate to ~1e-15 for every
@@ -283,26 +291,12 @@ class TestDisplacedDiagonal:
 # times the state's weight on high levels, in the dense and the batched kernel
 # alike, so brighter or more squeezed states at the edge of the disc differ by
 # more than rounding without either being wrong.
-def _mixed(vectors, weights):
-    """sum_k w_k |v_k><v_k| / sum_k w_k, with each v_k normalised."""
-    units = [v / np.linalg.norm(v) for v in vectors]
-    rho = sum(w * np.outer(v, v.conj()) for v, w in zip(units, weights)) / sum(weights)
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
-
-
-UNIT = st.floats(-1.0, 1.0)
 STATES = st.one_of(
     st.tuples(st.floats(0.0, 0.7), st.floats(0.0, 2 * math.pi)).map(
-        lambda a: density_from_pure(coherent_state(a[0] * np.exp(1j * a[1]), CFG))
+        lambda a: coherent_state(a[0] * np.exp(1j * a[1]), CFG)
     ),
-    st.floats(0.0, math.atanh(0.15)).map(lambda s: density_from_pure(squeezed_vacuum(s, CFG))),
-    st.integers(0, 4).map(lambda n: density_from_pure(fock_state(n, CFG))),
-    st.tuples(
-        st.lists(st.tuples(UNIT, UNIT).map(lambda z: complex(*z)), min_size=12, max_size=12),
-        st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3),
-    )
-    .filter(lambda t: np.linalg.matrix_rank(np.reshape(t[0], (3, 4))) == 3)
-    .map(lambda t: _mixed(np.reshape(t[0], (3, 4)), t[1])),
+    st.floats(0.0, math.atanh(0.15)).map(lambda s: squeezed_vacuum(s, CFG)),
+    st.integers(0, 4).map(lambda n: fock_state(n, CFG)),
 )
 GAMMAS = st.lists(
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)).map(
@@ -331,10 +325,10 @@ def displacements(draw, min_points: int, max_points: int):
 
 class TestDisplace:
     @settings(max_examples=150, deadline=None)
-    @given(rho=STATES, gammas=GAMMAS)
-    def test_batched_diagonals_match_the_dense_oracle(self, rho, gammas):
-        ours = displaced_diagonals(rho, gammas, CFG)
-        ref = np.array([displaced_diagonal_padded(rho, g, CFG) for g in gammas])
+    @given(state=STATES, gammas=GAMMAS)
+    def test_batched_diagonals_match_the_dense_oracle(self, state, gammas):
+        ours = displaced_diagonals(state, gammas)
+        ref = np.array([displaced_diagonal_padded(density_from_pure(state), g, CFG) for g in gammas])
         assert np.max(np.abs(ours - ref)) <= 1e-13
 
     # state, gamma, and the bound on max |Delta R_n| against 60 digits: the kernel's error
@@ -350,17 +344,8 @@ class TestDisplace:
         ids=["coherent_1_at_22", "squeezed_0.5_at_19.2", "squeezed_0.9_at_15", "fock_4_at_22"],
     )
     def test_diagonals_match_60_digits(self, state, gamma, bound):
-        ours = displaced_diagonals(density_from_pure(state), [gamma], CFG)[0]
+        ours = diagonal(state, gamma)
         assert np.max(np.abs(ours - displaced_diagonal_mp(state, gamma))) <= bound
-
-    def test_mixed_state_is_the_weighted_sum_of_its_components(self):
-        rng = np.random.default_rng(4)
-        vecs = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
-        weights = np.array([0.5, 0.3, 0.2])
-        gammas = np.array([0.0, 0.4 - 0.3j, 1.5j, -2.0 + 1.0j])
-        ours = displaced_diagonals(_mixed(vecs, weights), gammas, CFG)
-        parts = sum(w * displaced_diagonals(_mixed([v], [1.0]), gammas, CFG) for v, w in zip(vecs, weights))
-        np.testing.assert_allclose(ours, parts, atol=1e-14)
 
     def test_batch_equals_point_by_point(self):
         rng = np.random.default_rng(7)
@@ -398,27 +383,26 @@ class TestDisplace:
 
 class TestWignerExact:
     def test_vacuum_peak(self):
-        rho = density_from_pure(fock_state(0, CFG))
-        assert wigner_exact(rho, 0.0, CFG) == pytest.approx(2.0 / math.pi, abs=1e-12)
+        assert wigner_exact(fock_state(0, CFG), 0.0, CFG) == pytest.approx(2.0 / math.pi, abs=1e-12)
 
     def test_coherent_matches_gaussian(self):
         # certify the truncation bound with a high-dimension run first
-        rho_hi = density_from_pure(coherent_state(1.0, TruncationConfig(60, 80)))
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state_hi = coherent_state(1.0, TruncationConfig(60, 80))
+        state = coherent_state(1.0, CFG)
         rng = np.random.default_rng(5)
         for _ in range(25):
             g = 1.0 + complex(*rng.uniform(-0.7, 0.7, 2))
             if abs(g - 1.0) > 1.0:
                 continue
             analytic = 2.0 / math.pi * math.exp(-2.0 * abs(g - 1.0) ** 2)
-            hi = wigner_exact(rho_hi, g, TruncationConfig(60, 80))
+            hi = wigner_exact(state_hi, g, TruncationConfig(60, 80))
             assert abs(hi - analytic) < 1e-12
-            assert abs(wigner_exact(rho, g, CFG) - analytic) < 1e-6
+            assert abs(wigner_exact(state, g, CFG) - analytic) < 1e-6
 
     def test_squeezed_origin(self):
         # truncated value sits 4e-5 below 2/pi (even-tail mass beyond n=11)
         s = math.atanh(0.5)
-        rho = density_from_pure(squeezed_vacuum(s, CFG))
-        hi = wigner_exact(rho, 0.0, TruncationConfig(60, 80))
+        state = squeezed_vacuum(s, CFG)
+        hi = wigner_exact(state, 0.0, TruncationConfig(60, 80))
         assert abs(hi - 2.0 / math.pi) < 1e-12
-        assert abs(wigner_exact(rho, 0.0, CFG) - 2.0 / math.pi) < 1e-4
+        assert abs(wigner_exact(state, 0.0, CFG) - 2.0 / math.pi) < 1e-4

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clicktomo import measurement
-from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, fock_state
+from clicktomo.fock import TruncationConfig, coherent_state, fock_state
 from clicktomo.measurement import (
     DetectorPair,
     DualDetectorRecipe,
@@ -40,15 +40,15 @@ def derive(alpha, beta, detectors):
     return float(nu_bar[0]), complex(gamma[0, 0]), float(y[0, 0])
 
 
-def no_click(rho, setting, cfg=CFG):
+def no_click(state, setting, cfg=CFG):
     """Exact no-click probability of one setting (nu_bar, gamma, y)."""
     nu_bar, gamma, y = setting
-    return no_click_probabilities(rho, [gamma], [nu_bar], [[y]], cfg)[0, 0]
+    return no_click_probabilities(state, [gamma], [nu_bar], [[y]], cfg)[0, 0]
 
 
-def schedule_noclick(rho, gamma, sched, cfg=CFG):
+def schedule_noclick(state, gamma, sched, cfg=CFG):
     """Exact no-click probabilities of a one-point schedule's settings at ``gamma``."""
-    return no_click_probabilities(rho, [gamma], sched.nu_bar, sched.y, cfg)[0]
+    return no_click_probabilities(state, [gamma], sched.nu_bar, sched.y, cfg)[0]
 
 
 class TestDeriveSetting:
@@ -96,9 +96,9 @@ class TestDeriveSetting:
 
 class TestNoClickProbability:
     def test_vacuum_without_probe(self):
-        rho = density_from_pure(fock_state(0, CFG))
+        state = fock_state(0, CFG)
         s = derive(0.3, 0.0, DetectorPair(0.8, 0.5))
-        assert no_click(rho, s, CFG) == 1.0
+        assert no_click(state, s, CFG) == 1.0
 
     def test_coherent_signal_closed_form(self):
         # beam-splitter outputs stay coherent, so the joint no-click
@@ -111,39 +111,39 @@ class TestNoClickProbability:
             beta = complex(*rng.uniform(-1.5, 1.5, 2))
             angle = rng.uniform(0.05, 1.5)
             nu_c, nu_d = rng.uniform(0.05, 0.95, 2)
-            rho = density_from_pure(coherent_state(alpha0, cfg))
+            state = coherent_state(alpha0, cfg)
             setting = derive(angle, beta, DetectorPair(nu_c, nu_d))
             expected = coherent_signal_noclick(alpha0, beta, angle, nu_c, nu_d)
-            assert no_click(rho, setting, cfg) == pytest.approx(expected, abs=1e-9)
+            assert no_click(state, setting, cfg) == pytest.approx(expected, abs=1e-9)
 
     def test_probe_only_factorization(self):
-        rho = density_from_pure(fock_state(0, CFG))
+        state = fock_state(0, CFG)
         for angle in (0.2, 0.7, 1.3):
             for b in (0.5, 1.0 + 1.0j, -1.5j):
                 s = derive(angle, b, DetectorPair(0.25, 0.7))
                 expected = math.exp(
                     -0.25 * abs(b * math.sin(angle)) ** 2 - 0.7 * abs(b * math.cos(angle)) ** 2
                 )
-                assert no_click(rho, s, CFG) == pytest.approx(expected, abs=1e-9)
+                assert no_click(state, s, CFG) == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_in_efficiency(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = np.linspace(0.05, 0.95, 10)
         for angle, beta in ((0.4, 0.7), (0.9, -0.5 + 0.3j)):
             p_c = [
-                no_click(rho, derive(angle, beta, DetectorPair(nu, 0.55)), CFG)
+                no_click(state, derive(angle, beta, DetectorPair(nu, 0.55)), CFG)
                 for nu in grid
             ]
             p_d = [
-                no_click(rho, derive(angle, beta, DetectorPair(0.55, nu)), CFG)
+                no_click(state, derive(angle, beta, DetectorPair(0.55, nu)), CFG)
                 for nu in grid
             ]
             assert np.all(np.diff(p_c) <= 1e-12)
             assert np.all(np.diff(p_d) <= 1e-12)
 
     def test_unit_probability_only_for_dark_vacuum(self):
-        vac = density_from_pure(fock_state(0, CFG))
-        coh = density_from_pure(coherent_state(1.0, CFG))
+        vac = fock_state(0, CFG)
+        coh = coherent_state(1.0, CFG)
         s_plain = derive(0.3, 0.0, DetectorPair(0.8, 0.5))
         assert no_click(vac, s_plain, CFG) == 1.0
         # any signal photons or probe attenuation pull p below 1
@@ -152,11 +152,11 @@ class TestNoClickProbability:
         assert no_click(vac, s_probe, CFG) < 1.0
 
     def test_schedule_probabilities_match_pointwise(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         effs = homogeneous_efficiencies(10)
         sched = SingleDetectorRecipe(0.15, effs).build(0.7 + 0.2j)
-        batch = schedule_noclick(rho, 0.7 + 0.2j, sched)
-        single = [no_click(rho, derive(0.15, b, DetectorPair(nu, 0.0))) for b, nu in zip(sched.beta[0], effs)]
+        batch = schedule_noclick(state, 0.7 + 0.2j, sched)
+        single = [no_click(state, derive(0.15, b, DetectorPair(nu, 0.0))) for b, nu in zip(sched.beta[0], effs)]
         np.testing.assert_allclose(batch, single, atol=1e-14)
 
 
@@ -261,31 +261,31 @@ class TestSampling:
 
 class TestSimulateSchedule:
     def test_exact_mode_stores_expected_counts(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(12))
-        probs = schedule_noclick(rho, 0.3, recipe.build(0.3))
-        clicks = simulate(rho, [0.3], recipe, CFG, 1000, 0, 0, exact=True)
+        probs = schedule_noclick(state, 0.3, recipe.build(0.3))
+        clicks = simulate(state, [0.3], recipe, CFG, 1000, 0, 0, exact=True)
         for freq, p in zip(clicks.noclick[0] / clicks.n_runs, probs):
             assert freq == pytest.approx(p, abs=1e-16)
 
     def test_sampled_mode_uses_streams(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(5))
         sched = recipe.build(0.3)
-        probs = schedule_noclick(rho, 0.3, sched)
-        clicks = simulate(rho, [0.3], recipe, CFG, 500, 9, 0, exact=False, offset=3)
+        probs = schedule_noclick(state, 0.3, sched)
+        clicks = simulate(state, [0.3], recipe, CFG, 500, 9, 0, exact=False, offset=3)
         ref = binomial_counts(500, probs[None, :], (9, 0), 3)[0]
         assert clicks.noclick[0].tolist() == ref.tolist()
 
     def test_offset_streams_match_default_rng(self):
         # points 8k to 8k + 7 of a slice starting at global index `offset` draw
         # their counts from default_rng((seed, repetition, offset + 8k))
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         recipe = SingleDetectorRecipe(0.15, homogeneous_efficiencies(6))
         gammas = np.linspace(-0.5, 0.5, 11) + 0.4j
-        clicks = simulate(rho, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
+        clicks = simulate(state, gammas, recipe, CFG, 700, 4, 2, exact=False, offset=11)
         sched = recipe.build(gammas)
-        probs = no_click_probabilities(rho, gammas, sched.nu_bar, sched.y, CFG)
+        probs = no_click_probabilities(state, gammas, sched.nu_bar, sched.y, CFG)
         assert clicks.noclick.tolist() == group_draws(700, probs, (4, 2), 11)
 
 

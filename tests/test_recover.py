@@ -14,7 +14,7 @@ from clicktomo.fock import (
 )
 from clicktomo.recover import compare_states, integrate_rho
 from clicktomo.wigner import PhaseGrid, WignerEstimate, coherent_wigner, squeezed_wigner
-from clicktomo.config import build_state, load_config
+from clicktomo.config import build_amplitudes, load_config
 
 from oracles import displacement_expm, dmn_kernel as dmn_kernel_reference, exact_wigner_map
 
@@ -84,7 +84,7 @@ class TestIntegrateRho:
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
     def test_matches_the_reference_quadrature_on_shipped_maps(self, path):
         cfg = load_config(path)
-        est = exact_wigner_map(build_state(cfg), cfg.grid, cfg.trunc)
+        est = exact_wigner_map(build_amplitudes(cfg), cfg.grid, cfg.trunc)
         ours = integrate_rho(est, cfg.trunc.n_trunc).elements
         ref = integrate_rho_reference(est, cfg.trunc.n_trunc)
         assert np.max(np.abs(ours - ref)) <= 1e-10
@@ -166,9 +166,8 @@ class TestIntegrateRho:
         # the kernel kills the outer band, where a truncated Wigner map is
         # least reliable
         s = math.atanh(0.5)
-        rho = density_from_pure(squeezed_vacuum(s, CFG))
         grid = PhaseGrid(-1.0, 1.0, -3.0, 3.0, 50, 50)
-        est = exact_wigner_map(rho, grid, CFG)
+        est = exact_wigner_map(squeezed_vacuum(s, CFG), grid, CFG)
         full = integrate_rho(est, 5).elements
         gam = grid.flat_gammas()
         outer = (np.abs(gam.real) > 0.8) & (np.abs(gam.imag) > 2.4)

@@ -8,7 +8,6 @@ from clicktomo.em import EMConfig
 from clicktomo.fock import (
     TruncationConfig,
     coherent_state,
-    density_from_pure,
     displaced_diagonals,
     fock_state,
     squeezed_vacuum,
@@ -36,18 +35,18 @@ EM = EMConfig(n_iterations=1000)
 EM_FAST = EMConfig(n_iterations=300)
 
 
-def wigner_exact(rho, gamma: complex, cfg: TruncationConfig) -> float:
+def wigner_exact(state, gamma: complex, cfg: TruncationConfig) -> float:
     """Truncated Wigner value at one point, from a one-point batch of displaced diagonals."""
-    return wigner_from_values(displaced_diagonals(rho, [gamma], cfg)[0, : cfg.n_trunc])
+    return wigner_from_values(displaced_diagonals(state, [gamma])[0, : cfg.n_trunc])
 
 
-def reconstruct_at(rho, gamma, em_cfg, n_runs=10_000, seed=0, exact=False, offset=0):
+def reconstruct_at(state, gamma, em_cfg, n_runs=10_000, seed=0, exact=False, offset=0):
     """(R, W) at one point by the CLI's path: ``simulate`` then ``reconstruct_clicks``.
 
     ``offset`` is the point's index in a grid run, which keys its generator:
     the point draws what a grid run draws when it is the first of its group.
     """
-    clicks = simulate(rho, [gamma], RECIPE, CFG, n_runs, seed, 0, exact, offset=offset)
+    clicks = simulate(state, [gamma], RECIPE, CFG, n_runs, seed, 0, exact, offset=offset)
     w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, em_cfg)
     assert not failed[0]
     return values[0], w[0]
@@ -90,17 +89,17 @@ class TestAnalyticWigner:
 
     def test_squeezed_matches_truncated(self):
         s = math.atanh(0.5)
-        rho = density_from_pure(squeezed_vacuum(s, TruncationConfig(40, 80)))
+        state = squeezed_vacuum(s, TruncationConfig(40, 80))
         w = squeezed_wigner(s)
         for g in (0.0, 0.3 + 0.4j, -0.2 + 1.5j):
-            numeric = wigner_exact(rho, g, TruncationConfig(40, 80))
+            numeric = wigner_exact(state, g, TruncationConfig(40, 80))
             assert w(np.array([g]))[0] == pytest.approx(numeric, abs=1e-8)
 
     def test_fock_matches_truncated(self):
-        rho = density_from_pure(fock_state(2, TruncationConfig(30, 60)))
+        state = fock_state(2, TruncationConfig(30, 60))
         w = fock_wigner(2)
         for g in (0.0, 0.5, 0.8j):
-            numeric = wigner_exact(rho, g, TruncationConfig(30, 60))
+            numeric = wigner_exact(state, g, TruncationConfig(30, 60))
             assert w(np.array([g]))[0] == pytest.approx(numeric, abs=1e-9)
 
 
@@ -120,69 +119,69 @@ class TestReconstructPoint:
     # measured at that operating point; with 10x the iterations the deficit
     # shrinks by roughly 10x.
     def test_vacuum_origin_exact_mode(self):
-        rho = density_from_pure(fock_state(0, CFG))
-        _, w = reconstruct_at(rho, 0.0, EM, exact=True)
+        state = fock_state(0, CFG)
+        _, w = reconstruct_at(state, 0.0, EM, exact=True)
         assert w == pytest.approx(2.0 / math.pi, abs=2e-2)
         assert w <= 2.0 / math.pi + 1e-12
 
     def test_coherent_at_its_peak(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        _, w = reconstruct_at(rho, 1.0, EM, exact=True)
+        state = coherent_state(1.0, CFG)
+        _, w = reconstruct_at(state, 1.0, EM, exact=True)
         assert w == pytest.approx(2.0 / math.pi, abs=2e-2)
 
     def test_sampled_reproducibility(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        a = reconstruct_at(rho, 0.5, EM_FAST, n_runs=2000, seed=3)
-        b = reconstruct_at(rho, 0.5, EM_FAST, n_runs=2000, seed=3)
+        state = coherent_state(1.0, CFG)
+        a = reconstruct_at(state, 0.5, EM_FAST, n_runs=2000, seed=3)
+        b = reconstruct_at(state, 0.5, EM_FAST, n_runs=2000, seed=3)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 class TestScanGrid:
     def test_single_node_equals_reconstruct_point(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(0.0, 1.0, -0.5, 0.5, 1, 1)
-        w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=2000, seed=11)
-        _, w = reconstruct_at(rho, grid.flat_gammas()[0], EM_FAST, n_runs=2000, seed=11)
+        w_map = wigner_scan(state, grid, RECIPE, CFG, EM_FAST, n_runs=2000, seed=11)
+        _, w = reconstruct_at(state, grid.flat_gammas()[0], EM_FAST, n_runs=2000, seed=11)
         assert w_map[0] == w
 
     def test_determinism(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 3)
-        a = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
-        b = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
+        a = wigner_scan(state, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
+        b = wigner_scan(state, grid, RECIPE, CFG, EM_FAST, n_runs=1000, seed=2)
         assert np.array_equal(a, b)
 
     def test_matches_per_point_runs(self):
         # each point reconstructs alone from its row of its own group's draws:
         # the groups of 8 points start at offsets 0 and 8
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 3)
         gammas = grid.flat_gammas()
-        w_map = wigner_scan(rho, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
+        w_map = wigner_scan(state, grid, RECIPE, CFG, EM_FAST, n_runs=1500, seed=5)
         for k in range(gammas.size):
             start = k - k % 8
-            clicks = simulate(rho, gammas[start : start + 8], RECIPE, CFG, 1500, 5, 0, False, offset=start)
+            clicks = simulate(state, gammas[start : start + 8], RECIPE, CFG, 1500, 5, 0, False, offset=start)
             row = slice(k - start, k - start + 1)
             point = clicks._replace(gammas=clicks.gammas[row], y=clicks.y[row], noclick=clicks.noclick[row])
             w, _, _, failed = reconstruct_clicks(point, CFG.n_trunc, EM_FAST)
             assert not failed[0] and abs(w_map[k] - w[0]) < 1e-12
-        _, w = reconstruct_at(rho, gammas[8], EM_FAST, n_runs=1500, seed=5, offset=8)  # a group's first point
+        _, w = reconstruct_at(state, gammas[8], EM_FAST, n_runs=1500, seed=5, offset=8)  # a group's first point
         assert abs(w_map[8] - w) < 1e-12
 
     def test_keep_r_tables(self):
         # reconstruct_clicks returns the R table of every point beside W
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 0.5, -0.5, 0.5, 2, 2)
-        clicks = simulate(rho, grid.flat_gammas(), RECIPE, CFG, 10_000, 0, 0, True)
+        clicks = simulate(state, grid.flat_gammas(), RECIPE, CFG, 10_000, 0, 0, True)
         _, r_tables, _, _ = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
         assert r_tables.shape == (4, 12)
         np.testing.assert_allclose(r_tables.sum(axis=1), 1.0, atol=1e-12)
 
     def test_photon_number_mode_at_origin(self):
         # gamma = 0 reconstructs the photon-number distribution itself
-        rho = density_from_pure(coherent_state(1.0, CFG))
-        values, _ = reconstruct_at(rho, 0.0, EM, exact=True)
-        occupation = np.real(np.diag(rho.elements))[:12]
+        state = coherent_state(1.0, CFG)
+        values, _ = reconstruct_at(state, 0.0, EM, exact=True)
+        occupation = np.abs(state[:12]) ** 2
         assert np.max(np.abs(values - occupation)) <= 1e-2
 
 
@@ -193,13 +192,13 @@ class TestReconstructClicks:
         # per-point sum to rounding, and failed points must read NaN
         from clicktomo.measurement import DetectorPair, DualDetectorRecipe
 
-        rho = density_from_pure(coherent_state(0.3 if failing else 1.0, CFG))
+        state = coherent_state(0.3 if failing else 1.0, CFG)
         if failing:  # far nodes sit at e^y below the floor, as in TestScanFailures
             recipe = DualDetectorRecipe(DetectorPair(0.4, 0.5), tuple(np.linspace(0.3, 1.2, 14)))
             gammas = PhaseGrid(0.0, 2.0, -0.25, 0.25, 4, 1).flat_gammas()
         else:
             recipe, gammas = RECIPE, PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6).flat_gammas()
-        clicks = simulate(rho, gammas, recipe, CFG, 2000, 4, 0, exact=failing)
+        clicks = simulate(state, gammas, recipe, CFG, 2000, 4, 0, exact=failing)
         w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
         per_point = [math.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)]
         np.testing.assert_allclose(w, per_point, rtol=0.0, atol=1e-15)
@@ -215,9 +214,9 @@ class TestScanFailures:
         recipe = DualDetectorRecipe(
             detectors=DetectorPair(0.4, 0.5), angles=tuple(np.linspace(0.3, 1.2, 14))
         )
-        rho = density_from_pure(coherent_state(0.3, CFG))
+        state = coherent_state(0.3, CFG)
         grid = PhaseGrid(0.0, 2.0, -0.25, 0.25, 4, 1)
-        clicks = simulate(rho, grid.flat_gammas(), recipe, CFG, 10_000, 0, 0, True)
+        clicks = simulate(state, grid.flat_gammas(), recipe, CFG, 10_000, 0, 0, True)
         w, _, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
         assert failed.any() and not failed.all()
         assert np.all(np.isnan(w[failed])) and np.all(np.isfinite(w[~failed]))
@@ -225,12 +224,12 @@ class TestScanFailures:
 
 class TestExactVersusSampled:
     def test_exact_pipeline_never_worse(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6)
         analytic = coherent_wigner(1.0)(grid.flat_gammas())
-        exact_d = delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=10_000, exact=True))
+        exact_d = delta_w(analytic, wigner_scan(state, grid, RECIPE, CFG, EM, n_runs=10_000, exact=True))
         sampled = [
-            delta_w(analytic, wigner_scan(rho, grid, RECIPE, CFG, EM, n_runs=1000, seed=s))
+            delta_w(analytic, wigner_scan(state, grid, RECIPE, CFG, EM, n_runs=1000, seed=s))
             for s in range(3)
         ]
         assert exact_d <= np.median(sampled)
@@ -310,10 +309,10 @@ class TestVarianceMap:
         assert np.all(reconstructed_variance(tmp_path, 2, exact=True) == 0.0)
 
     def test_two_repetitions_equal_half_difference_squared(self, tmp_path):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
         maps = [
-            reconstruct_clicks(simulate(rho, grid.flat_gammas(), RECIPE, CFG, 500, 4, r, False), CFG.n_trunc, EM_FAST)[0]
+            reconstruct_clicks(simulate(state, grid.flat_gammas(), RECIPE, CFG, 500, 4, r, False), CFG.n_trunc, EM_FAST)[0]
             for r in (0, 1)
         ]
         var = reconstructed_variance(tmp_path, 2)
@@ -324,41 +323,41 @@ class TestVarianceMap:
         assert np.all(np.isnan(reconstructed_variance(tmp_path, 1)))
 
 
-def truncation_error(rho, grid, trunc, reference):
+def truncation_error(state, grid, trunc, reference):
     """|W_reference - W_truncated| per node, W_truncated being ``exact_wigner_map``."""
-    return np.abs(reference - exact_wigner_map(rho, grid, trunc).w_values)
+    return np.abs(reference - exact_wigner_map(state, grid, trunc).w_values)
 
 
 class TestTruncationErrorMap:
     def test_small_at_coherent_peak(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(0.96, 1.04, -0.04, 0.04, 1, 1)
-        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
+        err = truncation_error(state, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
         assert err[0] < 1e-8
 
     def test_grows_toward_corners(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 11, 11)
-        err = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas())).reshape(11, 11)
+        err = truncation_error(state, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas())).reshape(11, 11)
         corner = max(err[0, 0], err[0, -1], err[-1, 0], err[-1, -1])
         peak = err[6, 6]  # node nearest gamma = 1
         assert corner > peak
 
     def test_nested_truncation_never_worse(self):
-        rho = density_from_pure(coherent_state(1.0, TruncationConfig(12, 64)))
+        state = coherent_state(1.0, TruncationConfig(12, 64))
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 8, 8)
         analytic = coherent_wigner(1.0)(grid.flat_gammas())
-        coarse = truncation_error(rho, grid, TruncationConfig(12, 64), analytic)
-        fine = truncation_error(rho, grid, TruncationConfig(24, 64), analytic)
+        coarse = truncation_error(state, grid, TruncationConfig(12, 64), analytic)
+        fine = truncation_error(state, grid, TruncationConfig(24, 64), analytic)
         assert np.all(fine <= coarse + 1e-12)
 
     def test_numeric_reference_default(self):
         # the map over the whole working dimension stands in for the analytic one
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 5, 5)
-        padded = exact_wigner_map(rho, grid, TruncationConfig(CFG.n_pad, CFG.n_pad)).w_values
-        numeric = truncation_error(rho, grid, CFG, padded)
-        analytic = truncation_error(rho, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
+        padded = exact_wigner_map(state, grid, TruncationConfig(CFG.n_pad, CFG.n_pad)).w_values
+        numeric = truncation_error(state, grid, CFG, padded)
+        analytic = truncation_error(state, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
         np.testing.assert_allclose(numeric, analytic, atol=1e-6)
 
 
@@ -379,8 +378,8 @@ class TestWignerEstimate:
 
 class TestExactWignerMap:
     def test_matches_pointwise_evaluation(self):
-        rho = density_from_pure(coherent_state(1.0, CFG))
+        state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 2)
-        est = exact_wigner_map(rho, grid, CFG)
+        est = exact_wigner_map(state, grid, CFG)
         for k, g in enumerate(grid.flat_gammas()):
-            assert est.w_values[k] == pytest.approx(wigner_exact(rho, g, CFG), abs=1e-14)
+            assert est.w_values[k] == pytest.approx(wigner_exact(state, g, CFG), abs=1e-14)
