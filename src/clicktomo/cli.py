@@ -50,6 +50,10 @@ BLOCK_MIN = 256
 # starts a sampling stream and draws the counts the whole batch draws
 BLOCK_ALIGN = 8
 BLAS_SMALL = 10**6
+# simulate walks each block in chunks of CHUNK_POINTS points, so its working memory is
+# that of one chunk whatever the grid; a multiple of measurement.STREAM_POINTS, so
+# every chunk starts a sampling stream and draws the counts the whole batch draws
+CHUNK_POINTS = 256
 
 
 def _cpu_count() -> int:
@@ -72,6 +76,17 @@ def _blocks(n_points: int, madds: int = 0) -> list[slice]:
         k -= 1  # the smallest block would cross BLAS_SMALL
     cuts = [BLOCK_ALIGN * (i * n_points // (BLOCK_ALIGN * k)) for i in range(k)] + [n_points]
     return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def _chunks(block: slice) -> list[slice]:
+    """Split a block into chunks of CHUNK_POINTS points; the last chunk takes a one-point tail.
+
+    A lone point would take numpy's matrix-vector product in the no-click
+    series, which rounds otherwise than the same point in a batch, so a chunk
+    holds one point only when its block does.
+    """
+    cuts = [*range(block.start, block.stop - 1, CHUNK_POINTS)] or [block.start]
+    return [slice(start, stop) for start, stop in zip(cuts, [*cuts[1:], block.stop])]
 
 
 def _map_blocks(fn, blocks: list[slice]) -> list:
@@ -183,16 +198,21 @@ def cmd_simulate(args) -> int:
     blocks = _blocks(gammas.size)
     for rep in range(cfg.repetitions):
 
-        def run_block(b: slice) -> tuple[str, np.ndarray]:
-            clicks = simulate(
-                amplitudes, gammas[b], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities, offset=b.start
-            )
-            return io_csv.click_rows(clicks.noclick, b.start), clicks.truncation_leak
+        def run_block(b: slice) -> tuple[list[str], np.ndarray]:
+            texts, leaks = [], []
+            for chunk in _chunks(b):
+                clicks = simulate(
+                    amplitudes, gammas[chunk], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities,
+                    offset=chunk.start,
+                )
+                texts.append(io_csv.click_rows(clicks.noclick, chunk.start))
+                leaks.append(clicks.truncation_leak)
+            return texts, np.concatenate(leaks)
 
-        texts, leaks = zip(*_map_blocks(run_block, blocks))
+        block_texts, leaks = zip(*_map_blocks(run_block, blocks))
         leak = np.concatenate(leaks)
         name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
-        io_csv.write_click_csv(out / name, cfg, rep, texts)
+        io_csv.write_click_csv(out / name, cfg, rep, [text for texts in block_texts for text in texts])
         worst = int(np.argmax(leak))
         print(
             f"wrote {out / name} ({gammas.size} points x {cfg.detectors.n_settings} settings "
@@ -257,8 +277,7 @@ def cmd_recover_rho(args) -> int:
         suspect = "grid coverage or resolution is suspect"
         print(f"recovered trace {recovered.trace:.4f} is far from 1; {suspect}", file=sys.stderr)
 
-    exact = build_state(file_cfg).elements[:n_trunc, :n_trunc]
-    comparison = compare_states(recovered, exact)
+    comparison = compare_states(recovered, build_state(file_cfg))
     out = _out_dir(args)
     io_csv.write_rho_csv(out / "rho.csv", file_cfg, recovered.elements)
     metrics = {

@@ -49,8 +49,8 @@ MAX_RUNS = 2**53
 NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 MAX_SETTINGS = 4096  # per point: over 100 times the shipped schedules, checked before any is built
-# simulate's (n_pad, n_pad) coefficient table peaks at 126 MiB on a 2 x 2 grid at 2048 (414 MiB at
-# 4096), and past 2048 the power tables stay finite only for |gamma| below 1.41 (see fock.displace)
+# simulate's (n_pad, n_pad) coefficient table is 32 MiB at 2048 (128 MiB at 4096), and the stage peaks
+# at 68 MiB on a 2 x 2 grid; past 2048 the power tables stay finite only for |gamma| below 1.41 (see fock.displace)
 MAX_PAD = 2048
 
 
@@ -249,8 +249,9 @@ def build_amplitudes(cfg: RunConfig) -> np.ndarray:
 
 
 def build_state(cfg: RunConfig) -> DensityMatrix:
-    """The configured state as a density matrix, the reference that ``recover-rho`` compares against."""
-    return density_from_pure(build_amplitudes(cfg))
+    """The configured state's (n_trunc, n_trunc) block of |psi><psi|, the reference that ``recover-rho`` compares
+    against: built from the first n_trunc amplitudes, so no (n_pad, n_pad) array is formed."""
+    return density_from_pure(build_amplitudes(cfg)[: cfg.trunc.n_trunc])
 
 
 def build_recipe(cfg: RunConfig) -> "SingleDetectorRecipe | DualDetectorRecipe":

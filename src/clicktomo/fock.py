@@ -63,8 +63,9 @@ class TruncationConfig(_Truncation):
 
 
 class DensityMatrix(NamedTuple("DensityMatrix", [("elements", np.ndarray)])):
-    """Hermitian density matrix in the Fock basis (its trace may fall slightly
-    below 1 for a truncated state, and is never normalized up)."""
+    """Hermitian density matrix in the Fock basis, or a leading block of one: its trace
+    falls below 1 for a truncated state, to 0 for a block the state leaves empty (a
+    Fock state above the block), and is never normalized up."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
@@ -78,8 +79,8 @@ class DensityMatrix(NamedTuple("DensityMatrix", [("elements", np.ndarray)])):
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
         tr = complex(np.trace(rho))
-        if abs(tr.imag) > SUM_TOL or tr.real > 1.0 + SUM_TOL or tr.real <= 0.0:
-            raise ValueError(f"trace {tr} outside (0, 1]")
+        if abs(tr.imag) > SUM_TOL or tr.real > 1.0 + SUM_TOL or tr.real < 0.0:
+            raise ValueError(f"trace {tr} outside [0, 1]")
         return super().__new__(cls, _readonly(rho))
 
 
@@ -141,15 +142,16 @@ def displacement_coefficients(dim: int) -> np.ndarray:
 
     Row d holds the d-th diagonal of both triangular factors of D(gamma)
     (see :func:`displace`).  The recurrence c[0, k] = 1,
-    c[d, k] = c[d-1, k] sqrt(k+d) / d is one cumulative product down each
-    column: no factorial is formed, so every entry stays finite, and at
-    dim 100 every entry is within 4e-15 relative of its exact value.
+    c[d, k] = c[d-1, k] sqrt(k+d) / d fills the table row by row, in place:
+    no factorial is formed, so every entry stays finite, and at dim 100
+    every entry is within 4e-15 relative of its exact value.  Beyond the
+    table itself it holds only a few rows' worth of memory.
     """
-    d = np.arange(1, dim)[:, None]
-    k = np.arange(dim)
-    table = np.ones((dim, dim))
-    np.cumprod(np.sqrt(k + d) / d, axis=0, out=table[1:])
-    table[np.add.outer(k, k) >= dim] = 0.0  # k + d >= dim
+    root = np.sqrt(np.arange(dim, dtype=float))
+    table = np.zeros((dim, dim))
+    table[0] = 1.0
+    for d in range(1, dim):
+        np.multiply(table[d - 1, : dim - d], root[d:] / d, out=table[d, : dim - d])
     return _readonly(table)
 
 

@@ -45,9 +45,11 @@ def _write_table(path, cfg: RunConfig, columns: tuple[str, ...], rows, extra: "d
     lines.append(_CONFIG_END)
     lines += [f"# {key} = {value}" for key, value in (extra or {}).items()]
     lines.append(",".join(columns))
-    lines.extend(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+        for row in rows:  # not joined: a row may be a whole chunk of click rows
+            fh.write(row)
+            fh.write("\n")
 
 
 def _split_file(path) -> tuple[str, dict, list[str], list[str]]:
@@ -103,10 +105,10 @@ def click_rows(noclick: np.ndarray, start: int = 0) -> str:
     return "\n".join(template.format(i, *row) for i, row in enumerate(counts.tolist(), start))
 
 
-def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: "list[str] | tuple[str, ...]") -> None:
+def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: list[str]) -> None:
     """Counts only: one ``point_index,n_noclick_0,...,n_noclick_{M-1}`` row per point.
 
-    ``blocks`` are the :func:`click_rows` texts of consecutive point blocks.
+    ``blocks`` are the :func:`click_rows` texts of consecutive runs of points, written in order.
     The embedded config fixes every other field of a record, so none is stored.
     """
     _write_table(path, cfg, click_columns(cfg), blocks, {"repetition": repetition, "format": CLICK_FORMAT})

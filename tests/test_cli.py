@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 from clicktomo import __main__ as entry
 from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
-from clicktomo.config import build_amplitudes, build_recipe, build_state, dump_config, parse_config
+from clicktomo.config import analytic_wigner_fn, build_amplitudes, build_recipe, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
+from clicktomo.fock import density_from_pure
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
 
@@ -57,6 +59,11 @@ n_iterations = 60
 seed = 5
 """
 EXACT = SMALL + "exact_probabilities = true\n"  # the only switch to expected counts
+
+
+def on_grid(text: str, n_re: int, n_im: int) -> str:
+    """The config on an n_re x n_im grid over the same rectangle."""
+    return text.replace("n_re = 2\nn_im = 2", f"n_re = {n_re}\nn_im = {n_im}")
 
 VACUUM_POINT = """
 [state]
@@ -96,7 +103,7 @@ def test_simulate_reports_the_largest_truncation_leak(small_cfg, tmp_path, capsy
     assert main(["simulate", "--config", str(small_cfg), "--out", str(tmp_path)]) == 0
     printed = re.search(r"largest truncation leak (\S+) at gamma = (\S+)\)$", capsys.readouterr().out)
     cfg = parse_config(SMALL)
-    rho, gammas = build_state(cfg), cfg.grid.flat_gammas()
+    rho, gammas = density_from_pure(build_amplitudes(cfg)), cfg.grid.flat_gammas()
     leaks = [1.0 - displaced_diagonal_padded(rho, g, cfg.trunc)[:12].sum() for g in gammas]
     worst = int(np.argmax(leaks))
     assert float(printed[1]) == pytest.approx(leaks[worst], rel=1e-6)
@@ -820,13 +827,13 @@ def test_a_stage_imports_numpy_and_runs_with_the_collector_off(small_cfg, tmp_pa
     assert (tmp_path / "clicks.csv").exists()
 
 
-def simulate_on_one_cpu_in_1_5_gib(cfg: Path, out: Path) -> subprocess.CompletedProcess:
-    """``simulate --config cfg`` in a child limited to one CPU and 1.5 GiB of address space."""
+def simulate_on_one_cpu(cfg: Path, out: Path, address_space: int) -> subprocess.CompletedProcess:
+    """``simulate --config cfg`` in a child limited to one CPU and ``address_space`` bytes."""
     resource = pytest.importorskip("resource")
 
     def limit():
         os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])
-        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     argv = [sys.executable, "-m", "clicktomo", "simulate", "--config", str(cfg), "--out", str(out)]
     return subprocess.run(
@@ -834,24 +841,90 @@ def simulate_on_one_cpu_in_1_5_gib(cfg: Path, out: Path) -> subprocess.Completed
     )
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_running_out_of_memory_is_one_error_line(tmp_path):
-    # 4096 x 4096 nodes pass parse_config, and simulate's (P, M) tables do not fit in 1.5 GiB;
-    # one CPU makes one block, so the allocation fails in this process, not in a child
+    # 4096 x 4096 nodes pass the size check, and the child's address space ends 64 MiB above
+    # what importing the CLI takes, so the first of parse_config's 128 MiB node arrays cannot
+    # be allocated; simulate itself would stream such a grid in chunks
+    probe = (
+        "import clicktomo.cli\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmPeak:')))"
+    )
+    imported = subprocess.run(
+        [sys.executable, "-c", probe], env=src_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, check=True
+    )
     cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL.replace("n_re = 2\nn_im = 2", "n_re = 4096\nn_im = 4096"))
-    result = simulate_on_one_cpu_in_1_5_gib(cfg, tmp_path)
+    cfg.write_text(on_grid(SMALL, 4096, 4096))
+    result = simulate_on_one_cpu(cfg, tmp_path, int(imported.stdout) * 2**10 + 2**26)
     assert result.returncode == 3
     assert result.stderr.startswith("out of memory: ") and result.stderr.count("\n") == 1, result.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_the_largest_n_pad_fits_in_1_5_gib(tmp_path):
-    # simulate's (n_pad, n_pad) coefficient table, 126 MiB at peak here, is what config.MAX_PAD bounds
+    # simulate's (n_pad, n_pad) coefficient table, 32 MiB, is what config.MAX_PAD bounds; the stage peaks at 68 MiB here
     cfg = tmp_path / "run.ini"
     cfg.write_text(SMALL.replace("n_trunc = 12", f"n_trunc = 12\nn_pad = {config.MAX_PAD}"))
-    result = simulate_on_one_cpu_in_1_5_gib(cfg, tmp_path)
+    result = simulate_on_one_cpu(cfg, tmp_path, 3 * 2**29)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("text", [SMALL, EXACT], ids=["sampled", "exact"])
+def test_simulate_holds_one_chunk_whatever_the_grid(tmp_path, monkeypatch, text):
+    # simulate keeps one chunk's tables, so from a 32 x 32 to a 64 x 64 grid over the same
+    # rectangle its traced peak grows by at most twice its output, the rows it holds until
+    # it writes them; one CPU keeps every block in this process
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    peaks, sizes = [], []
+    for n in (2, 32, 64):  # the 2 x 2 run makes the first-call allocations untraced
+        cfg = tmp_path / f"grid{n}.ini"
+        cfg.write_text(on_grid(text, n, n))
+        out = tmp_path / f"grid{n}"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append((out / "clicks.csv").stat().st_size)
+    assert peaks[2] - peaks[1] <= 2 * (sizes[2] - sizes[1])
+
+
+def test_recover_rho_builds_only_the_n_trunc_reference(tmp_path):
+    # the reference is the n_trunc block, built from n_trunc amplitudes: at n_pad 2048
+    # recover-rho's traced peak is within 1 MiB of its peak at the default n_pad, and it
+    # reports the same comparison
+    peaks, metrics = [], []
+    for n_pad in (0, 0, config.MAX_PAD):  # the first run makes the first-call allocations untraced
+        cfg = parse_config(SMALL.replace("n_trunc = 12", f"n_trunc = 12\nn_pad = {n_pad}"))
+        w = analytic_wigner_fn(cfg)(cfg.grid.flat_gammas())
+        out = tmp_path / f"pad{n_pad}"
+        out.mkdir(exist_ok=True)
+        io_csv.write_wigner_csv(out / "wigner.csv", cfg, w, w, np.zeros(w.size))
+        tracemalloc.start()
+        try:
+            assert main(["recover-rho", "--wigner", str(out / "wigner.csv"), "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        metrics.append({k: v for k, v in json.loads((out / "metrics.json").read_text()).items() if k != "config"})
+    assert peaks[2] - peaks[1] < 2**20
+    assert metrics[1] == metrics[2]
+
+
+def test_recover_rho_compares_a_state_the_block_leaves_empty(tmp_path):
+    # |n_trunc> lies outside the retained block, whose reference is then the zero matrix
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 12"))
+    chain = [
+        ["simulate", "--config", str(cfg)],
+        ["reconstruct", "--records", str(tmp_path / "clicks.csv")],
+        ["recover-rho", "--wigner", str(tmp_path / "wigner.csv")],
+    ]
+    for argv in chain:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["fidelity_vs_configured_state"] == 0.0
 
 
 def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
@@ -1448,8 +1521,10 @@ def test_blocks_cut_at_multiples_of_8(monkeypatch, cpus, n_points, min_points, m
 
 
 def test_blocks_start_sampling_streams():
-    # every cut of cli._blocks is a multiple of BLOCK_ALIGN, so it starts a stream of STREAM_POINTS points
+    # every cut of cli._blocks is a multiple of BLOCK_ALIGN, and every cut of cli._chunks is a
+    # block's start plus a multiple of CHUNK_POINTS, so each starts a stream of STREAM_POINTS points
     assert cli.BLOCK_ALIGN % measurement.STREAM_POINTS == 0
+    assert cli.CHUNK_POINTS % measurement.STREAM_POINTS == 0
 
 
 def test_a_process_with_threads_gets_one_block(monkeypatch):
@@ -1551,6 +1626,39 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
             assert read_rep == rep and clicks.noclick.tolist() == whole.noclick.tolist()
     assert files[0] == files[1] == files[2]
     assert files[0][0] != files[0][1]
+
+
+# config, the chunk cuts of simulate for 1, 2 and 3 CPUs alike (the last two make blocks
+# [0, 256) and [256, P)), and the clicks.csv digest, taken before chunks, when each block ran
+# as one batch
+CHUNK_CASES = {
+    # 2 * CHUNK_POINTS + 1 points: the last chunk takes the one-point tail
+    "tail_one_sampled": (on_grid(SMALL, 27, 19), [0, 256, 513],
+                         "27666a9725860345ae740fb183c204954f81c5c552e03a3a11af57ea3a6cef57"),
+    "tail_one_exact": (on_grid(EXACT, 27, 19), [0, 256, 513],
+                       "cecf9f70b7f030bf1f3c84db33ac214ad58632eb8aef4aac9cdbb768f270ff7b"),
+    # the last chunk holds 5 points, under STREAM_POINTS
+    "short_tail_sampled": (on_grid(SMALL, 47, 11), [0, 256, 512, 517],
+                           "a7eda78fbc14d52a3473c34cdee8e997dfe7a6b316cc539345c52a3528b3daca"),
+    "short_tail_exact": (on_grid(EXACT, 47, 11), [0, 256, 512, 517],
+                         "d1981338880a66d5377f44b5d4df5e8801272cbaebe856f342f9a890773fe00f"),
+}
+
+
+@pytest.mark.parametrize("text, cuts, digest", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
+def test_chunk_edges_keep_the_bytes(tmp_path, monkeypatch, text, cuts, digest):
+    assert cli.CHUNK_POINTS == 256
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    n_points = parse_config(text).grid.n_points
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        chunks = [chunk for block in cli._blocks(n_points) for chunk in cli._chunks(block)]
+        assert chunks == [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        out = tmp_path / f"cpus{cpus}"
+        assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "clicks.csv").read_bytes()).hexdigest() == digest
+    assert cli._chunks(slice(8, 9)) == [slice(8, 9)]  # a one-point block is one chunk
 
 
 FAULTY_POINT = 600  # in the last block for 2 and for 3 CPUs, never in this process's

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestDisplacementCoefficients:
         table = displacement_coefficients(44)
         assert displacement_coefficients(44) is table
         assert not table.flags.writeable
+
+    def test_builds_the_largest_table_in_place(self):
+        # the uncached function at config.MAX_PAD: no other (dim, dim) array is formed on the way
+        tracemalloc.start()
+        try:
+            table = displacement_coefficients.__wrapped__(2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * table.nbytes
 
 
 class TestTruncationConfig:
