@@ -37,10 +37,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-# A forked block costs 4-10 ms (fork, copy-on-write faults, pickling), so it needs
-# enough points.  One minimum serves both stages: an EM point costs far more than
-# a simulate point, whose forward model, counts and rows take 17-21 us on the
-# shipped configs, and two simulate blocks of 200-300 points tie with one
+# A forked block costs 2-4 ms to fork and up to 10 ms with its copy-on-write faults and
+# pickling, so it needs enough points.  One minimum serves both stages: an EM point costs
+# far more than a simulate point (17-21 us for its forward model, counts and rows on the
+# shipped configs), and two simulate blocks of 200-300 points, each on its own CPU, tie with one
 BLOCK_MIN = 256
 # Cuts at multiples of BLOCK_ALIGN points leave every product of a block bit-identical
 # to its rows of the whole batch's (tests try every such cut on the shipped shapes),
@@ -92,8 +92,8 @@ def _chunks(block: slice) -> list[slice]:
 def _map_blocks(fn, blocks: list[slice]) -> list:
     """``[fn(block) for block in blocks]``, block 0 in this process and each other block in a forked child.
 
-    A child pickles ``("ok", result)`` or ``("err", exception)`` to its pipe and
-    leaves through ``os._exit``; a block whose fork fails runs here.  Each pipe
+    Block i starts on CPU i of the mask (:func:`_place`).  A child pickles ``("ok", result)`` or
+    ``("err", exception)`` to its pipe and leaves through ``os._exit``; a block whose fork fails runs here.  Each pipe
     is read to its end before its child is reaped, and once every block is
     done the first error in block order is raised.  A child that ends without
     an outcome is an OSError.  Leaving early (an interrupt) kills and reaps
@@ -102,6 +102,7 @@ def _map_blocks(fn, blocks: list[slice]) -> list:
     outcomes: list = [None] * len(blocks)
     children: list[tuple[int, int, int]] = []  # (block index, pid, read end)
     local = [0]  # the blocks this process runs
+    cpus = sorted(os.sched_getaffinity(0)) if len(blocks) > 1 and hasattr(os, "sched_setaffinity") else []
     try:
         for i in range(1, len(blocks)):
             rfd, wfd = os.pipe()
@@ -115,9 +116,10 @@ def _map_blocks(fn, blocks: list[slice]) -> list:
                 local.append(i)
                 continue
             if pid == 0:
-                _run_child(fn, blocks[i], rfd, wfd)
+                _run_child(fn, i, blocks[i], cpus, rfd, wfd)
             os.close(wfd)
             children.append((i, pid, rfd))
+        _place(0, cpus)
         for i in local:
             try:
                 outcomes[i] = ("ok", fn(blocks[i]))
@@ -149,11 +151,26 @@ def _map_blocks(fn, blocks: list[slice]) -> list:
     return [value for _, value in outcomes]
 
 
-def _run_child(fn, block: slice, rfd: int, wfd: int) -> None:
-    """Run one block in a forked child, pickle its outcome to ``wfd`` and leave without cleanup."""
+def _place(i: int, cpus: list[int]) -> None:
+    """Move this process onto CPU ``cpus[i % len(cpus)]`` now, then allow it all of ``cpus`` again.
+
+    A forked child starts on its parent's CPU, and a host that does not balance load
+    (``sched_load_balance`` = 0) leaves it there; the whole mask then pins nothing.
+    """
+    if len(cpus) > 1:
+        try:
+            os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
+def _run_child(fn, i: int, block: slice, cpus: list[int], rfd: int, wfd: int) -> None:
+    """Run block ``i`` in a forked child on its CPU, pickle its outcome to ``wfd`` and leave without cleanup."""
     status = 1
     try:
         os.close(rfd)
+        _place(i, cpus)
         try:
             outcome = ("ok", fn(block))
         except Exception as exc:  # the parent raises it

@@ -189,6 +189,8 @@ def parse_config(text: str) -> RunConfig:
     if trunc.n_pad > MAX_PAD:
         source = "" if values["truncation"]["n_pad"] else f" (2 * n_trunc + 20 for n_trunc = {trunc.n_trunc})"
         raise ConfigError(f"[truncation] n_pad = {trunc.n_pad}{source} exceeds {MAX_PAD}")
+    if state.kind == "fock" and state.n >= trunc.n_trunc:  # recover-rho's reference would be the zero matrix
+        raise ConfigError(f"[state] kind = fock: n = {state.n} is outside the EM's block of n_trunc = {trunc.n_trunc}")
     if grid.n_points > MAX_POINTS:
         raise ConfigError(f"[grid] n_re x n_im = {grid.n_points} exceeds {MAX_POINTS} nodes")
     try:

@@ -26,7 +26,7 @@ from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
 from clicktomo.config import analytic_wigner_fn, build_amplitudes, build_recipe, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
-from clicktomo.fock import density_from_pure
+from clicktomo.fock import density_from_pure, fock_state
 from clicktomo.measurement import simulate
 from clicktomo.wigner import reconstruct_clicks
 
@@ -520,6 +520,8 @@ def test_schedule_differing_from_header_exit_code(small_cfg, tmp_path, capsys, e
 STATES_THAT_DO_NOT_FIT = {
     "fock_negative": "kind = fock\nn = -1",
     "fock_above_n_pad": "kind = fock\nn = 100",
+    # |n_trunc> lies outside the EM's block, so recover-rho would compare against the zero matrix
+    "fock_at_n_trunc": "kind = fock\nn = 12",
     "coherent_too_bright": "kind = coherent\nre_amplitude = 9",
     "squeezed_too_broad": "kind = squeezed\nsqueeze = 3",
 }
@@ -530,7 +532,8 @@ def test_state_that_does_not_fit_is_a_config_error(tmp_path, capsys, state):
     path = tmp_path / "run.ini"
     path.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", state))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "config error: [state]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [state]") and err.count("\n") == 1
 
 
 RUNS_THAT_DO_NOT_FIT = {
@@ -710,6 +713,10 @@ HEADERS_THAT_DO_NOT_BUILD = {
     "analytic_reference": (
         _deleted_keys("# analytic_reference = true"),
         "embedded config: unknown key 'analytic_reference' in section [run]",
+    ),
+    "fock_outside_the_block": (
+        lambda head, body: _header("kind", "fock")(*_header("n", 4)(head, body)),
+        "embedded config: [state] kind = fock: n = 4 is outside the EM's block of n_trunc = 4",
     ),
 }
 
@@ -913,18 +920,14 @@ def test_recover_rho_builds_only_the_n_trunc_reference(tmp_path):
     assert metrics[1] == metrics[2]
 
 
-def test_recover_rho_compares_a_state_the_block_leaves_empty(tmp_path):
-    # |n_trunc> lies outside the retained block, whose reference is then the zero matrix
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 12"))
-    chain = [
-        ["simulate", "--config", str(cfg)],
-        ["reconstruct", "--records", str(tmp_path / "clicks.csv")],
-        ["recover-rho", "--wigner", str(tmp_path / "wigner.csv")],
-    ]
-    for argv in chain:
-        assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "metrics.json").read_text())["fidelity_vs_configured_state"] == 0.0
+def test_recover_rho_compares_a_state_the_block_leaves_empty():
+    # parse_config refuses |n> at or above n_trunc, but the comparison still takes the
+    # zero matrix that is the n_trunc block of such a state
+    trunc = parse_config(SMALL).trunc
+    empty = density_from_pure(fock_state(12, trunc)[:12])
+    assert not empty.elements.any()
+    vacuum = density_from_pure(fock_state(0, trunc)[:12])
+    assert recover.compare_states(vacuum, empty) == {"max_abs_diff": 1.0, "trace_distance": 0.5, "fidelity": 0.0}
 
 
 def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
@@ -1793,3 +1796,59 @@ def test_a_fork_that_warns_keeps_its_child(tmp_path, monkeypatch, capsys):
     assert chain_digests(cfg, tmp_path / "two") == whole
     printed = capsys.readouterr().out
     assert "settings in 2 blocks" in printed and "points in 2 blocks" in printed
+
+
+def record_affinity(monkeypatch, error=None):
+    """Replace ``os.sched_setaffinity`` with a fake that records ``(pid, sorted mask)`` and raises ``error``."""
+    calls = []
+
+    def set_affinity(pid, mask):
+        calls.append((pid, sorted(mask)))
+        if error:
+            raise error
+
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("i, cpu", [(0, 0), (1, 2), (2, 5), (3, 0), (4, 2)])
+def test_place_moves_to_its_cpu_then_restores_the_whole_mask(monkeypatch, i, cpu):
+    calls = record_affinity(monkeypatch)
+    cli._place(i, [0, 2, 5])
+    assert calls == [(0, [cpu]), (0, [0, 2, 5])]
+
+
+def test_place_on_one_cpu_or_refused_does_nothing(monkeypatch):
+    calls = record_affinity(monkeypatch, OSError(22, "Invalid argument"))
+    cli._place(1, [3])
+    assert calls == []
+    cli._place(1, [0, 1])  # a cpuset that changed refuses the move; the block runs where it is
+    assert calls == [(0, [1])]
+
+
+def test_map_blocks_places_block_i_on_cpu_i(monkeypatch):
+    # each block returns the calls its own process recorded; the parent places itself after
+    # forking, so a child inherits none of its calls
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    calls = record_affinity(monkeypatch)
+    blocks = [slice(0, 8), slice(8, 16), slice(16, 24)]
+    assert cli._map_blocks(lambda b: list(calls), blocks) == [[(0, [i]), (0, [0, 1, 2])] for i in range(3)]
+    calls.clear()
+    assert cli._map_blocks(lambda b: list(calls), blocks[:1]) == [[]]  # one block is not placed
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert cli._map_blocks(lambda b: b.stop, blocks) == [8, 16, 24]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs"
+)
+def test_a_forked_stage_leaves_the_cpu_mask_as_it_found_it(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    mask = os.sched_getaffinity(0)
+    assert run_stage(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert os.sched_getaffinity(0) == mask
+    assert run_stage(["reconstruct", "--records", str(tmp_path / "clicks.csv"), "--out", str(tmp_path)]) == 0
+    assert "points in 2 blocks" in capsys.readouterr().out
+    assert os.sched_getaffinity(0) == mask

@@ -144,13 +144,14 @@ def config_texts(draw):
 
     re_min, re_max = bounds()
     im_min, im_max = bounds()
+    kind = draw(st.sampled_from(["coherent", "squeezed", "fock"]))
     sections = {
         "state": {
-            "kind": draw(st.sampled_from(["coherent", "squeezed", "fock"])),
+            "kind": kind,
             "re_amplitude": maybe(FLOATS),
             "im_amplitude": maybe(FLOATS),
             "squeeze": maybe(FLOATS),
-            "n": maybe(st.integers(-3, 100)),
+            "n": maybe(st.integers(-3, n_trunc - 1 if kind == "fock" else 100)),  # |n> must lie in the EM's block
         },
         "truncation": {"n_trunc": n_trunc, "n_pad": n_pad},
         "detectors": {
