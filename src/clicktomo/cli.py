@@ -213,64 +213,54 @@ def cmd_simulate(args) -> int:
     gammas = cfg.grid.flat_gammas()
     out = _out_dir(args)
     blocks = _blocks(gammas.size)
-    for rep in range(cfg.repetitions):
 
-        def run_block(b: slice) -> tuple[list[str], np.ndarray]:
-            texts, leaks = [], []
-            for chunk in _chunks(b):
+    def run_block(b: slice) -> tuple[list[list[str]], np.ndarray]:
+        texts, leaks = [[] for _ in range(cfg.repetitions)], []  # texts[rep]: the block's rows of repetition rep
+        for chunk in _chunks(b):
+            for rep, rep_texts in enumerate(texts):
                 clicks = simulate(
                     amplitudes, gammas[chunk], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities,
                     offset=chunk.start,
                 )
-                texts.append(io_csv.click_rows(clicks.noclick, chunk.start))
-                leaks.append(clicks.truncation_leak)
-            return texts, np.concatenate(leaks)
+                rep_texts.append(io_csv.click_rows(clicks.noclick, chunk.start))
+            leaks.append(clicks.truncation_leak)
+        return texts, np.concatenate(leaks)
 
-        block_texts, leaks = zip(*_map_blocks(run_block, blocks))
-        leak = np.concatenate(leaks)
-        name = "clicks.csv" if cfg.repetitions == 1 else f"clicks_rep{rep}.csv"
-        io_csv.write_click_csv(out / name, cfg, rep, [text for texts in block_texts for text in texts])
-        worst = int(np.argmax(leak))
-        print(
-            f"wrote {out / name} ({gammas.size} points x {cfg.detectors.n_settings} settings "
-            f"in {_blocks_text(blocks)}; largest truncation leak {leak[worst]:.6e} at gamma = {complex(gammas[worst])})"
-        )
+    block_texts, leaks = zip(*_map_blocks(run_block, blocks))
+    leak = np.concatenate(leaks)
+    path = out / "clicks.csv"
+    rows = [text for rep in range(cfg.repetitions) for texts in block_texts for text in texts[rep]]
+    io_csv.write_click_csv(path, cfg, rows)
+    worst = int(np.argmax(leak))
+    print(
+        f"wrote {path} ({gammas.size} points x {cfg.detectors.n_settings} settings "
+        f"in {_blocks_text(blocks)}; largest truncation leak {leak[worst]:.6e} at gamma = {complex(gammas[worst])})"
+    )
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    """The wigner.csv header is the click files' embedded config with ``--config``'s ``n_iterations``."""
-    records = [io_csv.read_click_csv(path) for path in args.records]
-    first_cfg = records[0][0]
-    seen: dict[int, str] = {}  # repetition -> path
-    for path, (file_cfg, rep, _) in zip(args.records, records):
-        if file_cfg != first_cfg:
-            raise DataError(f"{path}: embedded config differs from that of {args.records[0]}")
-        if rep in seen:  # the records share one config, so only the repetition tells them apart
-            raise DataError(f"{path}: repetition {rep} is that of {seen[rep]} too")
-        seen[rep] = path
-    header = _run_config(args, args.records[0], first_cfg)
+    """One EM batch over every repetition's points: ``w_rec`` and ``em_final_loglik`` are repetition 0's, and
+    ``w_variance`` spans all of them.  The wigner.csv header is the click file's embedded config with
+    ``--config``'s ``n_iterations``."""
+    file_cfg, clicks = io_csv.read_click_csv(args.records)
+    header = _run_config(args, args.records, file_cfg)
     em_cfg = EMConfig(n_iterations=header.n_iterations)
-    n_trunc = header.trunc.n_trunc
-    maps, logliks, n_failed = [], [], 0
-    for _, _, clicks in records:
-        blocks = _blocks(clicks.gammas.size, clicks.nu_bar.size * n_trunc)
+    n_trunc, n_points = header.trunc.n_trunc, header.grid.n_points
+    blocks = _blocks(clicks.gammas.size, clicks.nu_bar.size * n_trunc)
 
-        def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
-            w, _, ll, failed = reconstruct_clicks(block, n_trunc, em_cfg)
-            return w, ll, failed
+    def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
+        w, _, ll, failed = reconstruct_clicks(block, n_trunc, em_cfg)
+        return w, ll, failed
 
-        w, ll, failed = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
-        maps.append(w)
-        logliks.append(ll)
-        n_failed += int(failed.sum())
-
-    w_var = np.var(np.stack(maps), axis=0) if len(maps) > 1 else None
+    w, ll, failed = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
+    n_failed = int(failed.sum())
+    w_var = np.var(w.reshape(header.repetitions, n_points), axis=0) if header.repetitions > 1 else None
     w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas())
     out = _out_dir(args)
-    io_csv.write_wigner_csv(out / "wigner.csv", header, maps[0], w_exact, logliks[0], w_var)
-    print(f"wrote {out / 'wigner.csv'} ({maps[0].size} points in {_blocks_text(blocks)}, {n_failed} failed)")
+    io_csv.write_wigner_csv(out / "wigner.csv", header, w[:n_points], w_exact, ll[:n_points], w_var)
+    print(f"wrote {out / 'wigner.csv'} ({n_points} points in {_blocks_text(blocks)}, {n_failed} failed)")
     if n_failed:
         print(f"{n_failed} points failed to reconstruct", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -373,8 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("reconstruct", help="EM-reconstruct a Wigner map from click records")
-    common(p_rec, optional=True, config_help="run configuration file; default: the first record's embedded config")
-    p_rec.add_argument("--records", nargs="+", required=True, help="click CSV file(s)")
+    common(p_rec, optional=True, config_help="run configuration file; default: the click file's embedded config")
+    p_rec.add_argument("--records", required=True, help="click CSV file")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     p_rho = sub.add_parser("recover-rho", help="integrate a Wigner map into a density matrix")

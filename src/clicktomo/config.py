@@ -50,8 +50,9 @@ NU_BAR_RESOLUTION = 1e-9  # settings whose nu_bar are closer count as one
 MAX_POINTS = 2**24  # the node check builds every node; 4096 x 4096 is far beyond what a run can hold
 MAX_SETTINGS = 4096  # per point: over 100 times the shipped schedules, checked before any is built
 # simulate's (n_pad, n_pad) coefficient table is 32 MiB at 2048 (128 MiB at 4096), and the stage peaks
-# at 68 MiB on a 2 x 2 grid; past 2048 the power tables stay finite only for |gamma| below 1.41 (see fock.displace)
+# at 68 MiB on a 2 x 2 grid; at 2048 the power-table bound below already limits the nodes to |gamma| < 1.4145
 MAX_PAD = 2048
+LOG_DBL_MAX = math.log(np.finfo(float).max)  # fock.displace's power tables hold |gamma|^(n_pad - 1)
 
 
 class StateSpec(NamedTuple):
@@ -194,9 +195,16 @@ def parse_config(text: str) -> RunConfig:
     if grid.n_points > MAX_POINTS:
         raise ConfigError(f"[grid] n_re x n_im = {grid.n_points} exceeds {MAX_POINTS} nodes")
     try:
-        displacement_r2(grid.flat_gammas(), trunc.n_pad)
+        r2 = displacement_r2(grid.flat_gammas(), trunc.n_pad)
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}; shrink the grid or raise n_pad") from exc
+    worst = int(np.argmax(r2))
+    if (trunc.n_pad - 1) * 0.5 * math.log(max(r2[worst], 1.0)) >= LOG_DBL_MAX:  # r2 <= n_pad/2 implies it below 287
+        raise ConfigError(
+            f"[grid] |gamma| = {math.sqrt(r2[worst]):.6g} at gamma = {complex(grid.flat_gammas()[worst])} overflows "
+            f"the power tables of n_pad = {trunc.n_pad}, which stay finite only for |gamma| < "
+            f"{math.exp(LOG_DBL_MAX / (trunc.n_pad - 1)):.6g}; shrink the grid or lower n_pad"
+        )
     count_key = "n_efficiencies" if det.mode == "single" else "n_angles"
     if det.n_settings > MAX_SETTINGS:
         raise ConfigError(f"[detectors] {count_key} = {det.n_settings} exceeds {MAX_SETTINGS} settings")

@@ -1,12 +1,12 @@
 """CSV interchange with reproducibility headers.
 
 Every output file starts with comment lines that embed the fully resolved
-configuration (and the repetition index for click files), so the exact run
-can be re-issued from the file alone.  Floating-point fields use 17
-significant digits and round-trip bit-for-bit.
+configuration, so the exact run can be re-issued from the file alone.
+Floating-point fields use 17 significant digits and round-trip bit-for-bit.
 
 A click file (``# format = 3``) stores one ``point_index,n_noclick_0,...``
-row per point: the no-click counts of its M settings.  The embedded config is
+row per point and repetition, repetition-major, each repetition's points
+numbered from 0: the no-click counts of its M settings.  The embedded config is
 the authority for everything else, and the reader rebuilds the settings from it.
 """
 import numpy as np
@@ -105,17 +105,18 @@ def click_rows(noclick: np.ndarray, start: int = 0) -> str:
     return "\n".join(template.format(i, *row) for i, row in enumerate(counts.tolist(), start))
 
 
-def write_click_csv(path, cfg: RunConfig, repetition: int, blocks: list[str]) -> None:
-    """Counts only: one ``point_index,n_noclick_0,...,n_noclick_{M-1}`` row per point.
+def write_click_csv(path, cfg: RunConfig, blocks: list[str]) -> None:
+    """Counts only: one ``point_index,n_noclick_0,...,n_noclick_{M-1}`` row per point and repetition.
 
-    ``blocks`` are the :func:`click_rows` texts of consecutive runs of points, written in order.
+    ``blocks`` are the :func:`click_rows` texts of consecutive runs of points, written in order:
+    every point of repetition 0, then of repetition 1, and so on.
     The embedded config fixes every other field of a record, so none is stored.
     """
-    _write_table(path, cfg, click_columns(cfg), blocks, {"repetition": repetition, "format": CLICK_FORMAT})
+    _write_table(path, cfg, click_columns(cfg), blocks, {"format": CLICK_FORMAT})
 
 
-def _read_table(path, columns_of, fmt: "str | None" = None) -> tuple[RunConfig, dict, np.ndarray]:
-    """-> (embedded config, extras, (rows, columns) floats); a bad row is named by number.
+def _read_table(path, columns_of, fmt: "str | None" = None) -> tuple[RunConfig, np.ndarray]:
+    """-> (embedded config, (rows, columns) floats); a bad row is named by number.
 
     ``columns_of(cfg)`` names the columns of the embedded config ``cfg``.
     With ``fmt``, the file must carry a ``# format = <fmt>`` line.
@@ -133,7 +134,7 @@ def _read_table(path, columns_of, fmt: "str | None" = None) -> tuple[RunConfig, 
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         if data.shape == (len(body), len(columns)):
-            return cfg, extras, data
+            return cfg, data
     except ValueError:
         pass
     for k, line in enumerate(body, start=1):  # name the first bad row
@@ -170,16 +171,14 @@ def _check_order(path, i: np.ndarray, j: np.ndarray, n_i: int, n_j: int, order: 
         raise DataError(f"{path}: row {k + 1}: {'missing' if k < n_i * n_j else 'extra'} in {order}")
 
 
-def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
-    """Read a format-3 click file; every field but the counts comes from its embedded config."""
-    cfg, extras, data = _read_table(path, click_columns, CLICK_FORMAT)
-    rep, n_reps = extras.get("repetition", ""), cfg.repetitions
-    # plain decimal digits only; the length bound keeps int() within its digit limit
-    if not (rep.isascii() and rep.isdigit() and len(rep) <= len(str(n_reps)) and int(rep) < n_reps):
-        raise DataError(f"{path}: repetition {rep!r} is not an integer in [0, {n_reps})")
-    p = cfg.grid.n_points
+def read_click_csv(path) -> tuple[RunConfig, ClickArrays]:
+    """Read a format-3 click file: R x P rows, repetition-major, for the embedded config's
+    R repetitions of P points; every field but the counts comes from that config."""
+    cfg, data = _read_table(path, click_columns, CLICK_FORMAT)
+    p, n_reps = cfg.grid.n_points, cfg.repetitions
     point = _integers(path, data[:, 0], "point_index")
-    _check_order(path, point, np.zeros_like(point), p, 1, f"the order of the {p} points the embedded config declares")
+    order = f"the order of the {p} points of each of the {n_reps} repetitions the embedded config declares"
+    _check_order(path, np.arange(point.size) // p, point, n_reps, p, order)
     noclick = data[:, 1:]
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)).all(axis=1), "n_noclick outside [0, n_runs]")
     if not cfg.exact_probabilities:
@@ -189,8 +188,9 @@ def read_click_csv(path) -> tuple[RunConfig, int, ClickArrays]:
         sched = build_recipe(cfg).build(gammas)
     except ValueError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    clicks = ClickArrays(gammas, sched.nu_bar, sched.y, noclick, cfg.n_runs)
-    return cfg, int(rep), clicks
+    # every repetition repeats the schedule's rows: a view of them for one repetition, a copy for more
+    gammas, y = (np.broadcast_to(a, (n_reps, *a.shape)).reshape(n_reps * p, *a.shape[1:]) for a in (gammas, sched.y))
+    return cfg, ClickArrays(gammas, sched.nu_bar, y, noclick, cfg.n_runs)
 
 
 def write_wigner_csv(
@@ -212,7 +212,7 @@ def write_wigner_csv(
 def read_wigner_csv(path) -> tuple[RunConfig, np.ndarray, dict[str, np.ndarray]]:
     """-> (config, gammas, column arrays for w_rec / w_exact / w_variance / em_final_loglik);
     the gammas must be the embedded grid's nodes, in order, to 1e-9."""
-    cfg, _, data = _read_table(path, lambda _: WIGNER_COLUMNS)
+    cfg, data = _read_table(path, lambda _: WIGNER_COLUMNS)
     gammas = complex_array(data[:, 0], data[:, 1])
     nodes = cfg.grid.flat_gammas()
     if not (gammas.size == nodes.size and np.max(np.abs(gammas - nodes)) <= 1e-9):
@@ -229,7 +229,7 @@ def write_rho_csv(path, cfg: RunConfig, elements: np.ndarray) -> None:
 
 def read_rho_csv(path) -> tuple[RunConfig, np.ndarray]:
     """The n_trunc x n_trunc matrix of the embedded config, from its rows in row-major order."""
-    cfg, _, data = _read_table(path, lambda _: RHO_COLUMNS)
+    cfg, data = _read_table(path, lambda _: RHO_COLUMNS)
     m, n = _integers(path, data[:, 0], "m"), _integers(path, data[:, 1], "n")
     dim = cfg.trunc.n_trunc
     order = f"the row-major order of the {dim} x {dim} elements the embedded config declares"

@@ -113,7 +113,7 @@ def test_simulate_reports_the_largest_truncation_leak(small_cfg, tmp_path, capsy
 def test_simulate_writes_expected_rows(small_cfg, tmp_path):
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(small_cfg), "--out", str(out)]) == 0
-    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
     assert clicks.gammas.size == 4
     assert clicks.noclick.shape == (4, 14)
 
@@ -141,7 +141,7 @@ def test_vacuum_point_all_noclick(tmp_path):
     cfg.write_text(VACUUM_POINT)
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
     assert np.all(clicks.noclick == clicks.n_runs)
 
 
@@ -207,24 +207,67 @@ def test_reconstruct_variance_from_repetitions(small_cfg, tmp_path):
     cfg.write_text(text)
     out = tmp_path / "art"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
-    assert (out / "clicks_rep0.csv").exists() and (out / "clicks_rep1.csv").exists()
-    assert (
-        main(
-            [
-                "reconstruct",
-                "--config",
-                str(cfg),
-                "--records",
-                str(out / "clicks_rep0.csv"),
-                str(out / "clicks_rep1.csv"),
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
+    assert sorted(path.name for path in out.iterdir()) == ["clicks.csv"]
+    assert main(["reconstruct", "--config", str(cfg), "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
     _, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
     assert np.all(np.isfinite(cols["w_variance"]))
+
+
+# sha256 of the clicks.csv of SMALL at repetitions = 3: the three files clicks_rep{k}.csv
+# that simulate wrote while each repetition had its own file, joined (each repetition's
+# rows after the first file's header, without its "# repetition = 0" line)
+REPETITION_DIGESTS = {
+    "sampled": (SMALL, "3c4baef0da0b4642fc4b6ea78289eef848479afaf235f0dfb2d23ee77c0c1d73"),
+    "exact": (EXACT, "9e4d2f80ce6709e0a93c6e12e39312bd2fa936d1ba457e5a8bc6cfd7e11ec417"),
+}
+
+
+@pytest.mark.parametrize("text, digest", REPETITION_DIGESTS.values(), ids=REPETITION_DIGESTS.keys())
+def test_one_click_file_holds_every_repetition(tmp_path, text, digest):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text + "repetitions = 3\n")
+    out = tmp_path / "art"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["clicks.csv"]
+    assert hashlib.sha256((out / "clicks.csv").read_bytes()).hexdigest() == digest
+    run_cfg, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    gammas = run_cfg.grid.flat_gammas()
+    assert clicks.gammas.tolist() == np.tile(gammas, 3).tolist()
+    for rep, counts in enumerate(np.split(clicks.noclick, 3)):
+        whole = simulate(
+            build_amplitudes(run_cfg), gammas, build_recipe(run_cfg), run_cfg.trunc, run_cfg.n_runs, run_cfg.seed,
+            rep, run_cfg.exact_probabilities,
+        )
+        assert counts.tolist() == whole.noclick.tolist()
+
+
+def test_a_click_file_of_one_repetition_of_several_is_refused(tmp_path, capsys):
+    # a clicks_rep1.csv of an older version: repetition 1's 4 rows under a "# repetition = 1" line
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(SMALL + "repetitions = 2\n")
+    out = tmp_path / "art"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "clicks.csv").read_text().splitlines()
+    n_head = lines.index("# format = 3")
+    old = tmp_path / "clicks_rep1.csv"
+    old.write_text("\n".join([*lines[:n_head], "# repetition = 1", *lines[n_head : n_head + 2], *lines[-4:]]) + "\n")
+    capsys.readouterr()
+    assert main(["reconstruct", "--records", str(old), "--out", str(tmp_path / "wigner")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {old}: row 5: missing in the order of the 4 points of each of the 2 repetitions "
+        "the embedded config declares\n"
+    )
+    assert not (tmp_path / "wigner").exists()
+
+
+def test_a_click_file_with_a_repetition_line_still_reads(small_wigner, tmp_path):
+    # an older version wrote "# repetition = 0" above the format line of every click file
+    text = (small_wigner.parent / "clicks.csv").read_text()
+    assert text.count("\n# format = 3\n") == 1
+    old = tmp_path / "clicks.csv"
+    old.write_text(text.replace("\n# format = 3\n", "\n# repetition = 0\n# format = 3\n"))
+    assert main(["reconstruct", "--records", str(old), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "wigner.csv").read_bytes() == small_wigner.read_bytes()
 
 
 def test_exact_flag_writes_expected_counts(tmp_path):
@@ -232,7 +275,7 @@ def test_exact_flag_writes_expected_counts(tmp_path):
     cfg.write_text(EXACT)
     out = tmp_path / "art"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
-    _, _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
     fracs = clicks.noclick % 1.0
     assert np.any(fracs != 0.0)
 
@@ -606,7 +649,7 @@ def test_runs_at_the_bound_write_integer_counts(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     counts = [line.rsplit(",", 1)[1] for line in (tmp_path / "clicks.csv").read_text().split("\n")[-4:-1]]
     assert all(c.isdigit() and 0 < int(c) <= 2**53 for c in counts), counts
-    cfg, _, clicks = io_csv.read_click_csv(tmp_path / "clicks.csv")
+    cfg, clicks = io_csv.read_click_csv(tmp_path / "clicks.csv")
     assert cfg.n_runs == 2**53 and clicks.noclick[-1, -1] == int(counts[-1])
 
 
@@ -641,15 +684,40 @@ def test_simulate_diagonalizes_nothing(tmp_path, monkeypatch, text):
 
 @pytest.mark.parametrize("text", [EXACT, SMALL], ids=["exact", "sampled"])
 def test_a_grid_whose_displacements_overflow_is_a_numerical_error(tmp_path, capsys, text):
-    # nodes at |gamma|^2 = 56.5, within n_pad/2 = 200, overflow the displacement's power
-    # tables to NaN: reported, with no warning (an error here) and no file
+    # nodes at |gamma|^2 = 56.5, within n_pad/2 = 200, would overflow the displacement's
+    # power tables to NaN: parse_config refuses them before any work, as one line and no file
+    # (fock.displaced_diagonals still refuses a non-finite diagonal as a NumericalError)
     path = tmp_path / "run.ini"
     text = text.replace("n_trunc = 12", "n_trunc = 12\nn_pad = 400")
     path.write_text(text.replace("re_min = -0.5\nre_max = 1.5", "re_min = -15\nre_max = 15"))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 4
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: displaced diagonal entry nan") and err.count("\n") == 1
+    assert err.startswith("config error: [grid] |gamma| = 7.51665 at gamma = (-7.5-0.5j) overflows the power tables")
+    assert err.count("\n") == 1
     assert not (tmp_path / "clicks.csv").exists()
+
+
+def one_node(text: str, gamma: float, n_pad: int) -> str:
+    """The config at ``n_pad`` on a 1 x 1 grid whose node is ``gamma``."""
+    grid = f"re_min = {gamma - 0.1}\nre_max = {gamma + 0.1}\nim_min = -0.1\nim_max = 0.1\nn_re = 1\nn_im = 1"
+    text = text.replace("re_min = -0.5\nre_max = 1.5\nim_min = -1.0\nim_max = 1.0\nn_re = 2\nn_im = 2", grid)
+    return text.replace("n_trunc = 12", f"n_trunc = 12\nn_pad = {n_pad}")
+
+
+def test_a_node_beyond_the_power_tables_is_a_config_error(tmp_path, capsys):
+    # (n_pad - 1) ln|gamma| against ln(DBL_MAX) = 709.78: 704.8 at n_pad 1200 runs, 881.1 at 1500
+    # would leave NaN in the forward model
+    path = tmp_path / "run.ini"
+    path.write_text(one_node(EXACT, 1.8, 1200))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "ran")]) == 0
+    path.write_text(one_node(EXACT, 1.8, 1500))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [grid] |gamma| = 1.8 at gamma = (1.8+0j) overflows the power tables of n_pad = 1500, "
+        "which stay finite only for |gamma| < 1.60561; shrink the grid or lower n_pad\n"
+    )
+    assert not (tmp_path / "refused").exists()
 
 
 def test_a_quadrature_that_overflows_is_a_numerical_error(tmp_path, capsys):
@@ -717,6 +785,11 @@ HEADERS_THAT_DO_NOT_BUILD = {
     "fock_outside_the_block": (
         lambda head, body: _header("kind", "fock")(*_header("n", 4)(head, body)),
         "embedded config: [state] kind = fock: n = 4 is outside the EM's block of n_trunc = 4",
+    ),
+    # nodes at |gamma| = 1.82 on a grid to re_max = 2.5; n_pad 2048 keeps the power tables finite below 1.41445
+    "power_tables": (
+        lambda head, body: _header("n_pad", 2048)(*_header("re_max", 2.5)(head, body)),
+        "embedded config: [grid] |gamma| = 1.82003 at gamma = (1.75-0.5j) overflows the power tables of n_pad = 2048",
     ),
 }
 
@@ -1016,6 +1089,10 @@ REFUSALS = {
     ),
     "edited_node-recover-rho": ("recover-rho --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
     "edited_node-report": ("report --wigner {edited} --out {out}", 3, "{edited}: points do not match"),
+    # one click file holds every repetition
+    "two_records-reconstruct": (
+        "reconstruct --records {clicks} {clicks} --out {out}", 2, "unrecognized arguments: {clicks}",
+    ),
 }
 
 
@@ -1065,7 +1142,7 @@ def test_reconstruct_writes_the_click_files_config(small_cfg, tmp_path, capsys):
     assert not (out / "wigner.csv").exists()
     other.write_text(SMALL.replace("n_iterations = 60", "n_iterations = 70").replace("seed = 5", "seed = 6"))
     assert main(argv) == 0
-    click_cfg, _, _ = io_csv.read_click_csv(clicks)
+    click_cfg, _ = io_csv.read_click_csv(clicks)
     wigner_cfg, _, cols = io_csv.read_wigner_csv(out / "wigner.csv")
     assert (wigner_cfg.seed, wigner_cfg.exact_probabilities) == (5, False)
     assert wigner_cfg == click_cfg._replace(n_iterations=70)
@@ -1082,33 +1159,6 @@ def test_reconstruct_rejects_another_runs_state(small_cfg, tmp_path, capsys):
     message = "--config's re_amplitude = 0.5 differs from the run config's re_amplitude = 1"
     assert message in capsys.readouterr().err
     assert not (out / "wigner.csv").exists()
-
-
-def test_reconstruct_rejects_records_of_another_run(small_cfg, tmp_path, capsys):
-    first, second = tmp_path / "a", tmp_path / "b"
-    main(["simulate", "--config", str(small_cfg), "--out", str(first)])
-    main(["simulate", "--config", str(small_cfg), "--seed", "6", "--out", str(second)])
-    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(first / "clicks.csv"),
-                 str(second / "clicks.csv"), "--out", str(tmp_path)])
-    assert code == 3
-    assert "embedded config differs from that of" in capsys.readouterr().err
-    assert not (tmp_path / "wigner.csv").exists()
-
-
-def test_reconstruct_rejects_a_repeated_record(small_cfg, tmp_path, capsys):
-    # records of one run share one embedded config; only the repetition tells them apart
-    out = tmp_path / "a"
-    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
-    copy = tmp_path / "copy.csv"
-    copy.write_bytes((out / "clicks.csv").read_bytes())
-    for records in ([out / "clicks.csv"] * 2, [out / "clicks.csv", copy]):
-        capsys.readouterr()
-        code = main(["reconstruct", "--records", *map(str, records), "--out", str(tmp_path)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "repetition 0" in err
-        assert str(records[0]) in err and str(records[1]) in err
-        assert not (tmp_path / "wigner.csv").exists()
 
 
 def test_recover_rho_writes_the_wigner_files_config(small_cfg, tmp_path, capsys):
@@ -1362,24 +1412,6 @@ def test_format_2_click_file_is_an_old_format_data_error(small_cfg, tmp_path, ca
     assert len(err.splitlines()) == 1 and "old-format click file: expected '# format = 3'" in err
 
 
-# a repetition header that is not a plain decimal in [0, repetitions) of the file's own config (here 1)
-REPETITIONS = {"negative": "-1", "beyond": "7", "underscore": "1_0", "plus": "+0", "arabic_indic_zero": "\u0660", "missing": None}
-
-
-@pytest.mark.parametrize("value", REPETITIONS.values(), ids=REPETITIONS.keys())
-def test_repetition_header_outside_the_runs_repetitions_is_a_data_error(small_cfg, tmp_path, capsys, value):
-    out = tmp_path / "art"
-    main(["simulate", "--config", str(small_cfg), "--out", str(out)])
-    path = out / "clicks.csv"
-    header = "" if value is None else f"# repetition = {value}\n"
-    path.write_text(path.read_text(encoding="utf-8").replace("# repetition = 0\n", header), encoding="utf-8")
-    capsys.readouterr()
-    code = main(["reconstruct", "--config", str(small_cfg), "--records", str(path), "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert len(err.splitlines()) == 1 and f"{path}: repetition" in err
-
-
 DUAL = SMALL.replace("mode = single", "mode = dual\nnu_c = 0.3\nnu_d = 0.6\nn_angles = 14")
 FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1")
 
@@ -1401,26 +1433,28 @@ FOCK = SMALL.replace("kind = coherent\nre_amplitude = 1.0", "kind = fock\nn = 1"
 # stream (the exact case kept its bytes), and the exact case when the
 # forward model began to displace the state's amplitudes instead of the
 # eigenvectors of its density matrix (probabilities moved by at most 2.9e-16,
-# w_rec by at most 2.1e-16, rho by at most 2.6e-14).
+# w_rec by at most 2.1e-16, rho by at most 2.6e-14), and every clicks.csv
+# when one click file began to hold every repetition (each lost its
+# "# repetition = 0" line and nothing else).
 # The fock case pins the analytic Laguerre column w_exact.
 GOLDEN = {
     "sampled": (SMALL, {
-        "clicks.csv": "e325b1c22a622321491df05823d74f22e59c18e16a11a6c21533bd784710bbbe",
+        "clicks.csv": "742a3bfad0c3586e7c42ce1420fb8b7f47e88394000d565091af90fe577027f6",
         "wigner.csv": "1704051b097a7706bd08cfc5dcc61bc8ec47008949c0ba4955aa91747e25ca07",
         "rho.csv": "8d664f3c076510839675298d55d6b4013ad7bf30995b3dca8efec45f40fdc307",
     }),
     "exact": (EXACT, {
-        "clicks.csv": "43b5d875b099c32ea4ad6b80757dd73bc062a469581f713066c02176c9782730",
+        "clicks.csv": "700582dfe82248fdf4badaf51305016178b314afd6a68c607144010a3b4a05fc",
         "wigner.csv": "e1ee899ebae45d5fe41b090049acf5ea27c6a03be687d521fe18ffa9d09da256",
         "rho.csv": "afe159d88beec37a6c1cf897c3e737c39185c5ffe7c0e5a4d17b0086f770ced5",
     }),
     "dual": (DUAL, {
-        "clicks.csv": "a8ca4b8eb221849e324d34cd16ff527e3289c3d10aeda666245f98d9a664f17d",
+        "clicks.csv": "4b579b0205457f1f2b070d33c24502298a4e6d172b02d73f28091e7387e8003f",
         "wigner.csv": "f71cebadeb81c658f93b13f9064a7711b991b3a646e9fed5d816d88440736e3a",
         "rho.csv": "946d9a20edc70110e266eb8359d311a766b26fd589dbf73ff654dbe6c81d845b",
     }),
     "fock": (FOCK, {
-        "clicks.csv": "df4785071ae729399bb176fa1a8702ee6334bfc8ae4858bbc8cc4dcadffebf68",
+        "clicks.csv": "43c85f4ba54105e3b02487562822297305e1b904b597f13907a0187bd5a7bdf0",
         "wigner.csv": "9f6ca66d91e0f34b7ab0f7f656cc467e5d43639b32305c0e8d01222565d57daa",
         "rho.csv": "5f5993e919bfc735dcc4156dddd5fc0db6464283820a93b697b0ae3cc1dca918",
     }),
@@ -1609,42 +1643,56 @@ def test_outputs_do_not_depend_on_the_cpu_count(
     assert digests[0] == digests[1] == digests[2]
 
 
+def test_chain_digests_agree_across_cpu_counts(tmp_path, capsys):
+    # tests/chain_digests.py, the byte check between two trees, on SMALL at 784 points: 2 blocks at 2 CPUs
+    import chain_digests
+
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(wide(SMALL))
+    assert chain_digests.main(["--configs", str(cfg), "--seeds", "5", "--cpus", "1", "2"]) == 0
+    digests = json.loads(capsys.readouterr().out)
+    assert len(digests) == 2 * len(chain_digests.OUTPUTS)
+    for name in chain_digests.OUTPUTS:
+        assert digests[f"small/seed5/cpus1/{name}"] == digests[f"small/seed5/cpus2/{name}"]
+
+
 def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    # every block formats its own rows, for each repetition
+    # every block formats its own rows, for each repetition, and reconstruct runs every
+    # repetition's points as one batch
     cfg = tmp_path / "run.ini"
     cfg.write_text(wide(SMALL) + "repetitions = 2\n")
     run_cfg = parse_config(wide(SMALL))
     amplitudes, gammas, recipe = build_amplitudes(run_cfg), run_cfg.grid.flat_gammas(), build_recipe(run_cfg)
-    names = ("clicks_rep0.csv", "clicks_rep1.csv")
     files = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
         out = tmp_path / f"cpus{cpus}"
         assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr().out.count(f" settings in {cpus} block") == 2
-        files.append([(out / name).read_bytes() for name in names])
-        for rep, name in enumerate(names):
-            _, read_rep, clicks = io_csv.read_click_csv(out / name)
+        assert capsys.readouterr().out.count(f" settings in {cpus} block") == 1
+        assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+        files.append([(out / name).read_bytes() for name in ("clicks.csv", "wigner.csv")])
+        _, clicks = io_csv.read_click_csv(out / "clicks.csv")
+        for rep, counts in enumerate(np.split(clicks.noclick, 2)):
             whole = simulate(amplitudes, gammas, recipe, run_cfg.trunc, run_cfg.n_runs, run_cfg.seed, rep, exact=False)
-            assert read_rep == rep and clicks.noclick.tolist() == whole.noclick.tolist()
+            assert counts.tolist() == whole.noclick.tolist()
+        assert clicks.noclick[: gammas.size].tolist() != clicks.noclick[gammas.size :].tolist()
     assert files[0] == files[1] == files[2]
-    assert files[0][0] != files[0][1]
 
 
 # config, the chunk cuts of simulate for 1, 2 and 3 CPUs alike (the last two make blocks
 # [0, 256) and [256, P)), and the clicks.csv digest, taken before chunks, when each block ran
-# as one batch
+# as one batch (re-pinned when click files lost their "# repetition = 0" line)
 CHUNK_CASES = {
     # 2 * CHUNK_POINTS + 1 points: the last chunk takes the one-point tail
     "tail_one_sampled": (on_grid(SMALL, 27, 19), [0, 256, 513],
-                         "27666a9725860345ae740fb183c204954f81c5c552e03a3a11af57ea3a6cef57"),
+                         "28619f35de3510596998c18ae9284a5b1805da0a669e9670a0e7c09ab8537bb8"),
     "tail_one_exact": (on_grid(EXACT, 27, 19), [0, 256, 513],
-                       "cecf9f70b7f030bf1f3c84db33ac214ad58632eb8aef4aac9cdbb768f270ff7b"),
+                       "204170c8b2c578c050ff9eb0b3513d22bc886b56052cb63a27a3073511f19907"),
     # the last chunk holds 5 points, under STREAM_POINTS
     "short_tail_sampled": (on_grid(SMALL, 47, 11), [0, 256, 512, 517],
-                           "a7eda78fbc14d52a3473c34cdee8e997dfe7a6b316cc539345c52a3528b3daca"),
+                           "76678c6d1e98b059c20fde196f9d7efbef3dd42c6dd9ce82a8368fedf531dc33"),
     "short_tail_exact": (on_grid(EXACT, 47, 11), [0, 256, 512, 517],
-                         "d1981338880a66d5377f44b5d4df5e8801272cbaebe856f342f9a890773fe00f"),
+                         "10d8e759cceaf3bf60d3e8bec4ffc2e11bb4424aa9ce335aa2319a3e61ce1428"),
 }
 
 

@@ -26,9 +26,9 @@ from clicktomo import io_csv
 from oracles import embedded_config, indexed_rows_float, point_rows_float
 
 
-def write_clicks(path, cfg, repetition, clicks):
+def write_clicks(path, cfg, clicks):
     """A click file holding ``clicks`` as one block of rows."""
-    io_csv.write_click_csv(path, cfg, repetition, [io_csv.click_rows(clicks.noclick)])
+    io_csv.write_click_csv(path, cfg, [io_csv.click_rows(clicks.noclick)])
 
 
 BASE = """
@@ -287,6 +287,20 @@ class TestBuilders:
         assert fn(np.array([1.0 + 0.0j]))[0] == pytest.approx(2.0 / np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma, fits", [(1.4126, True), (1.4154, False)])
+def test_n_pad_2048_takes_nodes_while_its_power_tables_stay_finite(gamma, fits):
+    # the pair that tests/test_fock.py pins in the kernel: finite at 1.4126, NaN at 1.4154
+    grid = f"re_min = {gamma - 0.1}\nre_max = {gamma + 0.1}\nim_min = -0.1\nim_max = 0.1\nn_re = 1\nn_im = 1"
+    text = BASE.replace("n_trunc = 12", "n_trunc = 12\nn_pad = 2048")
+    text = text.replace("re_min = -1.2\nre_max = 2.5\nim_min = -1.2\nim_max = 2.5\nn_re = 4\nn_im = 4", grid)
+    if fits:
+        assert parse_config(text).grid.flat_gammas().tolist() == [gamma]
+    else:
+        message = rf"^\[grid\] \|gamma\| = {gamma} at gamma = \({gamma}\+0j\) overflows .* \|gamma\| < 1\.41445;"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+
 class TestClickCsv:
     def _records(self, cfg):
         return simulate(
@@ -298,9 +312,9 @@ class TestClickCsv:
         cfg = parse_config(BASE)
         clicks = self._records(cfg)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, clicks)
-        cfg2, rep, back = io_csv.read_click_csv(path)
-        assert cfg2 == cfg and rep == 0
+        write_clicks(path, cfg, clicks)
+        cfg2, back = io_csv.read_click_csv(path)
+        assert cfg2 == cfg
         assert back.gammas.size == clicks.gammas.size
         np.testing.assert_array_equal(back.gammas, clicks.gammas)
         np.testing.assert_array_equal(back.noclick, clicks.noclick)
@@ -310,13 +324,13 @@ class TestClickCsv:
     def test_embedded_config_extraction(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, self._records(cfg))
         assert embedded_config(path) == dump_config(cfg)
 
     def test_malformed_row_names_line(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, self._records(cfg))
         lines = path.read_text().splitlines()
         lines[len(lines) - 1] = "oops"
         path.write_text("\n".join(lines) + "\n")
@@ -327,9 +341,9 @@ class TestClickCsv:
     @pytest.mark.parametrize("where", [None, 10], ids=["after_rows", "among_rows"])
     def test_line_among_rows_is_a_bad_row(self, tmp_path, line, where):
         # every line after the column names is a data row, so a header line there is not read as one
-        cfg = parse_config(BASE.replace("n_runs = 500", "n_runs = 500\nrepetitions = 2"))
-        path = tmp_path / "clicks_rep1.csv"
-        write_clicks(path, cfg, 1, self._records(cfg))
+        cfg = parse_config(BASE)
+        path = tmp_path / "clicks.csv"
+        write_clicks(path, cfg, self._records(cfg))
         lines = path.read_text().splitlines()
         n_head = lines.index(",".join(io_csv.click_columns(cfg))) + 1
         at = len(lines) if where is None else n_head + where
@@ -341,7 +355,7 @@ class TestClickCsv:
     def test_header_after_rows_rejected(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, self._records(cfg))
         lines = path.read_text().splitlines()
         n_head = lines.index(",".join(io_csv.click_columns(cfg)))
         path.write_text("\n".join(lines[n_head:] + lines[:n_head]) + "\n")
@@ -351,7 +365,7 @@ class TestClickCsv:
     def test_header_line_that_is_not_key_value_rejected(self, tmp_path):
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, self._records(cfg))
         text = path.read_text().replace("# config-end\n", "# config-end\n# a note\n")
         path.write_text(text)
         with pytest.raises(DataError, match="header line '# a note' is not '# key = value'"):
@@ -361,7 +375,7 @@ class TestClickCsv:
         # format 1 had no format line and stored every derived field per row
         cfg = parse_config(BASE)
         path = tmp_path / "clicks.csv"
-        write_clicks(path, cfg, 0, self._records(cfg))
+        write_clicks(path, cfg, self._records(cfg))
         head = [line for line in path.read_text().splitlines() if line[:1] == "#" and line != "# format = 3"]
         columns = "point_index,re_gamma,im_gamma,alpha,re_beta,im_beta,nu_c,nu_d,nu_bar,y,n_runs,n_noclick"
         row = "0,-0.7375,-0.7375,0.15,4.9,4.9,0.1,0,0.0978,0,500,480"
@@ -386,7 +400,7 @@ def click_bytes(tmp_path_factory):
         cfg.n_runs, cfg.seed, 0, exact=False,
     )
     path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
-    write_clicks(path, cfg, 0, clicks)
+    write_clicks(path, cfg, clicks)
     return path.read_bytes()
 
 
@@ -559,8 +573,8 @@ def test_click_rows_read_back_bit_equal(counts, data):
     )._replace(exact_probabilities=counts.dtype.kind == "f")  # a sampled run's counts are integers
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clicks.csv"
-        io_csv.write_click_csv(path, cfg, 0, blocks)
-        _, _, back = io_csv.read_click_csv(path)
+        io_csv.write_click_csv(path, cfg, blocks)
+        _, back = io_csv.read_click_csv(path)
     assert back.noclick.shape == (n_points, n_settings)
     assert same_bits(back.noclick, counts.astype(float))
 
