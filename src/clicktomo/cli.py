@@ -29,7 +29,7 @@ from .config import (
 )
 from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
-from .measurement import simulate
+from .measurement import binomial_counts, forward_model
 from .wigner import WignerEstimate, delta_w, reconstruct_clicks
 
 EXIT_OK = 0
@@ -217,13 +217,14 @@ def cmd_simulate(args) -> int:
     def run_block(b: slice) -> tuple[list[list[str]], np.ndarray]:
         texts, leaks = [[] for _ in range(cfg.repetitions)], []  # texts[rep]: the block's rows of repetition rep
         for chunk in _chunks(b):
-            for rep, rep_texts in enumerate(texts):
-                clicks = simulate(
-                    amplitudes, gammas[chunk], recipe, cfg.trunc, cfg.n_runs, cfg.seed, rep, cfg.exact_probabilities,
-                    offset=chunk.start,
-                )
-                rep_texts.append(io_csv.click_rows(clicks.noclick, chunk.start))
-            leaks.append(clicks.truncation_leak)
+            probs, leak = forward_model(amplitudes, gammas[chunk], recipe, cfg.trunc)
+            for rep, rep_texts in enumerate(texts):  # every repetition draws from the one table
+                if cfg.exact_probabilities:
+                    noclick = probs * cfg.n_runs
+                else:  # each group of points draws from the stream keyed (seed, rep, index of its first point)
+                    noclick = binomial_counts(cfg.n_runs, probs, (cfg.seed, rep), chunk.start)
+                rep_texts.append(io_csv.click_rows(noclick, chunk.start))
+            leaks.append(leak)
         return texts, np.concatenate(leaks)
 
     block_texts, leaks = zip(*_map_blocks(run_block, blocks))
@@ -240,29 +241,35 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    """One EM batch over every repetition's points: ``w_rec`` and ``em_final_loglik`` are repetition 0's, and
-    ``w_variance`` spans all of them.  The wigner.csv header is the click file's embedded config with
-    ``--config``'s ``n_iterations``."""
+    """Fit each repetition's P points in the blocks a run of one repetition takes, one repetition at a time.
+
+    ``w_rec`` and ``em_final_loglik`` are repetition 0's, with the bits of a run of one repetition,
+    and ``w_variance`` is the variance over the R repetitions' maps (NaN for R = 1).  A point
+    failed when its fit failed in any repetition; the summary and the error line count such
+    points.  The wigner.csv header is the click file's embedded config with ``--config``'s
+    ``n_iterations``.
+    """
     file_cfg, clicks = io_csv.read_click_csv(args.records)
     header = _run_config(args, args.records, file_cfg)
     em_cfg = EMConfig(n_iterations=header.n_iterations)
-    n_trunc, n_points = header.trunc.n_trunc, header.grid.n_points
-    blocks = _blocks(clicks.gammas.size, clicks.nu_bar.size * n_trunc)
+    n_trunc, n_points, n_reps = header.trunc.n_trunc, header.grid.n_points, header.repetitions
+    counts = clicks.noclick.reshape(n_reps, n_points, -1)  # counts[rep]: repetition rep's rows, a view
+    blocks = _blocks(n_points, clicks.nu_bar.size * n_trunc)
 
-    def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b], noclick=clicks.noclick[b])
-        w, _, ll, failed = reconstruct_clicks(block, n_trunc, em_cfg)
-        return w, ll, failed
+    def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b])
+        w, _, ll, failed = zip(*(reconstruct_clicks(block._replace(noclick=rep[b]), n_trunc, em_cfg) for rep in counts))
+        return w[0], ll[0], np.any(failed, axis=0), np.var(w, axis=0)
 
-    w, ll, failed = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
+    w, ll, failed, w_var = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
     n_failed = int(failed.sum())
-    w_var = np.var(w.reshape(header.repetitions, n_points), axis=0) if header.repetitions > 1 else None
     w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas())
     out = _out_dir(args)
-    io_csv.write_wigner_csv(out / "wigner.csv", header, w[:n_points], w_exact, ll[:n_points], w_var)
+    io_csv.write_wigner_csv(out / "wigner.csv", header, w, w_exact, ll, w_var if n_reps > 1 else None)
     print(f"wrote {out / 'wigner.csv'} ({n_points} points in {_blocks_text(blocks)}, {n_failed} failed)")
     if n_failed:
-        print(f"{n_failed} points failed to reconstruct", file=sys.stderr)
+        reps = f" in at least one of {n_reps} repetitions" if n_reps > 1 else ""
+        print(f"{n_failed} points failed to reconstruct{reps}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -173,7 +173,8 @@ def _check_order(path, i: np.ndarray, j: np.ndarray, n_i: int, n_j: int, order: 
 
 def read_click_csv(path) -> tuple[RunConfig, ClickArrays]:
     """Read a format-3 click file: R x P rows, repetition-major, for the embedded config's
-    R repetitions of P points; every field but the counts comes from that config."""
+    R repetitions of P points; every field but the counts comes from that config, and
+    the schedule is the P points' once, whatever R."""
     cfg, data = _read_table(path, click_columns, CLICK_FORMAT)
     p, n_reps = cfg.grid.n_points, cfg.repetitions
     point = _integers(path, data[:, 0], "point_index")
@@ -188,9 +189,7 @@ def read_click_csv(path) -> tuple[RunConfig, ClickArrays]:
         sched = build_recipe(cfg).build(gammas)
     except ValueError as exc:
         raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    # every repetition repeats the schedule's rows: a view of them for one repetition, a copy for more
-    gammas, y = (np.broadcast_to(a, (n_reps, *a.shape)).reshape(n_reps * p, *a.shape[1:]) for a in (gammas, sched.y))
-    return cfg, ClickArrays(gammas, sched.nu_bar, y, noclick, cfg.n_runs)
+    return cfg, ClickArrays(gammas, sched.nu_bar, sched.y, noclick, cfg.n_runs)
 
 
 def write_wigner_csv(

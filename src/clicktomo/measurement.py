@@ -33,7 +33,7 @@ __all__ = [
     "ClickArrays",
     "no_click_powers",
     "binomial_counts",
-    "simulate",
+    "forward_model",
 ]
 
 GAMMA_MATCH_TOL = 1e-12
@@ -167,13 +167,12 @@ Recipe = SingleDetectorRecipe | DualDetectorRecipe
 
 
 class ClickArrays(NamedTuple):
-    """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` and ``noclick`` (P, M).
+    """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` (P, M) and ``noclick``.
 
-    Sampled counts are the int64 that were drawn; in exact mode ``noclick``
-    holds the expected counts ``p * n_runs``.
-    ``truncation_leak`` (P,) is each point's 1 - sum_{n < n_trunc} R_n(gamma),
-    the mass the EM's retained block cannot hold: known to :func:`simulate`,
-    None for clicks read from a file.  Compared by identity.
+    ``noclick`` is (R * P, M): the counts of R repetitions of the P points,
+    repetition-major.  Sampled counts are the int64 that were drawn; in exact
+    mode ``noclick`` holds the expected counts ``p * n_runs``.  Compared by
+    identity.
     """
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -182,7 +181,6 @@ class ClickArrays(NamedTuple):
     y: np.ndarray
     noclick: np.ndarray
     n_runs: int
-    truncation_leak: np.ndarray | None = None
 
 
 def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -221,33 +219,16 @@ def binomial_counts(n_runs: int, probs: np.ndarray, key: "tuple[int, ...]", offs
     return out
 
 
-def simulate(
-    amplitudes: np.ndarray,
-    gammas: np.ndarray,
-    recipe: Recipe,
-    trunc: TruncationConfig,
-    n_runs: int,
-    seed: int,
-    repetition: int,
-    exact: bool,
-    offset: int = 0,
-) -> ClickArrays:
-    """Measure every point's schedule: exact probabilities, then (optionally) sampling.
+def forward_model(amplitudes, gammas, recipe: Recipe, trunc: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """-> (no-click probabilities (P, M), truncation leak (P,)) of every point's schedule.
 
     The probabilities are the no-click series over the full working
     dimension, clipped to [0, 1], so they are exact to padding accuracy.
-    Each group of STREAM_POINTS points draws its counts from one stream, keyed
-    (seed, repetition, offset + index of the group's first point), so
-    ``offset`` (the global index of the first point) keeps the counts the same
-    however a grid is split at multiples of STREAM_POINTS.
+    The leak is each point's 1 - sum_{n < n_trunc} R_n(gamma), the mass the
+    EM's retained block cannot hold.
     """
     g = np.asarray(gammas, dtype=complex).ravel()
     sched = recipe.build(g)
     diag = displaced_diagonals(amplitudes, g)
     probs = np.clip(np.exp(sched.y) * (diag @ no_click_powers(sched.nu_bar, trunc.n_pad).T), 0.0, 1.0)
-    if exact:
-        noclick = probs * n_runs
-    else:
-        noclick = binomial_counts(int(n_runs), probs, (int(seed), int(repetition)), offset)
-    leak = 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)
-    return ClickArrays(g, sched.nu_bar, sched.y, noclick, int(n_runs), leak)
+    return probs, 1.0 - diag[:, : trunc.n_trunc].sum(axis=1)

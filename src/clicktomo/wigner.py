@@ -110,7 +110,7 @@ def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":
 def reconstruct_clicks(
     clicks: ClickArrays, n_trunc: int, em_cfg: EMConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched EM on every point -> (W values, R tables, final loglik, failed).
+    """Batched EM on every point of one repetition's ``clicks`` -> (W values, R tables, final loglik, failed).
 
     Failed points get W = NaN.
     """

@@ -4,8 +4,10 @@ Most of these avoid the package's own construction paths: displacement
 operators come from a matrix exponential of the truncated generator or from
 exact rational coefficients, state amplitudes from direct per-term formulas,
 and no-click probabilities from beam-splitter output amplitudes in closed
-form.  The exceptions are ``wigner_scan`` (a grid map through the package's
-own simulate-and-reconstruct path, for the pipeline tests), the exact
+form.  The exceptions are ``simulate`` (one repetition's click data by the
+steps of the ``simulate`` stage, for the tests that feed the EM) and
+``wigner_scan`` (a grid map through the package's own simulate-and-reconstruct
+path, for the pipeline tests), the exact
 no-click probabilities and exact Wigner map that no stage needs (both built
 on the package's displaced diagonals), the row-major displacement kernel,
 which reads the package's coefficient table so as to pin the
@@ -34,7 +36,14 @@ from clicktomo.fock import (
     displacement_coefficients,
     displacement_r2,
 )
-from clicktomo.measurement import GAMMA_MATCH_TOL, DetectorPair, no_click_powers, simulate
+from clicktomo.measurement import (
+    GAMMA_MATCH_TOL,
+    ClickArrays,
+    DetectorPair,
+    binomial_counts,
+    forward_model,
+    no_click_powers,
+)
 from clicktomo.wigner import WignerEstimate, reconstruct_clicks, wigner_from_values
 
 
@@ -121,6 +130,21 @@ def _amplitudes(state) -> np.ndarray:
     return amps
 
 
+def simulate(amplitudes, gammas, recipe, trunc, n_runs, seed, repetition, exact, offset=0) -> ClickArrays:
+    """Click data of repetition ``repetition`` at ``gammas`` as the ``simulate`` stage writes it.
+
+    ``measurement.forward_model``'s probabilities, times ``n_runs`` if
+    ``exact``, else drawn by ``measurement.binomial_counts`` from the streams
+    keyed (seed, repetition, offset + index of each group's first point):
+    ``offset`` is the global index of the first point.
+    """
+    g = np.asarray(gammas, dtype=complex).ravel()
+    sched = recipe.build(g)
+    probs, _ = forward_model(amplitudes, g, recipe, trunc)
+    noclick = probs * n_runs if exact else binomial_counts(n_runs, probs, (seed, repetition), offset)
+    return ClickArrays(g, sched.nu_bar, sched.y, noclick, n_runs)
+
+
 def wigner_scan(state, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
     """W on every node of ``grid`` by the CLI's path, ``simulate`` then
     ``reconstruct_clicks``, one value per node of ``grid.flat_gammas()``;
@@ -131,7 +155,7 @@ def wigner_scan(state, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False)
 
 def no_click_probabilities(state, gammas, nu_bar, y, trunc: TruncationConfig) -> np.ndarray:
     """Exact joint no-click probabilities of P points x M settings, clipped to [0, 1]:
-    what ``simulate`` computes before sampling, from the package's public kernels.
+    what ``measurement.forward_model`` computes, from the package's public kernels.
 
     ``state`` is the amplitudes over ``trunc.n_pad`` (or their projector).
     ``nu_bar`` (M,) is shared by every point and ``y`` is (P, M):

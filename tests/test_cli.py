@@ -26,11 +26,10 @@ from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
 from clicktomo.config import analytic_wigner_fn, build_amplitudes, build_recipe, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
-from clicktomo.fock import density_from_pure, fock_state
-from clicktomo.measurement import simulate
+from clicktomo.fock import density_from_pure, displaced_diagonals, fock_state
 from clicktomo.wigner import reconstruct_clicks
 
-from oracles import displaced_diagonal_padded, embedded_config
+from oracles import displaced_diagonal_padded, embedded_config, simulate
 
 SMALL = """
 [state]
@@ -232,7 +231,7 @@ def test_one_click_file_holds_every_repetition(tmp_path, text, digest):
     assert hashlib.sha256((out / "clicks.csv").read_bytes()).hexdigest() == digest
     run_cfg, clicks = io_csv.read_click_csv(out / "clicks.csv")
     gammas = run_cfg.grid.flat_gammas()
-    assert clicks.gammas.tolist() == np.tile(gammas, 3).tolist()
+    assert clicks.gammas.tolist() == gammas.tolist()  # the schedule once, whatever the repetitions
     for rep, counts in enumerate(np.split(clicks.noclick, 3)):
         whole = simulate(
             build_amplitudes(run_cfg), gammas, build_recipe(run_cfg), run_cfg.trunc, run_cfg.n_runs, run_cfg.seed,
@@ -1334,6 +1333,37 @@ def test_reconstruct_reports_failed_points(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_failed_points_are_counted_once_over_the_repetitions(tmp_path, monkeypatch, capsys):
+    # DEGENERATE's 4 points fail in both repetitions, and point 1 of SMALL is made to fail in
+    # repetition 1 alone: a point counts once when its fit fails in any repetition, and its
+    # w_variance is NaN; w_rec is repetition 0's
+    fits = []
+
+    def fail_point_1_in_repetition_1(clicks, *args):
+        w, values, ll, failed = reconstruct_clicks(clicks, *args)
+        fits.append(clicks)
+        if len(fits) == 2:  # one block: the fits run in repetition order
+            w[1], failed[1] = np.nan, True
+        return w, values, ll, failed
+
+    for text, n_failed, n_finite in ((DEGENERATE, 4, 0), (SMALL, 1, 4)):
+        if text is SMALL:
+            monkeypatch.setattr(cli, "reconstruct_clicks", fail_point_1_in_repetition_1)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text + "repetitions = 2\n")
+        out = tmp_path / f"art{n_failed}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"(4 points in 1 block, {n_failed} failed)\n")
+        assert captured.err == f"{n_failed} points failed to reconstruct in at least one of 2 repetitions\n"
+        cols = io_csv.read_wigner_csv(out / "wigner.csv")[2]
+        assert np.isnan(cols["w_variance"]).sum() == n_failed
+        assert np.isfinite(cols["w_rec"]).sum() == n_finite
+    assert len(fits) == 2
+
+
 def test_report_sweep_table_sorted(small_cfg, tmp_path):
     # several runs differing in trials and iterations condense into tidy
     # rows ordered by (n_iterations, n_runs)
@@ -1679,6 +1709,48 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     assert files[0] == files[1] == files[2]
 
 
+@pytest.mark.parametrize("text", [SMALL, EXACT], ids=["sampled", "exact"])
+def test_repetitions_share_each_chunks_forward_model(tmp_path, monkeypatch, text):
+    # 513 points are 2 chunks: every repetition draws from the one probability table of its chunk
+    calls = []
+
+    def counted(amplitudes, gammas):
+        calls.append(len(gammas))
+        return displaced_diagonals(amplitudes, gammas)
+
+    monkeypatch.setattr(measurement, "displaced_diagonals", counted)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(on_grid(text, 27, 19) + "repetitions = 3\n")
+    assert run_stage(["simulate", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
+    assert calls == [256, 257]
+
+
+def test_repetition_0_keeps_the_bits_of_a_run_of_one(tmp_path, monkeypatch, capsys):
+    # one repetition's EM products are at most BLAS_SMALL and two repetitions' are above it: the EM
+    # fits one repetition at a time in the blocks of a run of one repetition, so it never switches
+    # kernel (one batch of both moved 4 of w_rec and 2 of em_final_loglik)
+    text = settings(SMALL, 30).replace("n_iterations = 60", "n_iterations = 5")
+    run_cfg = parse_config(text)
+    n_points = run_cfg.grid.n_points
+    madds = n_points * run_cfg.detectors.n_settings * run_cfg.trunc.n_trunc
+    assert madds <= cli.BLAS_SMALL < 2 * madds
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        maps = []
+        for reps in (1, 2):
+            cfg = tmp_path / f"reps{reps}.ini"
+            cfg.write_text(text + f"repetitions = {reps}\n")
+            out = tmp_path / f"cpus{cpus}" / f"reps{reps}"
+            assert run_stage(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
+            assert f"({n_points} points in {cpus} block" in capsys.readouterr().out
+            maps.append(io_csv.read_wigner_csv(out / "wigner.csv")[2])
+        for name in ("w_rec", "em_final_loglik"):
+            assert maps[1][name].tobytes() == maps[0][name].tobytes()
+        assert np.isfinite(maps[1]["w_variance"]).all()
+
+
 # config, the chunk cuts of simulate for 1, 2 and 3 CPUs alike (the last two make blocks
 # [0, 256) and [256, P)), and the clicks.csv digest, taken before chunks, when each block ran
 # as one batch (re-pinned when click files lost their "# repetition = 0" line)
@@ -1720,12 +1792,12 @@ def fail_at_point(monkeypatch, stage, fault, points=(FAULTY_POINT,)):
     """Make ``stage``'s per-point function call ``fault()`` on a block holding one of ``points``."""
     targets = parse_config(wide(SMALL)).grid.flat_gammas()[list(points)]
     if stage == "simulate":
-        def faulty(amplitudes, gammas, *args, offset=0):
-            if any(offset <= p < offset + len(gammas) for p in points):
+        def faulty(amplitudes, gammas, *args):
+            if np.isin(targets, gammas).any():
                 fault()
-            return simulate(amplitudes, gammas, *args, offset=offset)
+            return measurement.forward_model(amplitudes, gammas, *args)
 
-        monkeypatch.setattr(cli, "simulate", faulty)
+        monkeypatch.setattr(cli, "forward_model", faulty)
     else:
         def faulty(clicks, *args):
             if np.isin(targets, clicks.gammas).any():

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from clicktomo.em import EMConfig
 from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure, displaced_diagonals
-from clicktomo.measurement import DetectorPair, SingleDetectorRecipe, complex_array, derive_settings, simulate
+from clicktomo.measurement import DetectorPair, SingleDetectorRecipe, complex_array, derive_settings
 from clicktomo.wigner import PhaseGrid, WignerEstimate
 from clicktomo.config import (
     analytic_wigner_fn,
@@ -23,7 +23,7 @@ from clicktomo.config import (
 from clicktomo.errors import ConfigError, DataError
 from clicktomo import io_csv
 
-from oracles import embedded_config, indexed_rows_float, point_rows_float
+from oracles import embedded_config, indexed_rows_float, point_rows_float, simulate
 
 
 def write_clicks(path, cfg, clicks):

@@ -16,13 +16,12 @@ from clicktomo.measurement import (
     DualDetectorRecipe,
     derive_settings,
     no_click_powers,
-    simulate,
 )
 from clicktomo import cli
 from clicktomo import em as em_module
 from clicktomo.config import build_amplitudes, build_recipe, load_config
 
-from oracles import em_batch_reference, poisson_pmf
+from oracles import em_batch_reference, poisson_pmf, simulate
 
 CFG = TruncationConfig(12)
 

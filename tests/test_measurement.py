@@ -15,10 +15,15 @@ from clicktomo.measurement import (
     binomial_counts,
     derive_settings,
     homogeneous_efficiencies,
-    simulate,
 )
 
-from oracles import coherent_signal_noclick, dual_detector_schedule, no_click_probabilities, single_detector_schedule
+from oracles import (
+    coherent_signal_noclick,
+    dual_detector_schedule,
+    no_click_probabilities,
+    simulate,
+    single_detector_schedule,
+)
 
 CFG = TruncationConfig(12)
 

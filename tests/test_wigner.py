@@ -12,7 +12,7 @@ from clicktomo.fock import (
     fock_state,
     squeezed_vacuum,
 )
-from clicktomo.measurement import SingleDetectorRecipe, homogeneous_efficiencies, simulate
+from clicktomo.measurement import SingleDetectorRecipe, homogeneous_efficiencies
 from clicktomo.wigner import (
     PhaseGrid,
     WignerEstimate,
@@ -27,7 +27,7 @@ from clicktomo.wigner import (
 from clicktomo.cli import main
 from clicktomo.errors import DataError
 
-from oracles import exact_wigner_map, wigner_scan
+from oracles import exact_wigner_map, simulate, wigner_scan
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
