@@ -30,7 +30,7 @@ from .config import (
 from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
 from .errors import ConfigError, DataError, NumericalError
 from .measurement import binomial_counts, forward_model
-from .wigner import WignerEstimate, delta_w, reconstruct_clicks
+from .wigner import W_BOUND_SLACK, delta_w, reconstruct_clicks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -275,30 +275,36 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_recover_rho(args) -> int:
-    """rho.csv and metrics.json carry the Wigner file's embedded config."""
-    from .recover import compare_states, integrate_rho  # imported here: no other stage needs it
+    """rho.csv and metrics.json carry the Wigner file's embedded config.
+
+    The map's warnings go to stderr; a map with no finite value is a data error before any of them.
+    """
+    from .recover import TRACE_WARN_TOL, compare_states, integrate_rho  # imported here: no other stage needs it
     file_cfg, _, cols = io_csv.read_wigner_csv(args.wigner)
     _run_config(args, args.wigner, file_cfg)
-    n_trunc = file_cfg.trunc.n_trunc
-    estimate = WignerEstimate(file_cfg.grid, cols["w_rec"])
-    if estimate.bound_warning:
-        print(estimate.bound_warning, file=sys.stderr)
-    skipped = int(np.count_nonzero(~np.isfinite(estimate.w_values)))
-    if skipped:
-        print(f"skipping {skipped} non-finite Wigner nodes in the quadrature", file=sys.stderr)
-    recovered = integrate_rho(estimate, n_trunc)
-    if recovered.trace_warning:
-        suspect = "grid coverage or resolution is suspect"
-        print(f"recovered trace {recovered.trace:.4f} is far from 1; {suspect}", file=sys.stderr)
+    w = cols["w_rec"]
+    finite = np.isfinite(w)
+    if not finite.any():
+        raise DataError(f"{args.wigner}: Wigner map holds no finite values")
+    peak = float(np.max(np.abs(w[finite])))
+    if peak > 2.0 / np.pi + W_BOUND_SLACK:
+        print(f"Wigner magnitude {peak:.6f} exceeds 2/pi; leaving values unclamped", file=sys.stderr)
+    if not finite.all():
+        print(f"skipping {np.count_nonzero(~finite)} non-finite Wigner nodes in the quadrature", file=sys.stderr)
+    rho, residual = integrate_rho(file_cfg.grid, w, file_cfg.trunc.n_trunc)
+    trace = float(np.real(np.trace(rho)))
+    trace_warning = abs(trace - 1.0) > TRACE_WARN_TOL
+    if trace_warning:
+        print(f"recovered trace {trace:.4f} is far from 1; grid coverage or resolution is suspect", file=sys.stderr)
 
-    comparison = compare_states(recovered, build_state(file_cfg))
+    comparison = compare_states(rho, build_state(file_cfg).elements)
     out = _out_dir(args)
-    io_csv.write_rho_csv(out / "rho.csv", file_cfg, recovered.elements)
+    io_csv.write_rho_csv(out / "rho.csv", file_cfg, rho)
     metrics = {
-        "trace": recovered.trace,
-        "hermitization_residual": recovered.hermitization_residual,
-        "min_eigenvalue": recovered.min_eigenvalue(),
-        "trace_warning": recovered.trace_warning,
+        "trace": trace,
+        "hermitization_residual": residual,
+        "min_eigenvalue": float(np.linalg.eigvalsh(rho)[0]),
+        "trace_warning": trace_warning,
         "fidelity_vs_configured_state": comparison["fidelity"],
         "max_abs_diff_vs_configured_state": comparison["max_abs_diff"],
         "trace_distance_vs_configured_state": comparison["trace_distance"],

@@ -224,6 +224,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("n_iterations", "seed"):
         if run[key] < 0:
             raise ConfigError(f"[run] {key} must be non-negative")
+    if run["exact_probabilities"] and run["repetitions"] > 1:  # every repetition would get the same counts
+        raise ConfigError(f"[run] exact_probabilities = true takes repetitions = 1, got {run['repetitions']}")
     return RunConfig(state=state, detectors=det, trunc=trunc, grid=grid, **run)
 
 

@@ -15,61 +15,34 @@ exp(-2|gamma|^2), so corners of the grid - exactly where the truncated
 Wigner map is least trustworthy - contribute almost nothing; a test
 quantifies this.
 """
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .fock import DensityMatrix, displacement_coefficients, power_table
-from .wigner import WignerEstimate
+from .errors import NumericalError
+from .fock import displacement_coefficients, power_table
+from .wigner import PhaseGrid
 
 __all__ = [
     "integrate_rho",
     "compare_states",
-    "RecoveredDensity",
 ]
 
 TRACE_WARN_TOL = 0.05
 
 
-class RecoveredDensity(NamedTuple):
-    """Quadrature-recovered matrix with its bookkeeping (compared by identity).
+def integrate_rho(grid: PhaseGrid, w: np.ndarray, n_trunc: int) -> tuple[np.ndarray, float]:
+    """Midpoint quadrature of the map ``w`` (one value per node of ``grid.flat_gammas()``) against
+    the recovery kernel, as one moment matrix over the grid points (see the module docstring)
+    -> (rho, hermitization residual).
 
-    Hermitized after integration; positivity is reported through
-    ``min_eigenvalue`` rather than enforced, so reconstruction error stays
-    visible instead of being projected away.
+    Failed (non-finite) nodes are skipped.  rho is the Hermitized (n_trunc, n_trunc)
+    matrix and the residual is max |raw - raw^H| before that; positivity is left to be
+    reported through the smallest eigenvalue rather than enforced, so reconstruction
+    error stays visible instead of being projected away.  Elements that overflow to a
+    non-finite value (the moments grow like |2 gamma|^(2 n_trunc)) are a NumericalError.
     """
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-    elements: np.ndarray
-    hermitization_residual: float
-    trace_warning: bool = False
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.elements)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.elements)[0])
-
-
-def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
-    """Midpoint quadrature of the Wigner map against the recovery kernel,
-    as one moment matrix over the grid points (see the module docstring).
-
-    Failed (non-finite) nodes are skipped; a trace further than 0.05 from 1
-    sets ``trace_warning`` (grid too small or too coarse) without failing the
-    result.  Elements that overflow to a non-finite value (the moments grow
-    like |2 gamma|^(2 n_trunc)) are a NumericalError.
-    """
-    grid = wigner.grid
     area = grid.d_re * grid.d_im
-    gammas, w = grid.flat_gammas(), wigner.w_values
     good = np.isfinite(w)
-    gammas, w = gammas[good], w[good]
-    if w.size == 0:
-        raise DataError("Wigner map holds no finite values")
-
+    gammas, w = grid.flat_gammas()[good], w[good]
     b = 2.0 * gammas
     coeff = displacement_coefficients(n_trunc)
     raw = np.zeros((n_trunc, n_trunc), dtype=complex)
@@ -84,16 +57,7 @@ def integrate_rho(wigner: WignerEstimate, n_trunc: int) -> RecoveredDensity:
         raw *= 2.0 * area * (-1.0) ** np.arange(n_trunc)
     if not np.isfinite(raw).all():
         raise NumericalError(f"the quadrature at n_trunc = {n_trunc} left elements of rho that are not finite")
-    residual = float(np.max(np.abs(raw - raw.conj().T)))
-    sym = 0.5 * (raw + raw.conj().T)
-    trace = float(np.real(np.trace(sym)))
-    return RecoveredDensity(sym, residual, abs(trace - 1.0) > TRACE_WARN_TOL)
-
-
-def _as_matrix(state) -> np.ndarray:
-    if isinstance(state, (DensityMatrix, RecoveredDensity)):
-        return np.asarray(state.elements)
-    return np.asarray(state, dtype=complex)
+    return 0.5 * (raw + raw.conj().T), float(np.max(np.abs(raw - raw.conj().T)))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -103,14 +67,12 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def compare_states(a, b) -> dict[str, float]:
-    """``max_abs_diff`` (elementwise), ``trace_distance`` and ``fidelity`` (Uhlmann) of two states.
+def compare_states(ma: np.ndarray, mb: np.ndarray) -> dict[str, float]:
+    """``max_abs_diff`` (elementwise), ``trace_distance`` and ``fidelity`` (Uhlmann) of two density matrices.
 
-    Inputs may be DensityMatrix, RecoveredDensity or bare arrays; negative
-    eigenvalues from reconstruction noise are clipped inside the fidelity
-    only.
+    Negative eigenvalues from reconstruction noise are clipped inside the
+    fidelity only.
     """
-    ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     diff = ma - mb

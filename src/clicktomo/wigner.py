@@ -18,7 +18,6 @@ from .measurement import ClickArrays, complex_array
 
 __all__ = [
     "PhaseGrid",
-    "WignerEstimate",
     "wigner_from_values",
     "reconstruct_clicks",
     "delta_w",
@@ -27,7 +26,7 @@ __all__ = [
     "fock_wigner",
 ]
 
-W_BOUND_SLACK = 1e-6
+W_BOUND_SLACK = 1e-6  # |W| <= 2/pi holds for every state; recover-rho warns above this slack
 
 
 class _Grid(NamedTuple):  # PhaseGrid's fields: a NamedTuple body may not define __new__
@@ -75,29 +74,6 @@ class PhaseGrid(_Grid):
     def flat_gammas(self) -> np.ndarray:
         """The (n_points,) complex nodes, row-major in (im, re): re runs fastest."""
         return complex_array(np.tile(self.re_centers, self.n_im), np.repeat(self.im_centers, self.n_re))
-
-
-class WignerEstimate(NamedTuple("WignerEstimate", [("grid", PhaseGrid), ("w_values", np.ndarray)])):
-    """A Wigner map on its grid, one value per node of ``grid.flat_gammas()`` (compared by identity)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-    def __new__(cls, grid: PhaseGrid, w_values: np.ndarray):
-        w = np.asarray(w_values, dtype=float)
-        if w.shape != (grid.n_points,):
-            raise ValueError(f"w_values shape {w.shape} does not match the grid")
-        return super().__new__(cls, grid, w)
-
-    @property
-    def bound_warning(self) -> str | None:
-        """The warning for a finite |W| above 2/pi, which is left unclamped; None within the bound."""
-        finite = self.w_values[np.isfinite(self.w_values)]
-        peak = float(np.max(np.abs(finite))) if finite.size else 0.0
-        if peak > 2.0 / math.pi + W_BOUND_SLACK:
-            return f"Wigner magnitude {peak:.6f} exceeds 2/pi; leaving values unclamped"
-        return None
 
 
 def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":

@@ -1,10 +1,11 @@
-"""sha256 of every file the CLI chain writes, to compare two trees byte for byte.
+"""sha256 of every file and every stage's stderr of the CLI chain, to compare two trees byte for byte.
 
 For each config, seed and CPU count, runs ``simulate -> reconstruct -> recover-rho``
 in process through ``cli.main``, with ``cli._cpu_count`` patched to the CPU count so
 that each stage splits its points into that many forked blocks, and prints one JSON
-object ``{"<config>/seed<s>/cpus<c>/<file>": "<sha256>"}``.  Comparing two trees is
-one diff of two runs, each with its own ``src`` on the path:
+object ``{"<config>/seed<s>/cpus<c>/<file>": "<sha256>"}``, where a stage's stderr is
+the file ``<stage>.stderr``, so a reworded or dropped warning shows in the same diff.
+Comparing two trees is one diff of two runs, each with its own ``src`` on the path:
 
     PYTHONPATH=src python tests/chain_digests.py --seeds 1 2 3 --cpus 1 2 3 > digests.json
 
@@ -30,41 +31,50 @@ CONFIGS = (
     "bench/configs/fock_em_long.ini",
 )
 OUTPUTS = ("clicks.csv", "wigner.csv", "rho.csv", "metrics.json")
+STAGES = ("simulate", "reconstruct", "recover-rho")
 
 
-def file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def run_chain(config: Path, seed: int, cpus: int, out: Path) -> None:
-    """The three stages on ``config`` at ``seed``, each split for ``cpus`` CPUs, writing into ``out``."""
+def run_chain(config: Path, seed: int, cpus: int, out: Path) -> dict[str, str]:
+    """The three stages on ``config`` at ``seed``, each split for ``cpus`` CPUs, writing into ``out``
+    -> each stage's stderr."""
     stages = [
         ["simulate", "--config", str(config), "--seed", str(seed)],
         ["reconstruct", "--records", str(out / "clicks.csv")],
         ["recover-rho", "--wigner", str(out / "wigner.csv")],
     ]
+    stderr = {}
     cpu_count = cli._cpu_count
     cli._cpu_count = lambda: cpus
     try:
         for argv in stages:
-            with contextlib.redirect_stdout(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main([*argv, "--out", str(out)])
             if code:
-                raise RuntimeError(f"{argv[0]} exited {code} on {config} at seed {seed} and {cpus} CPUs")
+                where = f"on {config} at seed {seed} and {cpus} CPUs"
+                raise RuntimeError(f"{argv[0]} exited {code} {where}: {err.getvalue()}")
+            stderr[argv[0]] = err.getvalue()
     finally:
         cli._cpu_count = cpu_count
+    return stderr
 
 
 def chain_digests(configs, seeds, cpus_list, workdir: Path) -> dict[str, str]:
-    """``{"<config stem>/seed<s>/cpus<c>/<file>": sha256}`` over every config, seed and CPU count."""
+    """``{"<config stem>/seed<s>/cpus<c>/<file>": sha256}`` over every config, seed and CPU count,
+    the files being the OUTPUTS and each stage's ``<stage>.stderr``."""
     digests = {}
     for config in map(Path, configs):
         for seed in seeds:
             for cpus in cpus_list:
                 out = workdir / config.stem / f"seed{seed}" / f"cpus{cpus}"
-                run_chain(config, seed, cpus, out)
-                for name in OUTPUTS:
-                    digests[f"{config.stem}/seed{seed}/cpus{cpus}/{name}"] = file_digest(out / name)
+                stderr = run_chain(config, seed, cpus, out)
+                key = f"{config.stem}/seed{seed}/cpus{cpus}"
+                digests.update({f"{key}/{name}": digest((out / name).read_bytes()) for name in OUTPUTS})
+                digests.update({f"{key}/{stage}.stderr": digest(text.encode()) for stage, text in stderr.items()})
     return digests
 
 

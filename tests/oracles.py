@@ -44,7 +44,7 @@ from clicktomo.measurement import (
     forward_model,
     no_click_powers,
 )
-from clicktomo.wigner import WignerEstimate, reconstruct_clicks, wigner_from_values
+from clicktomo.wigner import reconstruct_clicks, wigner_from_values
 
 
 def displacement_expm(gamma: complex, dim: int) -> np.ndarray:
@@ -167,11 +167,11 @@ def no_click_probabilities(state, gammas, nu_bar, y, trunc: TruncationConfig) ->
     return np.clip(np.exp(np.asarray(y, dtype=float)) * (diag @ powers.T), 0.0, 1.0)
 
 
-def exact_wigner_map(state, grid, trunc: TruncationConfig) -> WignerEstimate:
-    """The truncated Wigner map read off exact displaced diagonals: the ideal
-    limit of the exact-probability pipeline, with no EM."""
+def exact_wigner_map(state, grid, trunc: TruncationConfig) -> np.ndarray:
+    """The (P,) truncated Wigner map on ``grid.flat_gammas()``, read off exact displaced
+    diagonals: the ideal limit of the exact-probability pipeline, with no EM."""
     diag = displaced_diagonals(_amplitudes(state), grid.flat_gammas())
-    return WignerEstimate(grid, wigner_from_values(diag[:, : trunc.n_trunc]))
+    return wigner_from_values(diag[:, : trunc.n_trunc])
 
 
 def embedded_config(path) -> str:

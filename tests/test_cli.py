@@ -27,7 +27,7 @@ from clicktomo.cli import main
 from clicktomo.config import analytic_wigner_fn, build_amplitudes, build_recipe, dump_config, parse_config
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.fock import density_from_pure, displaced_diagonals, fock_state
-from clicktomo.wigner import reconstruct_clicks
+from clicktomo.wigner import W_BOUND_SLACK, reconstruct_clicks
 
 from oracles import displaced_diagonal_padded, embedded_config, simulate
 
@@ -214,10 +214,10 @@ def test_reconstruct_variance_from_repetitions(small_cfg, tmp_path):
 
 # sha256 of the clicks.csv of SMALL at repetitions = 3: the three files clicks_rep{k}.csv
 # that simulate wrote while each repetition had its own file, joined (each repetition's
-# rows after the first file's header, without its "# repetition = 0" line)
+# rows after the first file's header, without its "# repetition = 0" line); exact mode
+# takes one repetition
 REPETITION_DIGESTS = {
     "sampled": (SMALL, "3c4baef0da0b4642fc4b6ea78289eef848479afaf235f0dfb2d23ee77c0c1d73"),
-    "exact": (EXACT, "9e4d2f80ce6709e0a93c6e12e39312bd2fa936d1ba457e5a8bc6cfd7e11ec417"),
 }
 
 
@@ -329,21 +329,57 @@ def small_wigner(tmp_path_factory):
     return out / "wigner.csv"
 
 
-def test_recover_rho_prints_its_warnings_on_stderr(small_wigner, tmp_path, capsys):
-    cfg, _, cols = io_csv.read_wigner_csv(small_wigner)
-    w_rec = cols["w_rec"].copy()
-    w_rec[1], w_rec[2] = np.nan, 0.9
+# SMALL's coherent state on a 30 x 30 grid over [-3, 3]^2: its analytic map integrates to trace 1 within 1e-3
+CLEAN_MAP = SMALL.replace(
+    "re_min = -0.5\nre_max = 1.5\nim_min = -1.0\nim_max = 1.0\nn_re = 2\nn_im = 2",
+    "re_min = -3.0\nre_max = 3.0\nim_min = -3.0\nim_max = 3.0\nn_re = 30\nn_im = 30",
+)
+W_BOUND = 2.0 / np.pi + W_BOUND_SLACK  # |W| above it is a warning
+
+
+def _peak_at(value):
+    def edit(w):
+        w[np.argmax(w)] = value
+
+    return edit
+
+
+def _bound_nodes_and_trace(w):
+    w[::2], w[1] = np.nan, 0.9  # half the nodes lost: the trace falls far from 1
+
+
+# an edit of CLEAN_MAP's w_rec -> the lines recover-rho prints on stderr, {trace} from metrics.json
+RECOVER_RHO_WARNINGS = {
+    "clean": (lambda w: None, []),
+    "peak_at_the_bound": (_peak_at(W_BOUND), []),
+    "peak_above_the_bound": (
+        _peak_at(np.nextafter(W_BOUND, np.inf)),
+        ["Wigner magnitude 0.636621 exceeds 2/pi; leaving values unclamped"],
+    ),
+    "bound_nodes_and_trace": (
+        _bound_nodes_and_trace,
+        [
+            "Wigner magnitude 0.900000 exceeds 2/pi; leaving values unclamped",
+            "skipping 450 non-finite Wigner nodes in the quadrature",
+            "recovered trace {trace:.4f} is far from 1; grid coverage or resolution is suspect",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, lines", RECOVER_RHO_WARNINGS.values(), ids=RECOVER_RHO_WARNINGS.keys())
+def test_recover_rho_prints_its_warnings_on_stderr(tmp_path, capsys, edit, lines):
+    cfg = parse_config(CLEAN_MAP)
+    w_exact = analytic_wigner_fn(cfg)(cfg.grid.flat_gammas())
+    w_rec = w_exact.copy()
+    edit(w_rec)
     path = tmp_path / "wigner.csv"
-    io_csv.write_wigner_csv(path, cfg, w_rec, cols["w_exact"], cols["em_final_loglik"])
+    io_csv.write_wigner_csv(path, cfg, w_rec, w_exact, np.zeros(cfg.grid.n_points))
     capsys.readouterr()
     assert main(["recover-rho", "--wigner", str(path), "--out", str(tmp_path)]) == 0
-    trace = json.loads((tmp_path / "metrics.json").read_text())["trace"]
-    assert abs(trace - 1.0) > 0.05
-    assert capsys.readouterr().err.splitlines() == [
-        "Wigner magnitude 0.900000 exceeds 2/pi; leaving values unclamped",
-        "skipping 1 non-finite Wigner nodes in the quadrature",
-        f"recovered trace {trace:.4f} is far from 1; grid coverage or resolution is suspect",
-    ]
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert capsys.readouterr().err.splitlines() == [line.format(trace=metrics["trace"]) for line in lines]
+    assert metrics["trace_warning"] == (abs(metrics["trace"] - 1.0) > recover.TRACE_WARN_TOL) == (len(lines) == 3)
 
 
 # route -> (arguments, the path at fault, exit code)
@@ -629,6 +665,11 @@ RUNS_THAT_DO_NOT_FIT = {
         ("seed = 5", "seed = 5\nanalytic_reference = true"),
         "config error: unknown key 'analytic_reference' in section [run]",
     ),
+    # expected counts are the same in every repetition
+    "exact_repetitions": (
+        ("seed = 5", "seed = 5\nexact_probabilities = true\nrepetitions = 2"),
+        "config error: [run] exact_probabilities = true takes repetitions = 1, got 2",
+    ),
 }
 
 
@@ -789,6 +830,10 @@ HEADERS_THAT_DO_NOT_BUILD = {
     "power_tables": (
         lambda head, body: _header("n_pad", 2048)(*_header("re_max", 2.5)(head, body)),
         "embedded config: [grid] |gamma| = 1.82003 at gamma = (1.75-0.5j) overflows the power tables of n_pad = 2048",
+    ),
+    "exact_repetitions": (
+        lambda head, body: _header("exact_probabilities", "true")(*_header("repetitions", 2)(head, body)),
+        "embedded config: [run] exact_probabilities = true takes repetitions = 1, got 2",
     ),
 }
 
@@ -999,7 +1044,8 @@ def test_recover_rho_compares_a_state_the_block_leaves_empty():
     empty = density_from_pure(fock_state(12, trunc)[:12])
     assert not empty.elements.any()
     vacuum = density_from_pure(fock_state(0, trunc)[:12])
-    assert recover.compare_states(vacuum, empty) == {"max_abs_diff": 1.0, "trace_distance": 0.5, "fidelity": 0.0}
+    comparison = recover.compare_states(vacuum.elements, empty.elements)
+    assert comparison == {"max_abs_diff": 1.0, "trace_distance": 0.5, "fidelity": 0.0}
 
 
 def test_process_entry_writes_the_bytes_of_the_in_process_chain(small_cfg, tmp_path):
@@ -1333,8 +1379,22 @@ def test_reconstruct_reports_failed_points(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_recover_rho_on_a_map_with_no_finite_value_is_one_data_error(tmp_path, capsys):
+    # reconstruct fails all of DEGENERATE's 4 points and still writes their map, all NaN
+    cfg = tmp_path / "deg.ini"
+    cfg.write_text(DEGENERATE)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["reconstruct", "--records", str(tmp_path / "clicks.csv"), "--out", str(tmp_path)]) == 4
+    wigner = tmp_path / "wigner.csv"
+    assert not np.isfinite(io_csv.read_wigner_csv(wigner)[2]["w_rec"]).any()
+    capsys.readouterr()
+    assert main(["recover-rho", "--wigner", str(wigner), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"data error: {wigner}: Wigner map holds no finite values\n"
+    assert not (tmp_path / "rho.csv").exists() and not (tmp_path / "metrics.json").exists()
+
+
 def test_failed_points_are_counted_once_over_the_repetitions(tmp_path, monkeypatch, capsys):
-    # DEGENERATE's 4 points fail in both repetitions, and point 1 of SMALL is made to fail in
+    # sampled DEGENERATE's 4 points fail in both repetitions, and point 1 of SMALL is made to fail in
     # repetition 1 alone: a point counts once when its fit fails in any repetition, and its
     # w_variance is NaN; w_rec is repetition 0's
     fits = []
@@ -1346,7 +1406,8 @@ def test_failed_points_are_counted_once_over_the_repetitions(tmp_path, monkeypat
             w[1], failed[1] = np.nan, True
         return w, values, ll, failed
 
-    for text, n_failed, n_finite in ((DEGENERATE, 4, 0), (SMALL, 1, 4)):
+    sampled = DEGENERATE.replace("exact_probabilities = true", "exact_probabilities = false")
+    for text, n_failed, n_finite in ((sampled, 4, 0), (SMALL, 1, 4)):
         if text is SMALL:
             monkeypatch.setattr(cli, "reconstruct_clicks", fail_point_1_in_repetition_1)
         cfg = tmp_path / "run.ini"
@@ -1681,8 +1742,9 @@ def test_chain_digests_agree_across_cpu_counts(tmp_path, capsys):
     cfg.write_text(wide(SMALL))
     assert chain_digests.main(["--configs", str(cfg), "--seeds", "5", "--cpus", "1", "2"]) == 0
     digests = json.loads(capsys.readouterr().out)
-    assert len(digests) == 2 * len(chain_digests.OUTPUTS)
-    for name in chain_digests.OUTPUTS:
+    names = [*chain_digests.OUTPUTS, *(f"{stage}.stderr" for stage in chain_digests.STAGES)]
+    assert len(digests) == 2 * len(names) == 14
+    for name in names:
         assert digests[f"small/seed5/cpus1/{name}"] == digests[f"small/seed5/cpus2/{name}"]
 
 
@@ -1709,8 +1771,7 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
     assert files[0] == files[1] == files[2]
 
 
-@pytest.mark.parametrize("text", [SMALL, EXACT], ids=["sampled", "exact"])
-def test_repetitions_share_each_chunks_forward_model(tmp_path, monkeypatch, text):
+def test_repetitions_share_each_chunks_forward_model(tmp_path, monkeypatch):
     # 513 points are 2 chunks: every repetition draws from the one probability table of its chunk
     calls = []
 
@@ -1721,7 +1782,7 @@ def test_repetitions_share_each_chunks_forward_model(tmp_path, monkeypatch, text
     monkeypatch.setattr(measurement, "displaced_diagonals", counted)
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(on_grid(text, 27, 19) + "repetitions = 3\n")
+    cfg.write_text(on_grid(SMALL, 27, 19) + "repetitions = 3\n")
     assert run_stage(["simulate", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0
     assert calls == [256, 257]
 

@@ -15,7 +15,6 @@ from clicktomo.fock import (
 from clicktomo.measurement import SingleDetectorRecipe, homogeneous_efficiencies
 from clicktomo.wigner import (
     PhaseGrid,
-    WignerEstimate,
     coherent_wigner,
     delta_w,
     fock_wigner,
@@ -291,10 +290,10 @@ repetitions = {repetitions}
 """
 
 
-def reconstructed_variance(tmp_path, repetitions, exact=False):
+def reconstructed_variance(tmp_path, repetitions):
     """The ``w_variance`` column that ``reconstruct`` writes over every repetition of REP_RUN."""
     cfg = tmp_path / "rep.ini"
-    cfg.write_text(REP_RUN.format(repetitions=repetitions) + f"exact_probabilities = {exact}\n")
+    cfg.write_text(REP_RUN.format(repetitions=repetitions))
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == ["clicks.csv"]
@@ -304,9 +303,6 @@ def reconstructed_variance(tmp_path, repetitions, exact=False):
 
 class TestVarianceMap:
     # the variance map is the w_variance column of ``reconstruct`` over repetitions
-    def test_exact_mode_is_zero(self, tmp_path):
-        assert np.all(reconstructed_variance(tmp_path, 2, exact=True) == 0.0)
-
     def test_two_repetitions_equal_half_difference_squared(self, tmp_path):
         state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
@@ -324,7 +320,7 @@ class TestVarianceMap:
 
 def truncation_error(state, grid, trunc, reference):
     """|W_reference - W_truncated| per node, W_truncated being ``exact_wigner_map``."""
-    return np.abs(reference - exact_wigner_map(state, grid, trunc).w_values)
+    return np.abs(reference - exact_wigner_map(state, grid, trunc))
 
 
 class TestTruncationErrorMap:
@@ -354,31 +350,16 @@ class TestTruncationErrorMap:
         # the map over the whole working dimension stands in for the analytic one
         state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-1.2, 2.5, -1.2, 2.5, 5, 5)
-        padded = exact_wigner_map(state, grid, TruncationConfig(CFG.n_pad, CFG.n_pad)).w_values
+        padded = exact_wigner_map(state, grid, TruncationConfig(CFG.n_pad, CFG.n_pad))
         numeric = truncation_error(state, grid, CFG, padded)
         analytic = truncation_error(state, grid, CFG, coherent_wigner(1.0)(grid.flat_gammas()))
         np.testing.assert_allclose(numeric, analytic, atol=1e-6)
-
-
-class TestWignerEstimate:
-    def test_one_value_per_node(self):
-        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
-        assert WignerEstimate(grid, np.zeros(6)).w_values.shape == (6,)
-        with pytest.raises(ValueError, match="does not match the grid"):
-            WignerEstimate(grid, np.zeros((2, 3)))
-
-    def test_warns_above_two_over_pi(self):
-        grid = PhaseGrid(-1.0, 1.0, -1.0, 1.0, 3, 2)
-        assert WignerEstimate(grid, np.full(6, 0.5)).bound_warning is None
-        above = WignerEstimate(grid, np.full(6, 0.7))
-        assert above.bound_warning == "Wigner magnitude 0.700000 exceeds 2/pi; leaving values unclamped"
-        assert np.all(above.w_values == 0.7)
 
 
 class TestExactWignerMap:
     def test_matches_pointwise_evaluation(self):
         state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 3, 2)
-        est = exact_wigner_map(state, grid, CFG)
+        w = exact_wigner_map(state, grid, CFG)
         for k, g in enumerate(grid.flat_gammas()):
-            assert est.w_values[k] == pytest.approx(wigner_exact(state, g, CFG), abs=1e-14)
+            assert w[k] == pytest.approx(wigner_exact(state, g, CFG), abs=1e-14)
