@@ -27,10 +27,10 @@ from .config import (
     dump_config,
     load_config,
 )
-from .em import EMConfig, run_em_batch  # noqa: F401  (bench/tests patch run_em_batch through this module)
+from .em import run_em_batch  # looked up here at each call: bench/tests patch it through this module
 from .errors import ConfigError, DataError, NumericalError
 from .measurement import binomial_counts, forward_model
-from .wigner import W_BOUND_SLACK, delta_w, reconstruct_clicks
+from .wigner import W_BOUND_SLACK, delta_w, wigner_from_values
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,27 +243,35 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     """Fit each repetition's P points in the blocks a run of one repetition takes, one repetition at a time.
 
-    ``w_rec`` and ``em_final_loglik`` are repetition 0's, with the bits of a run of one repetition,
-    and ``w_variance`` is the variance over the R repetitions' maps (NaN for R = 1).  A point
-    failed when its fit failed in any repetition; the summary and the error line count such
-    points.  The wigner.csv header is the click file's embedded config with ``--config``'s
-    ``n_iterations``.
+    Each block builds its own points' schedule from the header.  ``w_rec`` and ``em_final_loglik``
+    are repetition 0's, with the bits of a run of one repetition, and ``w_variance`` is the
+    variance over the R repetitions' maps (NaN for R = 1).  A point failed when its fit failed
+    in any repetition; the summary and the error line count such points, whose W is NaN.  The
+    wigner.csv header is the click file's embedded config with ``--config``'s ``n_iterations``.
     """
-    file_cfg, clicks = io_csv.read_click_csv(args.records)
+    file_cfg, noclick = io_csv.read_click_csv(args.records)
     header = _run_config(args, args.records, file_cfg)
-    em_cfg = EMConfig(n_iterations=header.n_iterations)
-    n_trunc, n_points, n_reps = header.trunc.n_trunc, header.grid.n_points, header.repetitions
-    counts = clicks.noclick.reshape(n_reps, n_points, -1)  # counts[rep]: repetition rep's rows, a view
-    blocks = _blocks(n_points, clicks.nu_bar.size * n_trunc)
+    recipe, gammas = build_recipe(header), header.grid.flat_gammas()
+    n_trunc, n_points, n_reps, n_runs = header.trunc.n_trunc, gammas.size, header.repetitions, header.n_runs
+    counts = noclick.reshape(n_reps, n_points, -1)  # counts[rep]: repetition rep's rows, a view
+    blocks = _blocks(n_points, counts.shape[2] * n_trunc)
 
     def run_block(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        block = clicks._replace(gammas=clicks.gammas[b], y=clicks.y[b])
-        w, _, ll, failed = zip(*(reconstruct_clicks(block._replace(noclick=rep[b]), n_trunc, em_cfg) for rep in counts))
-        return w[0], ll[0], np.any(failed, axis=0), np.var(w, axis=0)
+        try:
+            sched = recipe.build(gammas[b])
+        except ValueError as exc:
+            raise DataError(f"{args.records}: embedded config declares no valid schedule: {exc}") from exc
+        ey = np.exp(sched.y)
+        fits = [
+            run_em_batch(rep[b] / n_runs, sched.nu_bar, ey, n_trunc, header.n_iterations, noclick=rep[b], n_runs=n_runs)
+            for rep in counts
+        ]
+        w = [np.where(failed, np.nan, wigner_from_values(values)) for values, _, failed in fits]
+        return w[0], fits[0][1], np.any([failed for _, _, failed in fits], axis=0), np.var(w, axis=0)
 
     w, ll, failed, w_var = (np.concatenate(arrays) for arrays in zip(*_map_blocks(run_block, blocks)))
     n_failed = int(failed.sum())
-    w_exact = analytic_wigner_fn(header)(header.grid.flat_gammas())
+    w_exact = analytic_wigner_fn(header)(gammas)
     out = _out_dir(args)
     io_csv.write_wigner_csv(out / "wigner.csv", header, w, w_exact, ll, w_var if n_reps > 1 else None)
     print(f"wrote {out / 'wigner.csv'} ({n_points} points in {_blocks_text(blocks)}, {n_failed} failed)")

@@ -38,34 +38,16 @@ The loop runs a fixed number of steps; the result holds each point's
 values, final log-likelihood and whether it failed.
 """
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .measurement import no_click_powers
 
 __all__ = [
-    "EMConfig",
     "run_em_batch",
 ]
 
 FLOOR = 1e-12  # forward probabilities are clamped here; a point all under it fails
-
-
-class EMConfig(NamedTuple("EMConfig", [("n_iterations", int), ("init", tuple | None)])):
-    """Iteration count and initial vector (a tuple of floats, or None: uniform 1/N)."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
-
-    def __new__(cls, n_iterations: int = 1000, init=None):
-        if n_iterations < 0:
-            raise ValueError("n_iterations must be non-negative")
-        if init is not None:
-            arr = np.asarray(init, dtype=float)
-            if arr.ndim != 1 or np.any(arr <= 0.0):
-                raise ValueError("custom init must be a strictly positive vector")
-        return super().__new__(cls, n_iterations, init)
 
 
 def _loglik_rows(p: np.ndarray, noclick: np.ndarray, n_runs: "int | np.ndarray") -> np.ndarray:
@@ -83,11 +65,13 @@ def _aligned(shape: tuple, value) -> np.ndarray:
     return out
 
 
-def _start(cfg: EMConfig, n_trunc: int, p_count: int) -> np.ndarray:
+def _start(init, n_trunc: int, p_count: int) -> np.ndarray:
     """The initial iterate, component-major (N, P): the faster layout for both GEMMs."""
-    if cfg.init is None:
+    if init is None:
         return _aligned((n_trunc, p_count), 1.0 / n_trunc)
-    init = np.asarray(cfg.init, dtype=float)
+    init = np.asarray(init, dtype=float)
+    if init.ndim != 1 or not np.all(np.isfinite(init) & (init > 0.0)):
+        raise ValueError("custom init must be a strictly positive finite vector")
     if init.size != n_trunc:
         raise ValueError(f"init length {init.size} != n_trunc {n_trunc}")
     return _aligned((n_trunc, p_count), init[:, None])
@@ -109,7 +93,8 @@ def run_em_batch(
     nu_bar: np.ndarray,
     ey: np.ndarray,
     n_trunc: int,
-    cfg: EMConfig,
+    n_iterations: int,
+    init=None,
     noclick: np.ndarray | None = None,
     n_runs: "int | np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,7 +105,9 @@ def run_em_batch(
         nu_bar: (M,) effective efficiencies, shared across rows.
         ey: (P, M) attenuation factors e^{y} per point and setting.
         n_trunc: model dimension N; requires M >= N.
-        cfg: iteration configuration.
+        n_iterations: steps to run, >= 0.
+        init: (N,) strictly positive finite start, returned as given by zero steps;
+            None starts every point at uniform 1/N.
         noclick / n_runs: (P, M) counts and their runs (scalar or (P, M)) for
             the likelihood; frequencies are used with unit weight when omitted.
 
@@ -129,6 +116,8 @@ def run_em_batch(
         whose forward probabilities all collapse under the floor are marked
         failed and carry NaN values instead of raising, so the other rows run on.
     """
+    if n_iterations < 0:
+        raise ValueError("n_iterations must be non-negative")
     freqs = np.asarray(freqs, dtype=float)
     p_count, m = freqs.shape
     if m < n_trunc:
@@ -138,7 +127,7 @@ def run_em_batch(
     if noclick is None or n_runs is None:
         noclick, n_runs = freqs, 1
 
-    r = _start(cfg, n_trunc, p_count)
+    r = _start(init, n_trunc, p_count)
 
     # A step is r * W'(G / q) with q = A r, G = F / e^y and W' the weighted
     # kernel over the sensitivity (zero for a component no setting sees).
@@ -164,7 +153,7 @@ def run_em_batch(
     # a bare step on a zero iterate divides 0 by 0 (the final normalization fails the point),
     # and a floor over a vanishing e^y may overflow to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(cfg.n_iterations):
+        for step in range(n_iterations):
             matmul(a, r, q)
             if guarded.size:
                 q_g = q[:, cols]
@@ -184,7 +173,7 @@ def run_em_batch(
             divide(scaled_freqs, q, q)
             matmul(back, q, gain)
             multiply(r, gain, r)
-        if cfg.n_iterations > 0:  # zero iterations return init as given
+        if n_iterations > 0:  # zero iterations return init as given
             sums = r.sum(axis=0)
             dead = ~failed & ~(sums > 0.0)  # a vanished iterate fails (NaN)
             failed |= dead

@@ -7,13 +7,13 @@ Floating-point fields use 17 significant digits and round-trip bit-for-bit.
 A click file (``# format = 3``) stores one ``point_index,n_noclick_0,...``
 row per point and repetition, repetition-major, each repetition's points
 numbered from 0: the no-click counts of its M settings.  The embedded config is
-the authority for everything else, and the reader rebuilds the settings from it.
+the authority for everything else: ``reconstruct`` rebuilds the settings from it.
 """
 import numpy as np
 
 from .config import MAX_RUNS, RunConfig, build_amplitudes, build_recipe, dump_config, parse_config
 from .errors import ConfigError, DataError
-from .measurement import ClickArrays, complex_array
+from .measurement import complex_array
 
 __all__ = [
     "click_columns",
@@ -171,10 +171,10 @@ def _check_order(path, i: np.ndarray, j: np.ndarray, n_i: int, n_j: int, order: 
         raise DataError(f"{path}: row {k + 1}: {'missing' if k < n_i * n_j else 'extra'} in {order}")
 
 
-def read_click_csv(path) -> tuple[RunConfig, ClickArrays]:
-    """Read a format-3 click file: R x P rows, repetition-major, for the embedded config's
-    R repetitions of P points; every field but the counts comes from that config, and
-    the schedule is the P points' once, whatever R."""
+def read_click_csv(path) -> tuple[RunConfig, np.ndarray]:
+    """Read a format-3 click file -> (embedded config, (R * P, M) no-click counts): R x P rows,
+    repetition-major, for the embedded config's R repetitions of P points; every field but the
+    counts comes from that config."""
     cfg, data = _read_table(path, click_columns, CLICK_FORMAT)
     p, n_reps = cfg.grid.n_points, cfg.repetitions
     point = _integers(path, data[:, 0], "point_index")
@@ -184,12 +184,7 @@ def read_click_csv(path) -> tuple[RunConfig, ClickArrays]:
     _reject(path, ~((noclick >= 0.0) & (noclick <= cfg.n_runs)).all(axis=1), "n_noclick outside [0, n_runs]")
     if not cfg.exact_probabilities:
         _reject(path, (noclick != np.trunc(noclick)).any(axis=1), "n_noclick of a sampled run must be an integer")
-    gammas = cfg.grid.flat_gammas()
-    try:
-        sched = build_recipe(cfg).build(gammas)
-    except ValueError as exc:
-        raise DataError(f"{path}: embedded config declares no valid schedule: {exc}") from exc
-    return cfg, ClickArrays(gammas, sched.nu_bar, sched.y, noclick, cfg.n_runs)
+    return cfg, noclick
 
 
 def write_wigner_csv(

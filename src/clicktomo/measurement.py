@@ -30,7 +30,6 @@ __all__ = [
     "Schedule",
     "derive_settings",
     "homogeneous_efficiencies",
-    "ClickArrays",
     "no_click_powers",
     "binomial_counts",
     "forward_model",
@@ -164,23 +163,6 @@ def homogeneous_efficiencies(count: int, lo: float = 0.1, hi: float = 0.9) -> tu
 
 
 Recipe = SingleDetectorRecipe | DualDetectorRecipe
-
-
-class ClickArrays(NamedTuple):
-    """Click data of P points x M settings: ``gammas`` (P,), ``nu_bar`` (M,), ``y`` (P, M) and ``noclick``.
-
-    ``noclick`` is (R * P, M): the counts of R repetitions of the P points,
-    repetition-major.  Sampled counts are the int64 that were drawn; in exact
-    mode ``noclick`` holds the expected counts ``p * n_runs``.  Compared by
-    identity.
-    """
-
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-    gammas: np.ndarray
-    nu_bar: np.ndarray
-    y: np.ndarray
-    noclick: np.ndarray
-    n_runs: int
 
 
 def complex_array(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Phase-plane grid, Wigner read-off, map error and reference maps.
 
-``reconstruct_clicks`` runs the batched EM on every point of a click table
-and reads W(gamma) = (2/pi) sum_n (-1)^n R_n off each displaced diagonal.
-Cell-centered nodes with the spacing recorded on the grid let the
-density-matrix recovery reuse the same grid as a midpoint quadrature rule.
+``wigner_from_values`` reads W(gamma) = (2/pi) sum_n (-1)^n R_n off each
+displaced diagonal the EM fits.  Cell-centered nodes with the spacing
+recorded on the grid let the density-matrix recovery reuse the same grid as
+a midpoint quadrature rule.
 ``delta_w`` is the mean absolute deviation between two maps; the analytic
 Wigner functions are the reference it is measured against.
 """
@@ -12,14 +12,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .em import EMConfig, run_em_batch
 from .errors import DataError
-from .measurement import ClickArrays, complex_array
+from .measurement import complex_array
 
 __all__ = [
     "PhaseGrid",
     "wigner_from_values",
-    "reconstruct_clicks",
     "delta_w",
     "coherent_wigner",
     "squeezed_wigner",
@@ -81,20 +79,6 @@ def wigner_from_values(values: np.ndarray) -> "float | np.ndarray":
     values = np.asarray(values, dtype=float)
     signs = np.where(np.arange(values.shape[-1]) % 2 == 0, 1.0, -1.0)
     return 2.0 / math.pi * np.dot(values, signs)
-
-
-def reconstruct_clicks(
-    clicks: ClickArrays, n_trunc: int, em_cfg: EMConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batched EM on every point of one repetition's ``clicks`` -> (W values, R tables, final loglik, failed).
-
-    Failed points get W = NaN.
-    """
-    values, loglik, failed = run_em_batch(
-        clicks.noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y), n_trunc, em_cfg,
-        noclick=clicks.noclick, n_runs=clicks.n_runs,
-    )
-    return np.where(failed, math.nan, wigner_from_values(values)), values, loglik, failed
 
 
 def delta_w(w_ref: np.ndarray, w_rec: np.ndarray) -> float:

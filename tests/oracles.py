@@ -5,9 +5,10 @@ operators come from a matrix exponential of the truncated generator or from
 exact rational coefficients, state amplitudes from direct per-term formulas,
 and no-click probabilities from beam-splitter output amplitudes in closed
 form.  The exceptions are ``simulate`` (one repetition's click data by the
-steps of the ``simulate`` stage, for the tests that feed the EM) and
-``wigner_scan`` (a grid map through the package's own simulate-and-reconstruct
-path, for the pipeline tests), the exact
+steps of the ``simulate`` stage, for the tests that feed the EM),
+``reconstruct`` (the ``reconstruct`` stage's fit and read-off of those data)
+and ``wigner_scan`` (a grid map through the package's own
+simulate-and-reconstruct path, for the pipeline tests), the exact
 no-click probabilities and exact Wigner map that no stage needs (both built
 on the package's displaced diagonals), the row-major displacement kernel,
 which reads the package's coefficient table so as to pin the
@@ -26,7 +27,7 @@ import mpmath
 import numpy as np
 from scipy.linalg import expm
 
-from clicktomo.em import FLOOR
+from clicktomo.em import FLOOR, run_em_batch
 from clicktomo.errors import NumericalError
 from clicktomo.fock import (
     SUM_TOL,
@@ -38,13 +39,12 @@ from clicktomo.fock import (
 )
 from clicktomo.measurement import (
     GAMMA_MATCH_TOL,
-    ClickArrays,
     DetectorPair,
     binomial_counts,
     forward_model,
     no_click_powers,
 )
-from clicktomo.wigner import reconstruct_clicks, wigner_from_values
+from clicktomo.wigner import wigner_from_values
 
 
 def displacement_expm(gamma: complex, dim: int) -> np.ndarray:
@@ -130,8 +130,11 @@ def _amplitudes(state) -> np.ndarray:
     return amps
 
 
-def simulate(amplitudes, gammas, recipe, trunc, n_runs, seed, repetition, exact, offset=0) -> ClickArrays:
-    """Click data of repetition ``repetition`` at ``gammas`` as the ``simulate`` stage writes it.
+Clicks = namedtuple("Clicks", "gammas nu_bar y noclick n_runs")  # P points' schedule and (P, M) counts
+
+
+def simulate(amplitudes, gammas, recipe, trunc, n_runs, seed, repetition, exact, offset=0) -> Clicks:
+    """Click data of repetition ``repetition`` at ``gammas`` as the ``simulate`` stage writes it, with their schedule.
 
     ``measurement.forward_model``'s probabilities, times ``n_runs`` if
     ``exact``, else drawn by ``measurement.binomial_counts`` from the streams
@@ -142,15 +145,25 @@ def simulate(amplitudes, gammas, recipe, trunc, n_runs, seed, repetition, exact,
     sched = recipe.build(g)
     probs, _ = forward_model(amplitudes, g, recipe, trunc)
     noclick = probs * n_runs if exact else binomial_counts(n_runs, probs, (seed, repetition), offset)
-    return ClickArrays(g, sched.nu_bar, sched.y, noclick, n_runs)
+    return Clicks(g, sched.nu_bar, sched.y, noclick, n_runs)
 
 
-def wigner_scan(state, grid, recipe, trunc, em_cfg, n_runs, seed=0, exact=False):
+def reconstruct(clicks: Clicks, n_trunc: int, n_iterations: int):
+    """(W values, R tables, final loglik, failed) of every point of ``clicks`` by the ``reconstruct``
+    stage's fit and read-off; failed points get W = NaN."""
+    values, loglik, failed = run_em_batch(
+        clicks.noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y), n_trunc, n_iterations,
+        noclick=clicks.noclick, n_runs=clicks.n_runs,
+    )
+    return np.where(failed, np.nan, wigner_from_values(values)), values, loglik, failed
+
+
+def wigner_scan(state, grid, recipe, trunc, n_iterations, n_runs, seed=0, exact=False):
     """W on every node of ``grid`` by the CLI's path, ``simulate`` then
-    ``reconstruct_clicks``, one value per node of ``grid.flat_gammas()``;
+    ``reconstruct``, one value per node of ``grid.flat_gammas()``;
     failed nodes are NaN."""
     clicks = simulate(_amplitudes(state), grid.flat_gammas(), recipe, trunc, n_runs, seed, 0, exact)
-    return reconstruct_clicks(clicks, trunc.n_trunc, em_cfg)[0]
+    return reconstruct(clicks, trunc.n_trunc, n_iterations)[0]
 
 
 def no_click_probabilities(state, gammas, nu_bar, y, trunc: TruncationConfig) -> np.ndarray:
@@ -183,7 +196,7 @@ def embedded_config(path) -> str:
     return "\n".join(row[2:] if row.startswith("# ") else row.lstrip("#") for row in rows) + "\n"
 
 
-def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=None):
+def em_batch_reference(freqs, nu_bar, ey, n_trunc, n_iterations, init=None, noclick=None, n_runs=None):
     """The batched EM loop as first written, one fresh array per step.
 
     It renormalizes after every step and multiplies by e^y and divides by
@@ -214,14 +227,14 @@ def em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg, noclick=None, n_runs=Non
     sensitivity = weighted.sum(axis=0)
     live = sensitivity > 0.0
 
-    if cfg.init is None:
+    if init is None:
         r = np.full((p_count, n_trunc), 1.0 / n_trunc)
     else:
-        r = np.tile(np.asarray(cfg.init, dtype=float), (p_count, 1))
+        r = np.tile(np.asarray(init, dtype=float), (p_count, 1))
 
     failed = np.zeros(p_count, dtype=bool)
     floor = FLOOR
-    for _ in range(cfg.n_iterations):
+    for _ in range(n_iterations):
         p = ey * (r @ a.T)
         newly_dead = ~failed & np.all(p < floor, axis=1)
         if np.any(newly_dead):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from clicktomo.em import EMConfig, run_em_batch
+from clicktomo.em import run_em_batch
 from clicktomo.fock import (
     TruncationConfig,
     coherent_state,
@@ -33,7 +33,7 @@ from oracles import exact_wigner_map, no_click_probabilities, poisson_pmf, wigne
 N_TRUNC = 12
 CFG = TruncationConfig(N_TRUNC)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
-EM_1000 = EMConfig(n_iterations=1000)
+EM_1000 = 1000  # EM steps
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -224,10 +224,9 @@ def test_criterion_8_property_suites():
     values /= values.sum()
     nu_bar = gamma0_nu_bar()
     freqs = ((1.0 - nu_bar)[:, None] ** np.arange(N_TRUNC) @ values)[None, :]
-    one_step = EMConfig(n_iterations=1, init=tuple(values))
-    stepped = run_em_batch(freqs, nu_bar, 1.0, N_TRUNC, one_step)[0][0]
+    stepped = run_em_batch(freqs, nu_bar, 1.0, N_TRUNC, 1, tuple(values))[0][0]
     checks.append(("EM fixed point on consistent data", float(np.max(np.abs(stepped - values))) < 1e-12))
-    noisy, _, _ = run_em_batch(np.round(freqs * 1000 * 0.9) / 1000, nu_bar, 1.0, N_TRUNC, EMConfig(n_iterations=50))
+    noisy, _, _ = run_em_batch(np.round(freqs * 1000 * 0.9) / 1000, nu_bar, 1.0, N_TRUNC, 50)
     checks.append(("EM positivity", bool(np.all(noisy >= 0.0))))
 
     # sampling determinism

@@ -25,9 +25,10 @@ from clicktomo import __main__ as entry
 from clicktomo import cli, config, io_csv, measurement, recover
 from clicktomo.cli import main
 from clicktomo.config import analytic_wigner_fn, build_amplitudes, build_recipe, dump_config, parse_config
+from clicktomo.em import run_em_batch
 from clicktomo.errors import ConfigError, DataError, NumericalError
 from clicktomo.fock import density_from_pure, displaced_diagonals, fock_state
-from clicktomo.wigner import W_BOUND_SLACK, reconstruct_clicks
+from clicktomo.wigner import W_BOUND_SLACK
 
 from oracles import displaced_diagonal_padded, embedded_config, simulate
 
@@ -112,9 +113,9 @@ def test_simulate_reports_the_largest_truncation_leak(small_cfg, tmp_path, capsy
 def test_simulate_writes_expected_rows(small_cfg, tmp_path):
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(small_cfg), "--out", str(out)]) == 0
-    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
-    assert clicks.gammas.size == 4
-    assert clicks.noclick.shape == (4, 14)
+    cfg, noclick = io_csv.read_click_csv(out / "clicks.csv")
+    assert cfg.grid.flat_gammas().size == 4
+    assert noclick.shape == (4, 14)
 
 
 def test_simulate_is_deterministic(small_cfg, tmp_path):
@@ -140,8 +141,8 @@ def test_vacuum_point_all_noclick(tmp_path):
     cfg.write_text(VACUUM_POINT)
     out = tmp_path / "art"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
-    assert np.all(clicks.noclick == clicks.n_runs)
+    cfg, noclick = io_csv.read_click_csv(out / "clicks.csv")
+    assert np.all(noclick == cfg.n_runs)
 
 
 def test_full_pipeline(small_cfg, tmp_path):
@@ -229,10 +230,10 @@ def test_one_click_file_holds_every_repetition(tmp_path, text, digest):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == ["clicks.csv"]
     assert hashlib.sha256((out / "clicks.csv").read_bytes()).hexdigest() == digest
-    run_cfg, clicks = io_csv.read_click_csv(out / "clicks.csv")
+    run_cfg, noclick = io_csv.read_click_csv(out / "clicks.csv")
     gammas = run_cfg.grid.flat_gammas()
-    assert clicks.gammas.tolist() == gammas.tolist()  # the schedule once, whatever the repetitions
-    for rep, counts in enumerate(np.split(clicks.noclick, 3)):
+    assert noclick.shape == (3 * gammas.size, run_cfg.detectors.n_settings)  # the counts, and no schedule
+    for rep, counts in enumerate(np.split(noclick, 3)):
         whole = simulate(
             build_amplitudes(run_cfg), gammas, build_recipe(run_cfg), run_cfg.trunc, run_cfg.n_runs, run_cfg.seed,
             rep, run_cfg.exact_probabilities,
@@ -274,8 +275,8 @@ def test_exact_flag_writes_expected_counts(tmp_path):
     cfg.write_text(EXACT)
     out = tmp_path / "art"
     main(["simulate", "--config", str(cfg), "--out", str(out)])
-    _, clicks = io_csv.read_click_csv(out / "clicks.csv")
-    fracs = clicks.noclick % 1.0
+    _, noclick = io_csv.read_click_csv(out / "clicks.csv")
+    fracs = noclick % 1.0
     assert np.any(fracs != 0.0)
 
 
@@ -689,8 +690,8 @@ def test_runs_at_the_bound_write_integer_counts(tmp_path):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
     counts = [line.rsplit(",", 1)[1] for line in (tmp_path / "clicks.csv").read_text().split("\n")[-4:-1]]
     assert all(c.isdigit() and 0 < int(c) <= 2**53 for c in counts), counts
-    cfg, clicks = io_csv.read_click_csv(tmp_path / "clicks.csv")
-    assert cfg.n_runs == 2**53 and clicks.noclick[-1, -1] == int(counts[-1])
+    cfg, noclick = io_csv.read_click_csv(tmp_path / "clicks.csv")
+    assert cfg.n_runs == 2**53 and noclick[-1, -1] == int(counts[-1])
 
 
 NON_FINITE = {
@@ -1399,17 +1400,17 @@ def test_failed_points_are_counted_once_over_the_repetitions(tmp_path, monkeypat
     # w_variance is NaN; w_rec is repetition 0's
     fits = []
 
-    def fail_point_1_in_repetition_1(clicks, *args):
-        w, values, ll, failed = reconstruct_clicks(clicks, *args)
-        fits.append(clicks)
+    def fail_point_1_in_repetition_1(freqs, *args, **kwargs):
+        values, ll, failed = run_em_batch(freqs, *args, **kwargs)
+        fits.append(freqs)
         if len(fits) == 2:  # one block: the fits run in repetition order
-            w[1], failed[1] = np.nan, True
-        return w, values, ll, failed
+            values[1], failed[1] = np.nan, True
+        return values, ll, failed
 
     sampled = DEGENERATE.replace("exact_probabilities = true", "exact_probabilities = false")
     for text, n_failed, n_finite in ((sampled, 4, 0), (SMALL, 1, 4)):
         if text is SMALL:
-            monkeypatch.setattr(cli, "reconstruct_clicks", fail_point_1_in_repetition_1)
+            monkeypatch.setattr(cli, "run_em_batch", fail_point_1_in_repetition_1)
         cfg = tmp_path / "run.ini"
         cfg.write_text(text + "repetitions = 2\n")
         out = tmp_path / f"art{n_failed}"
@@ -1763,11 +1764,11 @@ def test_repetitions_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsy
         assert capsys.readouterr().out.count(f" settings in {cpus} block") == 1
         assert run_stage(["reconstruct", "--records", str(out / "clicks.csv"), "--out", str(out)]) == 0
         files.append([(out / name).read_bytes() for name in ("clicks.csv", "wigner.csv")])
-        _, clicks = io_csv.read_click_csv(out / "clicks.csv")
-        for rep, counts in enumerate(np.split(clicks.noclick, 2)):
+        _, noclick = io_csv.read_click_csv(out / "clicks.csv")
+        for rep, counts in enumerate(np.split(noclick, 2)):
             whole = simulate(amplitudes, gammas, recipe, run_cfg.trunc, run_cfg.n_runs, run_cfg.seed, rep, exact=False)
             assert counts.tolist() == whole.noclick.tolist()
-        assert clicks.noclick[: gammas.size].tolist() != clicks.noclick[gammas.size :].tolist()
+        assert noclick[: gammas.size].tolist() != noclick[gammas.size :].tolist()
     assert files[0] == files[1] == files[2]
 
 
@@ -1850,7 +1851,8 @@ STAGES = ["simulate", "reconstruct"]
 
 
 def fail_at_point(monkeypatch, stage, fault, points=(FAULTY_POINT,)):
-    """Make ``stage``'s per-point function call ``fault()`` on a block holding one of ``points``."""
+    """Make ``stage``'s per-point function (the forward model, or the EM) call ``fault()`` on a block holding
+    one of ``points``; ``reconstruct``'s block is known by the schedule it builds before its fits."""
     targets = parse_config(wide(SMALL)).grid.flat_gammas()[list(points)]
     if stage == "simulate":
         def faulty(amplitudes, gammas, *args):
@@ -1860,12 +1862,19 @@ def fail_at_point(monkeypatch, stage, fault, points=(FAULTY_POINT,)):
 
         monkeypatch.setattr(cli, "forward_model", faulty)
     else:
-        def faulty(clicks, *args):
-            if np.isin(targets, clicks.gammas).any():
-                fault()
-            return reconstruct_clicks(clicks, *args)
+        build, held = measurement.SingleDetectorRecipe.build, []  # held[-1]: whether this process's block holds one
 
-        monkeypatch.setattr(cli, "reconstruct_clicks", faulty)
+        def noting(recipe, gammas):
+            held.append(np.isin(targets, gammas).any())
+            return build(recipe, gammas)
+
+        def faulty(*args, **kwargs):
+            if held[-1]:
+                fault()
+            return run_em_batch(*args, **kwargs)
+
+        monkeypatch.setattr(measurement.SingleDetectorRecipe, "build", noting)
+        monkeypatch.setattr(cli, "run_em_batch", faulty)
 
 
 def stage_argv(stage, cfg, out):
@@ -1902,6 +1911,46 @@ def test_a_failing_block_exits_as_one_block_would(tmp_path, monkeypatch, capsys,
             assert run_stage(argv) == code
         err = capsys.readouterr().err
         assert f"point {FAULTY_POINT} is bad" in err and err.count("\n") == 1
+
+
+def test_each_block_builds_its_own_schedule(tmp_path, monkeypatch, capsys):
+    # at 2 CPUs no schedule spans more than half of the 784 points and the map keeps the
+    # 1-CPU bytes; a block whose schedule does not build is one data error
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(wide(SMALL))
+    gammas = parse_config(wide(SMALL)).grid.flat_gammas()
+    clicks = tmp_path / "clicks.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    assert run_stage(["reconstruct", "--records", str(clicks), "--out", str(tmp_path / "one")]) == 0
+    derive = measurement.derive_settings
+
+    def half_at_most(alpha, beta, *args):
+        if len(np.atleast_2d(beta)) > -(-gammas.size // 2):
+            raise AssertionError(f"a schedule of {len(beta)} of {gammas.size} points")
+        return derive(alpha, beta, *args)
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(measurement, "derive_settings", half_at_most)
+    capsys.readouterr()
+    assert run_stage(["reconstruct", "--records", str(clicks), "--out", str(tmp_path / "two")]) == 0
+    assert "(784 points in 2 blocks, 0 failed)" in capsys.readouterr().out
+    assert (tmp_path / "two" / "wigner.csv").read_bytes() == (tmp_path / "one" / "wigner.csv").read_bytes()
+
+    build = measurement.SingleDetectorRecipe.build
+
+    def no_schedule_in_block_1(recipe, points):
+        if np.isin(gammas[-1], points):
+            raise ValueError("derived gamma strays 1.000e-03 from the target")
+        return build(recipe, points)
+
+    monkeypatch.setattr(measurement.SingleDetectorRecipe, "build", no_schedule_in_block_1)
+    assert run_stage(["reconstruct", "--records", str(clicks), "--out", str(tmp_path / "bad")]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {clicks}: embedded config declares no valid schedule: "
+        "derived gamma strays 1.000e-03 from the target\n"
+    )
+    assert not (tmp_path / "bad" / "wigner.csv").exists()
 
 
 @pytest.mark.parametrize("stage", STAGES)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clicktomo.em import EMConfig, _loglik_rows, run_em_batch
+from clicktomo.em import _loglik_rows, run_em_batch
 from clicktomo.fock import TruncationConfig, coherent_state, density_from_pure
 from clicktomo.measurement import (
     DetectorPair,
@@ -34,16 +35,15 @@ def kernel(nu_bar, n=12):
 def one_step(values, freqs, nu_bar):
     """One iteration from ``values``; zero components start at the smallest normal float."""
     init = tuple(np.maximum(values, np.finfo(float).tiny))
-    cfg = EMConfig(n_iterations=1, init=init)
-    return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), cfg)[0][0]
+    return run_em_batch(np.atleast_2d(freqs), nu_bar, 1.0, len(values), 1, init)[0][0]
 
 
-def run_one(freqs, nu_bar, cfg, n_runs=10_000, n_trunc=12):
+def run_one(freqs, nu_bar, n_iterations, n_runs=10_000, n_trunc=12, init=None):
     """One point with counts ``freqs * n_runs`` -> (values, final loglik, loglik of the start)."""
     freqs = np.atleast_2d(freqs)
     counts = {"noclick": freqs * n_runs, "n_runs": np.full(freqs.shape, float(n_runs))}
-    values, loglik, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg, **counts)
-    _, start, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, cfg._replace(n_iterations=0), **counts)
+    values, loglik, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, n_iterations, init, **counts)
+    _, start, _ = run_em_batch(freqs, nu_bar, 1.0, n_trunc, 0, init, **counts)
     return values[0], loglik[0], start[0]
 
 
@@ -120,7 +120,7 @@ class TestRunEm:
         occupation = np.real(np.diag(rho.elements))
         nu_bar = np.linspace(0.1, 0.9, 30)
         freqs = kernel(nu_bar, CFG.n_pad) @ occupation
-        values, final, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=1000))
+        values, final, initial = run_one(freqs, nu_bar, 1000)
         assert np.max(np.abs(values - poisson_pmf(1.0, 12))) <= 1e-2
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
         assert final >= initial
@@ -132,30 +132,29 @@ class TestRunEm:
         values /= values.sum()
         nu_bar = np.linspace(0.1, 0.9, 30)
         freqs = kernel(nu_bar) @ values
-        r, _, initial = run_one(freqs, nu_bar, EMConfig(n_iterations=0))
+        r, _, initial = run_one(freqs, nu_bar, 0)
         trace = [initial]
         for _ in range(400):
             init = tuple(np.maximum(r, np.finfo(float).tiny))
-            r, loglik, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=1, init=init))
+            r, loglik, _ = run_one(freqs, nu_bar, 1, init=init)
             trace.append(loglik)
         assert np.all(np.diff(trace) >= -1e-9)
 
     def test_zero_iterations_returns_init(self):
         values = np.full(12, 1.0 / 12)
         nu_bar = np.linspace(0.1, 0.9, 14)
-        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0))
+        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, 0)
         np.testing.assert_allclose(out, values, atol=1e-16)
         # a custom init is returned as given, not normalized
         init = tuple(np.linspace(0.1, 1.2, 12))
-        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, EMConfig(n_iterations=0, init=init))
+        out, _, _ = run_one(kernel(nu_bar) @ values, nu_bar, 0, init=init)
         assert np.array_equal(out, init)
 
     def test_custom_init(self):
         target = poisson_pmf(1.0, 12)
         target /= target.sum()
         nu_bar = np.linspace(0.1, 0.9, 30)
-        cfg = EMConfig(n_iterations=50, init=tuple(target))
-        values, _, _ = run_one(kernel(nu_bar) @ target, nu_bar, cfg)
+        values, _, _ = run_one(kernel(nu_bar) @ target, nu_bar, 50, init=tuple(target))
         np.testing.assert_allclose(values, target, atol=1e-10)
 
     def test_unit_efficiency_degenerate_case(self):
@@ -163,7 +162,7 @@ class TestRunEm:
         # with nu_bar = 1 never sees n > 0
         nu_bar = np.ones(12)
         freqs = np.full(12, 0.7)
-        values, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=200), 1000)
+        values, _, _ = run_one(freqs, nu_bar, 200, 1000)
         assert values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(values[1:] == 0.0)
 
@@ -171,15 +170,33 @@ class TestRunEm:
         values = poisson_pmf(0.8, 12)
         nu_bar = np.linspace(0.1, 0.9, 20)
         freqs = kernel(nu_bar) @ values
-        a, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=300))
-        b, _, _ = run_one(freqs, nu_bar, EMConfig(n_iterations=300))
+        a, _, _ = run_one(freqs, nu_bar, 300)
+        b, _, _ = run_one(freqs, nu_bar, 300)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "n_iterations, init, message",
+        [
+            (-1, None, "n_iterations must be non-negative"),
+            (1, (0.25, 0.25, 0.0, 0.5), "custom init must be a strictly positive finite vector"),
+            (1, (0.25, -0.25, 0.5, 0.5), "custom init must be a strictly positive finite vector"),
+            (1, [[0.25] * 4], "custom init must be a strictly positive finite vector"),
+            (1, (math.nan,) * 4, "custom init must be a strictly positive finite vector"),
+            (0, (math.nan,) * 4, "custom init must be a strictly positive finite vector"),
+            (1, (math.inf, 1.0, 1.0, 1.0), "custom init must be a strictly positive finite vector"),
+            (1, (0.25,) * 3, "init length 3 != n_trunc 4"),
+        ],
+        ids=["negative_iterations", "zero", "negative", "matrix", "nan", "nan_at_zero_steps", "inf", "short"],
+    )
+    def test_refuses_a_bad_iteration_count_or_init(self, n_iterations, init, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_em_batch(np.full((1, 6), 0.5), np.linspace(0.1, 0.9, 6), 1.0, 4, n_iterations, init)
 
     def test_degenerate_model_raises(self):
         # a probe so bright that every forward probability underflows: the
         # point is marked failed and left NaN (``reconstruct`` then exits 4)
         sched = DualDetectorRecipe(DetectorPair(0.5, 0.9), tuple(np.linspace(0.3, 1.2, 12))).build(20.0)
-        values, _, failed = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, EMConfig(n_iterations=5))
+        values, _, failed = run_em_batch(np.zeros((1, 12)), sched.nu_bar, np.exp(sched.y), 4, 5)
         assert failed[0]
         assert np.all(np.isnan(values[0]))
 
@@ -233,8 +250,8 @@ class TestLogLikelihood:
         rngs = [np.random.default_rng(seed) for seed in range(100)]
         noclick = np.array([[rng.binomial(500, p) for p in probs] for rng in rngs], dtype=float)
         counts = {"noclick": noclick, "n_runs": np.full(noclick.shape, 500.0)}
-        _, fitted, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=60), **counts)
-        _, uniform, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, EMConfig(n_iterations=0), **counts)
+        _, fitted, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, 60, **counts)
+        _, uniform, _ = run_em_batch(noclick / 500, nu_bar, 1.0, 12, 0, **counts)
         wins = int(np.sum(fitted >= uniform))
         assert wins == 100
 
@@ -247,10 +264,9 @@ class TestBatchConsistency:
         probs = kernel(nu_bar, CFG.n_pad) @ occupation
         rng = np.random.default_rng(3)
         freqs = np.vstack([rng.binomial(1000, probs) / 1000.0 for _ in range(4)])
-        cfg = EMConfig(n_iterations=250)
-        batch, _, _ = run_em_batch(freqs, nu_bar, np.ones_like(freqs), 12, cfg)
+        batch, _, _ = run_em_batch(freqs, nu_bar, np.ones_like(freqs), 12, 250)
         for row in range(4):
-            single, _, _ = run_one(freqs[row], nu_bar, cfg, 1000)
+            single, _, _ = run_one(freqs[row], nu_bar, 250, 1000)
             np.testing.assert_allclose(batch[row], single, atol=1e-12)
 
 
@@ -260,7 +276,7 @@ def em_tolerance(n_iterations):
 
 
 def _em_batch_case(name):
-    """(freqs, nu_bar, ey, cfg, extra kwargs) for one reference-loop case."""
+    """(freqs, nu_bar, ey, EM arguments, extra kwargs) for one reference-loop case."""
     rng = np.random.default_rng(11)
     nu_bar = np.linspace(0.1, 0.9, 24)
     kernel = (1.0 - nu_bar)[:, None] ** np.arange(12)[None, :]
@@ -271,9 +287,9 @@ def _em_batch_case(name):
     noclick = rng.binomial(200, probs).astype(float)
     sampled = {"noclick": noclick, "n_runs": n_runs}
     if name == "sampled":
-        return noclick / n_runs, nu_bar, ey, EMConfig(n_iterations=300), sampled
+        return noclick / n_runs, nu_bar, ey, {"n_iterations": 300}, sampled
     if name == "exact":
-        return probs, nu_bar, ey, EMConfig(n_iterations=300), {}
+        return probs, nu_bar, ey, {"n_iterations": 300}, {}
     if name == "floor_renormalized":
         # the tiny-e^y rows fall under the floor on the first step or later
         # (rows fail at steps 1, 2, 4 and 10); the all-zero row fails through
@@ -285,14 +301,14 @@ def _em_batch_case(name):
         ey = np.vstack(
             [np.geomspace(1e-13, 1e-10, 40)[:, None] * np.ones((1, 14)), ey[:9, :14]]
         )
-        return freqs, nu_bar, ey, EMConfig(n_iterations=300), {}
+        return freqs, nu_bar, ey, {"n_iterations": 300}, {}
     if name == "bright_data":
         # frequencies far above e^y = 1e-9: the unnormalized iterate sums to
         # about 1e9, and the normalized probabilities of the settings with
         # nu_bar near 1 fall under the floor although the unnormalized ones
         # do not, so the floor bound must use the sums
         nu_bar = np.linspace(0.1, 0.999, 14)
-        return ((1.0 - nu_bar) ** 2)[None, :], nu_bar, 1e-9, EMConfig(n_iterations=300), {}
+        return ((1.0 - nu_bar) ** 2)[None, :], nu_bar, 1e-9, {"n_iterations": 300}, {}
     if name == "mixed_bound":
         # exact data on nu_bar <= 1/2, where every point meets the static bound
         # until e^y of the first 24 is scaled by 1e-14 ... 1e-4: those under
@@ -300,26 +316,22 @@ def _em_batch_case(name):
         nu_bar = np.linspace(0.1, 0.5, 24)
         ey = ey * np.concatenate([np.geomspace(1e-14, 1e-4, 24), np.ones(72)])[:, None]
         freqs = np.clip(ey * (rows @ ((1.0 - nu_bar)[:, None] ** np.arange(12)).T), 0.0, 1.0)
-        return freqs, nu_bar, ey, EMConfig(n_iterations=300), {}
+        return freqs, nu_bar, ey, {"n_iterations": 300}, {}
     if name == "small_init":
         # a custom init summing to 1.2e-11 puts the first step's probabilities
         # near the floor, which clamps some of them although every point meets
         # the static bound on a unit sum
-        cfg = EMConfig(n_iterations=300, init=(1e-12,) * 12)
-        return noclick / n_runs, nu_bar, ey, cfg, sampled
+        return noclick / n_runs, nu_bar, ey, {"n_iterations": 300, "init": (1e-12,) * 12}, sampled
     if name == "blind":
         # nu_bar = 1 everywhere: only the vacuum component is live
-        cfg = EMConfig(n_iterations=50)
-        return noclick[:5, :12] / n_runs[:5, :12], np.ones(12), 1.0, cfg, {}
+        return noclick[:5, :12] / n_runs[:5, :12], np.ones(12), 1.0, {"n_iterations": 50}, {}
     if name == "early_stop_trace_init":
         # a custom init over 8 rows
-        cfg = EMConfig(n_iterations=2000, init=tuple(rows[0]))
         extra = {"noclick": noclick[:8], "n_runs": n_runs[:8]}
-        return noclick[:8] / n_runs[:8], nu_bar, ey[:8], cfg, extra
+        return noclick[:8] / n_runs[:8], nu_bar, ey[:8], {"n_iterations": 2000, "init": tuple(rows[0])}, extra
     if name == "single_row":
-        cfg = EMConfig(n_iterations=2000)
         extra = {"noclick": noclick[:1], "n_runs": n_runs[:1]}
-        return noclick[:1] / n_runs[:1], nu_bar, ey[:1], cfg, extra
+        return noclick[:1] / n_runs[:1], nu_bar, ey[:1], {"n_iterations": 2000}, extra
     raise KeyError(name)
 
 
@@ -346,10 +358,10 @@ class TestBatchBitIdentity:
         ],
     )
     def test_matches_reference_loop(self, name):
-        freqs, nu_bar, ey, cfg, extra = _em_batch_case(name)
-        values, loglik, failed = run_em_batch(freqs, nu_bar, ey, 12, cfg, **extra)
-        want_values, want_loglik, want_failed = em_batch_reference(freqs, nu_bar, ey, 12, cfg, **extra)
-        tol = em_tolerance(cfg.n_iterations)
+        freqs, nu_bar, ey, em, extra = _em_batch_case(name)
+        values, loglik, failed = run_em_batch(freqs, nu_bar, ey, 12, **em, **extra)
+        want_values, want_loglik, want_failed = em_batch_reference(freqs, nu_bar, ey, 12, **em, **extra)
+        tol = em_tolerance(em["n_iterations"])
         assert np.array_equal(failed, want_failed)
         np.testing.assert_allclose(values, want_values, rtol=0.0, atol=tol)
         np.testing.assert_allclose(loglik, want_loglik, rtol=tol, atol=0.0)
@@ -374,7 +386,7 @@ def em_problems(draw):
 @given(problem=em_problems())
 def test_batch_stays_positive_and_normalized(problem):
     freqs, nu_bar, ey, n_trunc, iterations = problem
-    values, _, failed = run_em_batch(freqs, nu_bar, ey, n_trunc, EMConfig(n_iterations=iterations))
+    values, _, failed = run_em_batch(freqs, nu_bar, ey, n_trunc, iterations)
     live = ~failed
     assert np.all(values[live] >= 0.0)
     np.testing.assert_allclose(values[live].sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
@@ -404,11 +416,10 @@ def test_bare_steps_normalized_once_are_the_reference_iterates(problem):
     # the update is scale-free, so renormalizing every step (the reference
     # loop) and normalizing the bare iterate once agree to rounding
     freqs, nu_bar, ey, n_trunc, iterations = problem
-    cfg = EMConfig(n_iterations=iterations)
-    stepwise, _, stepwise_failed = em_batch_reference(freqs, nu_bar, ey, n_trunc, cfg)
+    stepwise, _, stepwise_failed = em_batch_reference(freqs, nu_bar, ey, n_trunc, iterations)
     assert not stepwise_failed.any()
     tol = em_tolerance(iterations)
-    np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, cfg)[0], stepwise, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(run_em_batch(freqs, nu_bar, ey, n_trunc, iterations)[0], stepwise, rtol=0.0, atol=tol)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -417,7 +428,7 @@ def test_bounded_point_with_zero_frequencies_fails_quietly():
     # zero row's iterate vanishes after one step and must end NaN and failed
     nu_bar = np.linspace(0.1, 0.5, 14)
     freqs = np.vstack([kernel(nu_bar) @ poisson_pmf(0.7, 12), np.zeros(14), kernel(nu_bar) @ poisson_pmf(1.5, 12)])
-    values, _, failed = run_em_batch(freqs, nu_bar, 1.0, 12, EMConfig(n_iterations=50))
+    values, _, failed = run_em_batch(freqs, nu_bar, 1.0, 12, 50)
     assert failed.tolist() == [False, True, False]
     assert np.all(np.isnan(values[1])) and np.all(np.isfinite(values[[0, 2]]))
 
@@ -459,9 +470,8 @@ def test_a_guarded_point_moves_no_other_point(ey_1, first):
     freqs, nu_bar, ey = _guarded_batch(ey_1, first)
     bound = _static_bound(nu_bar, np.log(ey), 12)
     assert 1e-12 <= bound[0] < 2e-12 and bound[1] < 1e-12 and bound[2] >= 2e-12
-    cfg = EMConfig(n_iterations=20)
-    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, nu_bar, ey, 12, cfg)
-    clean, clean_loglik, clean_failed = run_em_batch(*_guarded_batch(1.0), 12, cfg)
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, nu_bar, ey, 12, 20)
+    clean, clean_loglik, clean_failed = run_em_batch(*_guarded_batch(1.0), 12, 20)
     assert spoiled_failed.tolist() == [False, first == 0, False] and not clean_failed.any()
     assert np.array_equal(spoiled[[0, 2]], clean[[0, 2]])
     assert np.array_equal(spoiled_loglik[[0, 2]], clean_loglik[[0, 2]])
@@ -476,11 +486,10 @@ def test_failed_point_leaves_the_others_on_the_bare_step():
         build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, True
     )
     freqs, ey = clicks.noclick / clicks.n_runs, np.exp(clicks.y)
-    em_cfg = EMConfig(n_iterations=cfg.n_iterations)
     dim = cfg.trunc.n_trunc
-    clean, clean_loglik, clean_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    clean, clean_loglik, clean_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, cfg.n_iterations)
     ey[17] = 1e-20
-    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, em_cfg)
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(freqs, clicks.nu_bar, ey, dim, cfg.n_iterations)
     others = np.arange(len(freqs)) != 17
     assert np.flatnonzero(spoiled_failed).tolist() == [17] and not clean_failed.any()
     assert np.array_equal(spoiled[others], clean[others])
@@ -500,9 +509,8 @@ def _overflow_batch(ey_1):
 def test_a_subnormal_attenuation_fails_its_point_quietly():
     # 0.5 / 1e-320 overflows: under this suite's warnings-as-errors that used to raise
     # RuntimeWarning; now point 1 fails and point 0 keeps the bits of the batch without it
-    cfg = EMConfig(n_iterations=20)
-    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(*_overflow_batch(1e-320), 12, cfg)
-    clean, clean_loglik, clean_failed = run_em_batch(*_overflow_batch(1.0), 12, cfg)
+    spoiled, spoiled_loglik, spoiled_failed = run_em_batch(*_overflow_batch(1e-320), 12, 20)
+    clean, clean_loglik, clean_failed = run_em_batch(*_overflow_batch(1.0), 12, 20)
     assert spoiled_failed.tolist() == [False, True] and not clean_failed.any()
     assert np.array_equal(spoiled[0], clean[0]) and spoiled_loglik[0] == clean_loglik[0]
 
@@ -516,13 +524,12 @@ def test_every_aligned_cut_keeps_the_bits(path):
     clicks = simulate(
         build_amplitudes(cfg), cfg.grid.flat_gammas(), build_recipe(cfg), cfg.trunc, cfg.n_runs, cfg.seed, 0, False
     )
-    n_points, dim = len(clicks.gammas), cfg.trunc.n_trunc
+    n_points, dim, recipe = len(clicks.gammas), cfg.trunc.n_trunc, build_recipe(cfg)
     assert n_points * clicks.nu_bar.size * dim <= cli.BLAS_SMALL
-    em_cfg = EMConfig(n_iterations=3)
 
-    def run(part):
-        noclick = clicks.noclick[part]
-        return run_em_batch(noclick / clicks.n_runs, clicks.nu_bar, np.exp(clicks.y[part]), dim, em_cfg,
+    def run(part):  # each part builds its own schedule, as a block does
+        noclick, sched = clicks.noclick[part], recipe.build(clicks.gammas[part])
+        return run_em_batch(noclick / clicks.n_runs, sched.nu_bar, np.exp(sched.y), dim, 3,
                             noclick=noclick, n_runs=clicks.n_runs)
 
     whole = run(slice(None))
@@ -559,12 +566,11 @@ def _fock_em_long_inputs():
 def test_where_the_inputs_start_moves_no_bit():
     # the working arrays start on a cache line wherever the inputs do
     freqs, nu_bar, ey, noclick, n_runs = _fock_em_long_inputs()
-    em_cfg = EMConfig(n_iterations=50)
     results = []
     for offset in (0, 16, 32, 48):
         moved = [_at_offset(x, offset) for x in (freqs, nu_bar, ey, noclick)]
         assert [_address(x) % 64 for x in moved] == [offset] * 4
-        values, loglik, failed = run_em_batch(*moved[:3], 12, em_cfg, noclick=moved[3], n_runs=n_runs)
+        values, loglik, failed = run_em_batch(*moved[:3], 12, 50, noclick=moved[3], n_runs=n_runs)
         results.append((values.tobytes(), loglik.tobytes(), failed.tolist()))
     assert np.flatnonzero(results[0][2]).tolist() == [17]
     assert results[1:] == results[:1] * 3
@@ -581,7 +587,7 @@ def test_the_step_sees_only_cache_line_aligned_arrays(monkeypatch):
 
         monkeypatch.setattr(np, name, spy)
     run_em_batch(
-        _at_offset(freqs, 16), nu_bar, _at_offset(ey, 16), 12, EMConfig(n_iterations=5), noclick=noclick, n_runs=n_runs
+        _at_offset(freqs, 16), nu_bar, _at_offset(ey, 16), 12, 5, noclick=noclick, n_runs=n_runs
     )
     assert len(calls["matmul"]) == 10
     assert calls["matmul"] + calls["divide"][-5:] == [[0, 0, 0]] * 15
@@ -608,7 +614,7 @@ def test_a_failed_point_leaves_the_guard():
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
-        _, _, failed = run_em_batch(freqs, nu_bar, ey, 12, EMConfig(n_iterations=2000), noclick=noclick, n_runs=n_runs)
+        _, _, failed = run_em_batch(freqs, nu_bar, ey, 12, 2000, noclick=noclick, n_runs=n_runs)
     finally:
         sys.settrace(previous)
     assert np.flatnonzero(failed).tolist() == [17] and "fail" in events

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from clicktomo import io_csv
-from clicktomo.em import EMConfig
 from clicktomo.fock import (
     TruncationConfig,
     coherent_state,
@@ -19,19 +18,18 @@ from clicktomo.wigner import (
     delta_w,
     fock_wigner,
     laguerre,
-    reconstruct_clicks,
     squeezed_wigner,
     wigner_from_values,
 )
 from clicktomo.cli import main
 from clicktomo.errors import DataError
 
-from oracles import exact_wigner_map, simulate, wigner_scan
+from oracles import exact_wigner_map, reconstruct, simulate, wigner_scan
 
 CFG = TruncationConfig(12)
 RECIPE = SingleDetectorRecipe(alpha=0.15, efficiencies=homogeneous_efficiencies(30))
-EM = EMConfig(n_iterations=1000)
-EM_FAST = EMConfig(n_iterations=300)
+EM = 1000  # EM steps
+EM_FAST = 300
 
 
 def wigner_exact(state, gamma: complex, cfg: TruncationConfig) -> float:
@@ -39,14 +37,14 @@ def wigner_exact(state, gamma: complex, cfg: TruncationConfig) -> float:
     return wigner_from_values(displaced_diagonals(state, [gamma])[0, : cfg.n_trunc])
 
 
-def reconstruct_at(state, gamma, em_cfg, n_runs=10_000, seed=0, exact=False, offset=0):
-    """(R, W) at one point by the CLI's path: ``simulate`` then ``reconstruct_clicks``.
+def reconstruct_at(state, gamma, n_iterations, n_runs=10_000, seed=0, exact=False, offset=0):
+    """(R, W) at one point by the CLI's path: ``simulate`` then ``reconstruct``.
 
     ``offset`` is the point's index in a grid run, which keys its generator:
     the point draws what a grid run draws when it is the first of its group.
     """
     clicks = simulate(state, [gamma], RECIPE, CFG, n_runs, seed, 0, exact, offset=offset)
-    w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, em_cfg)
+    w, values, _, failed = reconstruct(clicks, CFG.n_trunc, n_iterations)
     assert not failed[0]
     return values[0], w[0]
 
@@ -162,17 +160,17 @@ class TestScanGrid:
             clicks = simulate(state, gammas[start : start + 8], RECIPE, CFG, 1500, 5, 0, False, offset=start)
             row = slice(k - start, k - start + 1)
             point = clicks._replace(gammas=clicks.gammas[row], y=clicks.y[row], noclick=clicks.noclick[row])
-            w, _, _, failed = reconstruct_clicks(point, CFG.n_trunc, EM_FAST)
+            w, _, _, failed = reconstruct(point, CFG.n_trunc, EM_FAST)
             assert not failed[0] and abs(w_map[k] - w[0]) < 1e-12
         _, w = reconstruct_at(state, gammas[8], EM_FAST, n_runs=1500, seed=5, offset=8)  # a group's first point
         assert abs(w_map[8] - w) < 1e-12
 
     def test_keep_r_tables(self):
-        # reconstruct_clicks returns the R table of every point beside W
+        # the fit returns the R table of every point beside W
         state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 0.5, -0.5, 0.5, 2, 2)
         clicks = simulate(state, grid.flat_gammas(), RECIPE, CFG, 10_000, 0, 0, True)
-        _, r_tables, _, _ = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        _, r_tables, _, _ = reconstruct(clicks, CFG.n_trunc, EM_FAST)
         assert r_tables.shape == (4, 12)
         np.testing.assert_allclose(r_tables.sum(axis=1), 1.0, atol=1e-12)
 
@@ -184,7 +182,7 @@ class TestScanGrid:
         assert np.max(np.abs(values - occupation)) <= 1e-2
 
 
-class TestReconstructClicks:
+class TestReadOff:
     @pytest.mark.parametrize("failing", [False, True], ids=["sampled", "with_failures"])
     def test_batched_read_off_matches_the_per_point_sum(self, failing):
         # W comes from one batched dot over every point; it must agree with the
@@ -198,7 +196,7 @@ class TestReconstructClicks:
         else:
             recipe, gammas = RECIPE, PhaseGrid(-1.2, 2.5, -1.2, 2.5, 6, 6).flat_gammas()
         clicks = simulate(state, gammas, recipe, CFG, 2000, 4, 0, exact=failing)
-        w, values, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        w, values, _, failed = reconstruct(clicks, CFG.n_trunc, EM_FAST)
         per_point = [math.nan if bad else wigner_from_values(v) for v, bad in zip(values, failed)]
         np.testing.assert_allclose(w, per_point, rtol=0.0, atol=1e-15)
         assert failed.any() == failing and np.array_equal(np.isnan(w), failed)
@@ -216,7 +214,7 @@ class TestScanFailures:
         state = coherent_state(0.3, CFG)
         grid = PhaseGrid(0.0, 2.0, -0.25, 0.25, 4, 1)
         clicks = simulate(state, grid.flat_gammas(), recipe, CFG, 10_000, 0, 0, True)
-        w, _, _, failed = reconstruct_clicks(clicks, CFG.n_trunc, EM_FAST)
+        w, _, _, failed = reconstruct(clicks, CFG.n_trunc, EM_FAST)
         assert failed.any() and not failed.all()
         assert np.all(np.isnan(w[failed])) and np.all(np.isfinite(w[~failed]))
 
@@ -307,7 +305,7 @@ class TestVarianceMap:
         state = coherent_state(1.0, CFG)
         grid = PhaseGrid(-0.5, 1.5, -1.0, 1.0, 2, 2)
         maps = [
-            reconstruct_clicks(simulate(state, grid.flat_gammas(), RECIPE, CFG, 500, 4, r, False), CFG.n_trunc, EM_FAST)[0]
+            reconstruct(simulate(state, grid.flat_gammas(), RECIPE, CFG, 500, 4, r, False), CFG.n_trunc, EM_FAST)[0]
             for r in (0, 1)
         ]
         var = reconstructed_variance(tmp_path, 2)
